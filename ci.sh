@@ -197,9 +197,11 @@ grep -q '"id": "catboost_flat_batch"' target/BENCH_PR9.json
 grep -q '"id": "gbt_flat_batch_parallel"' target/BENCH_PR9.json
 
 echo "==> stream leg: chunk/thread/kill-switch invariance + trace counters"
-# The dedicated stream suite: chunked generation bit-identical to the
-# monolithic campaign across seeds × chunk sizes × thread counts.
-cargo test -q -p vmin-silicon --test stream_equivalence
+# The whole vmin-silicon suite (tier-1 runs only the root package): unit
+# tests including the Vmin-search oracle, the stream suite (chunked
+# generation bit-identical to the monolithic campaign across seeds ×
+# chunk sizes × thread counts), the property tests and the doctests.
+cargo test -q -p vmin-silicon
 # stream_smoke prints one digest per streamed chip plus the fused screening
 # report; every knob combination must produce byte-identical stdout. The
 # chunk knob moves block boundaries only, the kill switch materializes and
@@ -228,6 +230,12 @@ grep -q '"silicon.stream.shards"' target/trace-stream.json
 grep -q '"fleet.chips"' target/trace-stream.json
 grep -q '"fleet.blocks"' target/trace-stream.json
 grep -q '"silicon.stream.fallback"' target/trace-stream-off.json
+# The Vmin-search work counters: searches per streamed block, predicate
+# calls and path-delay evaluations flushed once per shard. Their thread
+# invariance rides the trace_report t1-vs-t8 counter diff above.
+grep -q '"silicon.vmin.searches"' target/trace-stream.json
+grep -q '"silicon.vmin.bisect_steps"' target/trace-stream.json
+grep -q '"silicon.device.evals"' target/trace-stream.json
 
 echo "==> bench smoke: fleet_throughput writes target/BENCH_PR10.json"
 VMIN_BENCH_JSON="$PWD/target/BENCH_PR10.json" VMIN_BENCH_SAMPLES=1 VMIN_BENCH_FLEET=2000 \
@@ -237,5 +245,15 @@ grep -q '"id": "generate_only_c2000"' target/BENCH_PR10.json
 grep -q '"id": "serve_only_c2000"' target/BENCH_PR10.json
 grep -q '"id": "fused_generate_serve_c2000"' target/BENCH_PR10.json
 grep -q '"id": "materialize_then_serve_c2000"' target/BENCH_PR10.json
+
+echo "==> perfbench bit-identity smoke: reference digests of both gated workloads"
+# Each run first digests its leading requests at seed 1 and compares them
+# with perfbench/reference.txt; any moved bit makes "correct" false.
+for w in fleet_screen table3_cell; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 > "target/perfbench-$w.txt"
+    tail -n 1 "target/perfbench-$w.txt" | grep -q '"correct": true' \
+        || { echo "perfbench $w: output digests differ from perfbench/reference.txt"; exit 1; }
+done
 
 echo "CI green."

@@ -12,8 +12,8 @@
 //! - **metric**: every `vmin_trace` counter/topology/gauge/histogram/span
 //!   name, with its kind. The `contract-metric` deny rule rejects
 //!   unregistered or non-literal names, and a name must be registered
-//!   *per kind* (`models.fitplan.build` is legitimately both a counter
-//!   and a span).
+//!   *per kind* (the registry can hold one name under two kinds, although
+//!   the `vmin-trace` collector drops the second kind it sees at runtime).
 //!
 //! Like the ratchet baseline, the registry only tightens:
 //! `--update-contracts` drops entries no longer observed in the source

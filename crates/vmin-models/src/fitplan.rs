@@ -22,7 +22,8 @@
 //! `tests/fitplan_equivalence.rs` and the workspace determinism matrix
 //! enforce this.
 //!
-//! Instrumentation: `models.fitplan.build` counts plan constructions,
+//! Instrumentation: `models.fitplan.build` counts plan constructions (the
+//! `models.fitplan.plan` span times them),
 //! `models.fitplan.reuse` counts cache hits (shared plans and cached
 //! binned/standardized artifacts), and `models.fitplan.scratch_reuse`
 //! counts boosting rounds that recycled tree scratch buffers instead of
@@ -301,7 +302,7 @@ impl FitPlan {
             x.rows() <= u32::MAX as usize,
             "fit plan supports at most u32::MAX rows"
         );
-        let _span = vmin_trace::span("models.fitplan.build");
+        let _span = vmin_trace::span("models.fitplan.plan");
         vmin_trace::counter_add("models.fitplan.build", 1);
         let n = x.rows();
         let features: Vec<usize> = (0..x.cols()).collect();

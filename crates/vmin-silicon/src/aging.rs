@@ -180,10 +180,18 @@ impl AgingModel {
         Volt(raw * self.chip_rate)
     }
 
+    /// Unscaled ΔVth (V) at stress time `t`: `nbti(t) + hci(t)`, the part
+    /// of [`Self::delta_vth`] every path and monitor of the chip shares.
+    /// Measurement loops compute it once per read point and scale it per
+    /// device.
+    pub(crate) fn unit_shift(&self, t: Hours) -> f64 {
+        self.nbti(t).0 + self.hci(t).0
+    }
+
     /// Total ΔVth (V) at stress time `t`, scaled by a per-path (or
     /// per-monitor) `sensitivity` factor.
     pub fn delta_vth(&self, t: Hours, sensitivity: f64) -> Volt {
-        Volt((self.nbti(t).0 + self.hci(t).0) * sensitivity)
+        Volt(self.unit_shift(t) * sensitivity)
     }
 
     /// Borrow of the aging spec.

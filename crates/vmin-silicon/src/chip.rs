@@ -3,7 +3,7 @@
 
 use crate::aging::{AgingModel, WorkloadProfile};
 use crate::config::DatasetSpec;
-use crate::device::DeviceParams;
+use crate::device::{dibl, mobility_at, DelayTerms, DeviceParams, LeakageTerms};
 use crate::process::{ProcessSampler, ProcessState};
 use crate::sampling::{lognormal, normal};
 use crate::units::{Celsius, Hours, Picoseconds, Volt};
@@ -43,16 +43,85 @@ pub struct Chip {
     pub defective: bool,
 }
 
+/// Voltage-independent delay terms of one critical path at one
+/// (temperature, read point): its gate's [`DelayTerms`] plus its depth
+/// and wire delay. [`Self::delay`] is the voltage kernel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PathTerms {
+    pub(crate) gate: DelayTerms,
+    /// Logic depth as a float (number of equivalent gate stages).
+    pub(crate) depth: f64,
+    /// Fixed wire delay (ps).
+    pub(crate) wire_ps: f64,
+}
+
+impl PathTerms {
+    /// Path delay at supply `v`: `gate · depth + wire`, or `None` when the
+    /// gate does not switch.
+    #[inline]
+    pub(crate) fn delay(&self, v: Volt) -> Option<Picoseconds> {
+        let gate = self.gate.gate_delay(v)?;
+        Some(Picoseconds(gate.0 * self.depth + self.wire_ps))
+    }
+}
+
+/// Voltage-independent terms of a chip's leakage at one (temperature, read
+/// point): the process leakage factor times the aged representative
+/// device's [`LeakageTerms`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ChipLeakage {
+    factor: f64,
+    device: LeakageTerms,
+}
+
+impl ChipLeakage {
+    /// Chip leakage factor at the supply whose [`dibl`] factor is `dibl`.
+    #[inline]
+    pub(crate) fn current(&self, dibl: f64) -> f64 {
+        self.factor * self.device.current(dibl)
+    }
+}
+
 impl Chip {
     /// Device parameters of `path` at stress time `t`: base Vth plus global
     /// process shift plus local mismatch plus accumulated aging.
     pub fn path_device(&self, path: &CriticalPath, t: Hours) -> DeviceParams {
-        let aged = self.aging.delta_vth(t, path.aging_sensitivity);
+        self.aged_path_device(path, self.aging.unit_shift(t))
+    }
+
+    /// [`Self::path_device`] given the chip's unscaled aging shift
+    /// ([`AgingModel::unit_shift`]), which the path's sensitivity scales.
+    fn aged_path_device(&self, path: &CriticalPath, unit_shift: f64) -> DeviceParams {
+        let aged = unit_shift * path.aging_sensitivity;
         DeviceParams {
-            vth25: Volt(0.30 + self.process.vth_shift.0 + path.local_vth_offset.0 + aged.0),
+            vth25: Volt(0.30 + self.process.vth_shift.0 + path.local_vth_offset.0 + aged),
             leff_factor: self.process.leff_factor * path.defect_penalty,
             mobility_factor: self.process.mobility_factor,
             unit_delay_ps: 8.0,
+        }
+    }
+
+    /// `μ(T)` shared by every device of this chip (they all carry the
+    /// process mobility factor).
+    pub(crate) fn mobility_at(&self, temp: Celsius) -> f64 {
+        mobility_at(self.process.mobility_factor, temp)
+    }
+
+    /// Voltage-independent delay terms of `path` at `temp`, given the
+    /// chip's unscaled aging shift and its [`Self::mobility_at`] value.
+    pub(crate) fn path_terms(
+        &self,
+        path: &CriticalPath,
+        unit_shift: f64,
+        temp: Celsius,
+        mobility: f64,
+    ) -> PathTerms {
+        PathTerms {
+            gate: self
+                .aged_path_device(path, unit_shift)
+                .delay_terms(temp, mobility),
+            depth: path.depth as f64,
+            wire_ps: path.wire_delay_ps,
         }
     }
 
@@ -67,34 +136,45 @@ impl Chip {
         temp: Celsius,
         t: Hours,
     ) -> Option<Picoseconds> {
-        let dev = self.path_device(path, t);
-        let gate = dev.gate_delay(v, temp)?;
-        Some(Picoseconds(gate.0 * path.depth as f64 + path.wire_delay_ps))
+        self.path_terms(path, self.aging.unit_shift(t), temp, self.mobility_at(temp))
+            .delay(v)
     }
 
     /// Worst (largest) path delay across the chip at the given conditions,
     /// or `None` if any path fails to evaluate.
     pub fn worst_path_delay(&self, v: Volt, temp: Celsius, t: Hours) -> Option<Picoseconds> {
+        let unit_shift = self.aging.unit_shift(t);
+        let mobility = self.mobility_at(temp);
         let mut worst = 0.0f64;
         for p in &self.paths {
-            let d = self.path_delay(p, v, temp, t)?;
+            let d = self.path_terms(p, unit_shift, temp, mobility).delay(v)?;
             worst = worst.max(d.0);
         }
         Some(Picoseconds(worst))
     }
 
-    /// Total chip leakage factor at the given conditions (drives IDDQ).
-    pub fn chip_leakage(&self, v: Volt, temp: Celsius, t: Hours) -> f64 {
+    /// Voltage-independent leakage terms at `temp`, given the chip's
+    /// unscaled aging shift.
+    pub(crate) fn leakage_terms(&self, temp: Celsius, unit_shift: f64) -> ChipLeakage {
         // Use the average aged device as the leakage representative; aging
-        // raises Vth and therefore *reduces* leakage slightly.
-        let aged = self.aging.delta_vth(t, 1.0);
+        // raises Vth and therefore *reduces* leakage slightly. Its
+        // sensitivity is 1, so its ΔVth is the unit shift itself.
         let dev = DeviceParams {
-            vth25: Volt(0.30 + self.process.vth_shift.0 + aged.0),
+            vth25: Volt(0.30 + self.process.vth_shift.0 + unit_shift),
             leff_factor: self.process.leff_factor,
             mobility_factor: self.process.mobility_factor,
             unit_delay_ps: 8.0,
         };
-        self.process.leakage_factor * dev.leakage(v, temp)
+        ChipLeakage {
+            factor: self.process.leakage_factor,
+            device: dev.leakage_terms(temp),
+        }
+    }
+
+    /// Total chip leakage factor at the given conditions (drives IDDQ).
+    pub fn chip_leakage(&self, v: Volt, temp: Celsius, t: Hours) -> f64 {
+        self.leakage_terms(temp, self.aging.unit_shift(t))
+            .current(dibl(v))
     }
 }
 

@@ -70,7 +70,19 @@ impl DeviceParams {
     /// Effective mobility factor at temperature `t` (dimensionless, relative
     /// to 25 °C nominal).
     pub fn mobility_at(&self, t: Celsius) -> f64 {
-        self.mobility_factor * (t.to_kelvin() / 298.15).powf(MOBILITY_TEMP_EXP)
+        mobility_at(self.mobility_factor, t)
+    }
+
+    /// The voltage-independent part of [`Self::gate_delay`] at temperature
+    /// `t`; [`DelayTerms::gate_delay`] is the voltage kernel. `mobility`
+    /// must be `self.mobility_at(t)`: devices sharing one mobility factor
+    /// (every path of a chip) compute it once.
+    pub(crate) fn delay_terms(&self, t: Celsius, mobility: f64) -> DelayTerms {
+        DelayTerms {
+            drive: self.unit_delay_ps * self.leff_factor,
+            vth: self.vth_at(t).0,
+            mobility,
+        }
     }
 
     /// Gate delay at supply `v` and temperature `t` via the alpha-power law:
@@ -92,14 +104,24 @@ impl DeviceParams {
     /// assert!(dev.gate_delay(Volt(0.25), Celsius(25.0)).is_none());
     /// ```
     pub fn gate_delay(&self, v: Volt, t: Celsius) -> Option<Picoseconds> {
+        self.delay_terms(t, self.mobility_at(t)).gate_delay(v)
+    }
+
+    /// The voltage-independent part of [`Self::leakage`] at temperature
+    /// `t`; [`LeakageTerms::current`] is the voltage kernel.
+    pub(crate) fn leakage_terms(&self, t: Celsius) -> LeakageTerms {
+        let tk = t.to_kelvin();
+        // Subthreshold swing scales linearly with absolute temperature.
+        let swing = SUBTHRESHOLD_SWING * tk / 298.15;
+        let slope = swing / std::f64::consts::LN_10;
         let vth = self.vth_at(t);
-        let overdrive = v.0 - vth.0;
-        if overdrive <= 1e-6 {
-            return None;
+        // Reference: nominal Vth at 25 °C, nominal bias.
+        let slope25 = SUBTHRESHOLD_SWING / std::f64::consts::LN_10;
+        let i_ref = (-0.30 / slope25).exp();
+        LeakageTerms {
+            prefactor: (-vth.0 / slope).exp() / i_ref,
+            leff: self.leff_factor,
         }
-        let mu = self.mobility_at(t);
-        let d = self.unit_delay_ps * self.leff_factor * v.0 / (mu * overdrive.powf(ALPHA));
-        Some(Picoseconds(d))
     }
 
     /// Subthreshold leakage current factor, normalized so a nominal device
@@ -109,17 +131,67 @@ impl DeviceParams {
     /// `S` widens linearly with absolute temperature — so hot leakage is
     /// orders of magnitude above cold, as in real silicon.
     pub fn leakage(&self, v: Volt, t: Celsius) -> f64 {
-        let tk = t.to_kelvin();
-        // Subthreshold swing scales linearly with absolute temperature.
-        let swing = SUBTHRESHOLD_SWING * tk / 298.15;
-        let slope = swing / std::f64::consts::LN_10;
-        let vth = self.vth_at(t);
-        // DIBL: leakage grows roughly exponentially with drain bias.
-        let dibl = (1.2 * (v.0 - 0.75)).exp();
-        // Reference: nominal Vth at 25 °C, nominal bias.
-        let slope25 = SUBTHRESHOLD_SWING / std::f64::consts::LN_10;
-        let i_ref = (-0.30 / slope25).exp();
-        (-vth.0 / slope).exp() / i_ref * dibl / self.leff_factor
+        self.leakage_terms(t).current(dibl(v))
+    }
+}
+
+/// `μ(T)` of a device with mobility factor `factor` — the one
+/// implementation behind [`DeviceParams::mobility_at`] and the per-chip
+/// search tables, which share it across every path.
+pub(crate) fn mobility_at(factor: f64, t: Celsius) -> f64 {
+    factor * (t.to_kelvin() / 298.15).powf(MOBILITY_TEMP_EXP)
+}
+
+/// DIBL factor of the leakage model at drain bias `v`: leakage grows
+/// roughly exponentially with drain bias. One value serves every device
+/// evaluated at the same supply.
+pub(crate) fn dibl(v: Volt) -> f64 {
+    (1.2 * (v.0 - 0.75)).exp()
+}
+
+/// Voltage-independent terms of one device's alpha-power-law delay at one
+/// temperature (see [`DeviceParams::delay_terms`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DelayTerms {
+    /// `d_unit · Leff` (ps).
+    drive: f64,
+    /// `Vth(T)` (V).
+    vth: f64,
+    /// `μ(T)`.
+    mobility: f64,
+}
+
+impl DelayTerms {
+    /// The voltage kernel of [`DeviceParams::gate_delay`]: one overdrive
+    /// `powf` per call, operands combined in the same order as the
+    /// closed-form `((d_unit · Leff) · V) / (μ · (V − Vth)^α)`.
+    #[inline]
+    pub(crate) fn gate_delay(&self, v: Volt) -> Option<Picoseconds> {
+        let overdrive = v.0 - self.vth;
+        if overdrive <= 1e-6 {
+            return None;
+        }
+        let d = self.drive * v.0 / (self.mobility * overdrive.powf(ALPHA));
+        Some(Picoseconds(d))
+    }
+}
+
+/// Voltage-independent terms of one device's leakage at one temperature
+/// (see [`DeviceParams::leakage_terms`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LeakageTerms {
+    /// `exp(−Vth(T)/S(T)) / i_ref`.
+    prefactor: f64,
+    /// Channel-length factor `Leff`.
+    leff: f64,
+}
+
+impl LeakageTerms {
+    /// The voltage kernel of [`DeviceParams::leakage`], given the supply's
+    /// [`dibl`] factor: `(prefactor · DIBL) / Leff`.
+    #[inline]
+    pub(crate) fn current(&self, dibl: f64) -> f64 {
+        self.prefactor * dibl / self.leff
     }
 }
 

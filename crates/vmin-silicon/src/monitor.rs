@@ -12,7 +12,7 @@
 //!   paths (that is what "in-situ critical path" means), so it carries local
 //!   path information that no chip-average measurement can see.
 
-use crate::chip::Chip;
+use crate::chip::{Chip, PathTerms};
 use crate::config::MonitorSpec;
 use crate::device::DeviceParams;
 use crate::sampling::{lognormal, normal};
@@ -128,19 +128,33 @@ impl MonitorBank {
     /// readout point (never happens at nominal voltage), the stage delay
     /// saturates at a large sentinel handled by the caller.
     pub fn rod_value(&self, chip: &Chip, ro: &RingOscillator, t: Hours) -> f64 {
-        let aged = chip.aging.delta_vth(t, ro.aging_sensitivity);
+        let mobility = chip.mobility_at(self.spec.rod_temperature);
+        self.rod_value_at(chip, ro, chip.aging.unit_shift(t), mobility)
+    }
+
+    /// [`Self::rod_value`] given the chip's unscaled aging shift and its
+    /// `μ` at the ROD temperature, which a read computes once for the bank.
+    fn rod_value_at(
+        &self,
+        chip: &Chip,
+        ro: &RingOscillator,
+        unit_shift: f64,
+        mobility: f64,
+    ) -> f64 {
+        let aged = unit_shift * ro.aging_sensitivity;
         let dev = DeviceParams {
             vth25: Volt(
                 0.30 + chip.process.vth_shift.0
                     + ro.flavor_vth_offset.0
                     + ro.local_vth_offset.0
-                    + aged.0,
+                    + aged,
             ),
             leff_factor: chip.process.leff_factor,
             mobility_factor: chip.process.mobility_factor,
             unit_delay_ps: 8.0,
         };
-        match dev.gate_delay(self.spec.rod_voltage, self.spec.rod_temperature) {
+        let terms = dev.delay_terms(self.spec.rod_temperature, mobility);
+        match terms.gate_delay(self.spec.rod_voltage) {
             Some(d) => d.0 * (1.0 - ro.wire_fraction) + d.0 * ro.wire_fraction * 0.5,
             None => 1e6,
         }
@@ -149,23 +163,35 @@ impl MonitorBank {
     /// Noise-free CPD readout (path delay in ps) of monitor `m` on `chip` at
     /// stress time `t`, at the spec's CPD voltage/temperature.
     pub fn cpd_value(&self, chip: &Chip, m: &CpdMonitor, t: Hours) -> f64 {
+        let mobility = chip.mobility_at(self.spec.cpd_temperature);
+        self.cpd_value_at(chip, m, chip.aging.unit_shift(t), mobility)
+    }
+
+    /// [`Self::cpd_value`] given the chip's unscaled aging shift and its
+    /// `μ` at the CPD temperature.
+    fn cpd_value_at(&self, chip: &Chip, m: &CpdMonitor, unit_shift: f64, mobility: f64) -> f64 {
         let path = &chip.paths[m.path_index.min(chip.paths.len() - 1)];
         // The replica copies the functional path but with its own mismatch
         // and without the defect penalty (the replica is physically separate).
-        let aged = chip.aging.delta_vth(t, path.aging_sensitivity);
+        let aged = unit_shift * path.aging_sensitivity;
         let dev = DeviceParams {
             vth25: Volt(
                 0.30 + chip.process.vth_shift.0
                     + path.local_vth_offset.0
                     + m.replica_offset.0
-                    + aged.0,
+                    + aged,
             ),
             leff_factor: chip.process.leff_factor,
             mobility_factor: chip.process.mobility_factor,
             unit_delay_ps: 8.0,
         };
-        match dev.gate_delay(self.spec.cpd_voltage, self.spec.cpd_temperature) {
-            Some(d) => d.0 * path.depth as f64 + path.wire_delay_ps,
+        let replica = PathTerms {
+            gate: dev.delay_terms(self.spec.cpd_temperature, mobility),
+            depth: path.depth as f64,
+            wire_ps: path.wire_delay_ps,
+        };
+        match replica.delay(self.spec.cpd_voltage) {
+            Some(d) => d.0,
             None => 1e6,
         }
     }
@@ -187,8 +213,10 @@ impl MonitorBank {
         out: &mut [f64],
     ) {
         debug_assert_eq!(out.len(), self.rods.len());
+        let unit_shift = chip.aging.unit_shift(t);
+        let mobility = chip.mobility_at(self.spec.rod_temperature);
         for (slot, ro) in out.iter_mut().zip(&self.rods) {
-            let v = self.rod_value(chip, ro, t);
+            let v = self.rod_value_at(chip, ro, unit_shift, mobility);
             *slot = v * (1.0 + normal(rng, 0.0, self.spec.rod_noise_rel));
         }
     }
@@ -210,8 +238,10 @@ impl MonitorBank {
         out: &mut [f64],
     ) {
         debug_assert_eq!(out.len(), self.cpds.len());
+        let unit_shift = chip.aging.unit_shift(t);
+        let mobility = chip.mobility_at(self.spec.cpd_temperature);
         for (slot, m) in out.iter_mut().zip(&self.cpds) {
-            let v = self.cpd_value(chip, m, t);
+            let v = self.cpd_value_at(chip, m, unit_shift, mobility);
             *slot = v * (1.0 + normal(rng, 0.0, self.spec.cpd_noise_rel));
         }
     }

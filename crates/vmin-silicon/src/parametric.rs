@@ -10,6 +10,7 @@
 
 use crate::chip::Chip;
 use crate::config::ParametricSpec;
+use crate::device::dibl;
 use crate::sampling::{lognormal, normal};
 use crate::units::{Celsius, Hours, Volt};
 use vmin_rng::Rng;
@@ -139,24 +140,37 @@ impl ParametricProgram {
     pub fn run_into<R: Rng + ?Sized>(&self, rng: &mut R, chip: &Chip, t: Hours, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.tests.len());
         let vdd = Volt(0.75);
+        let bias = dibl(vdd);
+        let unit_shift = chip.aging.unit_shift(t);
+        // Chip leakage and its pin-leakage power depend only on the test
+        // temperature; the program lists tests grouped by temperature, so
+        // each group computes them once.
+        let mut leak_at: Option<(Celsius, f64, f64)> = None;
         for (slot, test) in out.iter_mut().zip(&self.tests) {
+            let (leak, leak_pow) = match leak_at {
+                Some((temp, leak, leak_pow)) if temp == test.temperature => (leak, leak_pow),
+                _ => {
+                    let leak = chip
+                        .leakage_terms(test.temperature, unit_shift)
+                        .current(bias);
+                    let leak_pow = leak.powf(0.7);
+                    leak_at = Some((test.temperature, leak, leak_pow));
+                    (leak, leak_pow)
+                }
+            };
             let base = match test.kind {
                 ParametricKind::Iddq => {
                     // Quiescent current rides the chip leakage state.
-                    test.scale * chip.chip_leakage(vdd, test.temperature, t)
+                    test.scale * leak
                 }
                 ParametricKind::TripIdd => {
                     // Dynamic + leakage mix; dynamic part rides mobility
                     // (fast chips draw more switching current).
                     let dynamic = chip.process.mobility_factor / chip.process.leff_factor;
                     test.scale
-                        * (test.dynamic_loading * dynamic
-                            + (1.0 - test.dynamic_loading)
-                                * chip.chip_leakage(vdd, test.temperature, t))
+                        * (test.dynamic_loading * dynamic + (1.0 - test.dynamic_loading) * leak)
                 }
-                ParametricKind::PinLeakage => {
-                    test.scale * chip.chip_leakage(vdd, test.temperature, t).powf(0.7)
-                }
+                ParametricKind::PinLeakage => test.scale * leak_pow,
                 ParametricKind::Artifact => test.scale,
             };
             *slot = base * (1.0 + normal(rng, 0.0, test.noise_rel));

@@ -36,7 +36,7 @@ use crate::process::{ProcessSampler, ProcessState};
 use crate::sampling::normal;
 use crate::testflow::{measure_vmin, nominal_chip, Campaign, ChipMeasurements};
 use crate::units::{Celsius, Hours};
-use crate::vmin::VminTester;
+use crate::vmin::{SearchTable, VminTester};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use vmin_rng::ChaCha8Rng;
@@ -46,9 +46,9 @@ use vmin_rng::SeedableRng;
 /// Chips generated per shard (one `par_chunks_mut` work item). Fixed —
 /// never derived from the thread count — so shard topology and the
 /// `silicon.stream.shards` counter are identical at any `VMIN_THREADS`.
-/// 16 chips ≈ a few milliseconds of Vmin searches: coarse enough to
-/// amortize spawn overhead at 2 threads (the BENCH_PR7 regression), fine
-/// enough to load-balance a 4096-chip chunk.
+/// A shard is about 0.2 ms of screening-spec generation (~11 µs per
+/// chip) or ~7 ms of paper-spec chips on one 2.1 GHz Xeon core; a
+/// 4096-chip chunk splits into 256 shards, fine enough to load-balance.
 pub const SHARD_CHIPS: usize = 16;
 
 /// Default rows per [`ChipBlock`] when `VMIN_STREAM_CHUNK` is unset.
@@ -339,12 +339,14 @@ struct StreamEngine {
     temperatures: Vec<Celsius>,
 }
 
-/// Per-shard scratch: one reusable chip (path vector recycled) and one
-/// reusable monitor bank. Lives for a whole shard, so the per-chip loop
-/// allocates nothing.
+/// Per-shard scratch: one reusable chip (path vector recycled), one
+/// reusable monitor bank and one Vmin search table. Lives for a whole
+/// shard, so the per-chip loop allocates nothing; the table's work
+/// counters are flushed once per shard.
 struct ChipScratch {
     chip: Chip,
     bank: MonitorBank,
+    table: SearchTable,
 }
 
 impl ChipScratch {
@@ -352,6 +354,7 @@ impl ChipScratch {
         ChipScratch {
             chip: nominal_chip(spec),
             bank: MonitorBank::empty(&spec.monitors),
+            table: SearchTable::default(),
         }
     }
 }
@@ -405,7 +408,7 @@ impl StreamEngine {
             let (ca, cb) = layout.cpd_span(k);
             scratch.bank.read_cpds_into(rng, chip, rp, &mut row[ca..cb]);
             for (ti, &temp) in self.temperatures.iter().enumerate() {
-                let v = measure_vmin(rng, &self.tester, chip, temp, rp);
+                let v = measure_vmin(rng, &self.tester, &mut scratch.table, chip, temp, rp);
                 row[layout.vmin_col(k, ti)] = v.to_millivolts();
             }
         }
@@ -509,6 +512,10 @@ impl CampaignStream {
         vmin_trace::counter_add("silicon.stream.chunks", 1);
         vmin_trace::counter_add("silicon.stream.chips", rows as u64);
         vmin_trace::counter_add("silicon.stream.shards", rows.div_ceil(SHARD_CHIPS) as u64);
+        vmin_trace::counter_add(
+            "silicon.vmin.searches",
+            (rows * self.engine.read_points.len() * self.engine.temperatures.len()) as u64,
+        );
         let width = self.layout.row_width();
         let mut data = vec![0.0f64; rows * width];
         let engine = &self.engine;
@@ -522,6 +529,7 @@ impl CampaignStream {
                 let mut rng = ChaCha8Rng::seed_from_u64(chip_stream_seed(seed, idx));
                 engine.measure_chip_into(&mut rng, idx, &mut scratch, &layout, row);
             }
+            scratch.table.flush_counters();
         });
         ChipBlock {
             start,
@@ -643,12 +651,21 @@ mod tests {
         assert_eq!(streamed, sliced);
     }
 
+    /// Reads the stream flag under [`STREAM_LOCK`]. Every flip in this
+    /// crate's tests goes through [`with_stream`], which restores the flag
+    /// before releasing the lock, so a read under the lock sees the resting
+    /// value rather than a sibling test's pin.
+    fn resting_stream_flag() -> bool {
+        let _guard = STREAM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        stream_enabled()
+    }
+
     #[test]
     fn with_stream_pins_and_restores() {
-        let before = stream_enabled();
+        let before = resting_stream_flag();
         assert!(!with_stream(false, stream_enabled));
         assert!(with_stream(true, stream_enabled));
-        assert_eq!(stream_enabled(), before);
+        assert_eq!(resting_stream_flag(), before);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::monitor::MonitorBank;
 use crate::parametric::ParametricProgram;
 use crate::process::{ProcessSampler, ProcessState};
 use crate::units::{Celsius, Hours, Volt};
-use crate::vmin::VminTester;
+use crate::vmin::{SearchTable, VminTester};
 use vmin_rng::ChaCha8Rng;
 use vmin_rng::Rng;
 use vmin_rng::SeedableRng;
@@ -105,16 +105,18 @@ impl Campaign {
             let mut rod = Vec::with_capacity(read_points.len());
             let mut cpd = Vec::with_capacity(read_points.len());
             let mut vmin_mv = Vec::with_capacity(read_points.len());
+            let mut table = SearchTable::default();
             for &rp in &read_points {
                 rod.push(bank.read_rods(&mut rng, &chip, rp));
                 cpd.push(bank.read_cpds(&mut rng, &chip, rp));
                 let mut per_temp = Vec::with_capacity(temperatures.len());
                 for &temp in &temperatures {
-                    let v = measure_vmin(&mut rng, &tester, &chip, temp, rp);
+                    let v = measure_vmin(&mut rng, &tester, &mut table, &chip, temp, rp);
                     per_temp.push(v.to_millivolts());
                 }
                 vmin_mv.push(per_temp);
             }
+            table.flush_counters();
             ChipMeasurements {
                 chip_id: chip.id,
                 defective: chip.defective,
@@ -182,16 +184,18 @@ pub(crate) fn cpd_name(j: usize, h: f64) -> String {
 
 /// Measures Vmin, falling back to the search ceiling for gross outliers that
 /// fail even at the highest voltage (these would be yield fails in a real
-/// flow; the campaign records them at the ceiling).
+/// flow; the campaign records them at the ceiling). `table` is the caller's
+/// reusable search scratch; the caller flushes its counters.
 pub(crate) fn measure_vmin<R: Rng + ?Sized>(
     rng: &mut R,
     tester: &VminTester,
+    table: &mut SearchTable,
     chip: &Chip,
     temp: Celsius,
     t: Hours,
 ) -> Volt {
     tester
-        .vmin_exact(rng, chip, temp, t)
+        .vmin_exact_in(rng, table, chip, temp, t)
         .unwrap_or(tester.spec().search_high)
 }
 

@@ -14,9 +14,25 @@ use cqr_vmin::core::{
 use cqr_vmin::core::{run_feature_set_study, run_region_cell};
 use cqr_vmin::silicon::{Campaign, DatasetSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes every test in this file that reads or flips a process-global
+/// flag: trace recording, fit cache, histograms, serve, stream and
+/// adaptive. The harness runs tests concurrently, and each library
+/// `with_*` helper only serializes flips of its *own* flag, so a sibling
+/// test flipping tracing or histograms mid-run would otherwise change
+/// another test's snapshot or intervals.
+static GLOBAL_FLAGS: Mutex<()> = Mutex::new(());
+
+/// Takes [`GLOBAL_FLAGS`] for the rest of the calling test. Tolerates
+/// poisoning, so one failing test does not fail every later one.
+fn global_flags() -> MutexGuard<'static, ()> {
+    GLOBAL_FLAGS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn campaign_is_bit_identical_across_thread_counts() {
+    let _flags = global_flags();
     let serial = vmin_par::with_threads(1, || Campaign::run(&DatasetSpec::small(), 2024));
     for threads in [2, 8] {
         let par = vmin_par::with_threads(threads, || Campaign::run(&DatasetSpec::small(), 2024));
@@ -26,6 +42,7 @@ fn campaign_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn cqr_predictor_is_bit_identical_across_thread_counts() {
+    let _flags = global_flags();
     let run_at = |threads: usize| {
         vmin_par::with_threads(threads, || {
             let campaign = Campaign::run(&DatasetSpec::small(), 7);
@@ -59,6 +76,7 @@ fn cqr_predictor_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn region_cell_and_study_are_bit_identical_across_thread_counts() {
+    let _flags = global_flags();
     let campaign = Campaign::run(&DatasetSpec::small(), 11);
     let cfg = ExperimentConfig::fast();
     let cell_at = |threads: usize| {
@@ -88,6 +106,7 @@ fn region_cell_and_study_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn thread_count_and_tracing_matrix_is_bit_identical() {
+    let _flags = global_flags();
     // The full observability contract as a matrix: VMIN_THREADS ∈ {1, 2, 8}
     // × tracing {on, off}. Predictions must be byte-identical in every
     // cell; the merged deterministic metrics (counters, gauges,
@@ -155,6 +174,7 @@ fn thread_count_and_tracing_matrix_is_bit_identical() {
 
 #[test]
 fn streaming_report_is_bit_identical_across_threads_and_tracing() {
+    let _flags = global_flags();
     // The streaming adaptive layer extends the matrix: a full drifted
     // stream (fit, calibrate, drift detection, window flush,
     // recalibration audit) must produce a byte-identical `StreamReport` at
@@ -219,6 +239,7 @@ fn streaming_report_is_bit_identical_across_threads_and_tracing() {
 
 #[test]
 fn fit_cache_and_thread_count_matrix_is_bit_identical() {
+    let _flags = global_flags();
     // PR 5 extends the matrix with the fit-plan cache dimension: the full
     // simulate → assemble → CQR-XGBoost pipeline must be byte-identical at
     // VMIN_THREADS ∈ {1, 2, 8} × fit cache {off, on}. The cache is a pure
@@ -260,6 +281,7 @@ fn fit_cache_and_thread_count_matrix_is_bit_identical() {
 
 #[test]
 fn hist_split_and_thread_count_matrix_is_bit_identical() {
+    let _flags = global_flags();
     // PR 7 extends the matrix with the histogram dimension: the full
     // simulate → assemble → CQR pipeline must be byte-identical at
     // VMIN_THREADS ∈ {1, 2, 8} within each hist setting. Unlike the
@@ -314,6 +336,7 @@ fn hist_split_and_thread_count_matrix_is_bit_identical() {
 
 #[test]
 fn serve_matrix_is_bit_identical_and_artifact_bytes_are_stable() {
+    let _flags = global_flags();
     // PR 9 extends the matrix with the serving dimension: a captured
     // ServeModel must produce byte-identical intervals at
     // VMIN_THREADS ∈ {1, 4} × VMIN_SERVE {on, off} × block sizes
@@ -386,6 +409,7 @@ fn serve_matrix_is_bit_identical_and_artifact_bytes_are_stable() {
 
 #[test]
 fn stream_matrix_is_bit_identical_across_threads_chunks_and_tracing() {
+    let _flags = global_flags();
     // PR 10 extends the matrix with the streaming-generation dimension:
     // the blocks of a `CampaignStream` must be byte-identical at
     // VMIN_THREADS ∈ {1, 2, 8} × VMIN_STREAM {on, off} × chunk {1, 7, 64}
