@@ -231,11 +231,13 @@ grep -q '"fleet.chips"' target/trace-stream.json
 grep -q '"fleet.blocks"' target/trace-stream.json
 grep -q '"silicon.stream.fallback"' target/trace-stream-off.json
 # The Vmin-search work counters: searches per streamed block, predicate
-# calls and path-delay evaluations flushed once per shard. Their thread
-# invariance rides the trace_report t1-vs-t8 counter diff above.
+# calls, path-delay evaluations and certified-bracket searches flushed once
+# per shard. Their thread invariance rides the trace_report t1-vs-t8
+# counter diff above.
 grep -q '"silicon.vmin.searches"' target/trace-stream.json
 grep -q '"silicon.vmin.bisect_steps"' target/trace-stream.json
 grep -q '"silicon.device.evals"' target/trace-stream.json
+grep -q '"silicon.vmin.certified"' target/trace-stream.json
 
 echo "==> bench smoke: fleet_throughput writes target/BENCH_PR10.json"
 VMIN_BENCH_JSON="$PWD/target/BENCH_PR10.json" VMIN_BENCH_SAMPLES=1 VMIN_BENCH_FLEET=2000 \

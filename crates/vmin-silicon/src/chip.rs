@@ -63,6 +63,18 @@ impl PathTerms {
         let gate = self.gate.gate_delay(v)?;
         Some(Picoseconds(gate.0 * self.depth + self.wire_ps))
     }
+
+    /// Estimated supply at which the path delay equals `delay` ps (see
+    /// [`DelayTerms::supply_at_delay`]).
+    pub(crate) fn supply_at_delay(
+        &self,
+        delay: f64,
+        start: f64,
+        iterations: &mut u64,
+    ) -> Option<f64> {
+        self.gate
+            .supply_at_delay((delay - self.wire_ps) / self.depth, start, iterations)
+    }
 }
 
 /// Voltage-independent terms of a chip's leakage at one (temperature, read

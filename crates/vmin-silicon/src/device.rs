@@ -142,11 +142,14 @@ pub(crate) fn mobility_at(factor: f64, t: Celsius) -> f64 {
     factor * (t.to_kelvin() / 298.15).powf(MOBILITY_TEMP_EXP)
 }
 
+/// Exponential slope (1/V) of the DIBL factor [`dibl`].
+pub(crate) const DIBL_SLOPE: f64 = 1.2;
+
 /// DIBL factor of the leakage model at drain bias `v`: leakage grows
 /// roughly exponentially with drain bias. One value serves every device
 /// evaluated at the same supply.
 pub(crate) fn dibl(v: Volt) -> f64 {
-    (1.2 * (v.0 - 0.75)).exp()
+    (DIBL_SLOPE * (v.0 - 0.75)).exp()
 }
 
 /// Voltage-independent terms of one device's alpha-power-law delay at one
@@ -173,6 +176,46 @@ impl DelayTerms {
         }
         let d = self.drive * v.0 / (self.mobility * overdrive.powf(ALPHA));
         Some(Picoseconds(d))
+    }
+
+    /// Whether the delay strictly falls as the supply rises wherever the
+    /// gate switches: `V·(V − Vth)^−α` decreases for `V > Vth` when
+    /// `(1 − α)·V < Vth`, which `Vth > 0` guarantees because `α > 1`.
+    pub(crate) fn falls_with_supply(&self) -> bool {
+        self.vth > 0.0
+    }
+
+    /// Estimates the supply at which the gate delay equals `target` ps,
+    /// starting from `start`, a supply where the delay is at most
+    /// `target`. Returns `None` unless the Newton step falls below 1e-15 V
+    /// within 16 iterations; `iterations` counts the iterations made, one
+    /// `powf` each.
+    ///
+    /// The root is found on `φ(u) = u − Vth − (K·u)^{1/α}` with
+    /// `K = d_unit·Leff / (μ·target)`, which is zero exactly where the
+    /// delay is `target`. `φ` is convex and increasing right of its root,
+    /// so Newton from the right descends onto the root without
+    /// overshooting. Newton on the delay itself would overshoot below
+    /// `Vth`, where the delay does not exist. This is an estimate, not a
+    /// kernel: callers certify what they use it for.
+    pub(crate) fn supply_at_delay(
+        &self,
+        target: f64,
+        start: f64,
+        iterations: &mut u64,
+    ) -> Option<f64> {
+        let k = self.drive / (self.mobility * target);
+        let mut u = start;
+        for _ in 0..16 {
+            *iterations += 1;
+            let root = (k * u).powf(1.0 / ALPHA);
+            let step = (u - self.vth - root) / (1.0 - root / (ALPHA * u));
+            u -= step;
+            if step.abs() < 1e-15 {
+                return Some(u);
+            }
+        }
+        None
     }
 }
 

@@ -46,8 +46,8 @@ use vmin_rng::SeedableRng;
 /// Chips generated per shard (one `par_chunks_mut` work item). Fixed —
 /// never derived from the thread count — so shard topology and the
 /// `silicon.stream.shards` counter are identical at any `VMIN_THREADS`.
-/// A shard is about 0.2 ms of screening-spec generation (~11 µs per
-/// chip) or ~7 ms of paper-spec chips on one 2.1 GHz Xeon core; a
+/// A shard is about 0.14 ms of screening-spec generation (~9 µs per
+/// chip) or ~3 ms of paper-spec chips on one 2.1 GHz Xeon core; a
 /// 4096-chip chunk splits into 256 shards, fine enough to load-balance.
 pub const SHARD_CHIPS: usize = 16;
 

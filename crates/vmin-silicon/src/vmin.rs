@@ -15,7 +15,7 @@
 
 use crate::chip::{Chip, ChipLeakage, PathTerms};
 use crate::config::VminTestSpec;
-use crate::device::{dibl, DeviceParams, LeakageTerms};
+use crate::device::{dibl, DeviceParams, LeakageTerms, DIBL_SLOPE};
 use crate::sampling::normal;
 use crate::units::{Celsius, Hours, Picoseconds, Volt};
 use vmin_rng::Rng;
@@ -23,6 +23,17 @@ use vmin_rng::Rng;
 /// Bisection steps of the reference search: the loop stops earlier once
 /// the midpoint rounds onto an endpoint, never later.
 const MAX_BISECTION_STEPS: usize = 60;
+
+/// Relative delay margin a certified bracket demands at both ends, far
+/// above the delay kernel's ≲1e-14 rounding (DESIGN.md §15).
+const CERT_MARGIN: f64 = 1e-12;
+
+/// Half-width (V) of a certified bracket around the estimated threshold.
+const CERT_HALF_WIDTH: f64 = 2e-12;
+
+/// Threshold estimates per certificate: the slowest path's, then one per
+/// path that turns out to bind instead.
+const MAX_ESTIMATES: usize = 4;
 
 /// Voltage-independent terms of the power-delivery model at one (chip,
 /// temperature, read point): the chip's leakage and a nominal device's.
@@ -76,8 +87,12 @@ pub(crate) struct SearchTable {
     supply: SupplyTerms,
     /// Predicate calls since the last flush.
     steps: u64,
-    /// Path-delay evaluations since the last flush.
+    /// Path-delay evaluations (threshold estimate iterations included)
+    /// since the last flush.
     evals: u64,
+    /// Searches whose bisection ran with a certified bracket since the
+    /// last flush.
+    certified: u64,
 }
 
 impl SearchTable {
@@ -115,6 +130,19 @@ impl SearchTable {
         worst <= clock
     }
 
+    /// The first path (in table order) that does not evaluate at core
+    /// supply `v_core` or is slower than `limit` ps, or `None` when every
+    /// path meets `limit`.
+    fn first_over(&mut self, v_core: Volt, limit: f64) -> Option<usize> {
+        for (i, row) in self.paths.iter().enumerate() {
+            self.evals += 1;
+            if !row.terms.delay(v_core).is_some_and(|d| d.0 <= limit) {
+                return Some(i);
+            }
+        }
+        None
+    }
+
     /// Orders the paths slowest-first by their last evaluated delay, so
     /// failing steps stop on the first path.
     fn rank_slowest_first(&mut self) {
@@ -127,8 +155,10 @@ impl SearchTable {
     pub(crate) fn flush_counters(&mut self) {
         vmin_trace::counter_add("silicon.vmin.bisect_steps", self.steps);
         vmin_trace::counter_add("silicon.device.evals", self.evals);
+        vmin_trace::counter_add("silicon.vmin.certified", self.certified);
         self.steps = 0;
         self.evals = 0;
+        self.certified = 0;
     }
 }
 
@@ -196,16 +226,24 @@ impl VminTester {
     pub fn passes(&self, chip: &Chip, v: Volt, temp: Celsius, t: Hours) -> bool {
         let mut table = SearchTable::default();
         table.fill(chip, temp, t);
-        self.predicate(&mut table, v.0)
+        let pass = self.predicate(&mut table, v.0);
+        table.flush_counters();
+        pass
+    }
+
+    /// Core supply at pad supply `v`: `v` minus the chip's IR drop.
+    fn core_supply(&self, table: &SearchTable, v: f64) -> Volt {
+        let ir = table
+            .supply
+            .ir_drop(self.spec.ir_drop_per_leakage.0, Volt(v));
+        Volt(v - ir)
     }
 
     /// The SCAN predicate on a filled table at pad supply `v`.
     fn predicate(&self, table: &mut SearchTable, v: f64) -> bool {
         table.steps += 1;
-        let ir = table
-            .supply
-            .ir_drop(self.spec.ir_drop_per_leakage.0, Volt(v));
-        table.scan(Volt(v - ir), self.clock_period.0)
+        let v_core = self.core_supply(table, v);
+        table.scan(v_core, self.clock_period.0)
     }
 
     /// Noise-free Vmin by bisection, or `None` when the chip fails even at
@@ -227,8 +265,8 @@ impl VminTester {
         t: Hours,
     ) -> Option<Volt> {
         table.fill(chip, temp, t);
-        let mut hi = self.spec.search_high.0;
-        let mut lo = self.spec.search_low.0;
+        let hi = self.spec.search_high.0;
+        let lo = self.spec.search_low.0;
         if !self.predicate(table, hi) {
             return None;
         }
@@ -236,6 +274,73 @@ impl VminTester {
         if self.predicate(table, lo) {
             return Some(Volt(lo));
         }
+        let bracket = self.certify(table, lo, hi);
+        table.certified += u64::from(bracket.is_some());
+        Some(Volt(self.bisect(table, lo, hi, bracket)))
+    }
+
+    /// Proves a bracket `(a, b)` strictly inside `(lo, hi)` around the
+    /// pass/fail threshold: every supply ≥ `b` passes as computed and
+    /// every supply ≤ `a` fails as computed. `None` when a precondition
+    /// or a margin check fails; the search then evaluates every step.
+    ///
+    /// The threshold is estimated on the slowest path at `hi`; `b` is
+    /// certified when every path meets the clock with margin
+    /// [`CERT_MARGIN`] there, and `a` when the estimated path misses it by
+    /// that margin. A path that breaks the check at `b` binds instead of
+    /// the estimated one and gets the next estimate. Why the margins
+    /// decide every supply beyond them: DESIGN.md §15, "Certified bracket".
+    fn certify(&self, table: &mut SearchTable, lo: f64, hi: f64) -> Option<(f64, f64)> {
+        let ir_hi = table
+            .supply
+            .ir_drop(self.spec.ir_drop_per_leakage.0, Volt(hi));
+        // Monotonicity preconditions: every delay falls as the core supply
+        // rises, and the core supply rises with the pad supply (the IR
+        // drop grows at most at the DIBL slope times itself).
+        let monotone = DIBL_SLOPE * ir_hi < 1.0
+            && table.paths.iter().all(|r| r.terms.gate.falls_with_supply());
+        if !monotone {
+            return None;
+        }
+        let clock = self.clock_period.0;
+        let mut row = 0;
+        for _ in 0..MAX_ESTIMATES {
+            let terms = table.paths[row].terms;
+            let v_hat = terms.supply_at_delay(clock, hi - ir_hi, &mut table.evals)? + ir_hi;
+            let (a, b) = (v_hat - CERT_HALF_WIDTH, v_hat + CERT_HALF_WIDTH);
+            if !(lo < a && b < hi) {
+                return None;
+            }
+            let v_core = self.core_supply(table, b);
+            match table.first_over(v_core, clock * (1.0 - CERT_MARGIN)) {
+                // Another path binds: the next estimate runs on it.
+                Some(binding) if binding != row => row = binding,
+                // The estimated path itself misses the margin.
+                Some(_) => return None,
+                None => {
+                    table.evals += 1;
+                    let fails = terms
+                        .delay(self.core_supply(table, a))
+                        .is_some_and(|d| d.0 >= clock * (1.0 + CERT_MARGIN));
+                    return fails.then_some((a, b));
+                }
+            }
+        }
+        None
+    }
+
+    /// Bisects between a failing `lo` and a passing `hi`. With a certified
+    /// `bracket` `(a, b)`, a midpoint ≥ `b` takes the pass branch and one
+    /// ≤ `a` the fail branch without evaluating; every other midpoint, and
+    /// every midpoint without a bracket, calls the predicate.
+    fn bisect(
+        &self,
+        table: &mut SearchTable,
+        mut lo: f64,
+        mut hi: f64,
+        bracket: Option<(f64, f64)>,
+    ) -> f64 {
+        let (a, b) = bracket.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
         // Invariant: fails at lo, passes at hi. Once the midpoint rounds
         // onto an endpoint, every further step would re-test that
         // endpoint's known outcome and leave both unchanged.
@@ -244,13 +349,13 @@ impl VminTester {
             if mid == lo || mid == hi {
                 break;
             }
-            if self.predicate(table, mid) {
+            if mid >= b || (mid > a && self.predicate(table, mid)) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
-        Some(Volt(hi))
+        hi
     }
 
     /// Measured Vmin with tester repeatability noise (bisection-based).
@@ -310,6 +415,7 @@ impl VminTester {
             }
             v -= self.spec.shmoo_step.0;
         }
+        table.flush_counters();
         last_pass.map(|lp| {
             let noisy = lp + normal(rng, 0.0, self.spec.measurement_noise);
             (Volt(noisy), evaluations)
@@ -477,6 +583,8 @@ mod tests {
     use super::*;
     use crate::chip::ChipFactory;
     use crate::config::DatasetSpec;
+    use crate::process::ProcessSampler;
+    use crate::stream::{chip_stream_seed, process_state_at};
     use crate::testflow::nominal_chip;
     use vmin_rng::ChaCha8Rng;
     use vmin_rng::SeedableRng;
@@ -576,13 +684,116 @@ mod tests {
         assert!(ceiling_fails > 0, "the grid must reach the no-Vmin branch");
     }
 
+    /// Searches counted by [`search_against_oracle`].
+    #[derive(Debug, Default)]
+    struct Tally {
+        searches: usize,
+        certified: usize,
+        /// Searches that bisected without a certificate.
+        fallbacks: usize,
+    }
+
+    /// Chips `0..count` of `spec` fabricated from their per-chip streams,
+    /// as `Campaign::run` and `CampaignStream` fabricate them.
+    fn stream_chips(spec: &DatasetSpec, seed: u64, count: usize) -> Vec<Chip> {
+        let factory = ChipFactory::new(spec.clone());
+        let sampler = ProcessSampler::new(spec.process.clone());
+        (0..count)
+            .map(|idx| {
+                let mut rng = ChaCha8Rng::seed_from_u64(chip_stream_seed(seed, idx));
+                let process = process_state_at(&sampler, seed, idx, &mut rng);
+                factory.fabricate_one(&mut rng, idx, process)
+            })
+            .collect()
+    }
+
+    /// Asserts that every search on `chips` at every (read point,
+    /// temperature) of `spec` returns the bits of the oracle's unbroken
+    /// bisection, and counts how the searches ran.
+    fn search_against_oracle(spec: &DatasetSpec, chips: &[Chip]) -> Tally {
+        let tester = VminTester::calibrated(spec.vmin_test.clone(), &nominal_chip(spec));
+        let lo = tester.spec().search_low.0;
+        let bits = |v: Option<Volt>| v.map(|v| v.0.to_bits());
+        let mut table = SearchTable::default();
+        let mut tally = Tally::default();
+        for chip in chips {
+            for &t in &spec.stress.read_points {
+                for &temp in &spec.vmin_test.temperatures {
+                    let before = table.certified;
+                    let got = tester.search(&mut table, chip, temp, t);
+                    assert_eq!(
+                        bits(got),
+                        bits(oracle::vmin_noiseless(&tester, chip, temp, t)),
+                        "chip {} temp {} t {}",
+                        chip.id,
+                        temp.0,
+                        t.0
+                    );
+                    let certified = table.certified > before;
+                    tally.searches += 1;
+                    tally.certified += usize::from(certified);
+                    tally.fallbacks += usize::from(!certified && got.is_some_and(|v| v.0 > lo));
+                }
+            }
+        }
+        tally
+    }
+
     #[test]
-    fn search_stops_once_the_midpoint_collapses() {
+    fn certified_search_matches_the_oracle_bisection_at_scale() {
+        // The default-spec campaign (156 chips × 6 read points × 3
+        // temperatures) and 2,048 streamed screening chips.
+        let spec = DatasetSpec::default();
+        let chips = stream_chips(&spec, 2024, spec.chip_count);
+        let paper = search_against_oracle(&spec, &chips);
+        assert_eq!(paper.searches, 2808);
+        let screening_spec = DatasetSpec::screening(2048);
+        let screening =
+            search_against_oracle(&screening_spec, &stream_chips(&screening_spec, 2024, 2048));
+        assert_eq!(screening.searches, 2048);
+        for tally in [&paper, &screening] {
+            assert!(
+                tally.certified * 100 >= tally.searches * 99,
+                "the fast path must carry the test: {tally:?}"
+            );
+        }
+        // Both grids certify every search, so a chip is built to reach the
+        // loop without a certificate: one path's threshold falls below
+        // zero at 125 °C, which voids the monotonicity precondition there.
+        let mut chip = chips[0].clone();
+        chip.paths[1].local_vth_offset = Volt(-0.25);
+        let forced = search_against_oracle(&spec, &[chip]);
+        assert!(forced.fallbacks > 0, "{forced:?}");
+        assert!(forced.certified > 0, "{forced:?}");
+    }
+
+    #[test]
+    fn certified_search_makes_at_most_24_predicate_calls() {
+        let (chips, tester) = oracle_population();
+        let mut table = SearchTable::default();
+        let v = tester.search(&mut table, &chips[0], Celsius(25.0), Hours(0.0));
+        assert!(v.is_some());
+        assert_eq!(table.certified, 1);
+        // Two endpoint checks plus the steps whose midpoint falls inside
+        // the certified bracket.
+        assert!(table.steps <= 24, "predicate calls {}", table.steps);
+    }
+
+    #[test]
+    fn uncertified_search_stops_once_the_midpoint_collapses() {
         let (chips, tester) = oracle_population();
         let chip = &chips[0];
+        let (temp, t) = (Celsius(25.0), Hours(0.0));
+        let (lo, hi) = (tester.spec().search_low.0, tester.spec().search_high.0);
+        // The search's endpoint checks, then its loop without a certificate.
         let mut table = SearchTable::default();
-        let v = tester.search(&mut table, chip, Celsius(25.0), Hours(0.0));
-        assert!(v.is_some());
+        table.fill(chip, temp, t);
+        assert!(tester.predicate(&mut table, hi));
+        table.rank_slowest_first();
+        assert!(!tester.predicate(&mut table, lo));
+        let v = tester.bisect(&mut table, lo, hi, None);
+        let certified = tester.vmin_noiseless(chip, temp, t).unwrap();
+        assert_eq!(v.to_bits(), certified.0.to_bits());
         // Two endpoint checks plus the live bisection steps: fewer than the
         // reference loop's 60, but enough to reach adjacent floats.
         assert!(
@@ -594,6 +805,31 @@ mod tests {
         let paths = chip.paths.len() as u64;
         assert!(table.evals >= paths + table.steps - 1);
         assert!(table.evals <= paths * table.steps);
+    }
+
+    #[test]
+    fn passes_and_shmoo_flush_their_work_counters() {
+        let (chips, tester) = setup();
+        let (temp, t) = (Celsius(25.0), Hours(0.0));
+        let prev = vmin_trace::set_enabled(true);
+        let (shmoo, shmoo_snap) = vmin_trace::with_collector(|| {
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            tester.vmin_shmoo(&mut rng, &chips[0], temp, t)
+        });
+        let (_, passes_snap) = vmin_trace::with_collector(|| {
+            tester.passes(&chips[0], tester.spec().search_high, temp, t)
+        });
+        vmin_trace::set_enabled(prev);
+        let (_, evaluations) = shmoo.expect("a healthy chip passes at the ceiling");
+        assert_eq!(
+            shmoo_snap.counters.get("silicon.vmin.bisect_steps"),
+            Some(&(evaluations as u64))
+        );
+        assert!(shmoo_snap.counters.get("silicon.device.evals") >= Some(&(evaluations as u64)));
+        assert_eq!(
+            passes_snap.counters.get("silicon.vmin.bisect_steps"),
+            Some(&1)
+        );
     }
 
     fn setup() -> (Vec<Chip>, VminTester) {
