@@ -113,11 +113,20 @@ echo "==> histogram split leg: thread invariance, kill switch, trace counters"
 # The binned path must be bit-identical under any thread count.
 VMIN_HIST=1 VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-hist.json \
     cargo run -q --release -p vmin-bench --bin hist_smoke > target/hist-t1.txt
-VMIN_HIST=1 VMIN_THREADS=8 \
+VMIN_HIST=1 VMIN_THREADS=8 VMIN_TRACE_JSON=target/trace-hist-t8.json \
     cargo run -q --release -p vmin-bench --bin hist_smoke > target/hist-t8.txt
 test -s target/hist-t1.txt
 diff target/hist-t1.txt target/hist-t8.txt \
     || { echo "binned intervals differ between VMIN_THREADS=1 and 8"; exit 1; }
+# The binned path's deterministic counters (tree fits, level searches,
+# round-memo hits, ...) must not depend on the thread count either: same
+# line-identity check as the trace_report leg, on the histogram exports.
+test -s target/trace-hist-t8.json
+for kind in counter gauge histogram; do
+    diff <(grep "\"kind\": \"$kind\"" target/trace-hist.json) \
+         <(grep "\"kind\": \"$kind\"" target/trace-hist-t8.json) \
+        || { echo "hist_smoke $kind section differs between VMIN_THREADS=1 and 8"; exit 1; }
+done
 # The kill switch must actually change the fitted models (the binary also
 # self-checks that binned stays numerically close to exact in-process).
 VMIN_HIST=0 VMIN_THREADS=1 \
@@ -131,6 +140,9 @@ grep -q '"models.hist.tree_fits"' target/trace-hist.json
 grep -q '"models.hist.oblivious_fits"' target/trace-hist.json
 grep -q '"models.hist.level_searches"' target/trace-hist.json
 grep -q '"models.hist.child_subtracted"' target/trace-hist.json
+# Pinball rounds served from the per-fit round memo, both boosters.
+grep -q '"models.gbt.memo_hits"' target/trace-hist.json
+grep -q '"models.oblivious.memo_hits"' target/trace-hist.json
 
 echo "==> streaming drift leg: thread invariance, kill switch, trace counters"
 # The drifted stream must be byte-identical under any thread count.

@@ -6,7 +6,7 @@
 //! "QR XGBoost" quantile regression.
 
 use crate::fitplan::{fit_cache_enabled, BinnedDataset, FitPlan, TreeScratch};
-use crate::hist::HistBinned;
+use crate::hist::{HistBinned, RoundMemo};
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use crate::tree::{GradientTree, TreeParams};
 use vmin_linalg::Matrix;
@@ -124,7 +124,9 @@ impl GradientBoost {
     /// exact (see [`GradientTree::fit_with_plan`]) and is only taken when
     /// every round trains on the full ascending row set (`subsample = 1.0`);
     /// subsampled rounds need per-round row lists and keep the seed path
-    /// with an unchanged RNG stream.
+    /// with an unchanged RNG stream. On the histogram path, pinball rounds
+    /// whose gradient class repeats an earlier round's reuse that round's
+    /// tree (the round memo, DESIGN.md §12).
     fn fit_inner(&mut self, x: &Matrix, y: &[f64], plan: Option<&FitPlan>) -> Result<()> {
         validate_training(x, y)?;
         self.loss.validate()?;
@@ -175,6 +177,12 @@ impl GradientBoost {
         // the ascending order the seed's per-round `all_rows.clone()` had,
         // so the shuffle consumes the identical RNG stream).
         let mut shuffled: Vec<usize> = Vec::new();
+        // Histogram path, pinball loss: a round whose gradient class repeats
+        // an earlier round's reuses that round's tree (stored as its index
+        // in `self.trees`) — the tree `fit_hist` would grow again, bit for
+        // bit (see `RoundMemo`).
+        let mut memo: RoundMemo<usize> = RoundMemo::new();
+        let mut memo_hits = 0u64;
 
         // Boosting rounds are inherently sequential; within a round the
         // per-row gradient/Hessian refresh and the prediction update are
@@ -195,7 +203,20 @@ impl GradientBoost {
                 }
             });
             let tree = if let Some(hb) = hist_binned.as_ref() {
-                GradientTree::fit_hist(x, &grad, &hess, &self.params.tree, hb, &mut hist_pool)
+                let class = loss.gradient_class(y, &preds);
+                let earlier = class
+                    .as_deref()
+                    .and_then(|c| memo.get(c))
+                    .and_then(|&i| self.trees.get(i));
+                if let Some(tree) = earlier {
+                    memo_hits += 1;
+                    tree.clone()
+                } else {
+                    if let Some(c) = class {
+                        memo.insert(c, self.trees.len());
+                    }
+                    GradientTree::fit_hist(x, &grad, &hess, &self.params.tree, hb, &mut hist_pool)
+                }
             } else if let Some((p, scratch)) = planned.as_mut() {
                 if round > 0 {
                     vmin_trace::counter_add("models.fitplan.scratch_reuse", 1);
@@ -221,6 +242,7 @@ impl GradientBoost {
             });
             self.trees.push(tree);
         }
+        vmin_trace::counter_add("models.gbt.memo_hits", memo_hits);
         Ok(())
     }
 }
@@ -459,6 +481,50 @@ mod tests {
             })
         };
         assert_eq!(fit_at(true).trees, fit_at(false).trees);
+    }
+
+    #[test]
+    fn memo_served_rounds_equal_fresh_histogram_trees() {
+        // Oracle for the round memo: replay a memo-heavy pinball fit round
+        // by round from its own tree prefix, and require every round's
+        // tree to equal a fresh `fit_hist` on that round's gradient.
+        let (x, y) = friedman_like(88, 14);
+        let loss = Loss::Pinball(0.05);
+        let params = GradientBoostParams {
+            n_rounds: 60,
+            ..GradientBoostParams::default()
+        };
+        let m = crate::hist::with_histograms(true, || {
+            let mut m = GradientBoost::with_params(loss, params);
+            m.fit(&x, &y).unwrap();
+            m
+        });
+        let binned = BinnedDataset::compute(&x, crate::hist::gbt_border_cap(x.rows())).unwrap();
+        let hb = HistBinned::build(&x, &binned);
+        let hess = vec![1.0; x.rows()];
+        let mut pool = Vec::new();
+        let mut preds = vec![m.base_score; x.rows()];
+        let mut classes: Vec<Vec<u64>> = Vec::new();
+        let mut hits = 0;
+        for (round, tree) in m.trees.iter().enumerate() {
+            let grad: Vec<f64> = y
+                .iter()
+                .zip(&preds)
+                .map(|(&yi, &pi)| loss.gradient(yi, pi))
+                .collect();
+            let fresh = GradientTree::fit_hist(&x, &grad, &hess, &params.tree, &hb, &mut pool);
+            assert_eq!(*tree, fresh, "round {round}");
+            let class = loss.gradient_class(&y, &preds).unwrap();
+            if classes.contains(&class) {
+                hits += 1;
+            } else {
+                classes.push(class);
+            }
+            for (i, p) in preds.iter_mut().enumerate() {
+                *p += params.learning_rate * tree.predict_row(x.row(i));
+            }
+        }
+        assert!(hits >= 10, "only {hits} of 60 rounds were memo hits");
     }
 
     #[test]

@@ -36,12 +36,18 @@
 //! - **Kill switch.** `VMIN_HIST=0` (or [`with_histograms`]) falls back
 //!   to the untouched exact scans, byte-for-byte the seed behavior,
 //!   mirroring the `VMIN_FITPLAN` pattern.
+//! - **Round memo.** Pinball rounds whose gradient class repeats an
+//!   earlier round's reuse what that round built ([`RoundMemo`]): the GBT
+//!   booster pushes a clone of the stored tree, the oblivious booster
+//!   replays the stored level splits. Bit for bit, see DESIGN.md §12.
 //!
 //! Instrumentation: `models.hist.oblivious_fits` / `models.hist.tree_fits`
 //! count binned fits, `models.hist.level_searches` counts oblivious level
 //! scans, and `models.hist.child_accumulated` / `models.hist.child_subtracted`
-//! count the two halves of the subtraction trick. All are deterministic at
-//! any thread count.
+//! count the two halves of the subtraction trick. `models.gbt.memo_hits` /
+//! `models.oblivious.memo_hits` count rounds served from the memo (flushed
+//! once per fit), so `tree_fits + gbt.memo_hits = gbt.rounds` on pinball
+//! histogram fits. All are deterministic at any thread count.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -123,6 +129,50 @@ pub(crate) fn bit_reverse(i: usize, bits: usize) -> usize {
 /// bit-identical reference.
 pub(crate) fn gbt_border_cap(n: usize) -> usize {
     (n / 4).clamp(31, MAX_BORDER_COUNT)
+}
+
+// ---------------------------------------------------------------------------
+// Round memo: both boosters' pinball rounds keyed by gradient class
+// ---------------------------------------------------------------------------
+
+/// What earlier rounds of one boosted fit built, keyed by their pinball
+/// gradient class ([`crate::Loss::gradient_class`]). Equal classes mean a
+/// bit-identical gradient vector, and the histogram tree builders read
+/// nothing else that changes between rounds, so a round whose class
+/// matches an earlier round's would rebuild exactly what that round built.
+///
+/// Only a miss inserts, so keys are distinct and a fit of `n_rounds`
+/// rounds over `n` rows holds at most `n_rounds` entries and
+/// `n_rounds · ⌈n/32⌉` key words. A hit is word-for-word equality of the
+/// whole key — no hashing decides it. The memo lives inside one `fit` call
+/// and is consulted serially between rounds, so thread count cannot
+/// affect it.
+#[derive(Debug)]
+pub(crate) struct RoundMemo<T> {
+    entries: Vec<(Vec<u64>, T)>,
+}
+
+impl<T> RoundMemo<T> {
+    pub(crate) fn new() -> Self {
+        RoundMemo {
+            entries: Vec::new(),
+        }
+    }
+
+    /// The value stored under `key`. Scans newest first: a repeat most
+    /// often matches the previous round.
+    pub(crate) fn get(&self, key: &[u64]) -> Option<&T> {
+        self.entries
+            .iter()
+            .rev()
+            .find(|(k, _)| k.as_slice() == key)
+            .map(|(_, v)| v)
+    }
+
+    /// Stores what a round with class `key` built (call only after a miss).
+    pub(crate) fn insert(&mut self, key: Vec<u64>, value: T) {
+        self.entries.push((key, value));
+    }
 }
 
 // ---------------------------------------------------------------------------

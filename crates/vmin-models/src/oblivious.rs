@@ -10,6 +10,7 @@
 //! 156-chip dataset (§IV-C3); that is the default here too.
 
 use crate::fitplan::{fit_cache_enabled, validate_border_count, BinnedDataset, FitPlan};
+use crate::hist::RoundMemo;
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use vmin_linalg::Matrix;
 
@@ -368,7 +369,9 @@ impl ObliviousBoost {
     /// "Exact" quantile estimators), and tie rules mirror [`fit_inner`];
     /// outputs are *not* bit-identical to the exact scan (different
     /// summation shapes) but are bit-identical to themselves at any thread
-    /// count. `VMIN_HIST=0` routes back to the exact loop.
+    /// count. Pinball rounds whose gradient class repeats an earlier
+    /// round's replay that round's splits instead of searching (the round
+    /// memo, DESIGN.md §12). `VMIN_HIST=0` routes back to the exact loop.
     fn fit_inner_hist(&mut self, x: &Matrix, y: &[f64], binned: &BinnedDataset) -> Result<()> {
         match self.loss {
             Loss::Squared | Loss::Pinball(_) => {}
@@ -392,6 +395,13 @@ impl ObliviousBoost {
         let mut preds = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
         let mut state = crate::hist::ObliviousHistState::new(n);
+        // Pinball rounds whose gradient class repeats an earlier round's
+        // replay that round's `(feature, border index)` splits instead of
+        // searching: `reset`, `best_level_split` and `apply_split` read
+        // only the gradient, the bin table and `recip`, so the search would
+        // pick the same splits and leave the same blocks (see `RoundMemo`).
+        let mut memo: RoundMemo<Vec<(usize, usize)>> = RoundMemo::new();
+        let mut memo_hits = 0u64;
 
         let loss = self.loss;
         for _ in 0..self.params.n_rounds {
@@ -402,13 +412,30 @@ impl ObliviousBoost {
                 }
             });
             state.reset(&grad);
+            // A memo hit replays the stored round's splits level by level,
+            // stopping where that round stopped; a miss searches each level.
+            let class = loss.gradient_class(y, &preds);
+            let earlier = class.as_deref().and_then(|c| memo.get(c));
+            let mut splits: Vec<(usize, usize)> = Vec::with_capacity(self.params.depth);
             let mut levels: Vec<(usize, f64)> = Vec::with_capacity(self.params.depth);
-            for _ in 0..self.params.depth {
-                let Some((feature, k)) = state.best_level_split(binned, &grad, &recip) else {
-                    break; // no usable borders (all features constant)
+            for level in 0..self.params.depth {
+                let next = match earlier {
+                    Some(stored) => stored.get(level).copied(),
+                    None => state.best_level_split(binned, &grad, &recip),
+                };
+                let Some((feature, k)) = next else {
+                    // No usable borders (all features constant), or the
+                    // replayed round stopped at this level for that reason.
+                    break;
                 };
                 state.apply_split(&binned.bin_of[feature], k, &grad);
+                splits.push((feature, k));
                 levels.push((feature, binned.borders[feature][k]));
+            }
+            if earlier.is_some() {
+                memo_hits += 1;
+            } else if let Some(c) = class {
+                memo.insert(c, splits);
             }
             // Leaf values straight from the leaf-major blocks (ascending
             // row order inside each block, matching the exact loop's
@@ -455,6 +482,7 @@ impl ObliviousBoost {
                 leaf_values,
             });
         }
+        vmin_trace::counter_add("models.oblivious.memo_hits", memo_hits);
         Ok(())
     }
 }
@@ -673,6 +701,57 @@ mod tests {
             direct.fit(&x, &y).unwrap();
             assert_eq!(via_plan.trees, direct.trees);
         });
+    }
+
+    #[test]
+    fn memo_served_rounds_equal_fresh_level_searches() {
+        // Oracle for the round memo: replay a memo-heavy pinball fit round
+        // by round from its own tree prefix, and require every round's
+        // level list to equal a fresh level-by-level `best_level_split`
+        // on that round's gradient.
+        let (x, y) = data(88, 14);
+        let loss = Loss::Pinball(0.05);
+        let params = ObliviousBoostParams::default();
+        let m = crate::hist::with_histograms(true, || {
+            let mut m = ObliviousBoost::with_params(loss, params);
+            m.fit(&x, &y).unwrap();
+            m
+        });
+        let binned = BinnedDataset::compute(&x, params.border_count).unwrap();
+        let recip: Vec<f64> = (0..=x.rows())
+            .map(|c| 1.0 / (c as f64 + params.l2_leaf_reg))
+            .collect();
+        let mut state = crate::hist::ObliviousHistState::new(x.rows());
+        let mut preds = vec![m.base_score; x.rows()];
+        let mut classes: Vec<Vec<u64>> = Vec::new();
+        let mut hits = 0;
+        for (round, tree) in m.trees.iter().enumerate() {
+            let grad: Vec<f64> = y
+                .iter()
+                .zip(&preds)
+                .map(|(&yi, &pi)| loss.gradient(yi, pi))
+                .collect();
+            state.reset(&grad);
+            let mut fresh = Vec::new();
+            for _ in 0..params.depth {
+                let Some((f, k)) = state.best_level_split(&binned, &grad, &recip) else {
+                    break;
+                };
+                state.apply_split(&binned.bin_of[f], k, &grad);
+                fresh.push((f, binned.borders[f][k]));
+            }
+            assert_eq!(tree.levels, fresh, "round {round}");
+            let class = loss.gradient_class(&y, &preds).unwrap();
+            if classes.contains(&class) {
+                hits += 1;
+            } else {
+                classes.push(class);
+            }
+            for (i, p) in preds.iter_mut().enumerate() {
+                *p += params.learning_rate * tree.predict_row(x.row(i));
+            }
+        }
+        assert!(hits >= 10, "only {hits} of 100 rounds were memo hits");
     }
 
     #[test]

@@ -69,6 +69,35 @@ impl Loss {
         }
     }
 
+    /// The branch [`Loss::gradient`] takes on every row, packed 2 bits per
+    /// row — `(y > pred, y < pred)` — into `u64` words, 32 rows per word
+    /// (unused high bits zero). `None` when the gradient depends on the
+    /// values themselves ([`Loss::Squared`]).
+    ///
+    /// For `Pinball(q)` the gradient is `−q` on `10`, `1 − q` on `01` and
+    /// `0.0` on `00` (ties and NaN), so two prediction vectors with equal
+    /// classes have bit-identical gradient vectors — the key of the
+    /// boosters' per-fit round memo (`hist::RoundMemo`).
+    pub(crate) fn gradient_class(&self, y: &[f64], pred: &[f64]) -> Option<Vec<u64>> {
+        match *self {
+            Loss::Squared => None,
+            Loss::Pinball(_) => Some(
+                y.chunks(32)
+                    .zip(pred.chunks(32))
+                    .map(|(ys, ps)| {
+                        ys.iter()
+                            .zip(ps)
+                            .enumerate()
+                            .fold(0u64, |word, (k, (y, p))| {
+                                let class = u64::from(y > p) | u64::from(y < p) << 1;
+                                word | class << (2 * k)
+                            })
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
     /// Second derivative (Hessian diagonal). Pinball uses a unit surrogate,
     /// the standard choice for Newton boosting of non-smooth losses.
     pub fn hessian(&self, _y: f64, _pred: f64) -> f64 {
@@ -252,6 +281,47 @@ mod tests {
         assert_eq!(l.gradient(1.0, 0.0), -0.9); // under-prediction
         assert!((l.gradient(0.0, 1.0) - 0.1).abs() < 1e-12); // over-prediction
         assert_eq!(l.gradient(1.0, 1.0), 0.0);
+    }
+
+    #[test]
+    fn equal_gradient_classes_give_bit_equal_gradients() {
+        let l = Loss::Pinball(0.05);
+        let y = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        // Same side of every target, different values; a NaN prediction
+        // and an exact tie both take the `0.0` branch.
+        let a = [0.5, 2.5, 3.0, f64::NAN, 4.0, -1.0];
+        let b = [0.9, 9.0, 3.0, 4.0, 4.5, 5.9];
+        let class_a = l.gradient_class(&y, &a).expect("pinball has a class");
+        assert_eq!(Some(class_a.clone()), l.gradient_class(&y, &b));
+        let bits = |p: &[f64]| -> Vec<u64> {
+            y.iter()
+                .zip(p)
+                .map(|(&yi, &pi)| l.gradient(yi, pi).to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        // One crossing changes the class.
+        let c = [0.5, 2.5, 3.0, 4.0, 4.0, 6.5];
+        assert_ne!(Some(class_a), l.gradient_class(&y, &c));
+        // Row by row over under-, over-, tied and NaN predictions: classes
+        // are equal exactly when the gradients are bit-equal.
+        let preds = [0.0, 1.0, 2.0, f64::NAN];
+        for &p1 in &preds {
+            for &p2 in &preds {
+                assert_eq!(
+                    l.gradient_class(&[1.0], &[p1]) == l.gradient_class(&[1.0], &[p2]),
+                    l.gradient(1.0, p1).to_bits() == l.gradient(1.0, p2).to_bits(),
+                    "pred {p1} vs {p2}"
+                );
+            }
+        }
+        // 2 bits per row, 32 rows per word; squared loss has no class.
+        let long = vec![1.0; 33];
+        assert_eq!(
+            l.gradient_class(&long, &vec![0.0; 33]).map(|w| w.len()),
+            Some(2)
+        );
+        assert_eq!(Loss::Squared.gradient_class(&y, &a), None);
     }
 
     #[test]

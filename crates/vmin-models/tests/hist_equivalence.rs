@@ -8,7 +8,8 @@
 //!   criterion of the tentpole.
 //! - **Instrumentation**: `models.hist.*` counters fire on the binned
 //!   path, are silent with the switch off, and the GBT sibling-subtraction
-//!   bookkeeping is balanced.
+//!   bookkeeping is balanced; tree fits plus round-memo hits account for
+//!   every GBT round.
 //! - **Quality**: binned fits are approximations (quantile-binned
 //!   candidate thresholds), but at 255 borders they must track the exact
 //!   fit closely on smooth data.
@@ -219,9 +220,15 @@ fn hist_counters_fire_on_and_only_on_the_binned_path() {
         fit_catboost(&x, &y, false);
     });
     vmin_trace::set_enabled(prev);
-    assert_eq!(snap_on.counters["models.hist.tree_fits"], 20);
-    assert_eq!(snap_on.counters["models.hist.oblivious_fits"], 1);
-    assert!(snap_on.counters["models.hist.level_searches"] >= 20);
+    let count = |name: &str| snap_on.counters.get(name).copied().unwrap_or(0);
+    // Every round either grows a tree or is served from the round memo.
+    assert_eq!(
+        count("models.hist.tree_fits") + count("models.gbt.memo_hits"),
+        20
+    );
+    assert_eq!(count("models.hist.oblivious_fits"), 1);
+    // Every oblivious round not served from the memo searches ≥ 1 level.
+    assert!(count("models.hist.level_searches") >= 20 - count("models.oblivious.memo_hits"));
     // Subtraction bookkeeping is balanced: every split accumulates exactly
     // one child and derives exactly one.
     let acc = snap_on.counters["models.hist.child_accumulated"];
@@ -236,6 +243,13 @@ fn hist_counters_fire_on_and_only_on_the_binned_path() {
         "exact path recorded hist counters: {:?}",
         snap_off.counters
     );
+    // The round memo lives on the binned path only.
+    for name in ["models.gbt.memo_hits", "models.oblivious.memo_hits"] {
+        assert!(
+            !snap_off.counters.contains_key(name),
+            "exact path recorded {name}"
+        );
+    }
     // The binned oblivious fit must record its span timer.
     assert!(snap_on
         .timers

@@ -1,0 +1,245 @@
+//! Golden digests of the boosted CQR fits behind one Table III cell.
+//!
+//! The CQR-XGBoost and CQR-CatBoost cells of a small campaign (seed 7,
+//! read point 0, 25 °C, both feature sets, `ExperimentConfig::fast()`) are
+//! folded into FNV-1a digests over their IEEE-754 bits: the cross-validated
+//! `RegionEval`, and every fitted tree's tables — node tests and leaf
+//! values — of each fold's quantile pair, with base scores and `q̂`. The
+//! constants were recorded before boosting rounds were served from the
+//! per-fit round memo; a change that moves one bit of one tree fails here.
+//! A change meant to move fits must re-record the constants and say why.
+
+use cqr_vmin::conformal::Cqr;
+use cqr_vmin::core::{
+    assemble_dataset, run_region_cell_on, ExperimentConfig, FeatureSet, PointModel, RegionEval,
+    RegionMethod,
+};
+use cqr_vmin::data::{train_test_split, Dataset, KFold};
+use cqr_vmin::models::{
+    with_histograms, GradientBoost, GradientBoostParams, Loss, NodeView, ObliviousBoost,
+    ObliviousBoostParams, Regressor,
+};
+use cqr_vmin::silicon::{Campaign, DatasetSpec};
+
+const XGB_EVAL: u64 = 0xfc2d_693b_3fdd_6c15;
+const XGB_TREES: u64 = 0x96ee_3d56_9eaa_d79a;
+const CAT_EVAL: u64 = 0xec00_6430_b26f_3325;
+const CAT_TREES: u64 = 0xda5a_a0de_2b6c_620e;
+
+/// 64-bit FNV-1a over the little-endian bytes of a `u64` sequence.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+}
+
+fn cell_dataset() -> Dataset {
+    let campaign = Campaign::run(&DatasetSpec::small(), 7);
+    assemble_dataset(&campaign, 0, 1, FeatureSet::Both).expect("assemble the cell")
+}
+
+fn eval_digest(ds: &Dataset, model: PointModel) -> u64 {
+    let RegionEval {
+        mean_length,
+        coverage,
+    } = run_region_cell_on(ds, RegionMethod::Cqr(model), &ExperimentConfig::fast())
+        .expect("region cell");
+    let mut h = Fnv::new();
+    h.f64(mean_length);
+    h.f64(coverage);
+    h.0
+}
+
+/// Fits one CQR pair per fold exactly as the region cell does (same folds,
+/// same 75/25 proper/calibration split per fold seed) and folds each
+/// fitted pair into `h` with `digest`.
+fn fold_fits<L: Regressor, H: Regressor>(
+    ds: &Dataset,
+    make: impl Fn(&ExperimentConfig) -> Cqr<L, H>,
+    digest: impl Fn(&mut Fnv, &Cqr<L, H>),
+) -> u64 {
+    let cfg = ExperimentConfig::fast();
+    let mut h = Fnv::new();
+    for (fold, split) in KFold::new(ds.n_samples(), cfg.folds, cfg.seed)
+        .iter()
+        .enumerate()
+    {
+        let train = ds.subset_rows(&split.train).expect("fold train rows");
+        let inner = train_test_split(
+            train.n_samples(),
+            1.0 - cfg.cal_fraction,
+            cfg.seed.wrapping_add(fold as u64),
+        );
+        let proper = train.subset_rows(&inner.train).expect("proper rows");
+        let cal = train.subset_rows(&inner.test).expect("calibration rows");
+        let mut cqr = make(&cfg);
+        cqr.fit_calibrate(
+            proper.features(),
+            proper.targets(),
+            cal.features(),
+            cal.targets(),
+        )
+        .expect("fit and calibrate");
+        h.f64(cqr.qhat().expect("calibrated"));
+        digest(&mut h, &cqr);
+    }
+    h.0
+}
+
+fn gbt_digest(h: &mut Fnv, m: &GradientBoost) {
+    h.f64(m.base_score());
+    h.u64(m.trees().len() as u64);
+    for tree in m.trees() {
+        h.u64(tree.n_nodes() as u64);
+        for node in tree.nodes() {
+            match node {
+                NodeView::Leaf { weight } => h.f64(weight),
+                NodeView::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    h.u64(feature as u64);
+                    h.f64(threshold);
+                    h.u64(left as u64);
+                    h.u64(right as u64);
+                }
+            }
+        }
+    }
+}
+
+fn oblivious_digest(h: &mut Fnv, m: &ObliviousBoost) {
+    h.f64(m.base_score());
+    let tables = m.tree_tables();
+    h.u64(tables.len() as u64);
+    for (levels, leaves) in tables {
+        h.u64(levels.len() as u64);
+        for &(feature, threshold) in levels {
+            h.u64(feature as u64);
+            h.f64(threshold);
+        }
+        for &v in leaves {
+            h.f64(v);
+        }
+    }
+}
+
+fn xgb_trees(ds: &Dataset) -> u64 {
+    let booster = |q: f64, cfg: &ExperimentConfig| {
+        GradientBoost::with_params(
+            Loss::Pinball(q),
+            GradientBoostParams {
+                n_rounds: cfg.models.gbt_rounds,
+                ..GradientBoostParams::default()
+            },
+        )
+    };
+    fold_fits(
+        ds,
+        |cfg| {
+            Cqr::new(
+                booster(cfg.alpha / 2.0, cfg),
+                booster(1.0 - cfg.alpha / 2.0, cfg),
+                cfg.alpha,
+            )
+        },
+        |h, cqr| {
+            gbt_digest(h, cqr.lo_model());
+            gbt_digest(h, cqr.hi_model());
+        },
+    )
+}
+
+fn cat_trees(ds: &Dataset) -> u64 {
+    let booster = |q: f64, cfg: &ExperimentConfig| {
+        ObliviousBoost::with_params(
+            Loss::Pinball(q),
+            ObliviousBoostParams {
+                n_rounds: cfg.models.cat_rounds,
+                ..ObliviousBoostParams::default()
+            },
+        )
+    };
+    fold_fits(
+        ds,
+        |cfg| {
+            Cqr::new(
+                booster(cfg.alpha / 2.0, cfg),
+                booster(1.0 - cfg.alpha / 2.0, cfg),
+                cfg.alpha,
+            )
+        },
+        |h, cqr| {
+            oblivious_digest(h, cqr.lo_model());
+            oblivious_digest(h, cqr.hi_model());
+        },
+    )
+}
+
+#[test]
+fn cqr_xgboost_cell_matches_golden_digests() {
+    with_histograms(true, || {
+        let ds = cell_dataset();
+        let eval = eval_digest(&ds, PointModel::Xgboost);
+        let trees = xgb_trees(&ds);
+        assert_eq!(eval, XGB_EVAL, "CQR-XGBoost RegionEval moved: {eval:#018x}");
+        assert_eq!(trees, XGB_TREES, "CQR-XGBoost trees moved: {trees:#018x}");
+    });
+}
+
+#[test]
+fn cqr_catboost_cell_matches_golden_digests() {
+    with_histograms(true, || {
+        let ds = cell_dataset();
+        let eval = eval_digest(&ds, PointModel::CatBoost);
+        let trees = cat_trees(&ds);
+        assert_eq!(
+            eval, CAT_EVAL,
+            "CQR-CatBoost RegionEval moved: {eval:#018x}"
+        );
+        assert_eq!(trees, CAT_TREES, "CQR-CatBoost trees moved: {trees:#018x}");
+    });
+}
+
+#[test]
+fn table3_cell_serves_rounds_from_the_round_memo() {
+    with_histograms(true, || {
+        let ds = cell_dataset();
+        let prev = vmin_trace::set_enabled(true);
+        let (_, snap) = vmin_trace::with_collector(|| {
+            eval_digest(&ds, PointModel::Xgboost);
+            eval_digest(&ds, PointModel::CatBoost);
+        });
+        vmin_trace::set_enabled(prev);
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        assert!(
+            count("models.gbt.memo_hits") > 0,
+            "no GBT round hit the memo"
+        );
+        assert!(
+            count("models.oblivious.memo_hits") > 0,
+            "no oblivious round hit the memo"
+        );
+        // Work counters count work done: every GBT round grew a tree or
+        // was served from the memo.
+        assert_eq!(
+            count("models.hist.tree_fits") + count("models.gbt.memo_hits"),
+            count("models.gbt.rounds")
+        );
+    });
+}
