@@ -47,12 +47,10 @@ echo "==> tier-1 again, tracing disabled (VMIN_TRACE=0)"
 VMIN_TRACE=0 cargo test -q
 
 echo "==> vmin-trace report: schema + cross-thread-count counter identity"
-# Histograms pinned off: this leg asserts the fit-plan scratch counters
-# below, which only the exact-scan path exercises. The histogram leg
-# further down covers the VMIN_HIST=1 counters with its own trace export.
-VMIN_HIST=0 VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-t1.json \
+# The production path (histograms on, default knobs) at two thread counts.
+VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-t1.json \
     cargo run -q --release -p vmin-bench --bin trace_report
-VMIN_HIST=0 VMIN_THREADS=8 VMIN_TRACE_JSON=target/trace-t8.json \
+VMIN_THREADS=8 VMIN_TRACE_JSON=target/trace-t8.json \
     cargo run -q --release -p vmin-bench --bin trace_report
 for f in target/trace-t1.json target/trace-t8.json; do
     test -s "$f"
@@ -68,8 +66,12 @@ for kind in counter gauge histogram; do
          <(grep "\"kind\": \"$kind\"" target/trace-t8.json) \
         || { echo "vmin-trace $kind section differs between VMIN_THREADS=1 and 8"; exit 1; }
 done
+# The fit-plan memo counters: the trace_report workload routes through
+# GBT-family CQR fits, so plan builds and memo hits must both appear.
+grep -q '"models.fitplan.build"' target/trace-t1.json
+grep -q '"models.fitplan.reuse"' target/trace-t1.json
 
-echo "==> bench smoke: par_speedup + fit_cache + fit_hist write target/BENCH_PR5.json"
+echo "==> bench smoke: par_speedup + fit_hist write target/BENCH_PR5.json"
 # Absolute path: the bench binary's CWD is the package dir, not the repo root.
 VMIN_BENCH_JSON="$PWD/target/BENCH_PR5.json" VMIN_BENCH_SAMPLES=3 \
     cargo bench -p vmin-bench --bench par_speedup
@@ -80,11 +82,6 @@ grep -q '"id": "matmul_threads1"' target/BENCH_PR5.json
 grep -q '"id": "matmul_threads2"' target/BENCH_PR5.json
 grep -q '"id": "campaign_small_threads1"' target/BENCH_PR5.json
 grep -q '"id": "table3_region_cell_threads2"' target/BENCH_PR5.json
-# The fit-cache group records uncached-vs-cached pairs for the GBT family.
-grep -q '"group": "fit_cache"' target/BENCH_PR5.json
-grep -q '"id": "gbt_fit_uncached"' target/BENCH_PR5.json
-grep -q '"id": "gbt_fit_cached"' target/BENCH_PR5.json
-grep -q '"id": "cqr_xgb_region_cell_cached"' target/BENCH_PR5.json
 # The fit-hist group records exact-vs-binned pairs (PR 7 tentpole).
 grep -q '"group": "fit_hist"' target/BENCH_PR5.json
 grep -q '"id": "catboost_fit_exact"' target/BENCH_PR5.json
@@ -92,22 +89,6 @@ grep -q '"id": "catboost_fit_hist"' target/BENCH_PR5.json
 grep -q '"id": "gbt_fit_hist"' target/BENCH_PR5.json
 grep -q '"id": "cqr_xgb_region_cell_hist"' target/BENCH_PR5.json
 grep -q '"id": "cqr_catboost_region_cell_hist"' target/BENCH_PR5.json
-
-echo "==> fit-plan cache: counters present + interval exactness smoke"
-# The trace_report workload routes through GBT-family fits, so the cache
-# counters must appear in the deterministic counter section.
-grep -q '"models.fitplan.build"' target/trace-t1.json
-grep -q '"models.fitplan.reuse"' target/trace-t1.json
-grep -q '"models.fitplan.scratch_reuse"' target/trace-t1.json
-# Same fixed CQR cell with the cache globally off and on: the interval bit
-# patterns must be identical (the cache is a pure time optimization).
-VMIN_FITPLAN=0 cargo run -q --release -p vmin-bench --bin fit_cache_smoke \
-    > target/fit-cache-off.txt
-VMIN_FITPLAN=1 cargo run -q --release -p vmin-bench --bin fit_cache_smoke \
-    > target/fit-cache-on.txt
-test -s target/fit-cache-off.txt
-diff target/fit-cache-off.txt target/fit-cache-on.txt \
-    || { echo "fit-plan cache changed interval bits"; exit 1; }
 
 echo "==> histogram split leg: thread invariance, kill switch, trace counters"
 # The binned path must be bit-identical under any thread count.
@@ -166,37 +147,29 @@ grep -q '"conformal.adaptive.recalibrations"' target/trace-drift.json
 grep -q '"conformal.adaptive.transitions"' target/trace-drift.json
 grep -q '"core.stream.read_points"' target/trace-drift.json
 
-echo "==> serve leg: equivalence + golden artifacts, kill switch, artifact header"
+echo "==> serve leg: equivalence + golden artifacts, thread invariance, artifact header"
 # The dedicated serving suites: flattened kernels byte-identical to the
 # live path, and the golden artifact fixtures still decode bit-for-bit.
 cargo test -q --test serve_equivalence
 cargo test -q -p vmin-serve
-# Served interval bits must be identical across the whole serve matrix:
-# thread counts × kill switch (VMIN_SERVE=0 routes through the scalar
-# trait-equivalent path, so this diff IS the kill-switch contract).
-VMIN_SERVE=1 VMIN_THREADS=1 \
+# Served interval bits and artifact bytes must be identical across thread
+# counts (the binary also checks every served row against the live path).
+VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-serve.json \
     cargo run -q --release -p vmin-bench --bin serve_smoke target/serve-t1.bin \
     > target/serve-t1.txt
-VMIN_SERVE=1 VMIN_THREADS=4 \
+VMIN_THREADS=4 \
     cargo run -q --release -p vmin-bench --bin serve_smoke target/serve-t4.bin \
     > target/serve-t4.txt
-VMIN_SERVE=0 VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-serve.json \
-    cargo run -q --release -p vmin-bench --bin serve_smoke target/serve-off.bin \
-    > target/serve-off.txt
 diff target/serve-t1.txt target/serve-t4.txt \
     || { echo "served bits differ between VMIN_THREADS=1 and 4"; exit 1; }
-diff target/serve-t1.txt target/serve-off.txt \
-    || { echo "VMIN_SERVE=0 bits differ from the flattened kernels"; exit 1; }
 # A freshly written artifact must lead with the versioned magic, and the
-# bytes must not depend on which path served the batch.
+# bytes must not depend on the thread count.
 grep -aq 'vmin-artifact/v1' target/serve-t1.bin
-cmp target/serve-t1.bin target/serve-off.bin \
-    || { echo "artifact bytes depend on VMIN_SERVE"; exit 1; }
-# The serving counters must reach the trace export (scalar.rows proves
-# the kill-switch run actually took the scalar path).
+cmp target/serve-t1.bin target/serve-t4.bin \
+    || { echo "artifact bytes depend on VMIN_THREADS"; exit 1; }
+# The serving counters must reach the trace export.
 test -s target/trace-serve.json
 grep -q '"serve.rows"' target/trace-serve.json
-grep -q '"serve.scalar.rows"' target/trace-serve.json
 grep -q '"serve.artifact.saves"' target/trace-serve.json
 
 echo "==> bench smoke: serve_throughput writes target/BENCH_PR9.json"
@@ -208,40 +181,30 @@ grep -q '"id": "gbt_flat_batch"' target/BENCH_PR9.json
 grep -q '"id": "catboost_flat_batch"' target/BENCH_PR9.json
 grep -q '"id": "gbt_flat_batch_parallel"' target/BENCH_PR9.json
 
-echo "==> stream leg: chunk/thread/kill-switch invariance + trace counters"
+echo "==> stream leg: chunk/thread invariance + trace counters"
 # The whole vmin-silicon suite (tier-1 runs only the root package): unit
 # tests including the Vmin-search oracle, the stream suite (chunked
 # generation bit-identical to the monolithic campaign across seeds ×
 # chunk sizes × thread counts), the property tests and the doctests.
 cargo test -q -p vmin-silicon
 # stream_smoke prints one digest per streamed chip plus the fused screening
-# report; every knob combination must produce byte-identical stdout. The
-# chunk knob moves block boundaries only, the kill switch materializes and
-# slices, and threads only change shard fan-out.
-VMIN_STREAM=1 VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-stream.json \
+# report; threads only change shard fan-out, so stdout must be
+# byte-identical at 1 and 8. The binary itself re-streams the fleet at an
+# odd chunk size and dies if any chip digest moves.
+VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-stream.json \
     cargo run -q --release -p vmin-bench --bin stream_smoke > target/stream-t1.txt
-VMIN_STREAM=1 VMIN_THREADS=8 \
+VMIN_THREADS=8 \
     cargo run -q --release -p vmin-bench --bin stream_smoke > target/stream-t8.txt
-VMIN_STREAM=1 VMIN_STREAM_CHUNK=17 \
-    cargo run -q --release -p vmin-bench --bin stream_smoke > target/stream-c17.txt
-VMIN_STREAM=0 VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-stream-off.json \
-    cargo run -q --release -p vmin-bench --bin stream_smoke > target/stream-off.txt
 test -s target/stream-t1.txt
 diff target/stream-t1.txt target/stream-t8.txt \
     || { echo "streamed chips differ between VMIN_THREADS=1 and 8"; exit 1; }
-diff target/stream-t1.txt target/stream-c17.txt \
-    || { echo "streamed chips depend on VMIN_STREAM_CHUNK"; exit 1; }
-diff target/stream-t1.txt target/stream-off.txt \
-    || { echo "VMIN_STREAM=0 output differs from the streamed path"; exit 1; }
-# The stream and fused-screening counters must reach the trace export; the
-# fallback counter proves the kill-switch run took the materialized path.
+# The stream and fused-screening counters must reach the trace export.
 test -s target/trace-stream.json
 grep -q '"silicon.stream.chunks"' target/trace-stream.json
 grep -q '"silicon.stream.chips"' target/trace-stream.json
 grep -q '"silicon.stream.shards"' target/trace-stream.json
 grep -q '"fleet.chips"' target/trace-stream.json
 grep -q '"fleet.blocks"' target/trace-stream.json
-grep -q '"silicon.stream.fallback"' target/trace-stream-off.json
 # The Vmin-search work counters: searches per streamed block, predicate
 # calls, path-delay evaluations and certified-bracket searches flushed once
 # per shard. Their thread invariance rides the trace_report t1-vs-t8

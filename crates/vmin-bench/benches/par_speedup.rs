@@ -1,5 +1,5 @@
 //! Thread-sweep timing for the hot paths the `vmin-par` layer accelerates,
-//! plus uncached-vs-cached fit timing for the `vmin-models` fit-plan cache.
+//! plus exact-vs-binned fit timing for the `vmin-models` boosters.
 //!
 //! The `par_speedup` group runs each workload once per thread count in
 //! {1, 2, available} via `vmin_par::with_threads`, writing one row per
@@ -9,19 +9,12 @@
 //! makes the thread count part of the benchmark id instead of an ambient
 //! setting. On a single-core host the rows coincide by construction.
 //!
-//! The `fit_cache` group times GBT-family fits on the Table III design
-//! matrix (156 chips, full feature set) and a whole region cell, with the
-//! fit-plan cache pinned off (`_uncached`) and on (`_cached`) via
-//! `vmin_models::with_fit_cache`. Outputs are byte-identical either way;
-//! only the time should move. Histograms are pinned off here so the group
-//! keeps measuring the exact-scan path the cache was built for.
-//!
-//! The `fit_hist` group (PR 7) times the same Table III fits with the
-//! histogram-binned split path pinned off (`_exact`) and on (`_hist`) via
-//! `vmin_models::with_histograms` — the exact/binned pairs behind
-//! `BENCH_PR7.json`. Unlike the fit-plan cache these are different
-//! estimators (quantile-binned candidate thresholds), so only times are
-//! comparable, not output bits.
+//! The `fit_hist` group times GBT-family fits on the Table III
+//! design matrix (156 chips, full feature set) and whole region cells with
+//! the histogram-binned split path pinned off (`_exact`) and on (`_hist`)
+//! via `vmin_models::with_histograms` — the exact/binned pairs behind
+//! `BENCH_PR7.json`. These are different estimators (quantile-binned
+//! candidate thresholds), so only times are comparable, not output bits.
 //!
 //! After the groups run in bench mode, `assert_small_input_thread2_sanity`
 //! re-reads the recorded minima and fails the process if the 2-thread rows
@@ -98,73 +91,9 @@ fn bench_par_speedup(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fit_cache(c: &mut Criterion) {
+fn bench_fit_hist(c: &mut Criterion) {
     // The Table III workload proper: the paper-sized campaign (156 chips)
     // and the full feature set at a stress read point.
-    let campaign = Campaign::run(&DatasetSpec::default(), 7);
-    let ds = assemble_dataset(&campaign, 1, 1, FeatureSet::Both)
-        .unwrap_or_else(|e| die(&format!("assemble table3 cell: {e}")));
-    let x = ds.features().clone();
-    let y = ds.targets().to_vec();
-    let cfg = ExperimentConfig::fast();
-
-    let mut group = c.benchmark_group("fit_cache");
-    group.sample_size(10);
-
-    // Lock order: the fit-cache guard is taken before the histogram guard
-    // everywhere in the workspace (matches the equivalence tests).
-    let gbt_fit = |cache_on: bool| {
-        vmin_models::with_fit_cache(cache_on, || {
-            vmin_models::with_histograms(false, || {
-                let mut m = GradientBoost::new(Loss::Pinball(0.95));
-                m.fit(&x, &y)
-                    .unwrap_or_else(|e| die(&format!("gbt fit: {e}")));
-                m
-            })
-        })
-    };
-    group.bench_function("gbt_fit_uncached", |bch| bch.iter(|| gbt_fit(false)));
-    group.bench_function("gbt_fit_cached", |bch| bch.iter(|| gbt_fit(true)));
-
-    let catboost_fit = |cache_on: bool| {
-        vmin_models::with_fit_cache(cache_on, || {
-            vmin_models::with_histograms(false, || {
-                let mut m = ObliviousBoost::new(Loss::Pinball(0.95));
-                m.fit(&x, &y)
-                    .unwrap_or_else(|e| die(&format!("catboost fit: {e}")));
-                m
-            })
-        })
-    };
-    group.bench_function("catboost_fit_uncached", |bch| {
-        bch.iter(|| catboost_fit(false))
-    });
-    group.bench_function("catboost_fit_cached", |bch| bch.iter(|| catboost_fit(true)));
-
-    let region_cell = |cache_on: bool| {
-        vmin_models::with_fit_cache(cache_on, || {
-            vmin_models::with_histograms(false, || {
-                run_region_cell_on(&ds, RegionMethod::Cqr(PointModel::Xgboost), &cfg)
-                    .unwrap_or_else(|e| die(&format!("cqr xgb cell: {e}")))
-            })
-        })
-    };
-    group.bench_function("cqr_xgb_region_cell_uncached", |bch| {
-        bch.iter(|| region_cell(false))
-    });
-    group.bench_function("cqr_xgb_region_cell_cached", |bch| {
-        bch.iter(|| region_cell(true))
-    });
-
-    group.finish();
-}
-
-fn bench_fit_hist(c: &mut Criterion) {
-    // Same Table III workload as `fit_cache`, but sweeping the histogram
-    // switch instead of the plan cache. The fit-plan cache keeps its
-    // ambient default (on), which is the production configuration: the
-    // binned path reuses the plan's memoized bin tables, the exact path
-    // its sorted-column blocks.
     let campaign = Campaign::run(&DatasetSpec::default(), 7);
     let ds = assemble_dataset(&campaign, 1, 1, FeatureSet::Both)
         .unwrap_or_else(|e| die(&format!("assemble table3 cell: {e}")));
@@ -286,7 +215,6 @@ fn die(msg: &str) -> ! {
 criterion_group!(
     benches,
     bench_par_speedup,
-    bench_fit_cache,
     bench_fit_hist,
     assert_small_input_thread2_sanity,
 );

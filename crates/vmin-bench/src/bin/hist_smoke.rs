@@ -6,8 +6,8 @@
 //! difference (a kill switch wired to nothing would pass the invariance
 //! checks vacuously).
 //!
-//! Unlike `fit_cache_smoke`, equality across the flag is *not* the
-//! contract here: histogram-binned split finding is an approximation, so
+//! Equality across the flag is *not* the contract here:
+//! histogram-binned split finding is an approximation, so
 //! hist-on and hist-off intervals are expected to differ in bits while
 //! staying close in value. As a self-check the binary also refits the
 //! CatBoost cell with the switch pinned both ways in-process and reports

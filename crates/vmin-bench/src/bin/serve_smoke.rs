@@ -2,10 +2,9 @@
 //!
 //! - **stdout**: the served interval bit patterns for a deterministic
 //!   campaign-scale batch, one `lo hi` hex pair per chip. `ci.sh` diffs
-//!   this output across `VMIN_THREADS` values and `VMIN_SERVE` on/off —
-//!   all four must be *byte-identical* (the kill switch is pure path
-//!   selection), and the run also writes an artifact file whose first
-//!   line must grep as `vmin-artifact/v1`.
+//!   this output across `VMIN_THREADS` values — it must be
+//!   *byte-identical* — and the run also writes an artifact file whose
+//!   first line must grep as `vmin-artifact/v1`.
 //! - **stderr**: in-process self-checks (artifact round-trip identity,
 //!   live-vs-served bit equality, serve counters present when tracing).
 //!
@@ -100,11 +99,10 @@ fn main() {
     }
 
     eprintln!(
-        "serve_smoke: OK ({} chips, {} artifact bytes, threads={}, serve={})",
+        "serve_smoke: OK ({} chips, {} artifact bytes, threads={})",
         served.len(),
         bytes.len(),
         vmin_par::current_threads(),
-        vmin_serve::serve_enabled(),
     );
     vmin_trace::export::write_json_if_configured(vmin_par::current_threads());
 }

@@ -3,15 +3,14 @@
 //! - **stdout**: one FNV-1a digest per streamed chip row (hex), followed by
 //!   a single `report ...` line with the fused screening counts and the
 //!   mean-interval bit pattern. `ci.sh` diffs this output across
-//!   `VMIN_THREADS` values, `VMIN_STREAM_CHUNK` sizes and `VMIN_STREAM`
-//!   on/off — every combination must be *byte-identical* (the stream's
-//!   counter-derived RNG schedule makes chunking and threading invisible,
-//!   and the kill switch is pure path selection).
-//! - **stderr**: in-process self-checks (stream-vs-monolithic bit identity,
-//!   fused-vs-materialized screening report equality).
+//!   `VMIN_THREADS` values — it must be *byte-identical* (the stream's
+//!   counter-derived RNG schedule makes threading invisible).
+//! - **stderr**: in-process self-checks (the same digests when the fleet
+//!   is streamed again at an odd chunk size, stream-vs-monolithic bit
+//!   identity, fused-vs-materialized screening report equality).
 //!
-//! Usage: `stream_smoke` — knobs are ambient (`VMIN_STREAM`,
-//! `VMIN_STREAM_CHUNK`, `VMIN_THREADS`, `VMIN_TRACE`/`VMIN_TRACE_JSON`).
+//! Usage: `stream_smoke` — knobs are ambient (`VMIN_THREADS`,
+//! `VMIN_TRACE`/`VMIN_TRACE_JSON`).
 
 #![forbid(unsafe_code)]
 
@@ -25,6 +24,9 @@ use vmin_silicon::{Campaign, CampaignStream, DatasetSpec};
 const CHIPS: usize = 96;
 const SEED: u64 = 20260807;
 const MIN_SPEC_MV: f64 = 700.0;
+/// Odd chunk size for the re-stream self-check: block boundaries land
+/// mid-shard and the last block is short.
+const ODD_CHUNK: usize = 17;
 
 fn die(msg: &str) -> ! {
     eprintln!("stream_smoke: FAIL: {msg}");
@@ -47,12 +49,13 @@ fn main() {
     let spec = DatasetSpec::screening(CHIPS);
 
     // 1. Stream the fleet and fingerprint every chip row on stdout.
-    let stream = CampaignStream::new(&spec, SEED);
-    let fallback = stream.is_fallback();
+    let mut digests = Vec::with_capacity(CHIPS);
     let mut streamed = Vec::with_capacity(CHIPS);
-    for block in stream {
+    for block in CampaignStream::new(&spec, SEED) {
         for r in 0..block.len() {
-            println!("{:016x}", fnv1a(block.row(r)));
+            let digest = fnv1a(block.row(r));
+            println!("{digest:016x}");
+            digests.push(digest);
             streamed.push(block.to_measurements(r));
         }
     }
@@ -60,8 +63,16 @@ fn main() {
         die(&format!("streamed {} of {CHIPS} chips", streamed.len()));
     }
 
-    // 2. Self-check: the stream must reproduce the monolithic campaign bit
-    //    for bit, whatever the ambient chunk/thread/kill-switch setting.
+    // 2. Self-checks: chunking moves block boundaries, never a chip's bits,
+    //    and the stream reproduces the monolithic campaign bit for bit.
+    let rechunked: Vec<u64> = CampaignStream::with_chunk(&spec, SEED, ODD_CHUNK)
+        .flat_map(|block| (0..block.len()).map(move |r| fnv1a(block.row(r))))
+        .collect();
+    if rechunked != digests {
+        die(&format!(
+            "chip digests depend on the chunk size ({ODD_CHUNK})"
+        ));
+    }
     let mono = Campaign::run(&spec, SEED);
     for (s, m) in streamed.iter().zip(&mono.chips) {
         let same = s.chip_id == m.chip_id
@@ -151,9 +162,8 @@ fn main() {
     );
 
     eprintln!(
-        "stream_smoke: OK ({CHIPS} chips, threads={}, stream={}, fallback={fallback})",
+        "stream_smoke: OK ({CHIPS} chips, threads={})",
         vmin_par::current_threads(),
-        vmin_silicon::stream_enabled(),
     );
     vmin_trace::export::write_json_if_configured(vmin_par::current_threads());
 }

@@ -126,12 +126,11 @@ impl<L: Regressor, H: Regressor> Cqr<L, H> {
         let Cqr {
             lo_model, hi_model, ..
         } = self;
-        // One fit plan serves both quantile models: sorted-column blocks,
-        // binned tables and standardized designs are built once instead of
-        // once per quantile. fit_with_plan is exact, so the pair is still
-        // byte-identical to two independent fits.
-        let shared_plan = if vmin_models::fit_cache_enabled()
-            && (lo_model.wants_fit_plan() || hi_model.wants_fit_plan())
+        // One fit plan serves both quantile models: binned tables and
+        // standardized designs are built once instead of once per quantile.
+        // fit_with_plan is exact, so the pair is still byte-identical to
+        // two independent fits.
+        let shared_plan = if (lo_model.wants_fit_plan() || hi_model.wants_fit_plan())
             && x_train.rows() > 0
             && x_train.cols() > 0
         {
@@ -383,27 +382,33 @@ mod tests {
 
     #[test]
     fn shared_plan_yields_bit_identical_intervals() {
-        use vmin_models::{GradientBoost, Loss};
+        use vmin_models::{GradientBoost, Loss, Regressor};
         let (x_tr, y_tr) = hetero(100, 11);
         let (x_ca, y_ca) = hetero(60, 12);
         let (x_te, _) = hetero(40, 13);
-        let run = |cache_on: bool| {
-            vmin_models::with_fit_cache(cache_on, || {
-                let mut cqr = Cqr::new(
-                    GradientBoost::new(Loss::Pinball(0.05)),
-                    GradientBoost::new(Loss::Pinball(0.95)),
-                    0.1,
-                );
-                cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
-                let ivs = cqr.predict_intervals(&x_te).unwrap();
-                let bits: Vec<(u64, u64)> = ivs
-                    .iter()
-                    .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
-                    .collect();
-                (cqr.qhat().unwrap().to_bits(), bits)
-            })
+        let bits = |cqr: &Cqr<GradientBoost, GradientBoost>| {
+            let ivs = cqr.predict_intervals(&x_te).unwrap();
+            let bits: Vec<(u64, u64)> = ivs
+                .iter()
+                .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
+                .collect();
+            (cqr.qhat().unwrap().to_bits(), bits)
         };
-        assert_eq!(run(true), run(false));
+        // fit_calibrate shares one plan across the pair; the reference
+        // fits each quantile model plainly and calibrates the same way.
+        let mut shared = Cqr::new(
+            GradientBoost::new(Loss::Pinball(0.05)),
+            GradientBoost::new(Loss::Pinball(0.95)),
+            0.1,
+        );
+        shared.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
+        let mut lo = GradientBoost::new(Loss::Pinball(0.05));
+        let mut hi = GradientBoost::new(Loss::Pinball(0.95));
+        lo.fit(&x_tr, &y_tr).unwrap();
+        hi.fit(&x_tr, &y_tr).unwrap();
+        let mut plain = Cqr::new(lo, hi, 0.1);
+        plain.calibrate(&x_ca, &y_ca).unwrap();
+        assert_eq!(bits(&shared), bits(&plain));
     }
 
     #[test]

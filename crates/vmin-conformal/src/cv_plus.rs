@@ -80,9 +80,9 @@ impl CvPlus {
             let y_tr: Vec<f64> = split.train.iter().map(|&i| y[i]).collect();
             let mut model = factory();
             // One plan per fold: the fold-complement design is shared by
-            // everything the model caches (sorted blocks, bins, designs).
-            // fit_with_plan is exact, so fold models are unchanged.
-            if vmin_models::fit_cache_enabled() && model.wants_fit_plan() {
+            // everything the model memoizes (bins, designs). fit_with_plan
+            // is exact, so fold models are unchanged.
+            if model.wants_fit_plan() {
                 let plan = vmin_models::FitPlan::build(&x_tr);
                 model.fit_with_plan(&x_tr, &y_tr, &plan)?;
             } else {
@@ -245,29 +245,43 @@ mod tests {
     #[test]
     fn per_fold_plans_yield_bit_identical_intervals() {
         use vmin_models::{GradientBoost, GradientBoostParams, Loss};
+
+        /// The same booster with plan use switched off: the trait defaults
+        /// report `wants_fit_plan() == false`, so every fold fits plainly.
+        #[derive(Debug)]
+        struct Plain(GradientBoost);
+        impl Regressor for Plain {
+            fn fit(&mut self, x: &Matrix, y: &[f64]) -> vmin_models::Result<()> {
+                self.0.fit(x, y)
+            }
+            fn predict_row(&self, row: &[f64]) -> vmin_models::Result<f64> {
+                self.0.predict_row(row)
+            }
+        }
+
         let (x, y) = data(80, 21);
         let (x_te, _) = data(30, 22);
-        let gbt_factory = || -> Box<dyn Regressor> {
-            Box::new(GradientBoost::with_params(
+        let gbt = || {
+            GradientBoost::with_params(
                 Loss::Squared,
                 GradientBoostParams {
                     n_rounds: 20,
                     ..GradientBoostParams::default()
                 },
-            ))
+            )
         };
-        let run = |cache_on: bool| {
-            vmin_models::with_fit_cache(cache_on, || {
-                let mut cv = CvPlus::new(0.2, 4, 5);
-                cv.fit(&x, &y, gbt_factory).unwrap();
-                cv.predict_intervals(&x_te)
-                    .unwrap()
-                    .iter()
-                    .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
-                    .collect::<Vec<_>>()
-            })
+        let run = |factory: &(dyn Fn() -> Box<dyn Regressor> + Sync)| {
+            let mut cv = CvPlus::new(0.2, 4, 5);
+            cv.fit(&x, &y, factory).unwrap();
+            cv.predict_intervals(&x_te)
+                .unwrap()
+                .iter()
+                .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
+                .collect::<Vec<_>>()
         };
-        assert_eq!(run(true), run(false));
+        let planned = run(&|| -> Box<dyn Regressor> { Box::new(gbt()) });
+        let plain = run(&|| -> Box<dyn Regressor> { Box::new(Plain(gbt())) });
+        assert_eq!(planned, plain);
     }
 
     #[test]

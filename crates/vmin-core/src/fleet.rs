@@ -15,7 +15,7 @@ use std::fmt;
 
 use vmin_linalg::Matrix;
 use vmin_serve::{ServeError, ServeModel};
-use vmin_silicon::{CampaignStream, DatasetSpec};
+use vmin_silicon::{CampaignStream, DatasetSpec, DEFAULT_STREAM_CHUNK};
 
 use crate::scenario::{monitor_read_points, FeatureSet};
 
@@ -74,14 +74,14 @@ pub struct FleetScreenConfig {
     pub min_spec_mv: f64,
     /// Rows per serve block handed to [`ServeModel::serve_batch`].
     pub serve_rows: usize,
-    /// Generation chunk size; `None` defers to `VMIN_STREAM_CHUNK` / the
-    /// stream default. The report is bit-identical at any value.
+    /// Generation chunk size; `None` means [`DEFAULT_STREAM_CHUNK`]. The
+    /// report is bit-identical at any value.
     pub chunk: Option<usize>,
 }
 
 impl FleetScreenConfig {
     /// Screening defaults: read point 0, first temperature, both feature
-    /// families, 256-row serve blocks, ambient chunk size.
+    /// families, 256-row serve blocks, default chunk size.
     pub fn new(min_spec_mv: f64) -> Self {
         FleetScreenConfig {
             read_point: 0,
@@ -134,7 +134,7 @@ impl FleetScreenReport {
 /// more than one chunk in memory.
 ///
 /// Determinism: generation is bit-identical to `Campaign::run` at any
-/// `VMIN_THREADS` / `VMIN_STREAM_CHUNK`, and serving is row-independent, so
+/// `VMIN_THREADS` and chunk size, and serving is row-independent, so
 /// the report (including the f64 mean, accumulated in chip order) is
 /// bit-identical to the materialize-then-serve path.
 ///
@@ -218,10 +218,8 @@ pub fn fleet_screen(
     let mut defective = 0usize;
     let mut length_sum = 0.0f64;
 
-    let stream = match cfg.chunk {
-        Some(c) => CampaignStream::with_chunk(spec, seed, c),
-        None => CampaignStream::new(spec, seed),
-    };
+    let chunk = cfg.chunk.unwrap_or(DEFAULT_STREAM_CHUNK);
+    let stream = CampaignStream::with_chunk(spec, seed, chunk);
     for block in stream {
         let rows = block.len();
         // One flat buffer per chunk — the only allocation on the serve side.

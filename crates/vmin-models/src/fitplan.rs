@@ -1,43 +1,36 @@
-//! The exact fit-plan cache: per-dataset artifacts that boosters and
-//! standardizing models rebuild on every `fit`, computed once and shared
-//! across quantile pairs, CV folds, and read points.
+//! The exact fit-plan memo: per-dataset artifacts that boosters and
+//! standardizing models would otherwise rebuild on every `fit`, computed
+//! once and shared across the CQR quantile pair and the CV+ folds.
 //!
-//! A [`FitPlan`] holds, per feature:
+//! A [`FitPlan`] memoizes, per training matrix:
 //!
-//! - **sorted row blocks** (XGBoost-style): row indices in `f64::total_cmp`
-//!   order plus the aligned value array, so tree split search scans a
-//!   cached segment in O(n) instead of re-sorting O(n log n) at every node;
 //! - **binned datasets** (CatBoost-style, via [`FitPlan::binned`]): the
-//!   quantile borders and `bin_of` table `ObliviousBoost` previously
-//!   recomputed inside every fit;
+//!   quantile borders and `bin_of` table that `ObliviousBoost` and the
+//!   histogram GBT path build before their boosting rounds, keyed by
+//!   border count;
 //! - **standardized designs** (via [`FitPlan::standardized`]): the
 //!   per-column mean/scale statistics and standardized rows shared by
 //!   `QuantileLinear` and `NeuralNet`.
 //!
-//! Every cache is **exact**: the cached artifacts are produced by the very
-//! same code the uncached paths run (the helpers in this module), and the
-//! consumers replay the seed algorithms' floating-point operations in the
-//! identical order, so fitted models, predictions, and downstream intervals
-//! are byte-identical with the cache on or off. The equivalence tests in
-//! `tests/fitplan_equivalence.rs` and the workspace determinism matrix
-//! enforce this.
+//! Every memo is **exact**: a memoized artifact is produced by the very
+//! same code the plan-free paths run ([`BinnedDataset::compute`],
+//! [`standardize_design`]), so fitted models, predictions, and downstream
+//! intervals are byte-identical with or without a plan. The equivalence
+//! tests in `tests/fitplan_equivalence.rs` enforce this.
 //!
 //! Instrumentation: `models.fitplan.build` counts plan constructions (the
-//! `models.fitplan.plan` span times them),
-//! `models.fitplan.reuse` counts cache hits (shared plans and cached
-//! binned/standardized artifacts), and `models.fitplan.scratch_reuse`
-//! counts boosting rounds that recycled tree scratch buffers instead of
-//! reallocating. All three are deterministic at any thread count.
+//! `models.fitplan.plan` span times them) and `models.fitplan.reuse`
+//! counts memo hits (shared plans and cached binned/standardized
+//! artifacts). Both are deterministic at any thread count.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::traits::{ModelError, Result};
 use vmin_linalg::Matrix;
 
-/// Minimum features before plan construction spawns feature workers — the
-/// same threshold the boosters use for their per-feature passes. Raised
+/// Minimum features before binning spawns feature workers — the same
+/// threshold the boosters use for their per-feature passes. Raised
 /// above the paper-scale feature count (6): BENCH_PR5.json showed threads2
 /// *slower* than threads1 on small inputs, so microsecond-sized per-feature
 /// passes stay serial and the campaign/fold level carries the parallelism.
@@ -48,54 +41,7 @@ const PAR_MIN_FEATURES: usize = 8;
 pub const MAX_BORDER_COUNT: usize = u8::MAX as usize;
 
 // ---------------------------------------------------------------------------
-// Global cache flag
-// ---------------------------------------------------------------------------
-
-static FIT_CACHE_FLAG: OnceLock<AtomicBool> = OnceLock::new();
-static FIT_CACHE_LOCK: Mutex<()> = Mutex::new(());
-
-fn fit_cache_flag() -> &'static AtomicBool {
-    FIT_CACHE_FLAG.get_or_init(|| AtomicBool::new(vmin_trace::env_flag("VMIN_FITPLAN", true)))
-}
-
-/// Whether the fit-plan cache is active. Defaults to on; the environment
-/// variable `VMIN_FITPLAN` (read once per process via
-/// [`vmin_trace::env_flag`]; `0`/`false`/`off` disable) turns it off, as does
-/// [`set_fit_cache_enabled`]. The flag only selects *which code path* runs;
-/// outputs are byte-identical either way.
-pub fn fit_cache_enabled() -> bool {
-    fit_cache_flag().load(Ordering::Relaxed)
-}
-
-/// Sets the fit-plan cache flag, returning the previous value. Prefer
-/// [`with_fit_cache`] in tests and benches: it serializes flag changes so
-/// concurrently running tests cannot observe each other's toggles.
-pub fn set_fit_cache_enabled(on: bool) -> bool {
-    fit_cache_flag().swap(on, Ordering::Relaxed)
-}
-
-struct FlagRestore(bool);
-
-impl Drop for FlagRestore {
-    fn drop(&mut self) {
-        set_fit_cache_enabled(self.0);
-    }
-}
-
-/// Runs `f` with the fit-plan cache pinned to `on`, restoring the previous
-/// flag afterwards (also on panic). Holds a global mutex for the duration
-/// so parallel flag-sensitive tests serialize instead of racing; do not
-/// nest calls — the lock is not reentrant.
-pub fn with_fit_cache<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let _guard = FIT_CACHE_LOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let _restore = FlagRestore(set_fit_cache_enabled(on));
-    f()
-}
-
-// ---------------------------------------------------------------------------
-// Exact shared helpers (single source of truth for cached & uncached paths)
+// Exact shared helpers (single source of truth for memoized & direct paths)
 // ---------------------------------------------------------------------------
 
 /// Validates an `ObliviousBoost` border count against the `u8` bin table.
@@ -115,7 +61,7 @@ pub fn validate_border_count(border_count: usize) -> Result<()> {
 
 /// Quantile borders for one feature from its `total_cmp`-sorted value
 /// column — the exact computation `ObliviousBoost` has always used,
-/// factored out so the plan cache and the direct path share one body.
+/// factored out so every binning path shares one body.
 pub(crate) fn borders_from_sorted_column(mut col: Vec<f64>, border_count: usize) -> Vec<f64> {
     col.dedup();
     if col.len() <= 1 {
@@ -224,9 +170,10 @@ pub struct BinnedDataset {
 }
 
 impl BinnedDataset {
-    /// Computes borders and bins directly from a matrix (the uncached
-    /// path). One feature per parallel work item, matching the historical
-    /// `ObliviousBoost` passes.
+    /// Computes borders and bins directly from a matrix — the one binning
+    /// body, memoized per border count by [`FitPlan::binned`]. One feature
+    /// per parallel work item, matching the historical `ObliviousBoost`
+    /// passes.
     pub fn compute(x: &Matrix, border_count: usize) -> Result<BinnedDataset> {
         validate_border_count(border_count)?;
         let features: Vec<usize> = (0..x.cols()).collect();
@@ -246,24 +193,19 @@ impl BinnedDataset {
 // FitPlan
 // ---------------------------------------------------------------------------
 
-/// The per-dataset fit plan: exact sorted-column blocks plus lazily cached
-/// binned datasets and standardized designs (see the module docs).
+/// The per-dataset fit plan: lazily memoized binned datasets and
+/// standardized designs (see the module docs).
 ///
 /// Build one per training matrix with [`FitPlan::build`] and hand it to
 /// [`crate::Regressor::fit_with_plan`]; consumers verify the plan actually
 /// describes the matrix they were given (via a dimensions + content
-/// fingerprint check) and fall back to their uncached path otherwise, so a
-/// stale plan can never corrupt a fit.
+/// fingerprint check) and fall back to their plan-free path otherwise, so
+/// a stale plan can never corrupt a fit.
 #[derive(Debug)]
 pub struct FitPlan {
     n_rows: usize,
     n_cols: usize,
     fingerprint: u64,
-    /// Per-feature row indices in ascending `total_cmp` value order
-    /// (stable: ties keep ascending row order).
-    sorted_rows: Vec<Vec<u32>>,
-    /// Per-feature feature values aligned with `sorted_rows`.
-    sorted_vals: Vec<Vec<f64>>,
     /// Binned datasets keyed by border count, built on first use.
     binned: Mutex<BTreeMap<usize, Arc<BinnedDataset>>>,
     /// Standardized design, built on first use.
@@ -289,50 +231,18 @@ fn fingerprint_of(x: &Matrix) -> u64 {
 }
 
 impl FitPlan {
-    /// Builds the plan for `x`: one stable `total_cmp` sort per feature, in
-    /// parallel across features (the per-feature outputs are independent,
-    /// so the plan is bit-identical at any thread count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has more than `u32::MAX` rows (row indices are stored
-    /// as `u32`; the paper's datasets are ~156 rows).
+    /// Builds the plan for `x`: records its shape and content fingerprint;
+    /// every artifact is computed on first request.
     pub fn build(x: &Matrix) -> FitPlan {
-        assert!(
-            x.rows() <= u32::MAX as usize,
-            "fit plan supports at most u32::MAX rows"
-        );
         let _span = vmin_trace::span("models.fitplan.plan");
         vmin_trace::counter_add("models.fitplan.build", 1);
-        let n = x.rows();
-        let features: Vec<usize> = (0..x.cols()).collect();
-        let per_feature: Vec<(Vec<u32>, Vec<f64>)> =
-            vmin_par::par_map(&features, PAR_MIN_FEATURES, |_, &j| {
-                let mut idx: Vec<u32> = (0..n as u32).collect();
-                idx.sort_by(|&a, &b| x[(a as usize, j)].total_cmp(&x[(b as usize, j)]));
-                let vals: Vec<f64> = idx.iter().map(|&i| x[(i as usize, j)]).collect();
-                (idx, vals)
-            });
-        let (sorted_rows, sorted_vals) = per_feature.into_iter().unzip();
         FitPlan {
-            n_rows: n,
+            n_rows: x.rows(),
             n_cols: x.cols(),
             fingerprint: fingerprint_of(x),
-            sorted_rows,
-            sorted_vals,
             binned: Mutex::new(BTreeMap::new()),
             standardized: Mutex::new(None),
         }
-    }
-
-    /// Number of rows the plan was built for.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of feature columns the plan was built for.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
     }
 
     /// Whether this plan describes `x` (dimensions plus a full content
@@ -342,16 +252,14 @@ impl FitPlan {
         self.n_rows == x.rows() && self.n_cols == x.cols() && self.fingerprint == fingerprint_of(x)
     }
 
-    /// The binned dataset for `border_count`, built on first request from
-    /// the plan's sorted columns (exactly equal to sorting each raw column)
-    /// and cached for reuse across the quantile pair and folds. `x` must be
-    /// the matrix the plan was built from.
+    /// The binned dataset for `border_count`, built on first request by
+    /// [`BinnedDataset::compute`] and cached for reuse across the quantile
+    /// pair and folds. `x` must be the matrix the plan was built from.
     ///
     /// # Errors
     ///
     /// [`ModelError::InvalidInput`] on an invalid border count.
     pub fn binned(&self, x: &Matrix, border_count: usize) -> Result<Arc<BinnedDataset>> {
-        validate_border_count(border_count)?;
         // Build-vs-hit is decided under the lock, so the counters are
         // deterministic even when the CQR pair races to the same entry.
         let mut cache = self.binned.lock().unwrap_or_else(PoisonError::into_inner);
@@ -359,17 +267,7 @@ impl FitPlan {
             vmin_trace::counter_add("models.fitplan.reuse", 1);
             return Ok(Arc::clone(hit));
         }
-        let features: Vec<usize> = (0..self.n_cols).collect();
-        let borders = vmin_par::par_map(&features, PAR_MIN_FEATURES, |_, &j| {
-            // `sorted_vals[j]` is the stably `total_cmp`-sorted column —
-            // bitwise the sequence `ObliviousBoost` produced by sorting the
-            // raw column — so the border math is shared verbatim.
-            borders_from_sorted_column(self.sorted_vals[j].clone(), border_count)
-        });
-        let bin_of = vmin_par::par_map(&features, PAR_MIN_FEATURES, |_, &feature| {
-            bins_for_feature(x, feature, &borders[feature])
-        });
-        let built = Arc::new(BinnedDataset { borders, bin_of });
+        let built = Arc::new(BinnedDataset::compute(x, border_count)?);
         cache.insert(border_count, Arc::clone(&built));
         Ok(built)
     }
@@ -392,67 +290,6 @@ impl FitPlan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tree scratch (round-level reuse)
-// ---------------------------------------------------------------------------
-
-/// Reusable working memory for plan-backed tree fits: flattened per-feature
-/// segment arrays that start as copies of the plan's sorted blocks and are
-/// stably partitioned in place as the tree grows, plus side/partition
-/// buffers. One scratch serves every boosting round of a fit — rounds after
-/// the first recycle the allocations (`models.fitplan.scratch_reuse`).
-#[derive(Debug)]
-pub struct TreeScratch {
-    /// Flattened per-feature row indices, `d × n`: feature `f`'s segment
-    /// occupies `[f·n, (f+1)·n)`, in ascending value order per node range.
-    pub(crate) idx: Vec<u32>,
-    /// Feature values aligned with `idx`.
-    pub(crate) vals: Vec<f64>,
-    /// Per-node row segments in ascending row order (the seed's `rows`
-    /// lists, flattened): node `[lo, hi)` owns `rows[lo..hi]`.
-    pub(crate) rows: Vec<u32>,
-    /// Current split's side flag per row id (`true` = left child).
-    pub(crate) side: Vec<bool>,
-    /// Stable-partition spill buffer for indices.
-    pub(crate) tmp_idx: Vec<u32>,
-    /// Stable-partition spill buffer for values.
-    pub(crate) tmp_vals: Vec<f64>,
-}
-
-impl TreeScratch {
-    /// Allocates scratch sized for `plan`.
-    pub fn for_plan(plan: &FitPlan) -> TreeScratch {
-        let n = plan.n_rows;
-        let d = plan.n_cols;
-        TreeScratch {
-            idx: vec![0; d * n],
-            vals: vec![0.0; d * n],
-            rows: vec![0; n],
-            side: vec![false; n],
-            tmp_idx: vec![0; n],
-            tmp_vals: vec![0.0; n],
-        }
-    }
-
-    /// Re-initializes the segment arrays from the plan's immutable sorted
-    /// blocks (gradients change per round; the value order does not).
-    pub(crate) fn reset_from(&mut self, plan: &FitPlan) {
-        let n = plan.n_rows;
-        for (f, (idx, vals)) in plan
-            .sorted_rows
-            .iter()
-            .zip(plan.sorted_vals.iter())
-            .enumerate()
-        {
-            self.idx[f * n..(f + 1) * n].copy_from_slice(idx);
-            self.vals[f * n..(f + 1) * n].copy_from_slice(vals);
-        }
-        for (i, r) in self.rows.iter_mut().enumerate() {
-            *r = i as u32;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,18 +302,6 @@ mod tests {
             vec![1.0, 4.0],
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn sorted_blocks_are_stable_total_cmp_order() {
-        let x = toy_matrix();
-        let plan = FitPlan::build(&x);
-        // Feature 0: values 3,1,2,1 → rows 1,3 (tie, ascending), 2, 0.
-        assert_eq!(plan.sorted_rows[0], vec![1, 3, 2, 0]);
-        assert_eq!(plan.sorted_vals[0], vec![1.0, 1.0, 2.0, 3.0]);
-        // Feature 1: values 1,1,5,4 → rows 0,1 (tie), 3, 2.
-        assert_eq!(plan.sorted_rows[1], vec![0, 1, 3, 2]);
-        assert_eq!(plan.sorted_vals[1], vec![1.0, 1.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -525,37 +350,6 @@ mod tests {
         let cached = plan.standardized(&x);
         assert_eq!(*cached, direct);
         assert!(Arc::ptr_eq(&cached, &plan.standardized(&x)));
-    }
-
-    #[test]
-    fn scratch_reset_restores_plan_order() {
-        let x = toy_matrix();
-        let plan = FitPlan::build(&x);
-        let mut scratch = TreeScratch::for_plan(&plan);
-        scratch.reset_from(&plan);
-        assert_eq!(&scratch.idx[0..4], &[1, 3, 2, 0]);
-        assert_eq!(&scratch.vals[4..8], &[1.0, 1.0, 4.0, 5.0]);
-        assert_eq!(scratch.rows, vec![0, 1, 2, 3]);
-        // Scramble, then reset again: the copy must restore everything.
-        scratch.idx.iter_mut().for_each(|v| *v = 99);
-        scratch.reset_from(&plan);
-        assert_eq!(&scratch.idx[0..4], &[1, 3, 2, 0]);
-    }
-
-    #[test]
-    fn flag_toggles_and_restores() {
-        with_fit_cache(false, || {
-            assert!(!fit_cache_enabled());
-            with_fit_cache_inner_check();
-        });
-    }
-
-    fn with_fit_cache_inner_check() {
-        // Direct set/restore round-trip (within the outer lock).
-        let prev = set_fit_cache_enabled(true);
-        assert!(fit_cache_enabled());
-        set_fit_cache_enabled(prev);
-        assert!(!fit_cache_enabled());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! pinball loss, so the same booster serves "XGBoost" point prediction and
 //! "QR XGBoost" quantile regression.
 
-use crate::fitplan::{fit_cache_enabled, BinnedDataset, FitPlan, TreeScratch};
+use crate::fitplan::{BinnedDataset, FitPlan};
 use crate::hist::{HistBinned, RoundMemo};
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use crate::tree::{GradientTree, TreeParams};
@@ -118,15 +118,15 @@ impl GradientBoost {
         &self.trees
     }
 
-    /// The shared boosting loop; `plan` selects the plan-backed tree path.
+    /// The shared boosting loop; `plan`, when given, memoizes the histogram
+    /// path's bin table (byte-identical to computing it directly).
     ///
-    /// Both paths produce byte-identical boosters: the planned tree fit is
-    /// exact (see [`GradientTree::fit_with_plan`]) and is only taken when
-    /// every round trains on the full ascending row set (`subsample = 1.0`);
-    /// subsampled rounds need per-round row lists and keep the seed path
-    /// with an unchanged RNG stream. On the histogram path, pinball rounds
-    /// whose gradient class repeats an earlier round's reuse that round's
-    /// tree (the round memo, DESIGN.md §12).
+    /// Two tree builders: the histogram builder when histograms are on and
+    /// every round trains on the full row set (`subsample = 1.0`), the
+    /// exact seed builder otherwise — subsampled rounds need per-round row
+    /// lists and keep an unchanged RNG stream. On the histogram path,
+    /// pinball rounds whose gradient class repeats an earlier round's
+    /// reuse that round's tree (the round memo, DESIGN.md §12).
     fn fit_inner(&mut self, x: &Matrix, y: &[f64], plan: Option<&FitPlan>) -> Result<()> {
         validate_training(x, y)?;
         self.loss.validate()?;
@@ -145,12 +145,11 @@ impl GradientBoost {
         let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed);
 
         // Histogram path (PR 7): one bin table serves every round's tree.
-        // Gated on the same full-row-set condition as the plan path but
-        // *independent* of the fit-plan flag — with the cache off the bins
-        // are computed directly by the identical `fitplan` helpers, so the
-        // `VMIN_FITPLAN` toggle stays behavior-invisible under histograms.
-        // Boundaries are capped by the row count (`gbt_border_cap`): with
-        // fewer rows than bins the per-bin sweeps cost more than they save.
+        // Without a plan the bins are computed directly by the same
+        // `BinnedDataset::compute` the plan memoizes, so the plan is
+        // behavior-invisible. Boundaries are capped by the row count
+        // (`gbt_border_cap`): with fewer rows than bins the per-bin sweeps
+        // cost more than they save.
         let hist_binned: Option<HistBinned> = if crate::hist::hist_enabled()
             && self.params.subsample >= 1.0
             && n <= u32::MAX as usize
@@ -166,13 +165,6 @@ impl GradientBoost {
         };
         // Node histograms recycle across nodes and rounds through this pool.
         let mut hist_pool: Vec<Vec<crate::hist::FeatHist>> = Vec::new();
-        // One scratch serves every planned round; reused rounds are counted.
-        let mut planned: Option<(&FitPlan, TreeScratch)> = match plan {
-            Some(p) if self.params.subsample >= 1.0 && hist_binned.is_none() => {
-                Some((p, TreeScratch::for_plan(p)))
-            }
-            _ => None,
-        };
         // Subsample row buffer, reused across rounds (`clone_from` restores
         // the ascending order the seed's per-round `all_rows.clone()` had,
         // so the shuffle consumes the identical RNG stream).
@@ -189,7 +181,7 @@ impl GradientBoost {
         // element-independent, so they parallelize bit-exactly.
         let loss = self.loss;
         let lr = self.params.learning_rate;
-        for round in 0..self.params.n_rounds {
+        for _ in 0..self.params.n_rounds {
             vmin_par::par_chunks_mut(&mut grad, ROUND_ROW_BLOCK, 2, |bi, chunk| {
                 let i0 = bi * ROUND_ROW_BLOCK;
                 for (di, g) in chunk.iter_mut().enumerate() {
@@ -217,11 +209,6 @@ impl GradientBoost {
                     }
                     GradientTree::fit_hist(x, &grad, &hess, &self.params.tree, hb, &mut hist_pool)
                 }
-            } else if let Some((p, scratch)) = planned.as_mut() {
-                if round > 0 {
-                    vmin_trace::counter_add("models.fitplan.scratch_reuse", 1);
-                }
-                GradientTree::fit_with_plan(x, &grad, &hess, &self.params.tree, p, scratch)
             } else {
                 let rows: &[usize] = if self.params.subsample < 1.0 {
                     let take = ((self.params.subsample * n as f64).round() as usize).max(2);
@@ -249,22 +236,11 @@ impl GradientBoost {
 
 impl Regressor for GradientBoost {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        if fit_cache_enabled()
-            && self.params.subsample >= 1.0
-            && x.rows() > 0
-            && x.rows() <= u32::MAX as usize
-        {
-            // No external plan: build a private one so even a standalone fit
-            // gets the O(n)-per-node split search and scratch reuse.
-            let plan = FitPlan::build(x);
-            self.fit_inner(x, y, Some(&plan))
-        } else {
-            self.fit_inner(x, y, None)
-        }
+        self.fit_inner(x, y, None)
     }
 
     fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if fit_cache_enabled() && self.params.subsample >= 1.0 && plan.matches(x) {
+        if self.params.subsample >= 1.0 && plan.matches(x) {
             vmin_trace::counter_add("models.fitplan.reuse", 1);
             self.fit_inner(x, y, Some(plan))
         } else {
@@ -427,35 +403,33 @@ mod tests {
     }
 
     #[test]
-    fn planned_fit_is_bit_identical_to_uncached() {
+    fn planned_fit_is_bit_identical_to_plain_fit() {
         let (x, y) = friedman_like(150, 10);
-        for loss in [Loss::Squared, Loss::Pinball(0.9)] {
-            let fit_at = |cache_on: bool| {
-                crate::fitplan::with_fit_cache(cache_on, || {
-                    let mut m = GradientBoost::new(loss);
-                    m.fit(&x, &y).unwrap();
-                    m
-                })
-            };
-            let cached = fit_at(true);
-            let uncached = fit_at(false);
-            assert_eq!(cached.trees, uncached.trees, "loss {loss:?}");
-            assert_eq!(cached.predict(&x).unwrap(), uncached.predict(&x).unwrap());
+        for hist_on in [false, true] {
+            for loss in [Loss::Squared, Loss::Pinball(0.9)] {
+                let (planned, plain) = crate::hist::with_histograms(hist_on, || {
+                    let mut planned = GradientBoost::new(loss);
+                    planned.fit_with_plan(&x, &y, &FitPlan::build(&x)).unwrap();
+                    let mut plain = GradientBoost::new(loss);
+                    plain.fit(&x, &y).unwrap();
+                    (planned, plain)
+                });
+                assert_eq!(planned.trees, plain.trees, "hist {hist_on}, loss {loss:?}");
+                assert_eq!(planned.predict(&x).unwrap(), plain.predict(&x).unwrap());
+            }
         }
     }
 
     #[test]
-    fn external_plan_matches_private_plan_and_stale_plan_falls_back() {
+    fn stale_plan_falls_back_to_plain_fit() {
         let (x, y) = friedman_like(120, 11);
         let (x2, _) = friedman_like(120, 12);
         let plan = FitPlan::build(&x);
-        crate::fitplan::with_fit_cache(true, || {
-            let mut shared = GradientBoost::new(Loss::Squared);
-            shared.fit_with_plan(&x, &y, &plan).unwrap();
-            let mut private = GradientBoost::new(Loss::Squared);
-            private.fit(&x, &y).unwrap();
-            assert_eq!(shared.trees, private.trees);
-            // A plan for different data must not corrupt the fit.
+        crate::hist::with_histograms(true, || {
+            // The first fit fills the plan's bin memo for `x`; a plan for
+            // different data must then not leak those bins into a fit.
+            let mut fresh = GradientBoost::new(Loss::Squared);
+            fresh.fit_with_plan(&x, &y, &plan).unwrap();
             let mut stale = GradientBoost::new(Loss::Squared);
             stale.fit_with_plan(&x2, &y, &plan).unwrap();
             let mut direct = GradientBoost::new(Loss::Squared);
@@ -472,15 +446,11 @@ mod tests {
             seed: 3,
             ..GradientBoostParams::default()
         };
-        let plan = FitPlan::build(&x);
-        let fit_at = |cache_on: bool| {
-            crate::fitplan::with_fit_cache(cache_on, || {
-                let mut m = GradientBoost::with_params(Loss::Squared, params);
-                m.fit_with_plan(&x, &y, &plan).unwrap();
-                m
-            })
-        };
-        assert_eq!(fit_at(true).trees, fit_at(false).trees);
+        let mut planned = GradientBoost::with_params(Loss::Squared, params);
+        planned.fit_with_plan(&x, &y, &FitPlan::build(&x)).unwrap();
+        let mut plain = GradientBoost::with_params(Loss::Squared, params);
+        plain.fit(&x, &y).unwrap();
+        assert_eq!(planned.trees, plain.trees);
     }
 
     #[test]

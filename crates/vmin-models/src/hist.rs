@@ -34,8 +34,7 @@
 //!   *not* bit-identical to the exact scan (different summation shapes);
 //!   the interval-quality tests bound the statistical gap instead.
 //! - **Kill switch.** `VMIN_HIST=0` (or [`with_histograms`]) falls back
-//!   to the untouched exact scans, byte-for-byte the seed behavior,
-//!   mirroring the `VMIN_FITPLAN` pattern.
+//!   to the untouched exact scans, byte-for-byte the seed behavior.
 //! - **Round memo.** Pinball rounds whose gradient class repeats an
 //!   earlier round's reuse what that round built ([`RoundMemo`]): the GBT
 //!   booster pushes a clone of the stored tree, the oblivious booster
@@ -62,7 +61,7 @@ use vmin_linalg::Matrix;
 pub(crate) const PAR_MIN_FEATURES: usize = 8;
 
 // ---------------------------------------------------------------------------
-// Global histogram flag (mirrors the VMIN_FITPLAN trio in fitplan.rs)
+// Global histogram flag
 // ---------------------------------------------------------------------------
 
 static HIST_FLAG: OnceLock<AtomicBool> = OnceLock::new();
@@ -122,7 +121,7 @@ pub(crate) fn bit_reverse(i: usize, bits: usize) -> usize {
 /// Candidate-boundary cap for the GBT histogram path. Histograms only pay
 /// off when several rows share a bin: with fewer rows than bins, every
 /// sweep, sibling subtraction, and scratch clear walks slots that mostly
-/// hold a single row, costing *more* than the exact sorted-column scan.
+/// hold a single row, costing *more* than the exact sorted scan.
 /// Capping boundaries at ~`n/4` (clamped to `[31, MAX_BORDER_COUNT]`)
 /// keeps ≥ ~4 rows per root bin. A pure function of the row count — never
 /// of thread count or fit-plan state — so the binned model stays its own

@@ -55,8 +55,8 @@ mod tree;
 pub use ard::{ArdGp, ArdKernel};
 pub use ensemble::Ensemble;
 pub use fitplan::{
-    fit_cache_enabled, set_fit_cache_enabled, standardize_design, validate_border_count,
-    with_fit_cache, BinnedDataset, FitPlan, StandardizedDesign, TreeScratch, MAX_BORDER_COUNT,
+    standardize_design, validate_border_count, BinnedDataset, FitPlan, StandardizedDesign,
+    MAX_BORDER_COUNT,
 };
 pub use gbt::{GradientBoost, GradientBoostParams};
 pub use gp::{GaussianProcess, RbfKernel};

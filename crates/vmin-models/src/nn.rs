@@ -6,7 +6,7 @@
 //! Supports both MSE and pinball loss, so it serves as both the "NN" point
 //! predictor of Fig. 2 and the "QR Neural Network" of Table III.
 
-use crate::fitplan::{fit_cache_enabled, standardize_design, FitPlan, StandardizedDesign};
+use crate::fitplan::{standardize_design, FitPlan, StandardizedDesign};
 use crate::optimizer::Adam;
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use vmin_linalg::Matrix;
@@ -208,7 +208,7 @@ impl Regressor for NeuralNet {
     }
 
     fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if fit_cache_enabled() && plan.matches(x) {
+        if plan.matches(x) {
             validate_training(x, y)?;
             self.loss.validate()?;
             let design = plan.standardized(x);
@@ -349,15 +349,13 @@ mod tests {
     fn planned_fit_is_bit_identical_to_direct() {
         let (x, y) = quadratic_data(60);
         let plan = FitPlan::build(&x);
-        crate::fitplan::with_fit_cache(true, || {
-            let mut planned = NeuralNet::with_params(Loss::Pinball(0.9), fast_params(3));
-            planned.fit_with_plan(&x, &y, &plan).unwrap();
-            let mut direct = NeuralNet::with_params(Loss::Pinball(0.9), fast_params(3));
-            direct.fit(&x, &y).unwrap();
-            assert_eq!(planned.weights, direct.weights);
-            assert_eq!(planned.feat_means, direct.feat_means);
-            assert_eq!(planned.feat_scales, direct.feat_scales);
-        });
+        let mut planned = NeuralNet::with_params(Loss::Pinball(0.9), fast_params(3));
+        planned.fit_with_plan(&x, &y, &plan).unwrap();
+        let mut direct = NeuralNet::with_params(Loss::Pinball(0.9), fast_params(3));
+        direct.fit(&x, &y).unwrap();
+        assert_eq!(planned.weights, direct.weights);
+        assert_eq!(planned.feat_means, direct.feat_means);
+        assert_eq!(planned.feat_scales, direct.feat_scales);
     }
 
     #[test]

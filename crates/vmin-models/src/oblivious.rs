@@ -9,7 +9,7 @@
 //! The paper reduces CatBoost's tree count from 1000 to 100 for its
 //! 156-chip dataset (§IV-C3); that is the default here too.
 
-use crate::fitplan::{fit_cache_enabled, validate_border_count, BinnedDataset, FitPlan};
+use crate::fitplan::{validate_border_count, BinnedDataset, FitPlan};
 use crate::hist::RoundMemo;
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use vmin_linalg::Matrix;
@@ -495,7 +495,7 @@ impl Regressor for ObliviousBoost {
     }
 
     fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if fit_cache_enabled() && plan.matches(x) {
+        if plan.matches(x) {
             self.validate(x, y)?;
             vmin_trace::counter_add("models.fitplan.reuse", 1);
             let binned = plan.binned(x, self.params.border_count)?;
@@ -671,21 +671,16 @@ mod tests {
     }
 
     #[test]
-    fn planned_fit_is_bit_identical_to_uncached() {
+    fn planned_fit_is_bit_identical_to_plain_fit() {
         let (x, y) = data(180, 11);
         for loss in [Loss::Squared, Loss::Pinball(0.95)] {
             let plan = crate::fitplan::FitPlan::build(&x);
-            let fit_at = |cache_on: bool| {
-                crate::fitplan::with_fit_cache(cache_on, || {
-                    let mut m = ObliviousBoost::new(loss);
-                    m.fit_with_plan(&x, &y, &plan).unwrap();
-                    m
-                })
-            };
-            let cached = fit_at(true);
-            let uncached = fit_at(false);
-            assert_eq!(cached.trees, uncached.trees, "loss {loss:?}");
-            assert_eq!(cached.base_score, uncached.base_score);
+            let mut planned = ObliviousBoost::new(loss);
+            planned.fit_with_plan(&x, &y, &plan).unwrap();
+            let mut plain = ObliviousBoost::new(loss);
+            plain.fit(&x, &y).unwrap();
+            assert_eq!(planned.trees, plain.trees, "loss {loss:?}");
+            assert_eq!(planned.base_score, plain.base_score);
         }
     }
 
@@ -694,13 +689,15 @@ mod tests {
         let (x, y) = data(80, 12);
         let (x_other, _) = data(80, 13);
         let plan = crate::fitplan::FitPlan::build(&x_other);
-        crate::fitplan::with_fit_cache(true, || {
-            let mut via_plan = ObliviousBoost::new(Loss::Squared);
-            via_plan.fit_with_plan(&x, &y, &plan).unwrap();
-            let mut direct = ObliviousBoost::new(Loss::Squared);
-            direct.fit(&x, &y).unwrap();
-            assert_eq!(via_plan.trees, direct.trees);
-        });
+        // Fill the plan's bin memo for `x_other` first, so a fit that
+        // trusted the stale plan would train on the wrong bins.
+        let mut other = ObliviousBoost::new(Loss::Squared);
+        other.fit_with_plan(&x_other, &y, &plan).unwrap();
+        let mut via_plan = ObliviousBoost::new(Loss::Squared);
+        via_plan.fit_with_plan(&x, &y, &plan).unwrap();
+        let mut direct = ObliviousBoost::new(Loss::Squared);
+        direct.fit(&x, &y).unwrap();
+        assert_eq!(via_plan.trees, direct.trees);
     }
 
     #[test]

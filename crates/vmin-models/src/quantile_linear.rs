@@ -4,7 +4,7 @@
 //! class as OLS, trained on the pinball loss (Eq. 5) so that it estimates a
 //! conditional quantile instead of the conditional mean.
 
-use crate::fitplan::{fit_cache_enabled, standardize_design, FitPlan, StandardizedDesign};
+use crate::fitplan::{standardize_design, FitPlan, StandardizedDesign};
 use crate::optimizer::Adam;
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use std::sync::Arc;
@@ -123,7 +123,7 @@ impl Regressor for QuantileLinear {
     }
 
     fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if fit_cache_enabled() && plan.matches(x) {
+        if plan.matches(x) {
             validate_training(x, y)?;
             Loss::Pinball(self.quantile).validate()?;
             let design: Arc<StandardizedDesign> = plan.standardized(x);
@@ -262,12 +262,10 @@ mod tests {
     fn planned_fit_is_bit_identical_to_direct() {
         let (x, y) = hetero_data(120, 7);
         let plan = FitPlan::build(&x);
-        crate::fitplan::with_fit_cache(true, || {
-            let mut planned = QuantileLinear::new(0.9);
-            planned.fit_with_plan(&x, &y, &plan).unwrap();
-            let mut direct = QuantileLinear::new(0.9);
-            direct.fit(&x, &y).unwrap();
-            assert_eq!(planned, direct);
-        });
+        let mut planned = QuantileLinear::new(0.9);
+        planned.fit_with_plan(&x, &y, &plan).unwrap();
+        let mut direct = QuantileLinear::new(0.9);
+        direct.fit(&x, &y).unwrap();
+        assert_eq!(planned, direct);
     }
 }

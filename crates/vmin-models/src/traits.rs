@@ -174,9 +174,8 @@ pub trait Regressor: fmt::Debug + Send + Sync {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()>;
 
     /// Fits the model on `x` and `y`, reusing the shared [`FitPlan`] built
-    /// for `x` where the model can (sorted-column blocks for boosted trees,
-    /// binned datasets for oblivious trees, standardized designs for
-    /// standardizing models). The contract is **exactness**: the fitted
+    /// for `x` where the model can (binned datasets for the boosters,
+    /// standardized designs for standardizing models). The contract is **exactness**: the fitted
     /// model must be byte-identical to [`Regressor::fit`] on the same data.
     /// Models that cannot use a plan — and every model handed a plan that
     /// does not describe `x` — fall back to `fit`.

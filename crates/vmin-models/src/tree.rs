@@ -11,7 +11,6 @@
 //!
 //! and the leaf weight is the Newton step `w = −G/(H+λ)`.
 
-use crate::fitplan::{FitPlan, TreeScratch};
 use crate::hist::{best_boundary_gbt, subtract_sibling, FeatHist, HistBinned};
 use vmin_linalg::Matrix;
 
@@ -109,53 +108,6 @@ impl GradientTree {
         vmin_trace::counter_add("models.tree.fits", 1);
         let mut nodes = Vec::new();
         build(x, grad, hess, rows, params, 0, &mut nodes);
-        vmin_trace::counter_add("models.tree.nodes", nodes.len() as u64);
-        GradientTree { nodes }
-    }
-
-    /// Fits a tree over **all** rows of `x` using the plan's pre-sorted
-    /// column blocks: each node filters its cached sorted segment (O(n) per
-    /// node-feature) instead of re-sorting (O(n log n)).
-    ///
-    /// **Exactness:** byte-identical to [`GradientTree::fit`] with
-    /// `rows = [0, 1, …, n−1]`. The segments start as the full stable
-    /// `total_cmp` sorts and are only ever stably partitioned, so every
-    /// node's segment equals the stable sort of that node's ascending row
-    /// list — including tie order — and the boundary scan replays the same
-    /// floating-point operations in the same order. Node aggregates
-    /// (`g_sum`/`h_sum`) are summed in ascending row order, exactly like
-    /// the seed path.
-    ///
-    /// `scratch` must come from [`TreeScratch::for_plan`] for this `plan`;
-    /// it is reset here and may be reused across calls (boosting rounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad`/`hess` lengths differ from `x.rows()`, `x` is
-    /// empty, or `plan` was built for different dimensions.
-    pub fn fit_with_plan(
-        x: &Matrix,
-        grad: &[f64],
-        hess: &[f64],
-        params: &TreeParams,
-        plan: &FitPlan,
-        scratch: &mut TreeScratch,
-    ) -> Self {
-        assert_eq!(x.rows(), grad.len(), "tree: grad length mismatch");
-        assert_eq!(x.rows(), hess.len(), "tree: hess length mismatch");
-        assert!(x.rows() > 0, "tree: empty sample subset");
-        assert!(
-            plan.n_rows() == x.rows() && plan.n_cols() == x.cols(),
-            "tree: fit plan shape mismatch ({}x{} plan vs {}x{} matrix)",
-            plan.n_rows(),
-            plan.n_cols(),
-            x.rows(),
-            x.cols()
-        );
-        vmin_trace::counter_add("models.tree.fits", 1);
-        scratch.reset_from(plan);
-        let mut nodes = Vec::new();
-        build_planned(x, grad, hess, params, 0, 0, x.rows(), scratch, &mut nodes);
         vmin_trace::counter_add("models.tree.nodes", nodes.len() as u64);
         GradientTree { nodes }
     }
@@ -330,209 +282,6 @@ fn best_split_for_feature(
         }
     }
     best
-}
-
-/// [`best_split_for_feature`] over a cached sorted segment: same
-/// accumulation order, same boundary rule (`v_next <= v` skip, NaN
-/// semantics included), same strict `>` against the 0.0 floor — only the
-/// per-node sort is gone.
-#[allow(clippy::too_many_arguments)]
-fn best_split_for_feature_planned(
-    grad: &[f64],
-    hess: &[f64],
-    seg_idx: &[u32],
-    seg_vals: &[f64],
-    params: &TreeParams,
-    g_sum: f64,
-    h_sum: f64,
-    parent_score: f64,
-    feature: usize,
-) -> Option<(f64, usize, f64)> {
-    let mut best: Option<(f64, usize, f64)> = None;
-    let mut gl = 0.0;
-    let mut hl = 0.0;
-    for w in 0..seg_idx.len() - 1 {
-        let i = seg_idx[w] as usize;
-        gl += grad[i];
-        hl += hess[i];
-        let v = seg_vals[w];
-        let v_next = seg_vals[w + 1];
-        if v_next <= v {
-            continue; // no boundary between identical values
-        }
-        let gr = g_sum - gl;
-        let hr = h_sum - hl;
-        if hl < params.min_child_weight || hr < params.min_child_weight {
-            continue;
-        }
-        let gain = 0.5
-            * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score)
-            - params.gamma;
-        if gain > best.map_or(0.0, |(g, _, _)| g) {
-            best = Some((gain, feature, 0.5 * (v + v_next)));
-        }
-    }
-    best
-}
-
-/// Stably partitions a row segment in place: rows with `side[row] == true`
-/// first, relative order preserved on both sides.
-fn stable_partition_rows(seg: &mut [u32], side: &[bool], tmp: &mut [u32]) {
-    let mut write = 0usize;
-    let mut spill = 0usize;
-    for r in 0..seg.len() {
-        let i = seg[r];
-        if side[i as usize] {
-            seg[write] = i;
-            write += 1;
-        } else {
-            tmp[spill] = i;
-            spill += 1;
-        }
-    }
-    seg[write..].copy_from_slice(&tmp[..spill]);
-}
-
-/// Stably partitions one feature's (index, value) segment in lockstep.
-fn stable_partition_block(
-    seg_idx: &mut [u32],
-    seg_vals: &mut [f64],
-    side: &[bool],
-    tmp_idx: &mut [u32],
-    tmp_vals: &mut [f64],
-) {
-    let mut write = 0usize;
-    let mut spill = 0usize;
-    for r in 0..seg_idx.len() {
-        let i = seg_idx[r];
-        let v = seg_vals[r];
-        if side[i as usize] {
-            seg_idx[write] = i;
-            seg_vals[write] = v;
-            write += 1;
-        } else {
-            tmp_idx[spill] = i;
-            tmp_vals[spill] = v;
-            spill += 1;
-        }
-    }
-    seg_idx[write..].copy_from_slice(&tmp_idx[..spill]);
-    seg_vals[write..].copy_from_slice(&tmp_vals[..spill]);
-}
-
-/// [`build`] over plan-backed segments `[lo, hi)`; returns the new node's
-/// index. Mirrors the seed recursion exactly: same node push order, same
-/// counters, same parallel gating, same partition predicate.
-#[allow(clippy::too_many_arguments)]
-fn build_planned(
-    x: &Matrix,
-    grad: &[f64],
-    hess: &[f64],
-    params: &TreeParams,
-    depth: usize,
-    lo: usize,
-    hi: usize,
-    scratch: &mut TreeScratch,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    let n = x.rows();
-    // Ascending row order — the seed's summation order, not value order.
-    let g_sum: f64 = scratch.rows[lo..hi].iter().map(|&i| grad[i as usize]).sum();
-    let h_sum: f64 = scratch.rows[lo..hi].iter().map(|&i| hess[i as usize]).sum();
-    let make_leaf = |nodes: &mut Vec<Node>| {
-        let weight = -g_sum / (h_sum + params.lambda);
-        nodes.push(Node::Leaf { weight });
-        nodes.len() - 1
-    };
-    let n_node = hi - lo;
-
-    if depth >= params.max_depth || n_node < 2 {
-        return make_leaf(nodes);
-    }
-
-    let parent_score = g_sum * g_sum / (h_sum + params.lambda);
-    vmin_trace::counter_add("models.tree.split_scans", 1);
-    let features: Vec<usize> = (0..x.cols()).collect();
-    let min_feats = if n_node >= PAR_MIN_NODE_ROWS {
-        PAR_MIN_FEATURES
-    } else {
-        usize::MAX // tiny node: always serial
-    };
-    let idx = &scratch.idx;
-    let vals = &scratch.vals;
-    let per_feature = vmin_par::par_map(&features, min_feats, |_, &feature| {
-        let base = feature * n;
-        best_split_for_feature_planned(
-            grad,
-            hess,
-            &idx[base + lo..base + hi],
-            &vals[base + lo..base + hi],
-            params,
-            g_sum,
-            h_sum,
-            parent_score,
-            feature,
-        )
-    });
-    let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-    for cand in per_feature.into_iter().flatten() {
-        if cand.0 > best.map_or(0.0, |(g, _, _)| g) {
-            best = Some(cand);
-        }
-    }
-
-    match best {
-        None => make_leaf(nodes),
-        Some((_, feature, threshold)) => {
-            // The seed's partition predicate over the ascending row list; a
-            // stable partition of every sorted segment by the same side
-            // flags then reproduces each child's per-node stable sort,
-            // because filtering a stable sort *is* the stable sort of the
-            // filtered subsequence (ties keep ascending row order in both).
-            let mid = {
-                let TreeScratch {
-                    idx,
-                    vals,
-                    rows,
-                    side,
-                    tmp_idx,
-                    tmp_vals,
-                } = scratch;
-                let mut left_count = 0usize;
-                for &r in &rows[lo..hi] {
-                    let is_left = x[(r as usize, feature)] < threshold;
-                    side[r as usize] = is_left;
-                    if is_left {
-                        left_count += 1;
-                    }
-                }
-                stable_partition_rows(&mut rows[lo..hi], side, tmp_idx);
-                for f in 0..x.cols() {
-                    let base = f * n;
-                    stable_partition_block(
-                        &mut idx[base + lo..base + hi],
-                        &mut vals[base + lo..base + hi],
-                        side,
-                        tmp_idx,
-                        tmp_vals,
-                    );
-                }
-                lo + left_count
-            };
-            // Reserve this node's slot, then build children.
-            let my_idx = nodes.len();
-            nodes.push(Node::Leaf { weight: 0.0 }); // placeholder
-            let left = build_planned(x, grad, hess, params, depth + 1, lo, mid, scratch, nodes);
-            let right = build_planned(x, grad, hess, params, depth + 1, mid, hi, scratch, nodes);
-            nodes[my_idx] = Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            };
-            my_idx
-        }
-    }
 }
 
 /// Parallel gating for the histogram passes: per-feature work below
@@ -889,81 +638,5 @@ mod tests {
         // Fit only on rows {0, 1}: the outlier must not influence the tree.
         let tree = GradientTree::fit(&x, &g, &h, &[0, 1], &TreeParams::default());
         assert!(tree.predict_row(&[100.0]).abs() < 1e-9);
-    }
-
-    /// Pseudo-random matrix with deliberately coarse values so ties are
-    /// common — the regime where stable-partition exactness could break.
-    fn tie_heavy(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>, Vec<f64>) {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..d).map(|_| (next() % 7) as f64 * 0.5).collect())
-            .collect();
-        let g: Vec<f64> = (0..n)
-            .map(|_| (next() % 1000) as f64 / 100.0 - 5.0)
-            .collect();
-        let h: Vec<f64> = (0..n)
-            .map(|_| 0.5 + (next() % 100) as f64 / 100.0)
-            .collect();
-        (Matrix::from_rows(&rows).unwrap(), g, h)
-    }
-
-    #[test]
-    fn planned_tree_equals_naive_tree_exactly() {
-        for seed in 0..6u64 {
-            for (n, d) in [(7usize, 2usize), (40, 3), (160, 5)] {
-                let (x, g, h) = tie_heavy(n, d, seed);
-                let rows: Vec<usize> = (0..n).collect();
-                let naive = GradientTree::fit(&x, &g, &h, &rows, &TreeParams::default());
-                let plan = FitPlan::build(&x);
-                let mut scratch = TreeScratch::for_plan(&plan);
-                let planned = GradientTree::fit_with_plan(
-                    &x,
-                    &g,
-                    &h,
-                    &TreeParams::default(),
-                    &plan,
-                    &mut scratch,
-                );
-                assert_eq!(planned, naive, "seed {seed}, shape {n}x{d}");
-                // Scratch reuse across calls must stay exact too.
-                let again = GradientTree::fit_with_plan(
-                    &x,
-                    &g,
-                    &h,
-                    &TreeParams::default(),
-                    &plan,
-                    &mut scratch,
-                );
-                assert_eq!(again, naive, "scratch reuse, seed {seed}, shape {n}x{d}");
-            }
-        }
-    }
-
-    #[test]
-    fn planned_tree_matches_naive_on_nan_features() {
-        // NaN feature values sort last under total_cmp and never satisfy
-        // `v < threshold`; both paths must agree bit-for-bit regardless.
-        let x = Matrix::from_rows(&[
-            vec![0.0, f64::NAN],
-            vec![1.0, 2.0],
-            vec![f64::NAN, 1.0],
-            vec![3.0, f64::NAN],
-            vec![2.0, 0.0],
-        ])
-        .unwrap();
-        let (g, h) = grads_for(&[0.0, 1.0, 2.0, 3.0, 4.0]);
-        let rows: Vec<usize> = (0..5).collect();
-        let naive = GradientTree::fit(&x, &g, &h, &rows, &TreeParams::default());
-        let plan = FitPlan::build(&x);
-        let mut scratch = TreeScratch::for_plan(&plan);
-        let planned =
-            GradientTree::fit_with_plan(&x, &g, &h, &TreeParams::default(), &plan, &mut scratch);
-        assert_eq!(planned, naive);
     }
 }

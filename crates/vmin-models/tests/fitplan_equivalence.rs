@@ -1,16 +1,17 @@
-//! Exactness contract of the fit-plan cache: for every model that opts into
-//! plan-assisted fitting, training with the cache enabled must produce
-//! byte-identical predictions to training with it disabled — across seeds,
-//! matrix shapes, tie-heavy data, NaN features and thread counts. The cache
-//! is a pure time optimization; any drift here is a correctness bug, not a
-//! tolerance question.
+//! Exactness contract of the fit plan: for every model that opts into
+//! plan-assisted fitting, `fit_with_plan(&FitPlan::build(x))` must produce
+//! byte-identical predictions to a plain `fit` — across seeds, matrix
+//! shapes, tie-heavy data, NaN features and thread counts. The plan is a
+//! pure time optimization; any drift here is a correctness bug, not a
+//! tolerance question. GBT consumes a plan only on the histogram path, so
+//! its cases pin histograms on.
 //!
 //! Seeded in-tree randomness keeps the suite hermetic; `heavy-tests`
 //! multiplies the case counts.
 
 use vmin_linalg::Matrix;
 use vmin_models::{
-    with_fit_cache, FitPlan, GradientBoost, GradientBoostParams, Loss, NeuralNet, NeuralNetParams,
+    with_histograms, FitPlan, GradientBoost, GradientBoostParams, Loss, NeuralNet, NeuralNetParams,
     ObliviousBoost, ObliviousBoostParams, QuantileLinear, Regressor,
 };
 use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
@@ -68,56 +69,54 @@ fn pred_bits(model: &dyn Regressor, x: &Matrix) -> Vec<u64> {
         .collect()
 }
 
-/// Fit `make()` twice — cache off, then cache on — and demand bit-equal
-/// predictions on the training matrix.
-fn assert_cache_invariant<M, F>(make: F, x: &Matrix, y: &[f64], label: &str)
+/// Fit `make()` twice — plainly, then through a freshly built plan — and
+/// demand bit-equal predictions on the training matrix.
+fn assert_plan_invariant<M, F>(make: F, x: &Matrix, y: &[f64], label: &str)
 where
     M: Regressor,
     F: Fn() -> M,
 {
-    let uncached = with_fit_cache(false, || {
-        let mut m = make();
-        m.fit(x, y).expect("uncached fit");
-        m
-    });
-    let cached = with_fit_cache(true, || {
-        let mut m = make();
-        m.fit(x, y).expect("cached fit");
-        m
-    });
+    let mut plain = make();
+    plain.fit(x, y).expect("plain fit");
+    let mut planned = make();
+    planned
+        .fit_with_plan(x, y, &FitPlan::build(x))
+        .expect("planned fit");
     assert_eq!(
-        pred_bits(&uncached, x),
-        pred_bits(&cached, x),
-        "{label}: predictions diverged with the fit-plan cache on"
+        pred_bits(&plain, x),
+        pred_bits(&planned, x),
+        "{label}: predictions diverged with a fit plan"
     );
 }
 
 #[test]
-fn gbt_predictions_are_bit_identical_cache_on_and_off() {
-    for seed in seeds() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7_000 + seed);
-        for &(n, d) in &SHAPES {
-            for with_nan in [false, true] {
-                let (x, y) = gen_data(&mut rng, n, d, with_nan);
-                let params = GradientBoostParams {
-                    n_rounds: 25,
-                    ..GradientBoostParams::default()
-                };
-                assert_cache_invariant(
-                    || GradientBoost::with_params(Loss::Pinball(0.9), params),
-                    &x,
-                    &y,
-                    &format!("gbt seed={seed} n={n} d={d} nan={with_nan}"),
-                );
+fn gbt_predictions_are_bit_identical_with_and_without_plan() {
+    with_histograms(true, || {
+        for seed in seeds() {
+            let mut rng = ChaCha8Rng::seed_from_u64(7_000 + seed);
+            for &(n, d) in &SHAPES {
+                for with_nan in [false, true] {
+                    let (x, y) = gen_data(&mut rng, n, d, with_nan);
+                    let params = GradientBoostParams {
+                        n_rounds: 25,
+                        ..GradientBoostParams::default()
+                    };
+                    assert_plan_invariant(
+                        || GradientBoost::with_params(Loss::Pinball(0.9), params),
+                        &x,
+                        &y,
+                        &format!("gbt seed={seed} n={n} d={d} nan={with_nan}"),
+                    );
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
-fn subsampled_gbt_is_bit_identical_cache_on_and_off() {
-    // subsample < 1.0 must bypass the planned path entirely and still
-    // reproduce the seed RNG stream bit-for-bit.
+fn subsampled_gbt_is_bit_identical_with_and_without_plan() {
+    // subsample < 1.0 ignores the plan and must still reproduce the seed
+    // RNG stream bit-for-bit.
     for seed in seeds() {
         let mut rng = ChaCha8Rng::seed_from_u64(7_500 + seed);
         let (x, y) = gen_data(&mut rng, 60, 3, false);
@@ -126,7 +125,7 @@ fn subsampled_gbt_is_bit_identical_cache_on_and_off() {
             subsample: 0.7,
             ..GradientBoostParams::default()
         };
-        assert_cache_invariant(
+        assert_plan_invariant(
             || GradientBoost::with_params(Loss::Squared, params),
             &x,
             &y,
@@ -136,7 +135,7 @@ fn subsampled_gbt_is_bit_identical_cache_on_and_off() {
 }
 
 #[test]
-fn catboost_predictions_are_bit_identical_cache_on_and_off() {
+fn catboost_predictions_are_bit_identical_with_and_without_plan() {
     for seed in seeds() {
         let mut rng = ChaCha8Rng::seed_from_u64(8_000 + seed);
         for &(n, d) in &SHAPES {
@@ -145,7 +144,7 @@ fn catboost_predictions_are_bit_identical_cache_on_and_off() {
                 n_rounds: 20,
                 ..ObliviousBoostParams::default()
             };
-            assert_cache_invariant(
+            assert_plan_invariant(
                 || ObliviousBoost::with_params(Loss::Pinball(0.1), params),
                 &x,
                 &y,
@@ -156,11 +155,11 @@ fn catboost_predictions_are_bit_identical_cache_on_and_off() {
 }
 
 #[test]
-fn quantile_linear_and_nn_are_bit_identical_cache_on_and_off() {
+fn quantile_linear_and_nn_are_bit_identical_with_and_without_plan() {
     for seed in seeds() {
         let mut rng = ChaCha8Rng::seed_from_u64(9_000 + seed);
         let (x, y) = gen_data(&mut rng, 40, 4, false);
-        assert_cache_invariant(
+        assert_plan_invariant(
             || QuantileLinear::new(0.95),
             &x,
             &y,
@@ -170,7 +169,7 @@ fn quantile_linear_and_nn_are_bit_identical_cache_on_and_off() {
             epochs: 30,
             ..NeuralNetParams::default()
         };
-        assert_cache_invariant(
+        assert_plan_invariant(
             || NeuralNet::with_params(Loss::Pinball(0.5), params),
             &x,
             &y,
@@ -183,63 +182,59 @@ fn quantile_linear_and_nn_are_bit_identical_cache_on_and_off() {
 fn shared_external_plan_is_bit_identical_across_thread_counts() {
     // The acceptance matrix: one externally built plan, consumed via
     // `fit_with_plan`, at VMIN_THREADS ∈ {1, 2, 8} — all against the
-    // uncached single-thread reference.
+    // plain single-thread reference.
     let mut rng = ChaCha8Rng::seed_from_u64(10_101);
     let (x, y) = gen_data(&mut rng, 130, 5, true);
     let params = GradientBoostParams {
         n_rounds: 25,
         ..GradientBoostParams::default()
     };
-    let reference = vmin_par::with_threads(1, || {
-        with_fit_cache(false, || {
+    with_histograms(true, || {
+        let reference = vmin_par::with_threads(1, || {
             let mut m = GradientBoost::with_params(Loss::Pinball(0.9), params);
             m.fit(&x, &y).expect("reference fit");
             pred_bits(&m, &x)
-        })
-    });
-    for threads in [1usize, 2, 8] {
-        let got = vmin_par::with_threads(threads, || {
-            with_fit_cache(true, || {
+        });
+        for threads in [1usize, 2, 8] {
+            let got = vmin_par::with_threads(threads, || {
                 let plan = FitPlan::build(&x);
                 let mut m = GradientBoost::with_params(Loss::Pinball(0.9), params);
                 m.fit_with_plan(&x, &y, &plan).expect("planned fit");
                 pred_bits(&m, &x)
-            })
-        });
-        assert_eq!(got, reference, "planned GBT diverged at {threads} threads");
-    }
+            });
+            assert_eq!(got, reference, "planned GBT diverged at {threads} threads");
+        }
+    });
 }
 
 #[test]
 fn one_plan_serves_multiple_models_and_quantiles() {
     // The CQR usage pattern: a single plan shared by the lo and hi quantile
     // fits and by a different model family, each bit-identical to its
-    // uncached counterpart.
+    // plain counterpart.
     let mut rng = ChaCha8Rng::seed_from_u64(11_011);
     let (x, y) = gen_data(&mut rng, 80, 4, false);
     let plan = FitPlan::build(&x);
-    for q in [0.05, 0.95] {
-        let uncached = with_fit_cache(false, || {
-            let mut m = GradientBoost::new(Loss::Pinball(q));
-            m.fit(&x, &y).expect("uncached fit");
-            pred_bits(&m, &x)
-        });
-        let planned = with_fit_cache(true, || {
-            let mut m = GradientBoost::new(Loss::Pinball(q));
-            m.fit_with_plan(&x, &y, &plan).expect("planned fit");
-            pred_bits(&m, &x)
-        });
-        assert_eq!(planned, uncached, "shared plan diverged at q={q}");
-    }
-    let uncached = with_fit_cache(false, || {
-        let mut m = ObliviousBoost::new(Loss::Squared);
-        m.fit(&x, &y).expect("uncached fit");
-        pred_bits(&m, &x)
+    with_histograms(true, || {
+        for q in [0.05, 0.95] {
+            let mut plain = GradientBoost::new(Loss::Pinball(q));
+            plain.fit(&x, &y).expect("plain fit");
+            let mut planned = GradientBoost::new(Loss::Pinball(q));
+            planned.fit_with_plan(&x, &y, &plan).expect("planned fit");
+            assert_eq!(
+                pred_bits(&planned, &x),
+                pred_bits(&plain, &x),
+                "shared plan diverged at q={q}"
+            );
+        }
     });
-    let planned = with_fit_cache(true, || {
-        let mut m = ObliviousBoost::new(Loss::Squared);
-        m.fit_with_plan(&x, &y, &plan).expect("planned fit");
-        pred_bits(&m, &x)
-    });
-    assert_eq!(planned, uncached, "shared plan diverged for catboost");
+    let mut plain = ObliviousBoost::new(Loss::Squared);
+    plain.fit(&x, &y).expect("plain fit");
+    let mut planned = ObliviousBoost::new(Loss::Squared);
+    planned.fit_with_plan(&x, &y, &plan).expect("planned fit");
+    assert_eq!(
+        pred_bits(&planned, &x),
+        pred_bits(&plain, &x),
+        "shared plan diverged for catboost"
+    );
 }

@@ -16,7 +16,7 @@
 
 use vmin_linalg::Matrix;
 use vmin_models::{
-    with_fit_cache, with_histograms, GradientBoost, GradientBoostParams, Loss, ObliviousBoost,
+    with_histograms, GradientBoost, GradientBoostParams, Loss, ObliviousBoost,
     ObliviousBoostParams, Regressor,
 };
 use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
@@ -116,36 +116,25 @@ fn hist_off_is_byte_identical_across_threads_and_switch_changes_gbt() {
 }
 
 #[test]
-fn binned_gbt_is_bit_identical_across_threads_and_cache_flags() {
+fn binned_gbt_is_bit_identical_across_threads() {
     let (x, y) = gen_data(7, 130, 6);
     let reference = vmin_par::with_threads(1, || pred_bits(&fit_gbt(&x, &y, true), &x));
-    for threads in [1usize, 2, 8] {
-        for cache_on in [false, true] {
-            let got = vmin_par::with_threads(threads, || {
-                with_fit_cache(cache_on, || pred_bits(&fit_gbt(&x, &y, true), &x))
-            });
-            assert_eq!(
-                got, reference,
-                "binned GBT diverged at threads={threads} fit_cache={cache_on}"
-            );
-        }
+    for threads in [2usize, 8] {
+        let got = vmin_par::with_threads(threads, || pred_bits(&fit_gbt(&x, &y, true), &x));
+        assert_eq!(got, reference, "binned GBT diverged at threads={threads}");
     }
 }
 
 #[test]
-fn binned_catboost_is_bit_identical_across_threads_and_cache_flags() {
+fn binned_catboost_is_bit_identical_across_threads() {
     let (x, y) = gen_data(9, 130, 6);
     let reference = vmin_par::with_threads(1, || pred_bits(&fit_catboost(&x, &y, true), &x));
-    for threads in [1usize, 2, 8] {
-        for cache_on in [false, true] {
-            let got = vmin_par::with_threads(threads, || {
-                with_fit_cache(cache_on, || pred_bits(&fit_catboost(&x, &y, true), &x))
-            });
-            assert_eq!(
-                got, reference,
-                "binned CatBoost diverged at threads={threads} fit_cache={cache_on}"
-            );
-        }
+    for threads in [2usize, 8] {
+        let got = vmin_par::with_threads(threads, || pred_bits(&fit_catboost(&x, &y, true), &x));
+        assert_eq!(
+            got, reference,
+            "binned CatBoost diverged at threads={threads}"
+        );
     }
 }
 

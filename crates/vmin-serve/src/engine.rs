@@ -220,9 +220,7 @@ impl ServeModel {
     /// `block_rows` rows per block (clamped to ≥ 1) and fanning blocks out
     /// via `vmin-par` — work is partitioned by block index and collected
     /// in block order, so outputs are bit-identical at any `VMIN_THREADS`
-    /// and any block size. With `VMIN_SERVE=0` the rows walk the scalar
-    /// reference path one at a time instead; outputs are byte-identical
-    /// either way (pure path selection).
+    /// and any block size.
     ///
     /// Each interval is `[lo(x) − q̂, hi(x) + q̂]` built through
     /// `PredictionInterval::new`, crossed-endpoint swap included — the
@@ -252,46 +250,29 @@ impl ServeModel {
         }
         let block = block_rows.max(1);
         let mut bands = vec![(0.0f64, 0.0f64); n];
-        if crate::serve_enabled() {
-            vmin_trace::counter_add("serve.blocks", n.div_ceil(block) as u64);
-            let pair = &self.pair;
-            vmin_par::par_chunks_mut(&mut bands, block, 2, |ci, chunk| {
-                let start = ci * block;
-                let mut rows = vec![0.0f64; chunk.len() * d];
-                for (j, dst) in rows.chunks_mut(d).enumerate() {
-                    self.gather_row(x, start + j, dst);
-                }
-                let mut lo_acc = vec![0.0f64; chunk.len()];
-                let mut hi_acc = vec![0.0f64; chunk.len()];
-                match pair {
-                    FlatPair::Gbt { lo, hi } => {
-                        lo.accumulate_block(&rows, d, &mut lo_acc);
-                        hi.accumulate_block(&rows, d, &mut hi_acc);
-                    }
-                    FlatPair::Oblivious { lo, hi } => {
-                        lo.accumulate_block(&rows, d, &mut lo_acc);
-                        hi.accumulate_block(&rows, d, &mut hi_acc);
-                    }
-                }
-                for (band, (l, h)) in chunk.iter_mut().zip(lo_acc.iter().zip(&hi_acc)) {
-                    *band = (*l, *h);
-                }
-            });
-        } else {
-            vmin_trace::counter_add("serve.scalar.rows", n as u64);
-            let mut row_buf = vec![0.0f64; d];
-            for (i, band) in bands.iter_mut().enumerate() {
-                self.gather_row(x, i, &mut row_buf);
-                *band = match &self.pair {
-                    FlatPair::Gbt { lo, hi } => {
-                        (lo.predict_row(&row_buf), hi.predict_row(&row_buf))
-                    }
-                    FlatPair::Oblivious { lo, hi } => {
-                        (lo.predict_row(&row_buf), hi.predict_row(&row_buf))
-                    }
-                };
+        vmin_trace::counter_add("serve.blocks", n.div_ceil(block) as u64);
+        vmin_par::par_chunks_mut(&mut bands, block, 2, |ci, chunk| {
+            let start = ci * block;
+            let mut rows = vec![0.0f64; chunk.len() * d];
+            for (j, dst) in rows.chunks_mut(d).enumerate() {
+                self.gather_row(x, start + j, dst);
             }
-        }
+            let mut lo_acc = vec![0.0f64; chunk.len()];
+            let mut hi_acc = vec![0.0f64; chunk.len()];
+            match &self.pair {
+                FlatPair::Gbt { lo, hi } => {
+                    lo.accumulate_block(&rows, d, &mut lo_acc);
+                    hi.accumulate_block(&rows, d, &mut hi_acc);
+                }
+                FlatPair::Oblivious { lo, hi } => {
+                    lo.accumulate_block(&rows, d, &mut lo_acc);
+                    hi.accumulate_block(&rows, d, &mut hi_acc);
+                }
+            }
+            for (band, (l, h)) in chunk.iter_mut().zip(lo_acc.iter().zip(&hi_acc)) {
+                *band = (*l, *h);
+            }
+        });
         Ok(bands
             .into_iter()
             .map(|(lo, hi)| PredictionInterval::new(lo - self.qhat, hi + self.qhat))

@@ -540,16 +540,6 @@ impl FlatGbt {
         }
     }
 
-    /// Scalar reference path: ensemble score for one row, accumulated in
-    /// tree order exactly like the live `predict_row`.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut acc = self.base_score;
-        for t in 0..self.n_trees() {
-            acc += self.tree_contribution(self.roots[t] as usize, row);
-        }
-        acc
-    }
-
     /// [`GROUP`] rows walked through one tree in lockstep, every row for
     /// exactly `depth` unconditional iterations (early leaves self-loop).
     /// Each iteration issues [`GROUP`] independent load→compare→load
@@ -649,8 +639,9 @@ impl FlatGbt {
     /// outer loop so each tree's tables stay cache-hot across the whole
     /// block (the scalar walk mops up the remainder rows). Each row still
     /// accumulates its contributions in tree order, so every `out[j]`
-    /// carries the same bits as [`Self::predict_row`] on row `j` — the
-    /// transpose moves values, never changes or reorders the arithmetic.
+    /// carries the same bits as the live `GradientBoost::predict_row` on
+    /// row `j` — the transpose moves values, never changes or reorders the
+    /// arithmetic.
     pub(crate) fn accumulate_block(&self, rows: &[f64], width: usize, out: &mut [f64]) {
         debug_assert_eq!(rows.len(), width * out.len());
         out.fill(self.base_score);
@@ -810,16 +801,6 @@ impl FlatOblivious {
             idx |= usize::from(test) << bit;
         }
         self.lut[self.lut_off[t] as usize + idx]
-    }
-
-    /// Scalar reference path: ensemble score for one row, accumulated in
-    /// tree order exactly like the live `predict_row`.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut acc = self.base_score;
-        for t in 0..self.n_trees() {
-            acc += self.tree_contribution(t, row);
-        }
-        acc
     }
 
     /// Batch kernel over a gathered row block; see

@@ -23,10 +23,8 @@
 //!   standardizer state. Reloads are bit-identical and predict without
 //!   touching any fit path.
 //! - **Batch serving** ([`ServeModel::serve_batch`]): row blocks fanned
-//!   out via `vmin-par`, bit-identical across `VMIN_THREADS`, with
-//!   `serve.*` counters/spans and the `VMIN_SERVE` kill switch
-//!   (off = per-row scalar walks in the live-struct shape; a pure path
-//!   selection, outputs byte-identical either way).
+//!   out via `vmin-par`, bit-identical across `VMIN_THREADS` and block
+//!   sizes, with `serve.*` counters/spans.
 //!
 //! ## Example
 //!
@@ -59,9 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-
 mod artifact;
 mod engine;
 mod flat;
@@ -69,64 +64,3 @@ mod flat;
 pub use artifact::{ArtifactError, MAGIC};
 pub use engine::{ServeError, ServeModel};
 pub use flat::{FlatGbt, FlatOblivious};
-
-// ---------------------------------------------------------------------------
-// Global serve flag (mirrors the VMIN_HIST trio in vmin-models::hist)
-// ---------------------------------------------------------------------------
-
-static SERVE_FLAG: OnceLock<AtomicBool> = OnceLock::new();
-static SERVE_LOCK: Mutex<()> = Mutex::new(());
-
-fn serve_flag() -> &'static AtomicBool {
-    SERVE_FLAG.get_or_init(|| AtomicBool::new(vmin_trace::env_flag("VMIN_SERVE", true)))
-}
-
-/// Whether the flattened batch kernels are active. Defaults to on; the
-/// environment variable `VMIN_SERVE` (read once per process via
-/// [`vmin_trace::env_flag`]; `0`/`false`/`off` disable) turns them off,
-/// as does [`set_serve_enabled`]. Off means [`ServeModel::serve_batch`]
-/// walks rows one at a time through the scalar reference path — a pure
-/// path selection, outputs byte-identical either way.
-pub fn serve_enabled() -> bool {
-    serve_flag().load(Ordering::Relaxed)
-}
-
-/// Sets the serve flag, returning the previous value. Prefer
-/// [`with_serve`] in tests and benches: it serializes flag changes so
-/// concurrently running tests cannot observe each other's toggles.
-pub fn set_serve_enabled(on: bool) -> bool {
-    serve_flag().swap(on, Ordering::Relaxed)
-}
-
-struct FlagRestore(bool);
-
-impl Drop for FlagRestore {
-    fn drop(&mut self) {
-        set_serve_enabled(self.0);
-    }
-}
-
-/// Runs `f` with the batch kernels pinned to `on`, restoring the previous
-/// flag afterwards (also on panic). Holds a global mutex for the duration
-/// so parallel flag-sensitive tests serialize instead of racing; do not
-/// nest calls — the lock is not reentrant.
-pub fn with_serve<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let _guard = SERVE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let _restore = FlagRestore(set_serve_enabled(on));
-    f()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn with_serve_pins_and_restores() {
-        let before = serve_enabled();
-        let seen = with_serve(false, serve_enabled);
-        assert!(!seen);
-        let seen = with_serve(true, serve_enabled);
-        assert!(seen);
-        assert_eq!(serve_enabled(), before);
-    }
-}

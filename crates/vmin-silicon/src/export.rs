@@ -205,25 +205,10 @@ mod tests {
         let mut mono = Vec::new();
         write_campaign_csv(&Campaign::run(&spec, 9), &mut mono).unwrap();
         for chunk in [1, 3, 10, 64] {
-            let stream =
-                crate::stream::with_stream(true, || CampaignStream::with_chunk(&spec, 9, chunk));
             let mut streamed = Vec::new();
-            write_stream_csv(stream, &mut streamed).unwrap();
+            write_stream_csv(CampaignStream::with_chunk(&spec, 9, chunk), &mut streamed).unwrap();
             assert_eq!(mono, streamed, "chunk {chunk}");
         }
-    }
-
-    #[test]
-    fn streaming_export_survives_the_kill_switch() {
-        let mut spec = DatasetSpec::small();
-        spec.chip_count = 8;
-        spec.paths_per_chip = 4;
-        let mut mono = Vec::new();
-        write_campaign_csv(&Campaign::run(&spec, 4), &mut mono).unwrap();
-        let stream = crate::stream::with_stream(false, || CampaignStream::with_chunk(&spec, 4, 3));
-        let mut streamed = Vec::new();
-        write_stream_csv(stream, &mut streamed).unwrap();
-        assert_eq!(mono, streamed);
     }
 
     #[test]

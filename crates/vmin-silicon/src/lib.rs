@@ -69,10 +69,7 @@ pub use monitor::{CpdMonitor, MonitorBank, RingOscillator};
 pub use parametric::{ParametricKind, ParametricProgram, ParametricTest};
 pub use process::{ProcessSampler, ProcessState};
 pub use sampling::{lognormal, normal, standard_normal, truncated_normal};
-pub use stream::{
-    set_stream_enabled, stream_enabled, with_stream, BlockLayout, CampaignStream, ChipBlock,
-    DEFAULT_STREAM_CHUNK, SHARD_CHIPS,
-};
+pub use stream::{BlockLayout, CampaignStream, ChipBlock, DEFAULT_STREAM_CHUNK, SHARD_CHIPS};
 pub use testflow::{nominal_chip, Campaign, ChipMeasurements};
 pub use units::{Celsius, Hours, Picoseconds, Volt};
 pub use vmin::VminTester;

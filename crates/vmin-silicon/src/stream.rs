@@ -12,8 +12,7 @@
 //!   derived the same way. No chip's randomness depends on any other
 //!   chip's, so chunk boundaries and thread partitioning cannot move a
 //!   single draw — output is **bit-identical** to the monolithic
-//!   [`Campaign::run`] (which draws from the same streams) at any
-//!   `VMIN_THREADS` and any chunk size.
+//!   [`Campaign::run`] at any `VMIN_THREADS` and any chunk size.
 //! - **Per-chunk scratch**: each shard worker carries one reusable
 //!   [`Chip`] (path vector recycled via [`ChipFactory::refabricate`]) and
 //!   one [`MonitorBank`] (recycled via `reinstantiate`), and measurements
@@ -23,10 +22,11 @@
 //!   time through `vmin_par::par_chunks_mut`; the shard size is fixed (not
 //!   thread-derived), so `silicon.stream.*` counters are thread-invariant.
 //!
-//! Knobs: `VMIN_STREAM_CHUNK` sets the default chunk size (rows per
-//! block); the `VMIN_STREAM` kill switch (or [`with_stream`]) makes the
-//! stream materialize through [`Campaign::run`] once and slice blocks out
-//! of it — byte-for-byte the fallback path.
+//! The shard loop is the only chip loop in the crate: [`Campaign::run`]
+//! generates its whole population as one block through the same engine
+//! and expands the rows with [`ChipBlock::to_measurements`].
+//!
+//! [`Campaign::run`]: crate::Campaign::run
 
 use crate::chip::{Chip, ChipFactory};
 use crate::config::DatasetSpec;
@@ -34,11 +34,9 @@ use crate::monitor::MonitorBank;
 use crate::parametric::ParametricProgram;
 use crate::process::{ProcessSampler, ProcessState};
 use crate::sampling::normal;
-use crate::testflow::{measure_vmin, nominal_chip, Campaign, ChipMeasurements};
+use crate::testflow::{measure_vmin, nominal_chip, ChipMeasurements};
 use crate::units::{Celsius, Hours};
 use crate::vmin::{SearchTable, VminTester};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
 use vmin_rng::ChaCha8Rng;
 use vmin_rng::Rng;
 use vmin_rng::SeedableRng;
@@ -51,55 +49,8 @@ use vmin_rng::SeedableRng;
 /// 4096-chip chunk splits into 256 shards, fine enough to load-balance.
 pub const SHARD_CHIPS: usize = 16;
 
-/// Default rows per [`ChipBlock`] when `VMIN_STREAM_CHUNK` is unset.
+/// Rows per [`ChipBlock`] of a stream opened with [`CampaignStream::new`].
 pub const DEFAULT_STREAM_CHUNK: usize = 4096;
-
-// ---------------------------------------------------------------------------
-// Global stream flag (mirrors VMIN_SERVE in vmin-serve)
-// ---------------------------------------------------------------------------
-
-static STREAM_FLAG: OnceLock<AtomicBool> = OnceLock::new();
-static STREAM_LOCK: Mutex<()> = Mutex::new(());
-
-fn stream_flag() -> &'static AtomicBool {
-    STREAM_FLAG.get_or_init(|| AtomicBool::new(vmin_trace::env_flag("VMIN_STREAM", true)))
-}
-
-/// Whether the chunked generation engine is active. Defaults to on; the
-/// environment variable `VMIN_STREAM` (read once per process via
-/// [`vmin_trace::env_flag`]; `0`/`false`/`off` disable) turns it off, as
-/// does [`set_stream_enabled`]. Off means [`CampaignStream`] materializes
-/// the whole campaign through [`Campaign::run`] at construction and
-/// slices blocks from it — a pure path selection, blocks byte-identical
-/// either way.
-pub fn stream_enabled() -> bool {
-    stream_flag().load(Ordering::Relaxed)
-}
-
-/// Sets the stream flag, returning the previous value. Prefer
-/// [`with_stream`] in tests and benches: it serializes flag changes so
-/// concurrently running tests cannot observe each other's toggles.
-pub fn set_stream_enabled(on: bool) -> bool {
-    stream_flag().swap(on, Ordering::Relaxed)
-}
-
-struct FlagRestore(bool);
-
-impl Drop for FlagRestore {
-    fn drop(&mut self) {
-        set_stream_enabled(self.0);
-    }
-}
-
-/// Runs `f` with the stream engine pinned to `on`, restoring the previous
-/// flag afterwards (also on panic). Holds a global mutex for the duration
-/// so parallel flag-sensitive tests serialize instead of racing; do not
-/// nest calls — the lock is not reentrant.
-pub fn with_stream<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let _guard = STREAM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let _restore = FlagRestore(set_stream_enabled(on));
-    f()
-}
 
 // ---------------------------------------------------------------------------
 // Counter-derived substreams
@@ -302,8 +253,8 @@ impl ChipBlock {
     }
 
     /// Expands row `r` into the nested [`ChipMeasurements`] shape the
-    /// monolithic campaign produces (equivalence tests and the streaming
-    /// CSV writer use this).
+    /// monolithic campaign holds (`Campaign::run`, the equivalence tests
+    /// and the streaming CSV writer use this).
     pub fn to_measurements(&self, r: usize) -> ChipMeasurements {
         let l = &self.layout;
         ChipMeasurements {
@@ -327,16 +278,19 @@ impl ChipBlock {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// Shared, read-only per-campaign state every shard worker borrows.
-struct StreamEngine {
+/// Shared, read-only per-campaign state every shard worker borrows — the
+/// generator behind both [`CampaignStream`] and
+/// [`Campaign::run`](crate::Campaign::run).
+pub(crate) struct StreamEngine {
     spec: DatasetSpec,
     seed: u64,
+    layout: BlockLayout,
     factory: ChipFactory,
     sampler: ProcessSampler,
-    program: ParametricProgram,
-    tester: VminTester,
-    read_points: Vec<Hours>,
-    temperatures: Vec<Celsius>,
+    pub(crate) program: ParametricProgram,
+    pub(crate) tester: VminTester,
+    pub(crate) read_points: Vec<Hours>,
+    pub(crate) temperatures: Vec<Celsius>,
 }
 
 /// Per-shard scratch: one reusable chip (path vector recycled), one
@@ -360,7 +314,7 @@ impl ChipScratch {
 }
 
 impl StreamEngine {
-    fn new(spec: &DatasetSpec, seed: u64) -> Self {
+    pub(crate) fn new(spec: &DatasetSpec, seed: u64) -> Self {
         // The master stream draws ONLY the shared parametric program; every
         // other draw comes from a counter-derived substream, which is what
         // makes generation random-access.
@@ -370,6 +324,7 @@ impl StreamEngine {
         StreamEngine {
             spec: spec.clone(),
             seed,
+            layout: BlockLayout::of(spec),
             factory: ChipFactory::new(spec.clone()),
             sampler: ProcessSampler::new(spec.process.clone()),
             program,
@@ -380,16 +335,17 @@ impl StreamEngine {
     }
 
     /// Generates chip `i` directly into its flat `row`, drawing everything
-    /// from the chip's counter-derived stream — the same draw sequence, in
-    /// the same order, as the monolithic campaign's per-chip worker.
+    /// from the chip's counter-derived stream in a fixed order: process
+    /// state, fabrication, monitor instantiation, parametric program, then
+    /// per read point the monitor reads and the Vmin searches.
     fn measure_chip_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         i: usize,
         scratch: &mut ChipScratch,
-        layout: &BlockLayout,
         row: &mut [f64],
     ) {
+        let layout = &self.layout;
         let process = process_state_at(&self.sampler, self.seed, i, rng);
         self.factory.refabricate(rng, i, process, &mut scratch.chip);
         scratch.bank.reinstantiate(
@@ -413,46 +369,56 @@ impl StreamEngine {
             }
         }
     }
+
+    /// Generates chips `start..start + rows` into one block. Rows fan out
+    /// in shards of [`SHARD_CHIPS`] chips through `vmin_par`; each shard
+    /// owns one [`ChipScratch`] and flushes its search counters once. This
+    /// is the one chip loop behind [`CampaignStream`] and
+    /// [`Campaign::run`](crate::Campaign::run); each caller records its
+    /// own spans and counters.
+    pub(crate) fn generate(&self, start: usize, rows: usize) -> ChipBlock {
+        let width = self.layout.row_width();
+        let mut data = vec![0.0f64; rows * width];
+        vmin_par::par_chunks_mut(&mut data, SHARD_CHIPS * width, 2, |ci, shard| {
+            let mut scratch = ChipScratch::new(&self.spec);
+            let shard_start = start + ci * SHARD_CHIPS;
+            for (j, row) in shard.chunks_mut(width).enumerate() {
+                let idx = shard_start + j;
+                let mut rng = ChaCha8Rng::seed_from_u64(chip_stream_seed(self.seed, idx));
+                self.measure_chip_into(&mut rng, idx, &mut scratch, row);
+            }
+            scratch.table.flush_counters();
+        });
+        ChipBlock {
+            start,
+            layout: self.layout,
+            data,
+        }
+    }
 }
 
 /// A lazily generated campaign: iterate it to receive [`ChipBlock`]s in
-/// chip order, bit-identical to [`Campaign::run`] on the same spec/seed
-/// at any chunk size and any `VMIN_THREADS`.
+/// chip order, bit-identical to [`Campaign::run`](crate::Campaign::run)
+/// on the same spec/seed at any chunk size and any `VMIN_THREADS`.
 pub struct CampaignStream {
     engine: StreamEngine,
-    layout: BlockLayout,
     chunk: usize,
     next: usize,
-    fallback: Option<Campaign>,
 }
 
 impl CampaignStream {
-    /// Opens a stream with the chunk size from `VMIN_STREAM_CHUNK`
-    /// (default [`DEFAULT_STREAM_CHUNK`] rows per block).
+    /// Opens a stream with [`DEFAULT_STREAM_CHUNK`] rows per block.
     pub fn new(spec: &DatasetSpec, seed: u64) -> Self {
-        let chunk = vmin_trace::env_usize("VMIN_STREAM_CHUNK").unwrap_or(DEFAULT_STREAM_CHUNK);
-        Self::with_chunk(spec, seed, chunk)
+        Self::with_chunk(spec, seed, DEFAULT_STREAM_CHUNK)
     }
 
     /// Opens a stream with an explicit chunk size (clamped to ≥ 1).
-    ///
-    /// With the `VMIN_STREAM` kill switch off, the whole campaign is
-    /// materialized through [`Campaign::run`] here and blocks are sliced
-    /// from it — byte-for-byte the fallback path.
     pub fn with_chunk(spec: &DatasetSpec, seed: u64, chunk: usize) -> Self {
         vmin_trace::counter_add("silicon.stream.campaigns", 1);
-        let fallback = if stream_enabled() {
-            None
-        } else {
-            vmin_trace::counter_add("silicon.stream.fallback", 1);
-            Some(Campaign::run(spec, seed))
-        };
         CampaignStream {
             engine: StreamEngine::new(spec, seed),
-            layout: BlockLayout::of(spec),
             chunk: chunk.max(1),
             next: 0,
-            fallback,
         }
     }
 
@@ -473,7 +439,7 @@ impl CampaignStream {
 
     /// The row geometry every block shares.
     pub fn layout(&self) -> &BlockLayout {
-        &self.layout
+        &self.engine.layout
     }
 
     /// Total chips the stream will produce.
@@ -501,12 +467,6 @@ impl CampaignStream {
         self.engine.tester.clock_period().0
     }
 
-    /// True when the kill switch routed this stream through
-    /// [`Campaign::run`].
-    pub fn is_fallback(&self) -> bool {
-        self.fallback.is_some()
-    }
-
     fn generate_block(&self, start: usize, rows: usize) -> ChipBlock {
         let _span = vmin_trace::span("silicon.stream.chunk");
         vmin_trace::counter_add("silicon.stream.chunks", 1);
@@ -516,52 +476,7 @@ impl CampaignStream {
             "silicon.vmin.searches",
             (rows * self.engine.read_points.len() * self.engine.temperatures.len()) as u64,
         );
-        let width = self.layout.row_width();
-        let mut data = vec![0.0f64; rows * width];
-        let engine = &self.engine;
-        let layout = self.layout;
-        let seed = self.engine.seed;
-        vmin_par::par_chunks_mut(&mut data, SHARD_CHIPS * width, 2, |ci, shard| {
-            let mut scratch = ChipScratch::new(&engine.spec);
-            let shard_start = start + ci * SHARD_CHIPS;
-            for (j, row) in shard.chunks_mut(width).enumerate() {
-                let idx = shard_start + j;
-                let mut rng = ChaCha8Rng::seed_from_u64(chip_stream_seed(seed, idx));
-                engine.measure_chip_into(&mut rng, idx, &mut scratch, &layout, row);
-            }
-            scratch.table.flush_counters();
-        });
-        ChipBlock {
-            start,
-            layout: self.layout,
-            data,
-        }
-    }
-
-    fn slice_block(&self, campaign: &Campaign, start: usize, rows: usize) -> ChipBlock {
-        let l = &self.layout;
-        let width = l.row_width();
-        let mut data = vec![0.0f64; rows * width];
-        for (r, row) in data.chunks_mut(width).enumerate() {
-            let m = &campaign.chips[start + r];
-            row[0] = if m.defective { 1.0 } else { 0.0 };
-            let (pa, pb) = l.parametric_span();
-            row[pa..pb].copy_from_slice(&m.parametric);
-            for k in 0..l.read_points {
-                let (ra, rb) = l.rod_span(k);
-                row[ra..rb].copy_from_slice(&m.rod[k]);
-                let (ca, cb) = l.cpd_span(k);
-                row[ca..cb].copy_from_slice(&m.cpd[k]);
-                for t in 0..l.temps {
-                    row[l.vmin_col(k, t)] = m.vmin_mv[k][t];
-                }
-            }
-        }
-        ChipBlock {
-            start,
-            layout: self.layout,
-            data,
-        }
+        self.engine.generate(start, rows)
     }
 }
 
@@ -576,10 +491,7 @@ impl Iterator for CampaignStream {
         let start = self.next;
         let rows = (total - start).min(self.chunk);
         self.next = start + rows;
-        Some(match &self.fallback {
-            Some(campaign) => self.slice_block(campaign, start, rows),
-            None => self.generate_block(start, rows),
-        })
+        Some(self.generate_block(start, rows))
     }
 }
 
@@ -626,8 +538,7 @@ mod tests {
     #[test]
     fn blocks_cover_the_campaign_exactly_once() {
         let spec = DatasetSpec::small();
-        let stream = with_stream(true, || CampaignStream::with_chunk(&spec, 5, 7));
-        let blocks: Vec<ChipBlock> = stream.collect();
+        let blocks: Vec<ChipBlock> = CampaignStream::with_chunk(&spec, 5, 7).collect();
         let mut next_id = 0;
         for b in &blocks {
             assert_eq!(b.start(), next_id);
@@ -638,40 +549,51 @@ mod tests {
     }
 
     #[test]
-    fn fallback_blocks_match_streamed_blocks() {
+    fn entry_points_attribute_generation_to_their_own_counters() {
+        // Both entry points run the one chip loop, but each records only
+        // its own span and chip counter: perfbench sums the two spans and
+        // the two chip counters, so a campaign that nested a stream span
+        // or counted `silicon.stream.*` would double-count generation.
         let spec = DatasetSpec::small();
-        let streamed: Vec<ChipBlock> =
-            with_stream(true, || CampaignStream::with_chunk(&spec, 11, 16)).collect();
-        let (sliced, was_fallback) = with_stream(false, || {
-            let s = CampaignStream::with_chunk(&spec, 11, 16);
-            let fb = s.is_fallback();
-            (s.collect::<Vec<ChipBlock>>(), fb)
-        });
-        assert!(was_fallback);
-        assert_eq!(streamed, sliced);
-    }
+        let prev = vmin_trace::set_enabled(true);
+        let (campaign, run) = vmin_trace::with_collector(|| crate::Campaign::run(&spec, 7));
+        let (blocks, stream) =
+            vmin_trace::with_collector(|| CampaignStream::with_chunk(&spec, 7, 16).count());
+        vmin_trace::set_enabled(prev);
 
-    /// Reads the stream flag under [`STREAM_LOCK`]. Every flip in this
-    /// crate's tests goes through [`with_stream`], which restores the flag
-    /// before releasing the lock, so a read under the lock sees the resting
-    /// value rather than a sibling test's pin.
-    fn resting_stream_flag() -> bool {
-        let _guard = STREAM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        stream_enabled()
-    }
+        let chips = spec.chip_count as u64;
+        let searches =
+            chips * spec.stress.read_points.len() as u64 * spec.vmin_test.temperatures.len() as u64;
+        assert_eq!(campaign.chip_count(), spec.chip_count);
+        assert_eq!(run.timers["silicon.campaign.run"].count, 1);
+        assert_eq!(run.counters["silicon.chips.fabricated"], chips);
+        assert_eq!(run.counters["silicon.vmin.searches"], searches);
+        let stream_keys = run.counters.keys().chain(run.timers.keys());
+        for key in stream_keys {
+            assert!(
+                !key.starts_with("silicon.stream."),
+                "campaign recorded {key}"
+            );
+        }
 
-    #[test]
-    fn with_stream_pins_and_restores() {
-        let before = resting_stream_flag();
-        assert!(!with_stream(false, stream_enabled));
-        assert!(with_stream(true, stream_enabled));
-        assert_eq!(resting_stream_flag(), before);
+        assert_eq!(stream.timers["silicon.stream.chunk"].count, blocks as u64);
+        assert_eq!(stream.counters["silicon.stream.chips"], chips);
+        assert!(!stream.counters.contains_key("silicon.chips.fabricated"));
+        assert!(!stream.timers.contains_key("silicon.campaign.run"));
+        for key in [
+            "silicon.vmin.searches",
+            "silicon.vmin.bisect_steps",
+            "silicon.device.evals",
+            "silicon.vmin.certified",
+        ] {
+            assert_eq!(stream.counters.get(key), run.counters.get(key), "{key}");
+        }
     }
 
     #[test]
     fn measurements_roundtrip_through_flat_rows() {
         let spec = DatasetSpec::small();
-        let mut stream = with_stream(true, || CampaignStream::with_chunk(&spec, 3, 8));
+        let mut stream = CampaignStream::with_chunk(&spec, 3, 8);
         let block = stream.next().unwrap();
         let m = block.to_measurements(2);
         assert_eq!(m.chip_id, 2);

@@ -3,21 +3,13 @@
 //! program (time 0) and read the on-chip monitors.
 
 use crate::aging::AgingModel;
-use crate::chip::{Chip, ChipFactory, CriticalPath};
+use crate::chip::{Chip, CriticalPath};
 use crate::config::DatasetSpec;
-use crate::monitor::MonitorBank;
-use crate::parametric::ParametricProgram;
-use crate::process::{ProcessSampler, ProcessState};
+use crate::process::ProcessState;
+use crate::stream::StreamEngine;
 use crate::units::{Celsius, Hours, Volt};
 use crate::vmin::{SearchTable, VminTester};
-use vmin_rng::ChaCha8Rng;
 use vmin_rng::Rng;
-use vmin_rng::SeedableRng;
-
-/// Minimum chips before the campaign spawns measurement workers; a chip is
-/// a coarse work item (hundreds of Vmin bisection searches), so the
-/// threshold is low.
-const MIN_PAR_CHIPS: usize = 4;
 
 /// Everything measured for one chip during the campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,14 +54,14 @@ impl Campaign {
     /// All randomness (fabrication, measurement noise) flows from `seed`, so
     /// two calls with equal `spec` and `seed` produce identical data.
     ///
-    /// Chips are fabricated *and* measured in parallel (see `vmin-par`):
-    /// the master stream draws only the shared parametric program, and
-    /// every other draw comes from a counter-derived substream — per-lot
-    /// and per-wafer streams for the shared shifts, one private stream per
-    /// chip for everything else (see `stream::chip_stream_seed`). No
-    /// chip's randomness depends on any other chip's, so the campaign is
-    /// bit-identical at any `VMIN_THREADS` value and, chunk for chunk, to
-    /// the streaming engine (`CampaignStream`).
+    /// The population is generated as one block by the streaming engine's
+    /// shard loop (the crate's only chip loop, see `stream.rs`): the master
+    /// stream draws only the shared parametric program, and every other
+    /// draw comes from a counter-derived substream — per-lot and per-wafer
+    /// streams for the shared shifts, one private stream per chip for
+    /// everything else. No chip's randomness depends on any other chip's,
+    /// so the campaign is bit-identical at any `VMIN_THREADS` value and,
+    /// chunk for chunk, to [`CampaignStream`](crate::CampaignStream).
     pub fn run(spec: &DatasetSpec, seed: u64) -> Campaign {
         let _span = vmin_trace::span("silicon.campaign.run");
         vmin_trace::counter_add("silicon.campaign.runs", 1);
@@ -80,60 +72,15 @@ impl Campaign {
                 * (spec.stress.read_points.len() as u64)
                 * (spec.vmin_test.temperatures.len() as u64),
         );
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let program = ParametricProgram::generate(&mut rng, &spec.parametric);
-        let tester = VminTester::calibrated(spec.vmin_test.clone(), &nominal_chip(spec));
-
-        let factory = ChipFactory::new(spec.clone());
-        let sampler = ProcessSampler::new(spec.process.clone());
-        let read_points = spec.stress.read_points.clone();
-        let temperatures = spec.vmin_test.temperatures.clone();
-
-        let indices: Vec<usize> = (0..spec.chip_count).collect();
-        let results = vmin_par::par_map(&indices, MIN_PAR_CHIPS, |_, &idx| {
-            let mut rng = ChaCha8Rng::seed_from_u64(crate::stream::chip_stream_seed(seed, idx));
-            let process = crate::stream::process_state_at(&sampler, seed, idx, &mut rng);
-            let chip = factory.fabricate_one(&mut rng, idx, process);
-            // Each die gets its own monitor instantiation (local mismatch).
-            let bank = MonitorBank::instantiate(
-                &mut rng,
-                &spec.monitors,
-                spec.paths_per_chip,
-                spec.process.sigma_vth_local,
-            );
-            let parametric = program.run(&mut rng, &chip, Hours(0.0));
-            let mut rod = Vec::with_capacity(read_points.len());
-            let mut cpd = Vec::with_capacity(read_points.len());
-            let mut vmin_mv = Vec::with_capacity(read_points.len());
-            let mut table = SearchTable::default();
-            for &rp in &read_points {
-                rod.push(bank.read_rods(&mut rng, &chip, rp));
-                cpd.push(bank.read_cpds(&mut rng, &chip, rp));
-                let mut per_temp = Vec::with_capacity(temperatures.len());
-                for &temp in &temperatures {
-                    let v = measure_vmin(&mut rng, &tester, &mut table, &chip, temp, rp);
-                    per_temp.push(v.to_millivolts());
-                }
-                vmin_mv.push(per_temp);
-            }
-            table.flush_counters();
-            ChipMeasurements {
-                chip_id: chip.id,
-                defective: chip.defective,
-                parametric,
-                rod,
-                cpd,
-                vmin_mv,
-            }
-        });
-
+        let engine = StreamEngine::new(spec, seed);
+        let block = engine.generate(0, spec.chip_count);
         Campaign {
             spec: spec.clone(),
-            read_points,
-            temperatures,
-            parametric_names: program.names(),
-            chips: results,
-            clock_period_ps: tester.clock_period().0,
+            read_points: engine.read_points.clone(),
+            temperatures: engine.temperatures.clone(),
+            parametric_names: engine.program.names(),
+            chips: (0..block.len()).map(|r| block.to_measurements(r)).collect(),
+            clock_period_ps: engine.tester.clock_period().0,
         }
     }
 

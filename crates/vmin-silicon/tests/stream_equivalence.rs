@@ -3,9 +3,12 @@
 //!
 //! The contract under test is the counter-derived RNG schedule: chip `i`'s
 //! entire draw sequence is a pure function of `(seed, i)`, so chunk
-//! boundaries and thread partitioning cannot move a single draw.
+//! boundaries and thread partitioning cannot move a single draw. Both entry
+//! points share one chip loop, so `tests/golden_generation.rs` at the
+//! workspace root is the independent guard on the generated bits; this
+//! suite pins that block geometry never moves them.
 
-use vmin_silicon::{with_stream, Campaign, CampaignStream, ChipMeasurements, DatasetSpec};
+use vmin_silicon::{Campaign, CampaignStream, ChipMeasurements, DatasetSpec};
 
 fn grid_spec() -> DatasetSpec {
     let mut spec = DatasetSpec::small();
@@ -16,8 +19,7 @@ fn grid_spec() -> DatasetSpec {
 /// Collects the stream back into `ChipMeasurements` rows, checking block
 /// geometry along the way.
 fn collect_stream(spec: &DatasetSpec, seed: u64, chunk: usize) -> Vec<ChipMeasurements> {
-    let stream = with_stream(true, || CampaignStream::with_chunk(spec, seed, chunk));
-    assert!(!stream.is_fallback());
+    let stream = CampaignStream::with_chunk(spec, seed, chunk);
     let mut out = Vec::with_capacity(spec.chip_count);
     for block in stream {
         assert_eq!(block.start(), out.len(), "blocks must arrive in order");
@@ -80,30 +82,10 @@ fn stream_is_bit_identical_across_seeds_chunks_and_threads() {
 }
 
 #[test]
-fn kill_switch_blocks_are_bit_identical_to_streamed_blocks() {
-    let spec = grid_spec();
-    let mono = Campaign::run(&spec, 11);
-    let streamed = collect_stream(&spec, 11, 16);
-    let sliced = with_stream(false, || {
-        let stream = CampaignStream::with_chunk(&spec, 11, 16);
-        assert!(stream.is_fallback());
-        stream
-            .flat_map(|b| {
-                (0..b.len())
-                    .map(|r| b.to_measurements(r))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-    });
-    assert_bit_identical(&streamed, &mono, "streamed");
-    assert_bit_identical(&sliced, &mono, "kill switch");
-}
-
-#[test]
 fn stream_metadata_matches_campaign() {
     let spec = grid_spec();
     let mono = Campaign::run(&spec, 5);
-    let stream = with_stream(true, || CampaignStream::with_chunk(&spec, 5, 8));
+    let stream = CampaignStream::with_chunk(&spec, 5, 8);
     assert_eq!(stream.parametric_names(), mono.parametric_names);
     assert_eq!(stream.read_points(), &mono.read_points[..]);
     assert_eq!(stream.temperatures(), &mono.temperatures[..]);

@@ -17,11 +17,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes every test in this file that reads or flips a process-global
-/// flag: trace recording, fit cache, histograms, serve, stream and
-/// adaptive. The harness runs tests concurrently, and each library
-/// `with_*` helper only serializes flips of its *own* flag, so a sibling
-/// test flipping tracing or histograms mid-run would otherwise change
-/// another test's snapshot or intervals.
+/// flag: trace recording, histograms and adaptive. The harness runs tests
+/// concurrently, and each library `with_*` helper only serializes flips of
+/// its *own* flag, so a sibling test flipping tracing or histograms mid-run
+/// would otherwise change another test's snapshot or intervals.
 static GLOBAL_FLAGS: Mutex<()> = Mutex::new(());
 
 /// Takes [`GLOBAL_FLAGS`] for the rest of the calling test. Tolerates
@@ -238,57 +237,14 @@ fn streaming_report_is_bit_identical_across_threads_and_tracing() {
 }
 
 #[test]
-fn fit_cache_and_thread_count_matrix_is_bit_identical() {
-    let _flags = global_flags();
-    // PR 5 extends the matrix with the fit-plan cache dimension: the full
-    // simulate → assemble → CQR-XGBoost pipeline must be byte-identical at
-    // VMIN_THREADS ∈ {1, 2, 8} × fit cache {off, on}. The cache is a pure
-    // time optimization; the reference cell is single-threaded + uncached.
-    let run = |threads: usize, cache_on: bool| {
-        vmin_par::with_threads(threads, || {
-            cqr_vmin::models::with_fit_cache(cache_on, || {
-                let campaign = Campaign::run(&DatasetSpec::small(), 7);
-                let ds = assemble_dataset(&campaign, 0, 1, FeatureSet::Both).unwrap();
-                let predictor = VminPredictor::fit(
-                    &ds,
-                    RegionMethod::Cqr(PointModel::Xgboost),
-                    0.1,
-                    0.25,
-                    42,
-                    &ModelConfig::fast(),
-                )
-                .unwrap();
-                (0..ds.n_samples())
-                    .map(|i| {
-                        let iv = predictor.interval(ds.sample(i)).unwrap();
-                        (iv.lo().to_bits(), iv.hi().to_bits())
-                    })
-                    .collect::<Vec<_>>()
-            })
-        })
-    };
-    let reference = run(1, false);
-    for threads in [1usize, 2, 8] {
-        for cache_on in [false, true] {
-            assert_eq!(
-                run(threads, cache_on),
-                reference,
-                "intervals diverged at threads={threads} fit_cache={cache_on}"
-            );
-        }
-    }
-}
-
-#[test]
 fn hist_split_and_thread_count_matrix_is_bit_identical() {
     let _flags = global_flags();
     // PR 7 extends the matrix with the histogram dimension: the full
     // simulate → assemble → CQR pipeline must be byte-identical at
-    // VMIN_THREADS ∈ {1, 2, 8} within each hist setting. Unlike the
-    // fit-plan cache, histograms are an *approximation* — hist off is the
-    // exact-scan reference, hist on has its own reference, and the two
-    // must actually differ (a kill switch wired to nothing would pass the
-    // invariance rows vacuously).
+    // VMIN_THREADS ∈ {1, 2, 8} within each hist setting. Histograms are an
+    // *approximation* — hist off is the exact-scan reference, hist on has
+    // its own reference, and the two must actually differ (a kill switch
+    // wired to nothing would pass the invariance rows vacuously).
     let run = |threads: usize, hist_on: bool, model: PointModel| {
         vmin_par::with_threads(threads, || {
             cqr_vmin::models::with_histograms(hist_on, || {
@@ -339,15 +295,12 @@ fn serve_matrix_is_bit_identical_and_artifact_bytes_are_stable() {
     let _flags = global_flags();
     // PR 9 extends the matrix with the serving dimension: a captured
     // ServeModel must produce byte-identical intervals at
-    // VMIN_THREADS ∈ {1, 4} × VMIN_SERVE {on, off} × block sizes
-    // {1, 5, 32, 1000}, and its `vmin-artifact/v1` encoding must be the
-    // same byte string no matter which cell of the matrix produced or
-    // reloaded it. The kill switch is pure path selection here (unlike
-    // VMIN_HIST there is no "must differ" leg — scalar and batch kernels
-    // replay the same IEEE operations).
+    // VMIN_THREADS ∈ {1, 4} × block sizes {1, 5, 32, 1000}, and its
+    // `vmin-artifact/v1` encoding must be the same byte string no matter
+    // which cell of the matrix produced or reloaded it.
     use cqr_vmin::conformal::Cqr;
     use cqr_vmin::models::{GradientBoost, Loss};
-    use cqr_vmin::serve::{with_serve, ServeModel};
+    use cqr_vmin::serve::ServeModel;
     use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
 
     let draw = |n: usize, seed: u64| {
@@ -374,35 +327,30 @@ fn serve_matrix_is_bit_identical_and_artifact_bytes_are_stable() {
     let model = ServeModel::from_gbt_cqr(&cqr, None).unwrap();
     let ref_bytes = model.to_bytes();
 
-    let run = |threads: usize, serve_on: bool, block: usize| {
+    let run = |threads: usize, block: usize| {
         vmin_par::with_threads(threads, || {
-            with_serve(serve_on, || {
-                let reloaded = ServeModel::from_bytes(&ref_bytes).unwrap();
-                assert_eq!(
-                    reloaded.to_bytes(),
-                    ref_bytes,
-                    "artifact bytes drifted at threads={threads} serve={serve_on}"
-                );
-                reloaded
-                    .serve_batch(&x_te, block)
-                    .unwrap()
-                    .iter()
-                    .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
-                    .collect::<Vec<_>>()
-            })
+            let reloaded = ServeModel::from_bytes(&ref_bytes).unwrap();
+            assert_eq!(
+                reloaded.to_bytes(),
+                ref_bytes,
+                "artifact bytes drifted at threads={threads}"
+            );
+            reloaded
+                .serve_batch(&x_te, block)
+                .unwrap()
+                .iter()
+                .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
+                .collect::<Vec<_>>()
         })
     };
-    let reference = run(1, true, 32);
+    let reference = run(1, 32);
     for threads in [1usize, 4] {
-        for serve_on in [true, false] {
-            for block in [1usize, 5, 32, 1000] {
-                assert_eq!(
-                    run(threads, serve_on, block),
-                    reference,
-                    "served intervals diverged at threads={threads} \
-                     serve={serve_on} block={block}"
-                );
-            }
+        for block in [1usize, 5, 32, 1000] {
+            assert_eq!(
+                run(threads, block),
+                reference,
+                "served intervals diverged at threads={threads} block={block}"
+            );
         }
     }
 }
@@ -412,34 +360,30 @@ fn stream_matrix_is_bit_identical_across_threads_chunks_and_tracing() {
     let _flags = global_flags();
     // PR 10 extends the matrix with the streaming-generation dimension:
     // the blocks of a `CampaignStream` must be byte-identical at
-    // VMIN_THREADS ∈ {1, 2, 8} × VMIN_STREAM {on, off} × chunk {1, 7, 64}
-    // × tracing {on, off}. The kill switch materializes through
-    // `Campaign::run` and slices — pure path selection — and chunking may
-    // move block boundaries but never a single bit of chip data. Merged
-    // deterministic metrics must also be thread-invariant within a fixed
-    // (stream, chunk) cell (the shard counter is sized by chunk geometry,
-    // never by thread count).
-    use cqr_vmin::silicon::{with_stream, CampaignStream};
+    // VMIN_THREADS ∈ {1, 2, 8} × chunk {1, 7, 64} × tracing {on, off}.
+    // Chunking may move block boundaries but never a single bit of chip
+    // data. Merged deterministic metrics must also be thread-invariant
+    // within a fixed chunk size (the shard counter is sized by chunk
+    // geometry, never by thread count).
+    use cqr_vmin::silicon::CampaignStream;
 
     let spec = DatasetSpec::small();
-    let run = |threads: usize, stream_on: bool, chunk: usize, trace_on: bool| {
+    let run = |threads: usize, chunk: usize, trace_on: bool| {
         let prev = vmin_trace::set_enabled(trace_on);
         let (bits, snap) = vmin_trace::with_collector(|| {
             vmin_par::with_threads(threads, || {
-                with_stream(stream_on, || {
-                    let mut bits: Vec<u64> = Vec::new();
-                    for block in CampaignStream::with_chunk(&spec, 7, chunk) {
-                        bits.extend(block.data().iter().map(|v| v.to_bits()));
-                    }
-                    bits
-                })
+                let mut bits: Vec<u64> = Vec::new();
+                for block in CampaignStream::with_chunk(&spec, 7, chunk) {
+                    bits.extend(block.data().iter().map(|v| v.to_bits()));
+                }
+                bits
             })
         });
         vmin_trace::set_enabled(prev);
         (bits, snap)
     };
 
-    let (ref_bits, ref_snap) = run(1, true, 7, true);
+    let (ref_bits, ref_snap) = run(1, 7, true);
     assert!(
         ref_snap
             .counters
@@ -448,32 +392,24 @@ fn stream_matrix_is_bit_identical_across_threads_chunks_and_tracing() {
         "the streamed run recorded no silicon.stream.* counters"
     );
     for threads in [1usize, 2, 8] {
-        for stream_on in [true, false] {
-            for chunk in [1usize, 7, 64] {
-                for trace_on in [true, false] {
-                    let (bits, snap) = run(threads, stream_on, chunk, trace_on);
-                    assert_eq!(
-                        bits, ref_bits,
-                        "stream data diverged at threads={threads} \
-                         stream={stream_on} chunk={chunk} trace={trace_on}"
+        for chunk in [1usize, 7, 64] {
+            for trace_on in [true, false] {
+                let (bits, snap) = run(threads, chunk, trace_on);
+                assert_eq!(
+                    bits, ref_bits,
+                    "stream data diverged at threads={threads} chunk={chunk} trace={trace_on}"
+                );
+                if !trace_on {
+                    assert!(
+                        snap.is_empty(),
+                        "tracing off must record nothing (threads={threads})"
                     );
-                    if !trace_on {
-                        assert!(
-                            snap.is_empty(),
-                            "tracing off must record nothing (threads={threads})"
-                        );
-                    } else if stream_on && chunk == 7 {
-                        assert_eq!(
-                            snap.deterministic_view(),
-                            ref_snap.deterministic_view(),
-                            "stream metrics diverged at {threads} threads"
-                        );
-                    } else if !stream_on {
-                        assert!(
-                            snap.counters.contains_key("silicon.stream.fallback"),
-                            "kill-switch run must count the fallback"
-                        );
-                    }
+                } else if chunk == 7 {
+                    assert_eq!(
+                        snap.deterministic_view(),
+                        ref_snap.deterministic_view(),
+                        "stream metrics diverged at {threads} threads"
+                    );
                 }
             }
         }

@@ -189,26 +189,6 @@ fn captured_scaler_reproduces_the_standardized_pipeline_bitwise() {
 }
 
 #[test]
-fn kill_switch_is_pure_path_selection() {
-    // VMIN_SERVE=0 swaps the batch kernels for per-row scalar walks; the
-    // outputs must be byte-identical (unlike VMIN_HIST, which changes the
-    // fitted model, this switch may not change anything observable).
-    let (x_tr, y_tr) = draw(N_TRAIN, 3, 5);
-    let (x_ca, y_ca) = draw(N_CAL, 3, 6);
-    let (x_te, _) = draw(N_TEST, 3, 7);
-    let mut cqr = gbt_pair(4, 5);
-    cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
-    let model = ServeModel::from_gbt_cqr(&cqr, None).unwrap();
-
-    let on = cqr_vmin::serve::with_serve(true, || model.serve_batch(&x_te, 8).unwrap());
-    let off = cqr_vmin::serve::with_serve(false, || model.serve_batch(&x_te, 8).unwrap());
-    for (i, (a, b)) in on.iter().zip(&off).enumerate() {
-        assert_eq!(a.lo().to_bits(), b.lo().to_bits(), "lo at row {i}");
-        assert_eq!(a.hi().to_bits(), b.hi().to_bits(), "hi at row {i}");
-    }
-}
-
-#[test]
 fn capture_refuses_uncalibrated_and_serving_refuses_wrong_width() {
     let (x_tr, y_tr) = draw(N_TRAIN, 2, 31);
     let (x_ca, y_ca) = draw(N_CAL, 2, 32);
