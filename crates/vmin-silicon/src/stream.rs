@@ -14,10 +14,11 @@
 //!   single draw — output is **bit-identical** to the monolithic
 //!   [`Campaign::run`] at any `VMIN_THREADS` and any chunk size.
 //! - **Per-chunk scratch**: each shard worker carries one reusable
-//!   [`Chip`] (path vector recycled via [`ChipFactory::refabricate`]) and
-//!   one [`MonitorBank`] (recycled via `reinstantiate`), and measurements
-//!   land directly in the block's flat rows through the `*_into` readout
-//!   variants — no per-chip allocation in the hot loop.
+//!   [`Chip`] (path vector recycled via [`ChipFactory::refabricate`]), one
+//!   [`MonitorBank`] (recycled via `reinstantiate`) and one Vmin search
+//!   table, and measurements land directly in the block's flat rows
+//!   through the `*_into` readout variants — no per-chip allocation in
+//!   the hot loop.
 //! - **Shard fan-out**: rows are generated [`SHARD_CHIPS`] chips at a
 //!   time through `vmin_par::par_chunks_mut`; the shard size is fixed (not
 //!   thread-derived), so `silicon.stream.*` counters are thread-invariant.
@@ -44,9 +45,10 @@ use vmin_rng::SeedableRng;
 /// Chips generated per shard (one `par_chunks_mut` work item). Fixed —
 /// never derived from the thread count — so shard topology and the
 /// `silicon.stream.shards` counter are identical at any `VMIN_THREADS`.
-/// A shard is about 0.14 ms of screening-spec generation (~9 µs per
-/// chip) or ~3 ms of paper-spec chips on one 2.1 GHz Xeon core; a
-/// 4096-chip chunk splits into 256 shards, fine enough to load-balance.
+/// A shard is about 0.12–0.16 ms of screening-spec generation (7.4–10.2
+/// µs per chip) or 5–7 ms of default-spec paper chips (300–420 µs each)
+/// on one core of a 2-vCPU Xeon KVM guest; a 4096-chip chunk splits into
+/// 256 shards, fine enough to load-balance.
 pub const SHARD_CHIPS: usize = 16;
 
 /// Rows per [`ChipBlock`] of a stream opened with [`CampaignStream::new`].

@@ -77,10 +77,10 @@ struct PathRow {
 /// run on it.
 ///
 /// A search fills the table once; each predicate call then evaluates one
-/// DIBL `exp`, the IR drop and one overdrive `powf` per path. Refilling
-/// reuses the path vector, so a caller that keeps one table per worker
-/// (the streaming engine's per-shard scratch) searches without heap
-/// allocation.
+/// DIBL `exp`, the IR drop and one overdrive `powf` per path it visits.
+/// Refilling reuses the path vector, so a caller that keeps one table per
+/// worker (the streaming engine's per-shard scratch) searches without
+/// heap allocation.
 #[derive(Debug, Default)]
 pub(crate) struct SearchTable {
     paths: Vec<PathRow>,
@@ -130,17 +130,21 @@ impl SearchTable {
         worst <= clock
     }
 
-    /// The first path (in table order) that does not evaluate at core
-    /// supply `v_core` or is slower than `limit` ps, or `None` when every
-    /// path meets `limit`.
-    fn first_over(&mut self, v_core: Volt, limit: f64) -> Option<usize> {
-        for (i, row) in self.paths.iter().enumerate() {
-            self.evals += 1;
-            if !row.terms.delay(v_core).is_some_and(|d| d.0 <= limit) {
-                return Some(i);
-            }
-        }
-        None
+    /// Whether row `row` evaluates at core supply `v_core` with a delay of
+    /// at most `limit` ps.
+    fn meets(&mut self, row: usize, v_core: Volt, limit: f64) -> bool {
+        self.evals += 1;
+        self.paths[row]
+            .terms
+            .delay(v_core)
+            .is_some_and(|d| d.0 <= limit)
+    }
+
+    /// The first path (in table order) other than row `skip` that does
+    /// not evaluate at core supply `v_core` or is slower than `limit` ps,
+    /// or `None` when every other path meets `limit`.
+    fn first_other_over(&mut self, v_core: Volt, limit: f64, skip: usize) -> Option<usize> {
+        (0..self.paths.len()).find(|&i| i != skip && !self.meets(i, v_core, limit))
     }
 
     /// Orders the paths slowest-first by their last evaluated delay, so
@@ -150,8 +154,9 @@ impl SearchTable {
             .sort_unstable_by(|a, b| b.delay.total_cmp(&a.delay));
     }
 
-    /// Records the accumulated work counters and resets them. Callers
-    /// flush once per chip, shard or public call — never per step.
+    /// Records the accumulated work counters and resets them. The shard
+    /// loop behind both campaign entry points flushes once per shard, and
+    /// each public search or predicate call once — never per step.
     pub(crate) fn flush_counters(&mut self) {
         vmin_trace::counter_add("silicon.vmin.bisect_steps", self.steps);
         vmin_trace::counter_add("silicon.device.evals", self.evals);
@@ -160,6 +165,19 @@ impl SearchTable {
         self.evals = 0;
         self.certified = 0;
     }
+}
+
+/// A certified bracket `(a, b)` around a search's pass/fail threshold
+/// and the one row that can fail inside it (see [`VminTester::certify`]).
+#[derive(Debug, Clone, Copy)]
+struct Bracket {
+    /// Every supply ≤ `a` fails as computed.
+    a: f64,
+    /// Every supply ≥ `b` passes as computed.
+    b: f64,
+    /// The binding row: every other path passes at every supply ≥ `a`,
+    /// so a step inside `(a, b)` evaluates only this row.
+    row: usize,
 }
 
 /// SCAN Vmin measurement engine with a fixed clock period.
@@ -280,17 +298,18 @@ impl VminTester {
     }
 
     /// Proves a bracket `(a, b)` strictly inside `(lo, hi)` around the
-    /// pass/fail threshold: every supply ≥ `b` passes as computed and
-    /// every supply ≤ `a` fails as computed. `None` when a precondition
-    /// or a margin check fails; the search then evaluates every step.
+    /// pass/fail threshold: every supply ≥ `b` passes as computed, every
+    /// supply ≤ `a` fails as computed, and in between every path but the
+    /// bracket's row passes. `None` when a precondition or a margin check
+    /// fails; the search then evaluates every step.
     ///
-    /// The threshold is estimated on the slowest path at `hi`; `b` is
-    /// certified when every path meets the clock with margin
-    /// [`CERT_MARGIN`] there, and `a` when the estimated path misses it by
-    /// that margin. A path that breaks the check at `b` binds instead of
-    /// the estimated one and gets the next estimate. Why the margins
-    /// decide every supply beyond them: DESIGN.md §15, "Certified bracket".
-    fn certify(&self, table: &mut SearchTable, lo: f64, hi: f64) -> Option<(f64, f64)> {
+    /// The threshold is estimated on the slowest path at `hi`. The
+    /// estimated path must miss the clock by [`CERT_MARGIN`] at `a` and
+    /// meet it by that margin at `b`, and every other path must meet it
+    /// by the margin at `a`. The first other path that does not binds
+    /// instead and gets the next estimate. Why the margins decide every
+    /// supply beyond them: DESIGN.md §15, "Certified bracket".
+    fn certify(&self, table: &mut SearchTable, lo: f64, hi: f64) -> Option<Bracket> {
         let ir_hi = table
             .supply
             .ir_drop(self.spec.ir_drop_per_leakage.0, Volt(hi));
@@ -303,6 +322,7 @@ impl VminTester {
             return None;
         }
         let clock = self.clock_period.0;
+        let (meet_limit, miss_limit) = (clock * (1.0 - CERT_MARGIN), clock * (1.0 + CERT_MARGIN));
         let mut row = 0;
         for _ in 0..MAX_ESTIMATES {
             let terms = table.paths[row].terms;
@@ -311,19 +331,20 @@ impl VminTester {
             if !(lo < a && b < hi) {
                 return None;
             }
-            let v_core = self.core_supply(table, b);
-            match table.first_over(v_core, clock * (1.0 - CERT_MARGIN)) {
+            let (core_a, core_b) = (self.core_supply(table, a), self.core_supply(table, b));
+            // The estimated path misses the clock by the margin at `a` and
+            // meets it by the margin at `b`.
+            table.evals += 1;
+            let misses_at_a = terms.delay(core_a).is_some_and(|d| d.0 >= miss_limit);
+            if !(misses_at_a && table.meets(row, core_b, meet_limit)) {
+                return None;
+            }
+            // Every other path within the margin at `a` passes at every
+            // supply above it: only the estimated path can fail inside.
+            match table.first_other_over(core_a, meet_limit, row) {
+                None => return Some(Bracket { a, b, row }),
                 // Another path binds: the next estimate runs on it.
-                Some(binding) if binding != row => row = binding,
-                // The estimated path itself misses the margin.
-                Some(_) => return None,
-                None => {
-                    table.evals += 1;
-                    let fails = terms
-                        .delay(self.core_supply(table, a))
-                        .is_some_and(|d| d.0 >= clock * (1.0 + CERT_MARGIN));
-                    return fails.then_some((a, b));
-                }
+                Some(binding) => row = binding,
             }
         }
         None
@@ -331,16 +352,17 @@ impl VminTester {
 
     /// Bisects between a failing `lo` and a passing `hi`. With a certified
     /// `bracket` `(a, b)`, a midpoint ≥ `b` takes the pass branch and one
-    /// ≤ `a` the fail branch without evaluating; every other midpoint, and
-    /// every midpoint without a bracket, calls the predicate.
+    /// ≤ `a` the fail branch without evaluating, and one inside `(a, b)`
+    /// evaluates only the bracket's row. Without a bracket every midpoint
+    /// calls the full predicate. Each evaluated midpoint is one predicate
+    /// call.
     fn bisect(
         &self,
         table: &mut SearchTable,
         mut lo: f64,
         mut hi: f64,
-        bracket: Option<(f64, f64)>,
+        bracket: Option<Bracket>,
     ) -> f64 {
-        let (a, b) = bracket.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
         // Invariant: fails at lo, passes at hi. Once the midpoint rounds
         // onto an endpoint, every further step would re-test that
         // endpoint's known outcome and leave both unchanged.
@@ -349,13 +371,28 @@ impl VminTester {
             if mid == lo || mid == hi {
                 break;
             }
-            if mid >= b || (mid > a && self.predicate(table, mid)) {
+            let pass = match bracket {
+                Some(Bracket { a, b, row }) => {
+                    mid >= b || (mid > a && self.bracketed_predicate(table, mid, row))
+                }
+                None => self.predicate(table, mid),
+            };
+            if pass {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
         hi
+    }
+
+    /// The SCAN predicate at pad supply `v` inside a certified bracket,
+    /// where every path but `row` passes: that row's check, one IR drop
+    /// and one delay.
+    fn bracketed_predicate(&self, table: &mut SearchTable, v: f64, row: usize) -> bool {
+        table.steps += 1;
+        let v_core = self.core_supply(table, v);
+        table.meets(row, v_core, self.clock_period.0)
     }
 
     /// Measured Vmin with tester repeatability noise (bisection-based).
@@ -691,6 +728,14 @@ mod tests {
         certified: usize,
         /// Searches that bisected without a certificate.
         fallbacks: usize,
+        /// Path-delay evaluations of all the searches.
+        evals: u64,
+    }
+
+    impl Tally {
+        fn evals_per_search(&self) -> f64 {
+            self.evals as f64 / self.searches as f64
+        }
     }
 
     /// Chips `0..count` of `spec` fabricated from their per-chip streams,
@@ -736,6 +781,7 @@ mod tests {
                 }
             }
         }
+        tally.evals = table.evals;
         tally
     }
 
@@ -751,10 +797,15 @@ mod tests {
         let screening =
             search_against_oracle(&screening_spec, &stream_chips(&screening_spec, 2024, 2048));
         assert_eq!(screening.searches, 2048);
-        for tally in [&paper, &screening] {
+        for (tally, max_evals) in [(&paper, 100.0), (&screening, 40.0)] {
             assert!(
                 tally.certified * 100 >= tally.searches * 99,
                 "the fast path must carry the test: {tally:?}"
+            );
+            assert!(
+                tally.evals_per_search() <= max_evals,
+                "path evaluations per search {}: {tally:?}",
+                tally.evals_per_search()
             );
         }
         // Both grids certify every search, so a chip is built to reach the
@@ -765,6 +816,51 @@ mod tests {
         let forced = search_against_oracle(&spec, &[chip]);
         assert!(forced.fallbacks > 0, "{forced:?}");
         assert!(forced.certified > 0, "{forced:?}");
+    }
+
+    #[test]
+    fn a_near_twin_inside_the_bracket_gets_no_certificate() {
+        let (chips, tester) = oracle_population();
+        let (temp, t) = (Celsius(25.0), Hours(0.0));
+        let mut chip = chips[0].clone();
+        // Move the binding path (the slowest one at Vmin) to the front.
+        let vmin = tester.vmin_noiseless(&chip, temp, t).unwrap();
+        let v_core = Volt(vmin.0 - tester.ir_drop(&chip, vmin, temp, t).0);
+        let delays: Vec<f64> = chip
+            .paths
+            .iter()
+            .map(|p| chip.path_delay(p, v_core, temp, t).unwrap().0)
+            .collect();
+        let binding = (0..delays.len())
+            .max_by(|&i, &j| delays[i].total_cmp(&delays[j]))
+            .unwrap();
+        chip.paths.swap(0, binding);
+        // Path 1 becomes its near-twin with local Vth raised by 1e-13 V:
+        // the twin's threshold sits just above path 0's, inside any
+        // bracket estimated on path 0, so the twin sets Vmin.
+        let mut twin = chip.paths[0].clone();
+        twin.local_vth_offset = Volt(twin.local_vth_offset.0 + 1e-13);
+        chip.paths[1] = twin;
+        let expected = oracle::vmin_noiseless(&tester, &chip, temp, t).unwrap();
+        assert!(expected.0 > vmin.0, "the twin must bind");
+
+        // The search's endpoint checks without the slowest-first ranking
+        // (which would put the twin first): the estimate runs on row 0,
+        // the lower twin. The twin fails at that bracket's `a`, so it
+        // takes the next estimate, whose `a` the lower twin fails in turn:
+        // no bracket can hold one twin alone.
+        let (lo, hi) = (tester.spec().search_low.0, tester.spec().search_high.0);
+        let mut table = SearchTable::default();
+        table.fill(&chip, temp, t);
+        assert!(tester.predicate(&mut table, hi));
+        assert!(!tester.predicate(&mut table, lo));
+        let bracket = tester.certify(&mut table, lo, hi);
+        assert!(bracket.is_none(), "{bracket:?}");
+        // The search bisects without a certificate and still matches.
+        let mut table = SearchTable::default();
+        let searched = tester.search(&mut table, &chip, temp, t).unwrap();
+        assert_eq!(table.certified, 0);
+        assert_eq!(searched.0.to_bits(), expected.0.to_bits());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! monolithic burn-in campaign, paper-scale chips and the conventional
 //! shmoo flow — is folded into FNV-1a digests over its IEEE-754 bits and
 //! compared with constants recorded before the Vmin-search kernel was
-//! restructured. A change that moves a single simulated bit fails here;
-//! a change meant to move outputs must re-record the constants and say
-//! why.
+//! restructured (the lot-boundary digest before the certified bracket's
+//! steps were cut to the binding path). A change that moves a single
+//! simulated bit fails here; a change meant to move outputs must
+//! re-record the constants and say why.
 
 use cqr_vmin::silicon::{
     nominal_chip, Campaign, CampaignStream, ChipFactory, DatasetSpec, Hours, VminTester,
@@ -158,6 +159,11 @@ const SCREENING_ROWS: [u64; 96] = [
     0x3ac3_4c79_8160_558e,
 ];
 
+/// Rows 1,470–1,529 of a 1,536-chip screening stream (seed 2024) read in
+/// 7-row chunks: every shard starts mid-wafer, and block [1498, 1505)
+/// crosses the lot 0 → 1 boundary at chip 1,500 (25 wafers × 60 dies).
+const LOT_BOUNDARY_ROWS: u64 = 0x5fbb_03ac_96d7_ca74;
+
 /// `Campaign::run(&DatasetSpec::small(), 7)`: 64 chips, 8 paths, six read
 /// points (t > 0 exercises the aging shift), three temperatures.
 const SMALL_CAMPAIGN: u64 = 0x4bfa_de3b_6a92_4165;
@@ -190,6 +196,29 @@ fn screening_stream_rows_match_golden_digests() {
     assert!(
         mismatched.is_empty(),
         "screening rows {mismatched:?} moved; digests now {digests:016x?}"
+    );
+}
+
+#[test]
+fn screening_stream_across_a_lot_boundary_matches_golden_digest() {
+    let spec = DatasetSpec::screening(1_536);
+    let mut h = Fnv::new();
+    let mut rows = 0;
+    for block in CampaignStream::with_chunk(&spec, 2024, 7) {
+        for r in 0..block.len() {
+            let id = block.chip_id(r);
+            if (1_470..1_530).contains(&id) {
+                h.u64(id as u64);
+                h.f64s(block.row(r));
+                rows += 1;
+            }
+        }
+    }
+    assert_eq!(rows, 60);
+    assert_eq!(
+        h.0, LOT_BOUNDARY_ROWS,
+        "lot-boundary digest now {:016x}",
+        h.0
     );
 }
 
