@@ -121,6 +121,8 @@ grep -q '"models.hist.tree_fits"' target/trace-hist.json
 grep -q '"models.hist.oblivious_fits"' target/trace-hist.json
 grep -q '"models.hist.level_searches"' target/trace-hist.json
 grep -q '"models.hist.child_subtracted"' target/trace-hist.json
+# Bins the GBT boundary scans visited (only each node's marked bins).
+grep -q '"models.hist.bins_scanned"' target/trace-hist.json
 # Pinball rounds served from the per-fit round memo, both boosters.
 grep -q '"models.gbt.memo_hits"' target/trace-hist.json
 grep -q '"models.oblivious.memo_hits"' target/trace-hist.json

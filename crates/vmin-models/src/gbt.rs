@@ -6,7 +6,7 @@
 //! "QR XGBoost" quantile regression.
 
 use crate::fitplan::{BinnedDataset, FitPlan};
-use crate::hist::{HistBinned, RoundMemo};
+use crate::hist::{HistBinned, HistScratch, RoundMemo};
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use crate::tree::{GradientTree, TreeParams};
 use vmin_linalg::Matrix;
@@ -154,17 +154,24 @@ impl GradientBoost {
             && self.params.subsample >= 1.0
             && n <= u32::MAX as usize
         {
+            // Histogram trees carry no Hessian histogram: every loss here
+            // has unit Hessians, so a node's Hessian sum is its row count.
+            // A loss without them must fail this match and revisit that.
+            match self.loss {
+                Loss::Squared | Loss::Pinball(_) => {}
+            }
             let cap = crate::hist::gbt_border_cap(n);
             let binned = match plan {
                 Some(p) => p.binned(x, cap)?,
                 None => std::sync::Arc::new(BinnedDataset::compute(x, cap)?),
             };
-            Some(HistBinned::build(x, &binned))
+            Some(HistBinned::build(x, binned))
         } else {
             None
         };
-        // Node histograms recycle across nodes and rounds through this pool.
-        let mut hist_pool: Vec<Vec<crate::hist::FeatHist>> = Vec::new();
+        // Node histograms recycle across nodes and rounds through this
+        // scratch, which also counts the bins the boundary scans visit.
+        let mut hist_scratch = HistScratch::default();
         // Subsample row buffer, reused across rounds (`clone_from` restores
         // the ascending order the seed's per-round `all_rows.clone()` had,
         // so the shuffle consumes the identical RNG stream).
@@ -188,12 +195,6 @@ impl GradientBoost {
                     *g = loss.gradient(y[i0 + di], preds[i0 + di]);
                 }
             });
-            vmin_par::par_chunks_mut(&mut hess, ROUND_ROW_BLOCK, 2, |bi, chunk| {
-                let i0 = bi * ROUND_ROW_BLOCK;
-                for (di, h) in chunk.iter_mut().enumerate() {
-                    *h = loss.hessian(y[i0 + di], preds[i0 + di]);
-                }
-            });
             let tree = if let Some(hb) = hist_binned.as_ref() {
                 let class = loss.gradient_class(y, &preds);
                 let earlier = class
@@ -207,9 +208,15 @@ impl GradientBoost {
                     if let Some(c) = class {
                         memo.insert(c, self.trees.len());
                     }
-                    GradientTree::fit_hist(x, &grad, &hess, &self.params.tree, hb, &mut hist_pool)
+                    GradientTree::fit_hist(x, &grad, &self.params.tree, hb, &mut hist_scratch)
                 }
             } else {
+                vmin_par::par_chunks_mut(&mut hess, ROUND_ROW_BLOCK, 2, |bi, chunk| {
+                    let i0 = bi * ROUND_ROW_BLOCK;
+                    for (di, h) in chunk.iter_mut().enumerate() {
+                        *h = loss.hessian(y[i0 + di], preds[i0 + di]);
+                    }
+                });
                 let rows: &[usize] = if self.params.subsample < 1.0 {
                     let take = ((self.params.subsample * n as f64).round() as usize).max(2);
                     shuffled.clone_from(&all_rows);
@@ -230,6 +237,7 @@ impl GradientBoost {
             self.trees.push(tree);
         }
         vmin_trace::counter_add("models.gbt.memo_hits", memo_hits);
+        vmin_trace::counter_add("models.hist.bins_scanned", hist_scratch.bins_scanned);
         Ok(())
     }
 }
@@ -470,9 +478,8 @@ mod tests {
             m
         });
         let binned = BinnedDataset::compute(&x, crate::hist::gbt_border_cap(x.rows())).unwrap();
-        let hb = HistBinned::build(&x, &binned);
-        let hess = vec![1.0; x.rows()];
-        let mut pool = Vec::new();
+        let hb = HistBinned::build(&x, std::sync::Arc::new(binned));
+        let mut scratch = HistScratch::default();
         let mut preds = vec![m.base_score; x.rows()];
         let mut classes: Vec<Vec<u64>> = Vec::new();
         let mut hits = 0;
@@ -482,7 +489,7 @@ mod tests {
                 .zip(&preds)
                 .map(|(&yi, &pi)| loss.gradient(yi, pi))
                 .collect();
-            let fresh = GradientTree::fit_hist(&x, &grad, &hess, &params.tree, &hb, &mut pool);
+            let fresh = GradientTree::fit_hist(&x, &grad, &params.tree, &hb, &mut scratch);
             assert_eq!(*tree, fresh, "round {round}");
             let class = loss.gradient_class(&y, &preds).unwrap();
             if classes.contains(&class) {

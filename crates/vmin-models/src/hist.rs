@@ -19,10 +19,15 @@
 //!   threshold` at prediction — the same ordering quirk the exact scan
 //!   has always had.)
 //! - **Subtraction trick.** A child's histogram is its parent's minus its
-//!   sibling's, bin by bin; only the smaller child is ever accumulated
-//!   from rows ([`subtract_sibling`]). The oblivious level kernel gets
-//!   the same effect for free: per-leaf gradient totals are carried as
-//!   `left = Σ, right = parent − left`.
+//!   sibling's; only the smaller child is ever accumulated from rows
+//!   ([`subtract_sibling`]). GBT node histograms are sparse: each feature
+//!   histogram carries a mask of the bins that may be non-zero, and
+//!   accumulation, subtraction, the boundary scan and retiring a buffer to
+//!   the pool touch only marked bins, so a node's work scales with its
+//!   rows, not with features × bins — bit for bit against the dense
+//!   kernels (DESIGN.md §12, "Sparse node support"). The oblivious level
+//!   kernel gets the subtraction for free: per-leaf gradient totals are
+//!   carried as `left = Σ, right = parent − left`.
 //! - **Tie order.** Per-feature scans keep the seed's strict-`>`
 //!   first-maximum rule (earliest boundary wins), and the cross-feature
 //!   merge folds candidates in ascending feature order, also strict `>`
@@ -43,13 +48,16 @@
 //! Instrumentation: `models.hist.oblivious_fits` / `models.hist.tree_fits`
 //! count binned fits, `models.hist.level_searches` counts oblivious level
 //! scans, and `models.hist.child_accumulated` / `models.hist.child_subtracted`
-//! count the two halves of the subtraction trick. `models.gbt.memo_hits` /
-//! `models.oblivious.memo_hits` count rounds served from the memo (flushed
-//! once per fit), so `tree_fits + gbt.memo_hits = gbt.rounds` on pinball
-//! histogram fits. All are deterministic at any thread count.
+//! count the two halves of the subtraction trick, and
+//! `models.hist.bins_scanned` the bins the GBT boundary scans visit.
+//! `models.gbt.memo_hits` / `models.oblivious.memo_hits` count rounds
+//! served from the memo, so `tree_fits + gbt.memo_hits = gbt.rounds` on
+//! pinball histogram fits. Memo hits and scanned bins are accumulated
+//! locally and flushed once per fit. All are deterministic at any thread
+//! count.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::fitplan::{BinnedDataset, MAX_BORDER_COUNT};
 use vmin_linalg::Matrix;
@@ -175,33 +183,133 @@ impl<T> RoundMemo<T> {
 }
 
 // ---------------------------------------------------------------------------
-// GBT side: per-node feature histograms + boundary scan
+// GBT side: sparse per-node feature histograms + boundary scan
 // ---------------------------------------------------------------------------
 
-/// One feature's gradient/Hessian/count histogram over a tree node's rows.
-#[derive(Debug, Clone, PartialEq)]
+/// One feature's gradient and count histogram over a tree node's rows.
+/// Both losses have unit Hessians, so the count histogram doubles as the
+/// Hessian one (`GradientBoost::fit_inner` guards that premise).
+///
+/// `occ` marks the bins that may be non-zero: bin `b` is bit `b % 64` of
+/// word `b / 64` (`u8` bin ids keep every bin below 256). Every unmarked
+/// bin holds exactly `+0.0` / `0`, so the kernels below touch only marked
+/// bins and a node's histogram work scales with its rows, not with
+/// features × bins (DESIGN.md §12, "Sparse node support").
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FeatHist {
-    pub(crate) g: Vec<f64>,
-    pub(crate) h: Vec<f64>,
-    pub(crate) c: Vec<u32>,
+    g: Vec<f64>,
+    c: Vec<u32>,
+    occ: [u64; 4],
+}
+
+impl FeatHist {
+    /// The marked bins, ascending.
+    fn marked(&self) -> MarkedBins {
+        let [bits, ..] = self.occ;
+        MarkedBins {
+            occ: self.occ,
+            word: 0,
+            bits,
+        }
+    }
+
+    fn mark(&mut self, b: usize) {
+        if let Some(w) = self.occ.get_mut(b >> 6) {
+            *w |= 1 << (b & 63);
+        }
+    }
+
+    /// All-zero (`+0.0` bits, zero counts) with an empty mask — the state
+    /// every pooled buffer is in.
+    fn is_clean(&self) -> bool {
+        self.occ == [0; 4]
+            && self.g.iter().all(|v| v.to_bits() == 0)
+            && self.c.iter().all(|&c| c == 0)
+    }
+
+    /// Restores the clean state by zeroing only the marked bins: the mask
+    /// covers every bin that may be non-zero.
+    fn clear(&mut self) {
+        for b in self.marked() {
+            self.g[b] = 0.0;
+            self.c[b] = 0;
+        }
+        self.occ = [0; 4];
+    }
+}
+
+/// The set bits of a [`FeatHist`] mask in ascending order, found word by
+/// word via `trailing_zeros`.
+#[derive(Debug, Clone)]
+struct MarkedBins {
+    occ: [u64; 4],
+    word: usize,
+    bits: u64,
+}
+
+impl Iterator for MarkedBins {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.occ.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.word * 64 + bit)
+    }
+}
+
+/// Node histograms one boosted fit recycles across nodes and rounds, plus
+/// the fit's boundary-scan work count.
+///
+/// Every pooled buffer is clean — all-zero with an empty mask:
+/// [`Self::retire`] restores that on the way in, so
+/// [`HistBinned::accumulate_into`] never zero-fills a reused buffer.
+#[derive(Debug, Default)]
+pub(crate) struct HistScratch {
+    pool: Vec<Vec<FeatHist>>,
+    /// Bins the boundary scans visited (`models.hist.bins_scanned`,
+    /// flushed once per boosted fit).
+    pub(crate) bins_scanned: u64,
+}
+
+impl HistScratch {
+    /// A clean buffer: pooled if one is free, else empty (shaped by its
+    /// first accumulation).
+    pub(crate) fn take(&mut self) -> Vec<FeatHist> {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    /// Returns a node's histograms to the pool, clean.
+    pub(crate) fn retire(&mut self, mut hist: Vec<FeatHist>) {
+        for fh in &mut hist {
+            fh.clear();
+        }
+        self.pool.push(hist);
+    }
 }
 
 /// Bin tables plus per-boundary split thresholds for the GBT histogram
 /// path, built once per boosted fit and shared by every round's tree.
 #[derive(Debug)]
 pub(crate) struct HistBinned {
-    /// `bin_of[feature][row]` — copied from the [`BinnedDataset`].
-    pub(crate) bin_of: Vec<Vec<u8>>,
+    /// The fit's bin table (`bin_of[feature][row]`).
+    pub(crate) binned: Arc<BinnedDataset>,
     /// `split_at[feature][k]`: the smallest training value with
     /// `bin > k` (`+∞` if the upper bins are empty), so `v < split_at[k]`
     /// ⇔ `bin(v) ≤ k` on every training row.
     pub(crate) split_at: Vec<Vec<f64>>,
+    /// `0..n_features`: the item list of every per-feature parallel pass.
+    pub(crate) features: Vec<usize>,
 }
 
 impl HistBinned {
     /// Derives the per-boundary thresholds from the raw matrix and its bin
     /// table (suffix-min of per-bin minimum values).
-    pub(crate) fn build(x: &Matrix, binned: &BinnedDataset) -> HistBinned {
+    pub(crate) fn build(x: &Matrix, binned: Arc<BinnedDataset>) -> HistBinned {
         let features: Vec<usize> = (0..x.cols()).collect();
         let split_at = vmin_par::par_map(&features, PAR_MIN_FEATURES, |_, &f| {
             let borders = &binned.borders[f];
@@ -223,80 +331,64 @@ impl HistBinned {
             split
         });
         HistBinned {
-            bin_of: binned.bin_of.clone(),
+            binned,
             split_at,
+            features,
         }
     }
 
     pub(crate) fn n_features(&self) -> usize {
-        self.bin_of.len()
+        self.features.len()
     }
 
-    /// Accumulates every feature's histogram over `rows`. Each feature is
+    /// Accumulates every feature's gradient and count histogram over
+    /// `rows` into `out`, marking each bin a row lands in. Each feature is
     /// an independent parallel item whose rows are summed serially in the
     /// given (ascending) order — bit-identical at any thread count.
-    /// (Tree growth goes through [`Self::accumulate_into`]; this wrapper
-    /// serves the unit tests.)
-    #[cfg(test)]
-    pub(crate) fn accumulate(
-        &self,
-        rows: &[u32],
-        grad: &[f64],
-        hess: &[f64],
-        min_feats: usize,
-    ) -> Vec<FeatHist> {
-        let mut out = Vec::new();
-        self.accumulate_into(rows, grad, hess, min_feats, &mut out);
-        out
-    }
-
-    /// [`Self::accumulate`] into a caller-provided buffer, reusing its
-    /// allocations. The tree builder recycles retired node histograms
-    /// through a pool (see `build_hist`), so steady-state accumulation is
-    /// allocation-free; the buffer is (re)shaped and zeroed here, making
-    /// the result independent of whatever the buffer held before.
+    ///
+    /// `out` must be clean ([`HistScratch::take`] hands out only clean
+    /// buffers): a buffer is zero-filled only when first shaped.
     pub(crate) fn accumulate_into(
         &self,
         rows: &[u32],
         grad: &[f64],
-        hess: &[f64],
         min_feats: usize,
         out: &mut Vec<FeatHist>,
     ) {
-        out.resize_with(self.n_features(), || FeatHist {
-            g: Vec::new(),
-            h: Vec::new(),
-            c: Vec::new(),
-        });
-        let (bin_of, split_at) = (&self.bin_of, &self.split_at);
+        out.resize_with(self.n_features(), FeatHist::default);
+        let (bin_of, split_at) = (&self.binned.bin_of, &self.split_at);
         vmin_par::par_chunks_mut(out, 1, min_feats, |f, chunk| {
             let fh = &mut chunk[0];
             let bins = &bin_of[f];
             let nb = split_at[f].len() + 1;
-            fh.g.clear();
-            fh.g.resize(nb, 0.0);
-            fh.h.clear();
-            fh.h.resize(nb, 0.0);
-            fh.c.clear();
-            fh.c.resize(nb, 0);
+            if fh.g.len() != nb {
+                *fh = FeatHist {
+                    g: vec![0.0; nb],
+                    c: vec![0; nb],
+                    occ: [0; 4],
+                };
+            }
+            debug_assert!(fh.is_clean(), "feature {f}: reused node histogram is dirty");
             for &i in rows {
                 let i = i as usize;
                 let b = bins[i] as usize;
                 fh.g[b] += grad[i];
-                fh.h[b] += hess[i];
                 fh.c[b] += 1;
+                fh.mark(b);
             }
         });
     }
 }
 
 /// The subtraction trick: consumes the parent's histograms and returns the
-/// larger child's as `parent − smaller_sibling`, bin by bin.
+/// larger child's as `parent − smaller_sibling`. Only the smaller child's
+/// marked bins are subtracted — elsewhere it holds `+0.0` / `0`, and
+/// `p − (+0.0)` is `p` for every `f64`. The result keeps the parent's
+/// mask, a superset of the larger child's support.
 pub(crate) fn subtract_sibling(mut parent: Vec<FeatHist>, small: &[FeatHist]) -> Vec<FeatHist> {
     for (pf, sf) in parent.iter_mut().zip(small) {
-        for b in 0..pf.g.len() {
+        for b in sf.marked() {
             pf.g[b] -= sf.g[b];
-            pf.h[b] -= sf.h[b];
             pf.c[b] -= sf.c[b];
         }
     }
@@ -305,8 +397,16 @@ pub(crate) fn subtract_sibling(mut parent: Vec<FeatHist>, small: &[FeatHist]) ->
 
 /// Best boundary for one feature from its node histogram, under the exact
 /// GBT gain rule (same formula, `min_child_weight` gate, strict-`>` vs the
-/// `0.0` floor, earliest boundary on ties). Returns
-/// `(gain, feature, boundary, threshold)`.
+/// `0.0` floor, earliest boundary on ties). Returns the candidate
+/// `(gain, feature, boundary, threshold)` and the number of bins visited.
+///
+/// Walks only the marked bins, ascending. An unmarked bin holds `+0.0` /
+/// `0`, where a full sweep would add `+0.0` to `gl` (never `−0.0`, so an
+/// identity) and take the empty-bin `continue`; every visited bin
+/// therefore sees the same `gl` and `cl`, and yields the same gain bits.
+/// Marked bins with a zero count stay in the walk: a derived bin can hold
+/// no rows but a gradient residual, which the full sweep adds to `gl`.
+/// Hessian sums are row counts (unit Hessians), so `hl` is `cl` exactly.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn best_boundary_gbt(
     fh: &FeatHist,
@@ -319,34 +419,49 @@ pub(crate) fn best_boundary_gbt(
     lambda: f64,
     gamma: f64,
     feature: usize,
-) -> Option<(f64, usize, usize, f64)> {
+) -> (Option<(f64, usize, usize, f64)>, u64) {
     let mut best: Option<(f64, usize, usize, f64)> = None;
-    let (mut gl, mut hl, mut cl) = (0.0f64, 0.0f64, 0u32);
-    for k in 0..split_at.len() {
-        let cb = fh.c[k];
-        gl += fh.g[k];
-        hl += fh.h[k];
-        cl += cb;
-        // Once the left side holds every row, no later boundary has a
-        // right child either.
-        if cl == count {
-            break;
-        }
-        // An empty bin duplicates the previous boundary's partition.
-        if cb == 0 {
-            continue;
-        }
-        let gr = g_sum - gl;
-        let hr = h_sum - hl;
-        if hl < min_child_weight || hr < min_child_weight {
-            continue;
-        }
-        let gain = 0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score) - gamma;
-        if gain > best.map_or(0.0, |(g, ..)| g) {
-            best = Some((gain, feature, k, split_at[k]));
+    let (mut gl, mut cl) = (0.0f64, 0u32);
+    let mut visited = 0u64;
+    // The mask walk is written out rather than run through `fh.marked()`:
+    // this is the fit's hottest loop, and the iterator form compiles
+    // slower.
+    'walk: for (w, &word) in fh.occ.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let k = w * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            // The last bin has no boundary above it.
+            if k >= split_at.len() {
+                break 'walk;
+            }
+            visited += 1;
+            let cb = fh.c[k];
+            gl += fh.g[k];
+            cl += cb;
+            // Once the left side holds every row, no later boundary has a
+            // right child either.
+            if cl == count {
+                break 'walk;
+            }
+            // An empty bin duplicates the previous boundary's partition.
+            if cb == 0 {
+                continue;
+            }
+            let gr = g_sum - gl;
+            let hl = f64::from(cl);
+            let hr = h_sum - hl;
+            if hl < min_child_weight || hr < min_child_weight {
+                continue;
+            }
+            let gain =
+                0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score) - gamma;
+            if gain > best.map_or(0.0, |(g, ..)| g) {
+                best = Some((gain, feature, k, split_at[k]));
+            }
         }
     }
-    best
+    (best, visited)
 }
 
 // ---------------------------------------------------------------------------
@@ -407,11 +522,13 @@ impl ObliviousHistState {
     /// Scans every feature's bin boundaries for the level split maximizing
     /// `Σ_leaf gl²/(cl+l2) + gr²/(cr+l2)` and returns `(feature, border
     /// index)`, or `None` when no feature has a candidate border. Features
-    /// are independent `par_map` items merged in ascending order with the
-    /// seed's strict-`>` rule.
+    /// (`features` is `0..n_features`, built once per fit) are independent
+    /// `par_map` items merged in ascending order with the seed's strict-`>`
+    /// rule.
     pub(crate) fn best_level_split(
         &self,
         binned: &BinnedDataset,
+        features: &[usize],
         grad: &[f64],
         recip: &[f64],
     ) -> Option<(usize, usize)> {
@@ -419,8 +536,7 @@ impl ObliviousHistState {
         // One leaf-major gradient gather serves every feature scan this
         // level; the kernels then read it sequentially.
         let grad_lm: Vec<f64> = self.perm.iter().map(|&i| grad[i as usize]).collect();
-        let features: Vec<usize> = (0..binned.borders.len()).collect();
-        let per_feature = vmin_par::par_map(&features, PAR_MIN_FEATURES, |_, &f| {
+        let per_feature = vmin_par::par_map(features, PAR_MIN_FEATURES, |_, &f| {
             scan_feature(
                 &binned.bin_of[f],
                 binned.borders[f].len(),
@@ -707,8 +823,8 @@ mod tests {
     #[test]
     fn split_at_thresholds_reproduce_bin_partition_on_training_rows() {
         let (x, _) = toy(64, 3, 5);
-        let binned = BinnedDataset::compute(&x, 7).unwrap();
-        let hb = HistBinned::build(&x, &binned);
+        let binned = Arc::new(BinnedDataset::compute(&x, 7).unwrap());
+        let hb = HistBinned::build(&x, Arc::clone(&binned));
         for f in 0..x.cols() {
             for k in 0..binned.borders[f].len() {
                 let t = hb.split_at[f][k];
@@ -727,15 +843,17 @@ mod tests {
     #[test]
     fn sibling_subtraction_matches_direct_accumulation_counts() {
         let (x, g) = toy(80, 4, 9);
-        let h = vec![1.0; 80];
         let binned = BinnedDataset::compute(&x, 15).unwrap();
-        let hb = HistBinned::build(&x, &binned);
+        let hb = HistBinned::build(&x, Arc::new(binned));
         let all: Vec<u32> = (0..80).collect();
         let (left, right): (Vec<u32>, Vec<u32>) = all.iter().partition(|&&i| i % 3 == 0);
-        let parent = hb.accumulate(&all, &g, &h, usize::MAX);
-        let small = hb.accumulate(&left, &g, &h, usize::MAX);
-        let derived = subtract_sibling(parent, &small);
-        let direct = hb.accumulate(&right, &g, &h, usize::MAX);
+        let accumulate = |rows: &[u32]| {
+            let mut out = Vec::new();
+            hb.accumulate_into(rows, &g, usize::MAX, &mut out);
+            out
+        };
+        let derived = subtract_sibling(accumulate(&all), &accumulate(&left));
+        let direct = accumulate(&right);
         for f in 0..hb.n_features() {
             assert_eq!(derived[f].c, direct[f].c, "feature {f} counts");
             for b in 0..derived[f].g.len() {
@@ -743,6 +861,10 @@ mod tests {
                     (derived[f].g[b] - direct[f].g[b]).abs() < 1e-12,
                     "feature {f} bin {b} gradient"
                 );
+            }
+            // The derived mask (the parent's) covers the direct support.
+            for b in direct[f].marked() {
+                assert!(derived[f].marked().any(|m| m == b), "feature {f} bin {b}");
             }
         }
     }
@@ -785,7 +907,8 @@ mod tests {
         st.reset(&g);
         // One level deep first, so the brute force also covers multi-leaf
         // scoring.
-        let (f0, k0) = st.best_level_split(&binned, &g, &recip).unwrap();
+        let features: Vec<usize> = (0..x.cols()).collect();
+        let (f0, k0) = st.best_level_split(&binned, &features, &g, &recip).unwrap();
         st.apply_split(&binned.bin_of[f0], k0, &g);
 
         let brute = |st: &ObliviousHistState| -> Option<(f64, usize, usize)> {
@@ -815,7 +938,7 @@ mod tests {
             best
         };
         let (_, bf, bk) = brute(&st).unwrap();
-        let (kf, kk) = st.best_level_split(&binned, &g, &recip).unwrap();
+        let (kf, kk) = st.best_level_split(&binned, &features, &g, &recip).unwrap();
         assert_eq!(
             (kf, kk),
             (bf, bk),
@@ -827,20 +950,407 @@ mod tests {
     fn gbt_boundary_scan_respects_gain_floor_and_child_weight() {
         let fh = FeatHist {
             g: vec![-4.0, 0.0, 4.0],
-            h: vec![2.0, 0.0, 2.0],
             c: vec![2, 0, 2],
+            occ: [0b101, 0, 0, 0],
         };
         let split_at = vec![1.0, 2.0];
         // Strong separation: boundary 0 splits the two groups (boundary 1
         // is skipped — its bin is empty).
-        let best = best_boundary_gbt(&fh, &split_at, 0.0, 4.0, 4, 0.0, 1.0, 1.0, 0.0, 2);
+        let (best, visited) = best_boundary_gbt(&fh, &split_at, 0.0, 4.0, 4, 0.0, 1.0, 1.0, 0.0, 2);
         let (gain, f, k, t) = best.unwrap();
         assert_eq!((f, k), (2, 0));
         assert!((t - 1.0).abs() < 1e-12);
         assert!(gain > 0.0);
+        // Bin 1 is unmarked and bin 2 has no boundary above it.
+        assert_eq!(visited, 1);
         // A prohibitive min_child_weight kills every candidate.
-        assert!(best_boundary_gbt(&fh, &split_at, 0.0, 4.0, 4, 0.0, 10.0, 1.0, 0.0, 2).is_none());
+        assert!(
+            best_boundary_gbt(&fh, &split_at, 0.0, 4.0, 4, 0.0, 10.0, 1.0, 0.0, 2)
+                .0
+                .is_none()
+        );
         // γ above the achievable gain hits the 0.0 floor.
-        assert!(best_boundary_gbt(&fh, &split_at, 0.0, 4.0, 4, 0.0, 1.0, 1.0, 100.0, 2).is_none());
+        assert!(
+            best_boundary_gbt(&fh, &split_at, 0.0, 4.0, 4, 0.0, 1.0, 1.0, 100.0, 2)
+                .0
+                .is_none()
+        );
+    }
+
+    // -- Dense oracles --------------------------------------------------
+    //
+    // The GBT histogram kernels as they were before node histograms
+    // tracked their occupied bins, verbatim apart from the scan's visit
+    // count: every bin zero-filled, subtracted and swept, with an explicit
+    // Hessian histogram. The sparse kernels must reproduce them bit for
+    // bit.
+
+    #[derive(Debug, Clone)]
+    struct DenseHist {
+        g: Vec<f64>,
+        h: Vec<f64>,
+        c: Vec<u32>,
+    }
+
+    fn dense_accumulate(
+        hb: &HistBinned,
+        rows: &[u32],
+        grad: &[f64],
+        hess: &[f64],
+    ) -> Vec<DenseHist> {
+        (0..hb.n_features())
+            .map(|f| {
+                let bins = &hb.binned.bin_of[f];
+                let nb = hb.split_at[f].len() + 1;
+                let mut fh = DenseHist {
+                    g: vec![0.0; nb],
+                    h: vec![0.0; nb],
+                    c: vec![0; nb],
+                };
+                for &i in rows {
+                    let i = i as usize;
+                    let b = bins[i] as usize;
+                    fh.g[b] += grad[i];
+                    fh.h[b] += hess[i];
+                    fh.c[b] += 1;
+                }
+                fh
+            })
+            .collect()
+    }
+
+    fn dense_subtract(mut parent: Vec<DenseHist>, small: &[DenseHist]) -> Vec<DenseHist> {
+        for (pf, sf) in parent.iter_mut().zip(small) {
+            for b in 0..pf.g.len() {
+                pf.g[b] -= sf.g[b];
+                pf.h[b] -= sf.h[b];
+                pf.c[b] -= sf.c[b];
+            }
+        }
+        parent
+    }
+
+    /// The dense boundary sweep; also returns the bins its loop visited.
+    #[allow(clippy::too_many_arguments)]
+    fn dense_boundary(
+        fh: &DenseHist,
+        split_at: &[f64],
+        g_sum: f64,
+        h_sum: f64,
+        count: u32,
+        parent_score: f64,
+        min_child_weight: f64,
+        lambda: f64,
+        gamma: f64,
+        feature: usize,
+    ) -> (Option<(f64, usize, usize, f64)>, u64) {
+        let mut best: Option<(f64, usize, usize, f64)> = None;
+        let (mut gl, mut hl, mut cl) = (0.0f64, 0.0f64, 0u32);
+        let mut visited = 0u64;
+        for k in 0..split_at.len() {
+            visited += 1;
+            let cb = fh.c[k];
+            gl += fh.g[k];
+            hl += fh.h[k];
+            cl += cb;
+            if cl == count {
+                break;
+            }
+            if cb == 0 {
+                continue;
+            }
+            let gr = g_sum - gl;
+            let hr = h_sum - hl;
+            if hl < min_child_weight || hr < min_child_weight {
+                continue;
+            }
+            let gain =
+                0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score) - gamma;
+            if gain > best.map_or(0.0, |(g, ..)| g) {
+                best = Some((gain, feature, k, split_at[k]));
+            }
+        }
+        (best, visited)
+    }
+
+    /// `(gain bits, feature, boundary, threshold bits)` of a scan result.
+    fn scan_bits(best: Option<(f64, usize, usize, f64)>) -> Option<(u64, usize, usize, u64)> {
+        best.map(|(gain, f, k, t)| (gain.to_bits(), f, k, t.to_bits()))
+    }
+
+    #[test]
+    fn scan_visits_marked_bins_that_hold_no_rows() {
+        // Bin 1 holds no rows but a gradient residual, as a bin derived by
+        // subtraction can. The best boundary (2) lies above it, so its gain
+        // bits depend on the residual reaching `gl`.
+        let g = vec![1.0, 1e-3, 1.0, -2.001];
+        let c = vec![1, 0, 1, 2];
+        let sparse = FeatHist {
+            g: g.clone(),
+            c: c.clone(),
+            occ: [0b1111, 0, 0, 0],
+        };
+        let dense = DenseHist {
+            g,
+            h: c.iter().map(|&c| f64::from(c)).collect(),
+            c,
+        };
+        let split_at = [1.0, 2.0, 3.0];
+        let g_sum = 1.0 + 1e-3 + 1.0 - 2.001;
+        let args = (g_sum, 4.0, 4u32, g_sum * g_sum / 5.0, 0.0, 1.0, 0.0, 0usize);
+        let (sb, sv) = best_boundary_gbt(
+            &sparse, &split_at, args.0, args.1, args.2, args.3, args.4, args.5, args.6, args.7,
+        );
+        let (db, dv) = dense_boundary(
+            &dense, &split_at, args.0, args.1, args.2, args.3, args.4, args.5, args.6, args.7,
+        );
+        assert_eq!(scan_bits(sb), scan_bits(db));
+        assert_eq!(
+            sb.map(|(_, _, k, _)| k),
+            Some(2),
+            "the boundary above the residual bin"
+        );
+        assert_eq!((sv, dv), (3, 3), "every boundary bin is visited");
+    }
+
+    /// One random tree-growth case for the oracle property test.
+    struct GrowCase<'a> {
+        hb: &'a HistBinned,
+        grad: &'a [f64],
+        hess: &'a [f64],
+        min_child_weight: f64,
+        lambda: f64,
+        gamma: f64,
+        min_feats: usize,
+    }
+
+    /// State shared by every case of the oracle property test, and what
+    /// the test saw (to prove it exercised the paths it is meant to). One
+    /// scratch serves every case, so buffers of every shape cycle through
+    /// the pool and a dirty retire would also corrupt later accumulations.
+    struct GrowState {
+        rng: ChaCha8Rng,
+        scratch: HistScratch,
+        nodes: u64,
+        residual_bins: u64,
+        sparse_visits: u64,
+        dense_visits: u64,
+        single_row_children: u64,
+    }
+
+    /// Compares one node's sparse and dense histograms and scans bit for
+    /// bit, then splits it at random (stable partitions, smaller child
+    /// accumulated, larger derived) down to depth 3; retires every sparse
+    /// buffer into the scratch on the way back up.
+    fn grow(
+        case: &GrowCase<'_>,
+        st: &mut GrowState,
+        rows: &[u32],
+        sparse: Vec<FeatHist>,
+        dense: Vec<DenseHist>,
+        depth: usize,
+    ) {
+        st.nodes += 1;
+        let hb = case.hb;
+        let count = rows.len() as u32;
+        let g_sum: f64 = rows.iter().map(|&i| case.grad[i as usize]).sum();
+        let h_sum: f64 = rows.iter().map(|&i| case.hess[i as usize]).sum();
+        assert_eq!(h_sum, f64::from(count));
+        let parent_score = g_sum * g_sum / (h_sum + case.lambda);
+        for f in 0..hb.n_features() {
+            let (sf, df) = (&sparse[f], &dense[f]);
+            assert_eq!(sf.c, df.c, "feature {f} counts");
+            for b in 0..sf.g.len() {
+                assert_eq!(sf.g[b].to_bits(), df.g[b].to_bits(), "feature {f} bin {b}");
+                let marked = sf.occ[b >> 6] >> (b & 63) & 1 == 1;
+                assert!(
+                    marked || (sf.c[b] == 0 && sf.g[b].to_bits() == 0),
+                    "feature {f} bin {b}: unmarked but not +0.0 / 0"
+                );
+                if marked && sf.c[b] == 0 && sf.g[b] != 0.0 && b < hb.split_at[f].len() {
+                    st.residual_bins += 1;
+                }
+            }
+            let split_at = &hb.split_at[f];
+            let (sb, sv) = best_boundary_gbt(
+                sf,
+                split_at,
+                g_sum,
+                h_sum,
+                count,
+                parent_score,
+                case.min_child_weight,
+                case.lambda,
+                case.gamma,
+                f,
+            );
+            let (db, dv) = dense_boundary(
+                df,
+                split_at,
+                g_sum,
+                h_sum,
+                count,
+                parent_score,
+                case.min_child_weight,
+                case.lambda,
+                case.gamma,
+                f,
+            );
+            assert_eq!(scan_bits(sb), scan_bits(db), "feature {f} scan");
+            assert!(sv <= dv, "feature {f}: sparse visited {sv} > dense {dv}");
+            st.sparse_visits += sv;
+            st.dense_visits += dv;
+        }
+        if depth == 3 || rows.len() < 2 {
+            st.scratch.retire(sparse);
+            return;
+        }
+        let rng = &mut st.rng;
+        // A stable partition: by a feature's bin boundary (as real splits
+        // are), by a random subset, or one row against the rest.
+        let (mut left, mut right): (Vec<u32>, Vec<u32>) = match rng.gen_range(0..3u32) {
+            0 => {
+                let f = rng.gen_range(0..hb.n_features());
+                let k = rng.gen_range(0..hb.split_at[f].len() + 1);
+                rows.iter()
+                    .partition(|&&i| (hb.binned.bin_of[f][i as usize] as usize) <= k)
+            }
+            1 => {
+                let p = rng.gen_range(0.05..0.95);
+                rows.iter().partition(|_| rng.gen_bool(p))
+            }
+            _ => {
+                let one = rows[rng.gen_range(0..rows.len())];
+                rows.iter().partition(|&&i| i == one)
+            }
+        };
+        if left.is_empty() || right.is_empty() {
+            let one = rows[rng.gen_range(0..rows.len())];
+            (left, right) = rows.iter().partition(|&&i| i != one);
+        }
+        let left_smaller = left.len() <= right.len();
+        let (small_rows, _) = if left_smaller {
+            (&left, &right)
+        } else {
+            (&right, &left)
+        };
+        if small_rows.len() == 1 {
+            st.single_row_children += 1;
+        }
+        let mut small = st.scratch.take();
+        hb.accumulate_into(small_rows, case.grad, case.min_feats, &mut small);
+        let large = subtract_sibling(sparse, &small);
+        let dense_small = dense_accumulate(hb, small_rows, case.grad, case.hess);
+        let dense_large = dense_subtract(dense, &dense_small);
+        let (ls, ld, rs, rd) = if left_smaller {
+            (small, dense_small, large, dense_large)
+        } else {
+            (large, dense_large, small, dense_small)
+        };
+        grow(case, st, &left, ls, ld, depth + 1);
+        grow(case, st, &right, rs, rd, depth + 1);
+    }
+
+    #[test]
+    fn sparse_kernels_match_dense_oracles_bit_for_bit() {
+        let cases = if cfg!(feature = "heavy-tests") {
+            1500
+        } else {
+            300
+        };
+        let mut st = GrowState {
+            rng: ChaCha8Rng::seed_from_u64(0x00c0_ffee_0018),
+            scratch: HistScratch::default(),
+            nodes: 0,
+            residual_bins: 0,
+            sparse_visits: 0,
+            dense_visits: 0,
+            single_row_children: 0,
+        };
+        let mut border_counts = Vec::new();
+        for case_no in 0..cases {
+            let rng = &mut st.rng;
+            let n = match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(1..8usize),
+                1 => rng.gen_range(8..64usize),
+                _ => rng.gen_range(64..400usize),
+            };
+            let d = rng.gen_range(1..5usize);
+            let mut x = Matrix::zeros(n, d);
+            for j in 0..d {
+                // Continuous, tied (few distinct values) or constant, with
+                // NaN sprinkled into some columns.
+                let kind = rng.gen_range(0..3u32);
+                let nan_p = if rng.gen_bool(0.3) { 0.2 } else { 0.0 };
+                for i in 0..n {
+                    x[(i, j)] = if rng.gen_bool(nan_p) {
+                        f64::NAN
+                    } else {
+                        match kind {
+                            0 => rng.gen_range(-3.0..3.0),
+                            1 => f64::from(rng.gen_range(0..6u32)),
+                            _ => 1.5,
+                        }
+                    }
+                }
+            }
+            let border_count = match case_no % 3 {
+                0 => MAX_BORDER_COUNT,
+                1 => rng.gen_range(1..8usize),
+                _ => rng.gen_range(1..=MAX_BORDER_COUNT),
+            };
+            border_counts.push(border_count);
+            let binned = BinnedDataset::compute(&x, border_count).unwrap();
+            let hb = HistBinned::build(&x, Arc::new(binned));
+            // Pinball-like gradients (three values, many exact ties) or
+            // continuous ones spanning six decades, which leave rounding
+            // residuals behind every subtraction.
+            let grad: Vec<f64> = if rng.gen_bool(0.3) {
+                let q = rng.gen_range(0.01..0.99);
+                (0..n)
+                    .map(|_| [-q, 1.0 - q, 0.0][rng.gen_range(0..3usize)])
+                    .collect()
+            } else {
+                (0..n)
+                    .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powf(rng.gen_range(-3.0..3.0)))
+                    .collect()
+            };
+            let hess = vec![1.0; n];
+            let case = GrowCase {
+                hb: &hb,
+                grad: &grad,
+                hess: &hess,
+                min_child_weight: [0.0, 1.0, 2.5][rng.gen_range(0..3usize)],
+                lambda: [0.0, 1.0][rng.gen_range(0..2usize)],
+                gamma: [0.0, 1e-3][rng.gen_range(0..2usize)],
+                min_feats: [1, usize::MAX][rng.gen_range(0..2usize)],
+            };
+            let rows: Vec<u32> = (0..n as u32).collect();
+            let mut root = st.scratch.take();
+            hb.accumulate_into(&rows, &grad, case.min_feats, &mut root);
+            let dense_root = dense_accumulate(&hb, &rows, &grad, &hess);
+            grow(&case, &mut st, &rows, root, dense_root, 0);
+            for (bi, buf) in st.scratch.pool.iter().enumerate() {
+                for (f, fh) in buf.iter().enumerate() {
+                    assert!(
+                        fh.is_clean(),
+                        "case {case_no}: pooled buffer {bi} feature {f} is dirty"
+                    );
+                }
+            }
+        }
+        assert!(border_counts.contains(&1) && border_counts.contains(&MAX_BORDER_COUNT));
+        assert!(st.nodes > 5 * cases as u64, "{} nodes", st.nodes);
+        assert!(
+            st.residual_bins > 0,
+            "no residual bin (no rows, non-zero gradient) appeared"
+        );
+        assert!(st.single_row_children > 0, "no single-row child");
+        assert!(
+            st.sparse_visits < st.dense_visits,
+            "sparse {} vs dense {} visits",
+            st.sparse_visits,
+            st.dense_visits
+        );
     }
 }

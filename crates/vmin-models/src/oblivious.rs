@@ -395,6 +395,7 @@ impl ObliviousBoost {
         let mut preds = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
         let mut state = crate::hist::ObliviousHistState::new(n);
+        let features: Vec<usize> = (0..x.cols()).collect();
         // Pinball rounds whose gradient class repeats an earlier round's
         // replay that round's `(feature, border index)` splits instead of
         // searching: `reset`, `best_level_split` and `apply_split` read
@@ -421,7 +422,7 @@ impl ObliviousBoost {
             for level in 0..self.params.depth {
                 let next = match earlier {
                     Some(stored) => stored.get(level).copied(),
-                    None => state.best_level_split(binned, &grad, &recip),
+                    None => state.best_level_split(binned, &features, &grad, &recip),
                 };
                 let Some((feature, k)) = next else {
                     // No usable borders (all features constant), or the
@@ -719,6 +720,7 @@ mod tests {
             .map(|c| 1.0 / (c as f64 + params.l2_leaf_reg))
             .collect();
         let mut state = crate::hist::ObliviousHistState::new(x.rows());
+        let features: Vec<usize> = (0..x.cols()).collect();
         let mut preds = vec![m.base_score; x.rows()];
         let mut classes: Vec<Vec<u64>> = Vec::new();
         let mut hits = 0;
@@ -731,7 +733,7 @@ mod tests {
             state.reset(&grad);
             let mut fresh = Vec::new();
             for _ in 0..params.depth {
-                let Some((f, k)) = state.best_level_split(&binned, &grad, &recip) else {
+                let Some((f, k)) = state.best_level_split(&binned, &features, &grad, &recip) else {
                     break;
                 };
                 state.apply_split(&binned.bin_of[f], k, &grad);

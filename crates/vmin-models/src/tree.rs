@@ -11,7 +11,7 @@
 //!
 //! and the leaf weight is the Newton step `w = −G/(H+λ)`.
 
-use crate::hist::{best_boundary_gbt, subtract_sibling, FeatHist, HistBinned};
+use crate::hist::{best_boundary_gbt, subtract_sibling, FeatHist, HistBinned, HistScratch};
 use vmin_linalg::Matrix;
 
 /// Regularization and shape limits for a single tree.
@@ -114,7 +114,7 @@ impl GradientTree {
 
     /// Fits a tree over **all** rows of `x` by histogram-binned split
     /// finding (PR 7): node statistics are ≤256-bin per-feature
-    /// gradient/Hessian histograms, children reuse their parent's via the
+    /// gradient/count histograms, children reuse their parent's via the
     /// sibling-subtraction trick, and each node scans bin boundaries
     /// instead of sorted values. Same gain formula, `min_child_weight`
     /// gate, strict-`>` tie rules, node push order, and Newton leaf
@@ -124,20 +124,21 @@ impl GradientTree {
     /// bit-identical to the exact scan — candidate thresholds are
     /// quantile-binned — but bit-identical to itself at any thread count.
     ///
+    /// Every Hessian is taken to be `1.0` (both losses have unit
+    /// Hessians), so a node's Hessian sum is its row count.
+    ///
     /// # Panics
     ///
-    /// Panics if `grad`/`hess` lengths differ from `x.rows()`, `x` is
-    /// empty, or `hb` was built for a different feature count.
+    /// Panics if `grad`'s length differs from `x.rows()`, `x` is empty,
+    /// or `hb` was built for a different feature count.
     pub(crate) fn fit_hist(
         x: &Matrix,
         grad: &[f64],
-        hess: &[f64],
         params: &TreeParams,
         hb: &HistBinned,
-        pool: &mut Vec<Vec<FeatHist>>,
+        scratch: &mut HistScratch,
     ) -> Self {
         assert_eq!(x.rows(), grad.len(), "tree: grad length mismatch");
-        assert_eq!(x.rows(), hess.len(), "tree: hess length mismatch");
         assert!(x.rows() > 0, "tree: empty sample subset");
         assert_eq!(hb.n_features(), x.cols(), "tree: bin table shape mismatch");
         vmin_trace::counter_add("models.tree.fits", 1);
@@ -145,11 +146,11 @@ impl GradientTree {
         let n = x.rows();
         let mut rows: Vec<u32> = (0..n as u32).collect();
         let mut tmp: Vec<u32> = vec![0; n];
-        let mut root_hist = pool.pop().unwrap_or_default();
-        hb.accumulate_into(&rows, grad, hess, hist_min_feats(n), &mut root_hist);
+        let mut root_hist = scratch.take();
+        hb.accumulate_into(&rows, grad, hist_min_feats(n), &mut root_hist);
         let mut nodes = Vec::new();
         build_hist(
-            grad, hess, params, hb, 0, &mut rows, 0, n, root_hist, &mut tmp, &mut nodes, pool,
+            grad, params, hb, 0, &mut rows, 0, n, root_hist, &mut tmp, &mut nodes, scratch,
         );
         vmin_trace::counter_add("models.tree.nodes", nodes.len() as u64);
         GradientTree { nodes }
@@ -296,18 +297,18 @@ fn hist_min_feats(n_node: usize) -> usize {
 
 /// [`build`] over bin histograms `[lo, hi)` of the shared `rows` buffer;
 /// returns the new node's index. Mirrors the seed recursion: ascending-row
-/// `g_sum`/`h_sum`, same stop conditions, same node push order. The node's
-/// own histograms arrive by value; after the stable bin partition only the
-/// smaller child is re-accumulated and the larger one is derived in place
-/// from the parent (`models.hist.child_*` counters track both halves).
-/// Histograms a node is done with retire into `pool` and are reshaped by
-/// the next [`HistBinned::accumulate_into`], so steady-state growth is
-/// allocation-free across nodes *and* rounds (the boosted loop owns the
-/// pool).
+/// `g_sum`, same stop conditions, same node push order; the Hessian sum is
+/// the row count (unit Hessians). The node's own histograms arrive by
+/// value; after the stable bin partition only the smaller child is
+/// re-accumulated and the larger one is derived in place from the parent
+/// (`models.hist.child_*` counters track both halves). Histograms a node is
+/// done with retire into `scratch`, which zeroes their marked bins, so
+/// every buffer comes back clean and steady-state growth is
+/// allocation-free and zero-fill-free across nodes *and* rounds (the
+/// boosted loop owns the scratch).
 #[allow(clippy::too_many_arguments)]
 fn build_hist(
     grad: &[f64],
-    hess: &[f64],
     params: &TreeParams,
     hb: &HistBinned,
     depth: usize,
@@ -317,27 +318,26 @@ fn build_hist(
     hist: Vec<FeatHist>,
     tmp: &mut [u32],
     nodes: &mut Vec<Node>,
-    pool: &mut Vec<Vec<FeatHist>>,
+    scratch: &mut HistScratch,
 ) -> usize {
     let g_sum: f64 = rows[lo..hi].iter().map(|&i| grad[i as usize]).sum();
-    let h_sum: f64 = rows[lo..hi].iter().map(|&i| hess[i as usize]).sum();
+    let n_node = hi - lo;
+    let h_sum = n_node as f64;
     let make_leaf = |nodes: &mut Vec<Node>| {
         let weight = -g_sum / (h_sum + params.lambda);
         nodes.push(Node::Leaf { weight });
         nodes.len() - 1
     };
-    let n_node = hi - lo;
 
     if depth >= params.max_depth || n_node < 2 {
-        pool.push(hist);
+        scratch.retire(hist);
         return make_leaf(nodes);
     }
 
     let parent_score = g_sum * g_sum / (h_sum + params.lambda);
     vmin_trace::counter_add("models.tree.split_scans", 1);
-    let features: Vec<usize> = (0..hb.n_features()).collect();
     let hist_ref = &hist;
-    let per_feature = vmin_par::par_map(&features, hist_min_feats(n_node), |_, &f| {
+    let per_feature = vmin_par::par_map(&hb.features, hist_min_feats(n_node), |_, &f| {
         best_boundary_gbt(
             &hist_ref[f],
             &hb.split_at[f],
@@ -352,19 +352,22 @@ fn build_hist(
         )
     });
     let mut best: Option<(f64, usize, usize, f64)> = None; // (gain, feature, boundary, threshold)
-    for cand in per_feature.into_iter().flatten() {
-        if cand.0 > best.map_or(0.0, |(g, ..)| g) {
-            best = Some(cand);
+    for (cand, visited) in per_feature {
+        scratch.bins_scanned += visited;
+        if let Some(cand) = cand {
+            if cand.0 > best.map_or(0.0, |(g, ..)| g) {
+                best = Some(cand);
+            }
         }
     }
     let Some((_, feature, boundary, threshold)) = best else {
-        pool.push(hist);
+        scratch.retire(hist);
         return make_leaf(nodes);
     };
 
     // Stable partition by bin — the exact row sets the histograms scored
     // (the stored threshold reproduces this routing on training rows).
-    let bins = &hb.bin_of[feature];
+    let bins = &hb.binned.bin_of[feature];
     let mut write = lo;
     let mut spill = 0usize;
     for r in lo..hi {
@@ -382,11 +385,10 @@ fn build_hist(
 
     let left_smaller = (mid - lo) <= (hi - mid);
     let (s_lo, s_hi) = if left_smaller { (lo, mid) } else { (mid, hi) };
-    let mut small = pool.pop().unwrap_or_default();
+    let mut small = scratch.take();
     hb.accumulate_into(
         &rows[s_lo..s_hi],
         grad,
-        hess,
         hist_min_feats(s_hi - s_lo),
         &mut small,
     );
@@ -403,7 +405,6 @@ fn build_hist(
     nodes.push(Node::Leaf { weight: 0.0 }); // placeholder
     let left = build_hist(
         grad,
-        hess,
         params,
         hb,
         depth + 1,
@@ -413,11 +414,10 @@ fn build_hist(
         left_hist,
         tmp,
         nodes,
-        pool,
+        scratch,
     );
     let right = build_hist(
         grad,
-        hess,
         params,
         hb,
         depth + 1,
@@ -427,7 +427,7 @@ fn build_hist(
         right_hist,
         tmp,
         nodes,
-        pool,
+        scratch,
     );
     nodes[my_idx] = Node::Split {
         feature,

@@ -8,6 +8,12 @@
 //! constants were recorded before boosting rounds were served from the
 //! per-fit round memo; a change that moves one bit of one tree fails here.
 //! A change meant to move fits must re-record the constants and say why.
+//!
+//! A second digest pins the CQR-XGBoost pair the fleet screen trains: 384
+//! rows of a 512-chip screening campaign, depth 6, 100 rounds per quantile.
+//! Its deep trees, with many single-digit-row children, exercise the sparse
+//! node histograms far harder than the small cell does. That constant was
+//! recorded before node histograms tracked their occupied bins.
 
 use cqr_vmin::conformal::Cqr;
 use cqr_vmin::core::{
@@ -17,7 +23,7 @@ use cqr_vmin::core::{
 use cqr_vmin::data::{train_test_split, Dataset, KFold};
 use cqr_vmin::models::{
     with_histograms, GradientBoost, GradientBoostParams, Loss, NodeView, ObliviousBoost,
-    ObliviousBoostParams, Regressor,
+    ObliviousBoostParams, Regressor, TreeParams,
 };
 use cqr_vmin::silicon::{Campaign, DatasetSpec};
 
@@ -25,6 +31,7 @@ const XGB_EVAL: u64 = 0xfc2d_693b_3fdd_6c15;
 const XGB_TREES: u64 = 0x96ee_3d56_9eaa_d79a;
 const CAT_EVAL: u64 = 0xec00_6430_b26f_3325;
 const CAT_TREES: u64 = 0xda5a_a0de_2b6c_620e;
+const FLEET_PAIR: u64 = 0xfc54_bff3_10fd_289f;
 
 /// 64-bit FNV-1a over the little-endian bytes of a `u64` sequence.
 struct Fnv(u64);
@@ -213,6 +220,51 @@ fn cqr_catboost_cell_matches_golden_digests() {
             "CQR-CatBoost RegionEval moved: {eval:#018x}"
         );
         assert_eq!(trees, CAT_TREES, "CQR-CatBoost trees moved: {trees:#018x}");
+    });
+}
+
+#[test]
+fn fleet_setup_pair_matches_golden_digest() {
+    // The fleet screen's setup fit: screening campaign (512 chips, seed 1),
+    // read point 0, first temperature, both feature sets; the first 384
+    // rows train, the other 128 calibrate.
+    with_histograms(true, || {
+        let campaign = Campaign::run(&DatasetSpec::screening(512), 1);
+        let ds = assemble_dataset(&campaign, 0, 0, FeatureSet::Both).expect("assemble");
+        let train = ds
+            .subset_rows(&(0..384).collect::<Vec<_>>())
+            .expect("train rows");
+        let cal = ds
+            .subset_rows(&(384..ds.n_samples()).collect::<Vec<_>>())
+            .expect("calibration rows");
+        let params = GradientBoostParams {
+            tree: TreeParams {
+                max_depth: 6,
+                ..TreeParams::default()
+            },
+            ..GradientBoostParams::default()
+        };
+        let mut cqr = Cqr::new(
+            GradientBoost::with_params(Loss::Pinball(0.05), params),
+            GradientBoost::with_params(Loss::Pinball(0.95), params),
+            0.1,
+        );
+        cqr.fit_calibrate(
+            train.features(),
+            train.targets(),
+            cal.features(),
+            cal.targets(),
+        )
+        .expect("fit and calibrate");
+        let mut h = Fnv::new();
+        h.f64(cqr.qhat().expect("calibrated"));
+        gbt_digest(&mut h, cqr.lo_model());
+        gbt_digest(&mut h, cqr.hi_model());
+        assert_eq!(
+            h.0, FLEET_PAIR,
+            "fleet-setup CQR-XGBoost pair moved: {:#018x}",
+            h.0
+        );
     });
 }
 
