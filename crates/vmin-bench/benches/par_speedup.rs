@@ -1,5 +1,4 @@
-//! Thread-sweep timing for the hot paths the `vmin-par` layer accelerates,
-//! plus exact-vs-binned fit timing for the `vmin-models` boosters.
+//! Thread-sweep timing for the hot paths the `vmin-par` layer accelerates.
 //!
 //! The `par_speedup` group runs each workload once per thread count in
 //! {1, 2, available} via `vmin_par::with_threads`, writing one row per
@@ -9,20 +8,13 @@
 //! makes the thread count part of the benchmark id instead of an ambient
 //! setting. On a single-core host the rows coincide by construction.
 //!
-//! The `fit_hist` group times GBT-family fits on the Table III
-//! design matrix (156 chips, full feature set) and whole region cells with
-//! the histogram-binned split path pinned off (`_exact`) and on (`_hist`)
-//! via `vmin_models::with_histograms` — the exact/binned pairs behind
-//! `BENCH_PR7.json`. These are different estimators (quantile-binned
-//! candidate thresholds), so only times are comparable, not output bits.
-//!
-//! After the groups run in bench mode, `assert_small_input_thread2_sanity`
+//! After the group runs in bench mode, `assert_small_input_thread2_sanity`
 //! re-reads the recorded minima and fails the process if the 2-thread rows
 //! of the small workloads regress materially past their 1-thread rows —
 //! the serial-fallback thresholds exist precisely to keep thread handoff
 //! off tiny inputs.
 //!
-//! Run: `VMIN_BENCH_JSON=BENCH_PR7.json cargo bench -p vmin-bench --bench par_speedup`
+//! Run: `VMIN_BENCH_JSON=$PWD/target/BENCH_PR5.json cargo bench -p vmin-bench --bench par_speedup`
 
 use vmin_bench::harness::Criterion;
 use vmin_bench::{criterion_group, criterion_main};
@@ -30,7 +22,6 @@ use vmin_core::{
     assemble_dataset, run_region_cell_on, ExperimentConfig, FeatureSet, PointModel, RegionMethod,
 };
 use vmin_linalg::Matrix;
-use vmin_models::{GradientBoost, Loss, ObliviousBoost, Regressor};
 use vmin_silicon::{Campaign, DatasetSpec};
 
 /// Deterministic dense test matrix (same LCG family as the linalg tests).
@@ -87,70 +78,6 @@ fn bench_par_speedup(c: &mut Criterion) {
             })
         });
     }
-
-    group.finish();
-}
-
-fn bench_fit_hist(c: &mut Criterion) {
-    // The Table III workload proper: the paper-sized campaign (156 chips)
-    // and the full feature set at a stress read point.
-    let campaign = Campaign::run(&DatasetSpec::default(), 7);
-    let ds = assemble_dataset(&campaign, 1, 1, FeatureSet::Both)
-        .unwrap_or_else(|e| die(&format!("assemble table3 cell: {e}")));
-    let x = ds.features().clone();
-    let y = ds.targets().to_vec();
-    let cfg = ExperimentConfig::fast();
-
-    let mut group = c.benchmark_group("fit_hist");
-    group.sample_size(10);
-
-    let gbt_fit = |hist_on: bool| {
-        vmin_models::with_histograms(hist_on, || {
-            let mut m = GradientBoost::new(Loss::Pinball(0.95));
-            m.fit(&x, &y)
-                .unwrap_or_else(|e| die(&format!("gbt fit: {e}")));
-            m
-        })
-    };
-    group.bench_function("gbt_fit_exact", |bch| bch.iter(|| gbt_fit(false)));
-    group.bench_function("gbt_fit_hist", |bch| bch.iter(|| gbt_fit(true)));
-
-    let catboost_fit = |hist_on: bool| {
-        vmin_models::with_histograms(hist_on, || {
-            let mut m = ObliviousBoost::new(Loss::Pinball(0.95));
-            m.fit(&x, &y)
-                .unwrap_or_else(|e| die(&format!("catboost fit: {e}")));
-            m
-        })
-    };
-    group.bench_function("catboost_fit_exact", |bch| bch.iter(|| catboost_fit(false)));
-    group.bench_function("catboost_fit_hist", |bch| bch.iter(|| catboost_fit(true)));
-
-    let region_cell = |hist_on: bool| {
-        vmin_models::with_histograms(hist_on, || {
-            run_region_cell_on(&ds, RegionMethod::Cqr(PointModel::Xgboost), &cfg)
-                .unwrap_or_else(|e| die(&format!("cqr xgb cell: {e}")))
-        })
-    };
-    group.bench_function("cqr_xgb_region_cell_exact", |bch| {
-        bch.iter(|| region_cell(false))
-    });
-    group.bench_function("cqr_xgb_region_cell_hist", |bch| {
-        bch.iter(|| region_cell(true))
-    });
-
-    let region_cell_cb = |hist_on: bool| {
-        vmin_models::with_histograms(hist_on, || {
-            run_region_cell_on(&ds, RegionMethod::Cqr(PointModel::CatBoost), &cfg)
-                .unwrap_or_else(|e| die(&format!("cqr catboost cell: {e}")))
-        })
-    };
-    group.bench_function("cqr_catboost_region_cell_exact", |bch| {
-        bch.iter(|| region_cell_cb(false))
-    });
-    group.bench_function("cqr_catboost_region_cell_hist", |bch| {
-        bch.iter(|| region_cell_cb(true))
-    });
 
     group.finish();
 }
@@ -215,7 +142,6 @@ fn die(msg: &str) -> ! {
 criterion_group!(
     benches,
     bench_par_speedup,
-    bench_fit_hist,
     assert_small_input_thread2_sanity,
 );
 criterion_main!(benches);

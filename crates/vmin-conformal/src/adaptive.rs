@@ -26,65 +26,16 @@
 //!
 //! Everything is bit-deterministic: the stream is consumed in caller order,
 //! all statistics are sequential folds, and the only state is the window
-//! itself. `VMIN_ADAPTIVE=0` (or [`set_adaptive_enabled`]) kills the whole
-//! layer — the calibrator then behaves exactly like the frozen static CQR
-//! calibration it was constructed from.
+//! itself. The frozen static CQR calibration the layer starts from stays
+//! readable ([`AdaptiveCalibrator::frozen_qhat`]), so callers can tally it
+//! next to the adaptive one (`run_stream` reports both).
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::guard::{audit_widen_or_reject, AuditDecision, GuardConfig};
 use crate::interval::{CalibrationError, ConformalError, PredictionInterval, Result};
 use crate::quantile::{conformal_quantile, min_calibration_size};
-
-// ---------------------------------------------------------------------------
-// Kill switch
-// ---------------------------------------------------------------------------
-
-static ADAPTIVE_FLAG: OnceLock<AtomicBool> = OnceLock::new();
-static ADAPTIVE_LOCK: Mutex<()> = Mutex::new(());
-
-fn adaptive_flag() -> &'static AtomicBool {
-    ADAPTIVE_FLAG.get_or_init(|| AtomicBool::new(vmin_trace::env_flag("VMIN_ADAPTIVE", true)))
-}
-
-/// Whether the adaptive conformal layer is active. Defaults to on; the
-/// environment variable `VMIN_ADAPTIVE` (read once per process via
-/// [`vmin_trace::env_flag`]; `0`/`false`/`off` disable) turns it off,
-/// as does [`set_adaptive_enabled`]. Disabled, every
-/// [`AdaptiveCalibrator`] degrades to the frozen static CQR calibration it
-/// was constructed from: fixed `q̂`, no ACI feedback, no drift detection,
-/// no ladder transitions.
-pub fn adaptive_enabled() -> bool {
-    adaptive_flag().load(Ordering::Relaxed)
-}
-
-/// Sets the adaptive-layer flag, returning the previous value. Prefer
-/// [`with_adaptive`] in tests and benches: it serializes flag changes so
-/// concurrently running tests cannot observe each other's toggles.
-pub fn set_adaptive_enabled(on: bool) -> bool {
-    adaptive_flag().swap(on, Ordering::Relaxed)
-}
-
-struct FlagRestore(bool);
-
-impl Drop for FlagRestore {
-    fn drop(&mut self) {
-        set_adaptive_enabled(self.0);
-    }
-}
-
-/// Runs `f` with the adaptive layer pinned to `on`, restoring the previous
-/// flag afterwards (also on panic). Holds a global mutex for the duration
-/// so parallel flag-sensitive tests serialize instead of racing; do not
-/// nest calls — the lock is not reentrant.
-pub fn with_adaptive<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let _guard = ADAPTIVE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let _restore = FlagRestore(set_adaptive_enabled(on));
-    f()
-}
 
 // ---------------------------------------------------------------------------
 // Degradation ladder
@@ -343,8 +294,8 @@ pub struct AdaptiveCalibrator {
     baseline_mean: f64,
     baseline_sd: f64,
     calm_streak: usize,
-    /// `q̂` of the initial window at the target α — the static-CQR behavior
-    /// the kill switch degrades to.
+    /// `q̂` of the initial window at the target α — the static CQR
+    /// calibration the layer started from.
     frozen_qhat: f64,
     observations: u64,
     evictions: u64,
@@ -441,24 +392,6 @@ impl AdaptiveCalibrator {
         let score = (band.lo() - y).max(y - band.hi());
         self.observations += 1;
         vmin_trace::counter_add("conformal.adaptive.observations", 1);
-
-        if !adaptive_enabled() {
-            // Kill switch: exactly the frozen static CQR calibration — no
-            // feedback, no window churn, no ladder.
-            let q = self.frozen_qhat;
-            let covered = score <= q;
-            self.count_coverage(covered);
-            return Ok(StreamObservation {
-                interval: Some(PredictionInterval::new(band.lo() - q, band.hi() + q)),
-                covered: Some(covered),
-                score,
-                qhat: q,
-                alpha: self.cfg.alpha,
-                state: LadderState::Nominal,
-                drift_score: 0.0,
-                transition: None,
-            });
-        }
 
         if self.state == LadderState::Rejecting {
             vmin_trace::counter_add("conformal.adaptive.rejected_observations", 1);
@@ -711,7 +644,8 @@ impl AdaptiveCalibrator {
         self.alpha_t
     }
 
-    /// The frozen static-CQR correction the kill switch degrades to.
+    /// The frozen static-CQR correction: `q̂` of the initial window at the
+    /// target α, which a non-adaptive calibration would keep forever.
     pub fn frozen_qhat(&self) -> f64 {
         self.frozen_qhat
     }
@@ -959,36 +893,27 @@ mod tests {
     }
 
     #[test]
-    fn kill_switch_degrades_to_frozen_static_cqr() {
-        let initial = initial_scores(60);
+    fn layer_adapts_where_frozen_static_cqr_would_not() {
+        // On a drifting stream the layer must actually adapt: the intervals
+        // it returns must differ from the frozen static CQR calibration,
+        // band ± frozen q̂.
         let stream: Vec<f64> = (0..120)
             .map(|i| 550.0 + 6.0 * noise(i) + if i > 60 { 8.0 } else { 0.0 })
             .collect();
-        let run = |on: bool| {
-            with_adaptive(on, || {
-                let mut cal = AdaptiveCalibrator::new(&initial, cfg()).unwrap();
-                let static_q = cal.frozen_qhat();
-                let mut bits = Vec::new();
-                for &y in &stream {
-                    let obs = cal.observe(band(548.0, 552.0), y).unwrap();
-                    bits.push(match obs.interval {
-                        Some(iv) => (iv.lo().to_bits(), iv.hi().to_bits()),
-                        None => (0, 0),
-                    });
-                }
-                (static_q, bits, cal.state())
-            })
-        };
-        let (q_off, bits_off, state_off) = run(false);
-        // Disabled: every interval is exactly band ± frozen q̂, state pinned.
-        assert_eq!(state_off, LadderState::Nominal);
-        for &(lo, hi) in &bits_off {
-            assert_eq!(lo, (548.0 - q_off).to_bits());
-            assert_eq!(hi, (552.0 + q_off).to_bits());
+        let mut cal = AdaptiveCalibrator::new(&initial_scores(60), cfg()).unwrap();
+        let q = cal.frozen_qhat();
+        let frozen = ((548.0 - q).to_bits(), (552.0 + q).to_bits());
+        let mut adapted = 0;
+        for &y in &stream {
+            let obs = cal.observe(band(548.0, 552.0), y).unwrap();
+            let bits = obs
+                .interval
+                .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()));
+            if bits != Some(frozen) {
+                adapted += 1;
+            }
         }
-        // Enabled on the same drifting stream: the layer must actually adapt.
-        let (_, bits_on, _) = run(true);
-        assert_ne!(bits_on, bits_off, "adaptive layer had no effect");
+        assert!(adapted > 0, "adaptive layer had no effect");
     }
 
     #[test]

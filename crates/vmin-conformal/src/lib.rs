@@ -52,8 +52,7 @@ mod quantile;
 mod split_cp;
 
 pub use adaptive::{
-    adaptive_enabled, set_adaptive_enabled, with_adaptive, AdaptiveCalibrator, AdaptiveConfig,
-    LadderState, LadderTransition, StreamObservation,
+    AdaptiveCalibrator, AdaptiveConfig, LadderState, LadderTransition, StreamObservation,
 };
 pub use cqr::Cqr;
 pub use cqr_asymmetric::CqrAsymmetric;

@@ -273,7 +273,6 @@ pub fn run_stream(campaign: &Campaign, config: &StreamConfig) -> Result<StreamRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmin_conformal::with_adaptive;
     use vmin_silicon::{DatasetSpec, DriftClass, DriftFault, DriftInjector};
 
     fn campaign() -> Campaign {
@@ -283,7 +282,7 @@ mod tests {
     #[test]
     fn clean_stream_produces_full_report() {
         let c = campaign();
-        let report = with_adaptive(true, || run_stream(&c, &StreamConfig::fast(0.2))).unwrap();
+        let report = run_stream(&c, &StreamConfig::fast(0.2)).unwrap();
         assert_eq!(report.per_read_point.len(), c.read_points.len());
         assert!(report.eval_chips > 0);
         assert!(report.static_qhat.is_finite());
@@ -327,10 +326,7 @@ mod tests {
     fn stream_is_deterministic_for_fixed_seed() {
         let c = campaign();
         let cfg = StreamConfig::fast(0.2);
-        let (a, b) = with_adaptive(true, || {
-            (run_stream(&c, &cfg).unwrap(), run_stream(&c, &cfg).unwrap())
-        });
-        assert_eq!(a, b);
+        assert_eq!(run_stream(&c, &cfg).unwrap(), run_stream(&c, &cfg).unwrap());
     }
 
     #[test]
@@ -348,12 +344,8 @@ mod tests {
         .unwrap()
         .inject(&c);
         let cfg = StreamConfig::fast(0.2);
-        let (clean_report, drift_report) = with_adaptive(true, || {
-            (
-                run_stream(&c, &cfg).unwrap(),
-                run_stream(&drifted, &cfg).unwrap(),
-            )
-        });
+        let clean_report = run_stream(&c, &cfg).unwrap();
+        let drift_report = run_stream(&drifted, &cfg).unwrap();
         assert!(
             drift_report.worst_state > clean_report.worst_state
                 || drift_report.transitions.len() > clean_report.transitions.len(),
@@ -365,24 +357,5 @@ mod tests {
             clean_report.per_read_point[..3],
             drift_report.per_read_point[..3]
         );
-    }
-
-    #[test]
-    fn kill_switch_reduces_to_static_coverage() {
-        let c = campaign();
-        let cfg = StreamConfig::fast(0.2);
-        let report = with_adaptive(false, || run_stream(&c, &cfg).unwrap());
-        // Disabled: the adaptive tally must equal the static tally at every
-        // read point, nothing is rejected, and the ladder never moves.
-        for stats in &report.per_read_point {
-            assert_eq!(
-                stats.covered, stats.static_covered,
-                "rp {}",
-                stats.read_point
-            );
-            assert_eq!(stats.rejected, 0);
-            assert_eq!(stats.end_state, vmin_conformal::LadderState::Nominal);
-        }
-        assert!(report.transitions.is_empty());
     }
 }

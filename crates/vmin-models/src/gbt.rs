@@ -10,9 +10,6 @@ use crate::hist::{HistBinned, HistScratch, RoundMemo};
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use crate::tree::{GradientTree, TreeParams};
 use vmin_linalg::Matrix;
-use vmin_rng::seq::SliceRandom;
-use vmin_rng::ChaCha8Rng;
-use vmin_rng::SeedableRng;
 
 /// Hyperparameters of the booster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,10 +20,6 @@ pub struct GradientBoostParams {
     pub learning_rate: f64,
     /// Per-tree structural parameters.
     pub tree: TreeParams,
-    /// Row subsampling fraction per round (1.0 = none).
-    pub subsample: f64,
-    /// Seed for subsampling.
-    pub seed: u64,
 }
 
 /// Rows per parallel work unit for the per-round element-wise passes
@@ -39,8 +32,6 @@ impl Default for GradientBoostParams {
             n_rounds: 100,
             learning_rate: 0.3,
             tree: TreeParams::default(),
-            subsample: 1.0,
-            seed: 0,
         }
     }
 }
@@ -118,19 +109,16 @@ impl GradientBoost {
         &self.trees
     }
 
-    /// The shared boosting loop; `plan`, when given, memoizes the histogram
-    /// path's bin table (byte-identical to computing it directly).
-    ///
-    /// Two tree builders: the histogram builder when histograms are on and
-    /// every round trains on the full row set (`subsample = 1.0`), the
-    /// exact seed builder otherwise — subsampled rounds need per-round row
-    /// lists and keep an unchanged RNG stream. On the histogram path,
-    /// pinball rounds whose gradient class repeats an earlier round's
-    /// reuse that round's tree (the round memo, DESIGN.md §12).
+    /// The shared boosting loop; `plan`, when given, memoizes the bin table
+    /// (byte-identical to computing it directly). Every round grows a
+    /// histogram tree over all rows, except that pinball rounds whose
+    /// gradient class repeats an earlier round's reuse that round's tree
+    /// (the round memo, DESIGN.md §12).
     fn fit_inner(&mut self, x: &Matrix, y: &[f64], plan: Option<&FitPlan>) -> Result<()> {
         validate_training(x, y)?;
         self.loss.validate()?;
         let n = x.rows();
+        crate::hist::check_row_count(n)?;
         self.n_features = x.cols();
         self.base_score = self.loss.optimal_constant(y)?;
         self.trees.clear();
@@ -140,51 +128,37 @@ impl GradientBoost {
         vmin_trace::counter_add("models.gbt.rounds", self.params.n_rounds as u64);
         let mut preds = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
-        let mut hess = vec![0.0; n];
-        let all_rows: Vec<usize> = (0..n).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed);
 
-        // Histogram path (PR 7): one bin table serves every round's tree.
-        // Without a plan the bins are computed directly by the same
-        // `BinnedDataset::compute` the plan memoizes, so the plan is
-        // behavior-invisible. Boundaries are capped by the row count
-        // (`gbt_border_cap`): with fewer rows than bins the per-bin sweeps
-        // cost more than they save.
-        let hist_binned: Option<HistBinned> = if crate::hist::hist_enabled()
-            && self.params.subsample >= 1.0
-            && n <= u32::MAX as usize
-        {
-            // Histogram trees carry no Hessian histogram: every loss here
-            // has unit Hessians, so a node's Hessian sum is its row count.
-            // A loss without them must fail this match and revisit that.
-            match self.loss {
-                Loss::Squared | Loss::Pinball(_) => {}
-            }
-            let cap = crate::hist::gbt_border_cap(n);
-            let binned = match plan {
-                Some(p) => p.binned(x, cap)?,
-                None => std::sync::Arc::new(BinnedDataset::compute(x, cap)?),
-            };
-            Some(HistBinned::build(x, binned))
-        } else {
-            None
+        // One bin table serves every round's tree. Without a plan the bins
+        // are computed directly by the same `BinnedDataset::compute` the
+        // plan memoizes, so the plan is behavior-invisible. Boundaries are
+        // capped by the row count (`gbt_border_cap`): with fewer rows than
+        // bins the per-bin sweeps cost more than they save.
+        //
+        // Histogram trees carry no Hessian histogram: every loss here has
+        // unit Hessians, so a node's Hessian sum is its row count. A loss
+        // without them must fail this match and revisit that.
+        match self.loss {
+            Loss::Squared | Loss::Pinball(_) => {}
+        }
+        let cap = crate::hist::gbt_border_cap(n);
+        let binned = match plan {
+            Some(p) => p.binned(x, cap)?,
+            None => std::sync::Arc::new(BinnedDataset::compute(x, cap)?),
         };
+        let hb = HistBinned::build(x, binned);
         // Node histograms recycle across nodes and rounds through this
         // scratch, which also counts the bins the boundary scans visit.
         let mut hist_scratch = HistScratch::default();
-        // Subsample row buffer, reused across rounds (`clone_from` restores
-        // the ascending order the seed's per-round `all_rows.clone()` had,
-        // so the shuffle consumes the identical RNG stream).
-        let mut shuffled: Vec<usize> = Vec::new();
-        // Histogram path, pinball loss: a round whose gradient class repeats
-        // an earlier round's reuses that round's tree (stored as its index
-        // in `self.trees`) — the tree `fit_hist` would grow again, bit for
-        // bit (see `RoundMemo`).
+        // Pinball loss: a round whose gradient class repeats an earlier
+        // round's reuses that round's tree (stored as its index in
+        // `self.trees`) — the tree `fit_hist` would grow again, bit for bit
+        // (see `RoundMemo`).
         let mut memo: RoundMemo<usize> = RoundMemo::new();
         let mut memo_hits = 0u64;
 
         // Boosting rounds are inherently sequential; within a round the
-        // per-row gradient/Hessian refresh and the prediction update are
+        // per-row gradient refresh and the prediction update are
         // element-independent, so they parallelize bit-exactly.
         let loss = self.loss;
         let lr = self.params.learning_rate;
@@ -195,38 +169,19 @@ impl GradientBoost {
                     *g = loss.gradient(y[i0 + di], preds[i0 + di]);
                 }
             });
-            let tree = if let Some(hb) = hist_binned.as_ref() {
-                let class = loss.gradient_class(y, &preds);
-                let earlier = class
-                    .as_deref()
-                    .and_then(|c| memo.get(c))
-                    .and_then(|&i| self.trees.get(i));
-                if let Some(tree) = earlier {
-                    memo_hits += 1;
-                    tree.clone()
-                } else {
-                    if let Some(c) = class {
-                        memo.insert(c, self.trees.len());
-                    }
-                    GradientTree::fit_hist(x, &grad, &self.params.tree, hb, &mut hist_scratch)
-                }
+            let class = loss.gradient_class(y, &preds);
+            let earlier = class
+                .as_deref()
+                .and_then(|c| memo.get(c))
+                .and_then(|&i| self.trees.get(i));
+            let tree = if let Some(tree) = earlier {
+                memo_hits += 1;
+                tree.clone()
             } else {
-                vmin_par::par_chunks_mut(&mut hess, ROUND_ROW_BLOCK, 2, |bi, chunk| {
-                    let i0 = bi * ROUND_ROW_BLOCK;
-                    for (di, h) in chunk.iter_mut().enumerate() {
-                        *h = loss.hessian(y[i0 + di], preds[i0 + di]);
-                    }
-                });
-                let rows: &[usize] = if self.params.subsample < 1.0 {
-                    let take = ((self.params.subsample * n as f64).round() as usize).max(2);
-                    shuffled.clone_from(&all_rows);
-                    shuffled.shuffle(&mut rng);
-                    shuffled.truncate(take);
-                    &shuffled
-                } else {
-                    &all_rows
-                };
-                GradientTree::fit(x, &grad, &hess, rows, &self.params.tree)
+                if let Some(c) = class {
+                    memo.insert(c, self.trees.len());
+                }
+                GradientTree::fit_hist(x, &grad, &self.params.tree, &hb, &mut hist_scratch)
             };
             vmin_par::par_chunks_mut(&mut preds, ROUND_ROW_BLOCK, 2, |bi, chunk| {
                 let i0 = bi * ROUND_ROW_BLOCK;
@@ -242,13 +197,59 @@ impl GradientBoost {
     }
 }
 
+/// Test oracle: the exact boosting loop the histogram path replaced, every
+/// round growing an exact greedy tree ([`GradientTree::fit`]) over all rows
+/// with explicit Hessians and no round memo. Binned fits are compared
+/// against it in `hist.rs`.
+#[cfg(test)]
+impl GradientBoost {
+    pub(crate) fn fit_exact(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+        validate_training(x, y)?;
+        self.loss.validate()?;
+        let n = x.rows();
+        self.n_features = x.cols();
+        self.base_score = self.loss.optimal_constant(y)?;
+        self.trees.clear();
+
+        let mut preds = vec![self.base_score; n];
+        let mut grad = vec![0.0; n];
+        let mut hess = vec![0.0; n];
+        let all_rows: Vec<usize> = (0..n).collect();
+        let loss = self.loss;
+        let lr = self.params.learning_rate;
+        for _ in 0..self.params.n_rounds {
+            vmin_par::par_chunks_mut(&mut grad, ROUND_ROW_BLOCK, 2, |bi, chunk| {
+                let i0 = bi * ROUND_ROW_BLOCK;
+                for (di, g) in chunk.iter_mut().enumerate() {
+                    *g = loss.gradient(y[i0 + di], preds[i0 + di]);
+                }
+            });
+            vmin_par::par_chunks_mut(&mut hess, ROUND_ROW_BLOCK, 2, |bi, chunk| {
+                let i0 = bi * ROUND_ROW_BLOCK;
+                for (di, h) in chunk.iter_mut().enumerate() {
+                    *h = loss.hessian(y[i0 + di], preds[i0 + di]);
+                }
+            });
+            let tree = GradientTree::fit(x, &grad, &hess, &all_rows, &self.params.tree);
+            vmin_par::par_chunks_mut(&mut preds, ROUND_ROW_BLOCK, 2, |bi, chunk| {
+                let i0 = bi * ROUND_ROW_BLOCK;
+                for (di, p) in chunk.iter_mut().enumerate() {
+                    *p += lr * tree.predict_row(x.row(i0 + di));
+                }
+            });
+            self.trees.push(tree);
+        }
+        Ok(())
+    }
+}
+
 impl Regressor for GradientBoost {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
         self.fit_inner(x, y, None)
     }
 
     fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if self.params.subsample >= 1.0 && plan.matches(x) {
+        if plan.matches(x) {
             vmin_trace::counter_add("models.fitplan.reuse", 1);
             self.fit_inner(x, y, Some(plan))
         } else {
@@ -282,7 +283,7 @@ impl Regressor for GradientBoost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmin_rng::Rng;
+    use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
 
     fn friedman_like(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -357,44 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn subsample_changes_the_model_but_not_much() {
-        let (x, y) = friedman_like(150, 6);
-        let mut full = GradientBoost::new(Loss::Squared);
-        full.fit(&x, &y).unwrap();
-        let mut sub = GradientBoost::with_params(
-            Loss::Squared,
-            GradientBoostParams {
-                subsample: 0.7,
-                seed: 9,
-                ..GradientBoostParams::default()
-            },
-        );
-        sub.fit(&x, &y).unwrap();
-        let pf = full.predict_row(x.row(0)).unwrap();
-        let ps = sub.predict_row(x.row(0)).unwrap();
-        assert_ne!(pf, ps);
-        assert!((pf - ps).abs() < 5.0);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let (x, y) = friedman_like(100, 7);
-        let make = || {
-            let mut m = GradientBoost::with_params(
-                Loss::Squared,
-                GradientBoostParams {
-                    subsample: 0.8,
-                    seed: 3,
-                    ..GradientBoostParams::default()
-                },
-            );
-            m.fit(&x, &y).unwrap();
-            m.predict_row(x.row(5)).unwrap()
-        };
-        assert_eq!(make(), make());
-    }
-
-    #[test]
     fn parallel_fit_is_bit_identical_to_serial() {
         let (x, y) = friedman_like(150, 9);
         let fit_at = |threads: usize| {
@@ -413,18 +376,13 @@ mod tests {
     #[test]
     fn planned_fit_is_bit_identical_to_plain_fit() {
         let (x, y) = friedman_like(150, 10);
-        for hist_on in [false, true] {
-            for loss in [Loss::Squared, Loss::Pinball(0.9)] {
-                let (planned, plain) = crate::hist::with_histograms(hist_on, || {
-                    let mut planned = GradientBoost::new(loss);
-                    planned.fit_with_plan(&x, &y, &FitPlan::build(&x)).unwrap();
-                    let mut plain = GradientBoost::new(loss);
-                    plain.fit(&x, &y).unwrap();
-                    (planned, plain)
-                });
-                assert_eq!(planned.trees, plain.trees, "hist {hist_on}, loss {loss:?}");
-                assert_eq!(planned.predict(&x).unwrap(), plain.predict(&x).unwrap());
-            }
+        for loss in [Loss::Squared, Loss::Pinball(0.9)] {
+            let mut planned = GradientBoost::new(loss);
+            planned.fit_with_plan(&x, &y, &FitPlan::build(&x)).unwrap();
+            let mut plain = GradientBoost::new(loss);
+            plain.fit(&x, &y).unwrap();
+            assert_eq!(planned.trees, plain.trees, "loss {loss:?}");
+            assert_eq!(planned.predict(&x).unwrap(), plain.predict(&x).unwrap());
         }
     }
 
@@ -433,32 +391,15 @@ mod tests {
         let (x, y) = friedman_like(120, 11);
         let (x2, _) = friedman_like(120, 12);
         let plan = FitPlan::build(&x);
-        crate::hist::with_histograms(true, || {
-            // The first fit fills the plan's bin memo for `x`; a plan for
-            // different data must then not leak those bins into a fit.
-            let mut fresh = GradientBoost::new(Loss::Squared);
-            fresh.fit_with_plan(&x, &y, &plan).unwrap();
-            let mut stale = GradientBoost::new(Loss::Squared);
-            stale.fit_with_plan(&x2, &y, &plan).unwrap();
-            let mut direct = GradientBoost::new(Loss::Squared);
-            direct.fit(&x2, &y).unwrap();
-            assert_eq!(stale.trees, direct.trees);
-        });
-    }
-
-    #[test]
-    fn subsampled_fit_ignores_the_plan_and_stays_seed_identical() {
-        let (x, y) = friedman_like(120, 13);
-        let params = GradientBoostParams {
-            subsample: 0.8,
-            seed: 3,
-            ..GradientBoostParams::default()
-        };
-        let mut planned = GradientBoost::with_params(Loss::Squared, params);
-        planned.fit_with_plan(&x, &y, &FitPlan::build(&x)).unwrap();
-        let mut plain = GradientBoost::with_params(Loss::Squared, params);
-        plain.fit(&x, &y).unwrap();
-        assert_eq!(planned.trees, plain.trees);
+        // The first fit fills the plan's bin memo for `x`; a plan for
+        // different data must then not leak those bins into a fit.
+        let mut fresh = GradientBoost::new(Loss::Squared);
+        fresh.fit_with_plan(&x, &y, &plan).unwrap();
+        let mut stale = GradientBoost::new(Loss::Squared);
+        stale.fit_with_plan(&x2, &y, &plan).unwrap();
+        let mut direct = GradientBoost::new(Loss::Squared);
+        direct.fit(&x2, &y).unwrap();
+        assert_eq!(stale.trees, direct.trees);
     }
 
     #[test]
@@ -472,11 +413,8 @@ mod tests {
             n_rounds: 60,
             ..GradientBoostParams::default()
         };
-        let m = crate::hist::with_histograms(true, || {
-            let mut m = GradientBoost::with_params(loss, params);
-            m.fit(&x, &y).unwrap();
-            m
-        });
+        let mut m = GradientBoost::with_params(loss, params);
+        m.fit(&x, &y).unwrap();
         let binned = BinnedDataset::compute(&x, crate::hist::gbt_border_cap(x.rows())).unwrap();
         let hb = HistBinned::build(&x, std::sync::Arc::new(binned));
         let mut scratch = HistScratch::default();

@@ -1,10 +1,12 @@
-//! Histogram-binned split finding for both boosters (PR 7).
+//! Histogram-binned split finding: the only split finder of both boosters.
 //!
-//! The exact greedy scans in `tree.rs` and `oblivious.rs` re-walk sorted
-//! columns (GBT) or re-score every `(leaf, border)` pair (oblivious) at
-//! every node or level. This module replaces both hot loops with the
-//! classic histogram recipe built on the `u8` bin tables [`BinnedDataset`]
-//! already memoizes:
+//! Exact greedy scans re-walk sorted columns (GBT) or re-score every
+//! `(leaf, border)` pair (oblivious) at every node or level. This module
+//! replaces both hot loops with the classic histogram recipe built on the
+//! `u8` bin tables [`BinnedDataset`] already memoizes. The exact scans
+//! survive only as `#[cfg(test)]` oracles (`GradientTree::fit`,
+//! `GradientBoost::fit_exact`, `ObliviousBoost::fit_exact`) that the
+//! binned-vs-exact comparisons at the bottom of this file check against.
 //!
 //! - **Binning contract.** `bin(v) = #{t ∈ borders : v > t}` (the
 //!   `fitplan` expression), so rows with `bin ≤ k` are exactly the rows
@@ -38,28 +40,28 @@
 //!   so the binned path is bit-identical at any `VMIN_THREADS`. It is
 //!   *not* bit-identical to the exact scan (different summation shapes);
 //!   the interval-quality tests bound the statistical gap instead.
-//! - **Kill switch.** `VMIN_HIST=0` (or [`with_histograms`]) falls back
-//!   to the untouched exact scans, byte-for-byte the seed behavior.
+//! - **Row indices.** Rows are `u32` indices, so a fit over more than
+//!   `u32::MAX` rows is a typed error ([`check_row_count`]), in both
+//!   boosters.
 //! - **Round memo.** Pinball rounds whose gradient class repeats an
 //!   earlier round's reuse what that round built ([`RoundMemo`]): the GBT
 //!   booster pushes a clone of the stored tree, the oblivious booster
 //!   replays the stored level splits. Bit for bit, see DESIGN.md §12.
 //!
-//! Instrumentation: `models.hist.oblivious_fits` / `models.hist.tree_fits`
-//! count binned fits, `models.hist.level_searches` counts oblivious level
-//! scans, and `models.hist.child_accumulated` / `models.hist.child_subtracted`
+//! Instrumentation: `models.hist.level_searches` counts oblivious level
+//! scans, `models.hist.child_accumulated` / `models.hist.child_subtracted`
 //! count the two halves of the subtraction trick, and
 //! `models.hist.bins_scanned` the bins the GBT boundary scans visit.
 //! `models.gbt.memo_hits` / `models.oblivious.memo_hits` count rounds
-//! served from the memo, so `tree_fits + gbt.memo_hits = gbt.rounds` on
-//! pinball histogram fits. Memo hits and scanned bins are accumulated
+//! served from the memo, so `models.tree.fits + gbt.memo_hits =
+//! gbt.rounds` on pinball fits. Memo hits and scanned bins are accumulated
 //! locally and flushed once per fit. All are deterministic at any thread
 //! count.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 
 use crate::fitplan::{BinnedDataset, MAX_BORDER_COUNT};
+use crate::traits::{ModelError, Result};
 use vmin_linalg::Matrix;
 
 /// Minimum features before the histogram passes spawn per-feature workers.
@@ -68,49 +70,16 @@ use vmin_linalg::Matrix;
 /// (BENCH_PR5.json's threads2 regressions on small inputs).
 pub(crate) const PAR_MIN_FEATURES: usize = 8;
 
-// ---------------------------------------------------------------------------
-// Global histogram flag
-// ---------------------------------------------------------------------------
-
-static HIST_FLAG: OnceLock<AtomicBool> = OnceLock::new();
-static HIST_LOCK: Mutex<()> = Mutex::new(());
-
-fn hist_flag() -> &'static AtomicBool {
-    HIST_FLAG.get_or_init(|| AtomicBool::new(vmin_trace::env_flag("VMIN_HIST", true)))
-}
-
-/// Whether histogram-binned split finding is active. Defaults to on; the
-/// environment variable `VMIN_HIST` (read once per process via
-/// [`vmin_trace::env_flag`]; `0`/`false`/`off` disable) turns it off,
-/// as does [`set_hist_enabled`]. Off means the exact greedy scans run —
-/// byte-for-byte the pre-histogram behavior.
-pub fn hist_enabled() -> bool {
-    hist_flag().load(Ordering::Relaxed)
-}
-
-/// Sets the histogram flag, returning the previous value. Prefer
-/// [`with_histograms`] in tests and benches: it serializes flag changes so
-/// concurrently running tests cannot observe each other's toggles.
-pub fn set_hist_enabled(on: bool) -> bool {
-    hist_flag().swap(on, Ordering::Relaxed)
-}
-
-struct FlagRestore(bool);
-
-impl Drop for FlagRestore {
-    fn drop(&mut self) {
-        set_hist_enabled(self.0);
+/// Rejects fits over more rows than the histogram kernels can index: rows
+/// are `u32` indices and node or leaf counts are `u32`, so `n` may be at
+/// most `u32::MAX`. Both boosters call this before fitting.
+pub(crate) fn check_row_count(n: usize) -> Result<()> {
+    if u32::try_from(n).is_err() {
+        return Err(ModelError::InvalidInput(format!(
+            "{n} training rows exceed the histogram kernels' u32 row index"
+        )));
     }
-}
-
-/// Runs `f` with histogram split finding pinned to `on`, restoring the
-/// previous flag afterwards (also on panic). Holds a global mutex for the
-/// duration so parallel flag-sensitive tests serialize instead of racing;
-/// do not nest calls — the lock is not reentrant.
-pub fn with_histograms<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let _guard = HIST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let _restore = FlagRestore(set_hist_enabled(on));
-    f()
+    Ok(())
 }
 
 /// Reverses the low `bits` bits of `i`: the oblivious kernel numbers leaf
@@ -777,6 +746,9 @@ fn scan_feature_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        GradientBoost, GradientBoostParams, Loss, ObliviousBoost, ObliviousBoostParams, Regressor,
+    };
     use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
 
     fn toy(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>) {
@@ -793,18 +765,16 @@ mod tests {
     }
 
     #[test]
-    fn flag_toggles_and_restores() {
-        let initial = hist_enabled();
-        with_histograms(!initial, || {
-            assert_eq!(hist_enabled(), !initial);
-            // `with_histograms` is documented non-reentrant, so the inner
-            // toggle exercises the raw swap instead of nesting the guard.
-            let prev = set_hist_enabled(initial);
-            assert_eq!(hist_enabled(), initial);
-            set_hist_enabled(prev);
-            assert_eq!(hist_enabled(), !initial);
-        });
-        assert_eq!(hist_enabled(), initial);
+    fn row_count_check_rejects_counts_a_u32_cannot_index() {
+        for ok in [0, 1, u32::MAX as usize] {
+            assert_eq!(check_row_count(ok), Ok(()), "{ok} rows");
+        }
+        for too_many in [u32::MAX as usize + 1, usize::MAX] {
+            assert!(
+                matches!(check_row_count(too_many), Err(ModelError::InvalidInput(_))),
+                "{too_many} rows"
+            );
+        }
     }
 
     #[test]
@@ -1352,5 +1322,212 @@ mod tests {
             st.sparse_visits,
             st.dense_visits
         );
+    }
+
+    // -- Exact oracles ----------------------------------------------------
+    //
+    // `GradientBoost::fit_exact` (exact greedy trees, `tree.rs`) and
+    // `ObliviousBoost::fit_exact` are the scans both boosters ran before
+    // histograms. Binned fits approximate them: close on smooth data,
+    // calibrated CQR widths within a modest ratio, and — for the oblivious
+    // booster, which scores the same candidate set — bitwise equal on
+    // smooth data.
+
+    /// Smooth data: a quadratic in feature 0 plus a linear term.
+    fn smooth(seed: u64, n: usize, d: usize) -> (Matrix, Vec<f64>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut xs = Vec::with_capacity(n * d);
+        for _ in 0..n * d {
+            xs.push(rng.gen_range(-3.0..3.0));
+        }
+        let x = Matrix::from_vec(n, d, xs).expect("shape");
+        let y: Vec<f64> = (0..n)
+            .map(|i| {
+                let r = x.row(i);
+                r[0] * r[0] + 0.5 * r[1 % d] + rng.gen_range(-0.2..0.2)
+            })
+            .collect();
+        (x, y)
+    }
+
+    /// The two boosters' 20-round pinball(0.9) fits of `(x, y)`, binned
+    /// (`exact = false`) or by the exact oracles.
+    fn pinball_fits(x: &Matrix, y: &[f64], exact: bool) -> [Vec<f64>; 2] {
+        let mut gbt = GradientBoost::with_params(
+            Loss::Pinball(0.9),
+            GradientBoostParams {
+                n_rounds: 20,
+                ..GradientBoostParams::default()
+            },
+        );
+        let mut cat = ObliviousBoost::with_params(
+            Loss::Pinball(0.9),
+            ObliviousBoostParams {
+                n_rounds: 20,
+                ..ObliviousBoostParams::default()
+            },
+        );
+        if exact {
+            gbt.fit_exact(x, y).unwrap();
+            cat.fit_exact(x, y).unwrap();
+        } else {
+            gbt.fit(x, y).unwrap();
+            cat.fit(x, y).unwrap();
+        }
+        [gbt.predict(x).unwrap(), cat.predict(x).unwrap()]
+    }
+
+    #[test]
+    fn binned_catboost_reproduces_the_exact_fit_bitwise_on_smooth_data() {
+        // Both oblivious paths score the *same* 32-border candidate set
+        // with the same tie rules; they differ only in floating-point
+        // association inside the scores, which flips no argmax on this
+        // dataset — so the binned model reproduces the exact one bitwise
+        // here. A ratchet: if kernel arithmetic drifts enough to flip a
+        // split on smooth data, this fails and the change deserves a close
+        // look.
+        let (x, y) = smooth(42, 120, 5);
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let [_, binned] = pinball_fits(&x, &y, false);
+        let [_, exact] = pinball_fits(&x, &y, true);
+        assert_eq!(
+            bits(&binned),
+            bits(&exact),
+            "binned CatBoost no longer reproduces the exact fit on smooth data"
+        );
+    }
+
+    #[test]
+    fn binned_fits_track_exact_fits_closely() {
+        // The binned candidate thresholds (~n/4 GBT boundaries, 32
+        // oblivious borders) sit near the ones the exact scans pick, so the
+        // binned fits should be near — not equal to — the exact ones.
+        // Gauge: mean |Δ| small vs the target's spread.
+        let (x, y) = smooth(11, 150, 4);
+        let spread = {
+            let m = vmin_linalg::mean(&y);
+            (y.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / y.len() as f64).sqrt()
+        };
+        let binned = pinball_fits(&x, &y, false);
+        let exact = pinball_fits(&x, &y, true);
+        for (label, b, e) in [
+            ("GBT", &binned[0], &exact[0]),
+            ("CatBoost", &binned[1], &exact[1]),
+        ] {
+            let mad = e.iter().zip(b).map(|(a, b)| (a - b).abs()).sum::<f64>() / e.len() as f64;
+            assert!(
+                mad < 0.25 * spread,
+                "binned {label} drifted from exact: mean |Δ| = {mad:.4}, y spread = {spread:.4}"
+            );
+        }
+    }
+
+    /// Heteroscedastic data — the regime CQR exists for.
+    fn draw(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rows = Vec::with_capacity(n);
+        let mut y = Vec::with_capacity(n);
+        for _ in 0..n {
+            let x: f64 = rng.gen_range(0.0..4.0);
+            let eps = (0.2 + x) * rng.gen_range(-1.0..1.0);
+            rows.push(vec![x]);
+            y.push(3.0 * x + eps);
+        }
+        (Matrix::from_rows(&rows).unwrap(), y)
+    }
+
+    /// Mean test width of split-conformal CQR at α = 0.1 over 10 draws of
+    /// 70 training, 40 calibration and 60 test rows, with each quantile
+    /// model fitted by `fit(q, x, y)`. `q̂` is the ⌈(40+1)(1−α)⌉-th smallest
+    /// calibration score `max(lo − y, y − hi)`.
+    fn mean_cqr_width<M: Regressor>(fit: impl Fn(f64, &Matrix, &[f64]) -> M) -> f64 {
+        const ALPHA: f64 = 0.1;
+        const REPS: usize = 10;
+        let mut width = 0.0f64;
+        for s in 0..REPS as u64 {
+            let seed = s * 3001 + 5;
+            let (x_tr, y_tr) = draw(70, seed);
+            let (x_ca, y_ca) = draw(40, seed + 1);
+            let (x_te, _) = draw(60, seed + 2);
+            let lo = fit(ALPHA / 2.0, &x_tr, &y_tr);
+            let hi = fit(1.0 - ALPHA / 2.0, &x_tr, &y_tr);
+            let band = |x: &Matrix| (lo.predict(x).unwrap(), hi.predict(x).unwrap());
+            let (lo_ca, hi_ca) = band(&x_ca);
+            let mut scores: Vec<f64> = lo_ca
+                .iter()
+                .zip(&hi_ca)
+                .zip(&y_ca)
+                .map(|((l, h), t)| (l - t).max(t - h))
+                .collect();
+            scores.sort_by(f64::total_cmp);
+            let rank = ((scores.len() as f64 + 1.0) * (1.0 - ALPHA)).ceil() as usize;
+            let qhat = scores[rank - 1];
+            let (lo_te, hi_te) = band(&x_te);
+            width += lo_te
+                .iter()
+                .zip(&hi_te)
+                .map(|(l, h)| ((h + qhat) - (l - qhat)).abs())
+                .sum::<f64>()
+                / lo_te.len() as f64;
+        }
+        width / REPS as f64
+    }
+
+    #[test]
+    fn binned_cqr_widths_track_exact_cqr_widths() {
+        // Width is where a bad approximation would show up (binning that
+        // degrades the quantile fits widens calibrated intervals), so CQR
+        // on binned pairs must stay within a modest ratio of CQR on exact
+        // pairs. Coverage itself is model-free; `tests/hist_quality.rs`
+        // holds the binned pairs to the exact Beta-Binomial region.
+        let xgb = |q| {
+            let params = GradientBoostParams {
+                n_rounds: 30,
+                ..GradientBoostParams::default()
+            };
+            GradientBoost::with_params(Loss::Pinball(q), params)
+        };
+        let cat = |q| {
+            let params = ObliviousBoostParams {
+                n_rounds: 30,
+                ..ObliviousBoostParams::default()
+            };
+            ObliviousBoost::with_params(Loss::Pinball(q), params)
+        };
+        for (label, binned, exact) in [
+            (
+                "CQR-XGBoost",
+                mean_cqr_width(|q, x, y| {
+                    let mut m = xgb(q);
+                    m.fit(x, y).unwrap();
+                    m
+                }),
+                mean_cqr_width(|q, x, y| {
+                    let mut m = xgb(q);
+                    m.fit_exact(x, y).unwrap();
+                    m
+                }),
+            ),
+            (
+                "CQR-CatBoost",
+                mean_cqr_width(|q, x, y| {
+                    let mut m = cat(q);
+                    m.fit(x, y).unwrap();
+                    m
+                }),
+                mean_cqr_width(|q, x, y| {
+                    let mut m = cat(q);
+                    m.fit_exact(x, y).unwrap();
+                    m
+                }),
+            ),
+        ] {
+            let ratio = binned / exact;
+            assert!(
+                (0.6..=1.67).contains(&ratio),
+                "{label}: binned/exact mean-width ratio {ratio:.3} \
+                 (binned {binned:.3} vs exact {exact:.3}) outside [0.6, 1.67]"
+            );
+        }
     }
 }

@@ -60,7 +60,6 @@ pub use fitplan::{
 };
 pub use gbt::{GradientBoost, GradientBoostParams};
 pub use gp::{GaussianProcess, RbfKernel};
-pub use hist::{hist_enabled, set_hist_enabled, with_histograms};
 pub use linear::LinearRegression;
 pub use nn::{NeuralNet, NeuralNetParams};
 pub use oblivious::{ObliviousBoost, ObliviousBoostParams, TreeTable};

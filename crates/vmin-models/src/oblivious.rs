@@ -14,13 +14,6 @@ use crate::hist::RoundMemo;
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use vmin_linalg::Matrix;
 
-/// Minimum features before the per-level split search spawns feature
-/// workers (border computation and pre-binning live in `fitplan`). Raised
-/// above the paper-scale feature count (6): BENCH_PR5.json showed threads2
-/// *slower* than threads1 on small inputs, so microsecond-sized per-feature
-/// scans stay serial and the campaign/fold level carries the parallelism.
-const PAR_MIN_FEATURES: usize = 8;
-
 /// Rows per parallel work unit for element-wise per-round passes.
 const ROUND_ROW_BLOCK: usize = 256;
 
@@ -174,6 +167,7 @@ impl ObliviousBoost {
     fn validate(&self, x: &Matrix, y: &[f64]) -> Result<()> {
         validate_training(x, y)?;
         self.loss.validate()?;
+        crate::hist::check_row_count(x.rows())?;
         if self.params.depth == 0 || self.params.depth > 16 {
             return Err(ModelError::InvalidInput(format!(
                 "oblivious depth must be in 1..=16, got {}",
@@ -189,9 +183,23 @@ impl ObliviousBoost {
     /// points end up here with a [`BinnedDataset`] produced by the same
     /// code (`fitplan` helpers), so cached and uncached fits are
     /// byte-identical.
+    ///
+    /// Histogram-binned: rows live in a leaf-major permutation
+    /// ([`crate::hist::ObliviousHistState`]) so each level scan touches
+    /// only occupied bins, per-leaf Hessian totals collapse to row counts
+    /// (both losses have unit Hessians — the exhaustive match below forces
+    /// a revisit if that ever changes), leaf denominators come from a
+    /// `1/(count + l2)` table, and right-side totals derive from the
+    /// parent by subtraction. Levels, leaf values (Newton steps for squared
+    /// loss, CatBoost's "Exact" within-leaf quantile for pinball), and tie
+    /// rules mirror the exact test oracle (`fit_exact`); outputs are *not*
+    /// bit-identical to it (different summation shapes) but are
+    /// bit-identical to themselves at any thread count. Pinball rounds
+    /// whose gradient class repeats an earlier round's replay that round's
+    /// splits instead of searching (the round memo, DESIGN.md §12).
     fn fit_inner(&mut self, x: &Matrix, y: &[f64], binned: &BinnedDataset) -> Result<()> {
-        if crate::hist::hist_enabled() {
-            return self.fit_inner_hist(x, y, binned);
+        match self.loss {
+            Loss::Squared | Loss::Pinball(_) => {}
         }
         let n = x.rows();
         self.n_features = x.cols();
@@ -202,9 +210,131 @@ impl ObliviousBoost {
         };
         self.trees.clear();
 
-        let _span = vmin_trace::span("models.oblivious.fit");
+        let _span = vmin_trace::span("models.hist.oblivious_fit");
         vmin_trace::counter_add("models.oblivious.fits", 1);
         vmin_trace::counter_add("models.oblivious.rounds", self.params.n_rounds as u64);
+        let l2 = self.params.l2_leaf_reg;
+        let lr = self.params.learning_rate;
+        let recip: Vec<f64> = (0..=n).map(|c| 1.0 / (c as f64 + l2)).collect();
+        let mut preds = vec![self.base_score; n];
+        let mut grad = vec![0.0; n];
+        let mut state = crate::hist::ObliviousHistState::new(n);
+        let features: Vec<usize> = (0..x.cols()).collect();
+        // Pinball rounds whose gradient class repeats an earlier round's
+        // replay that round's `(feature, border index)` splits instead of
+        // searching: `reset`, `best_level_split` and `apply_split` read
+        // only the gradient, the bin table and `recip`, so the search would
+        // pick the same splits and leave the same blocks (see `RoundMemo`).
+        let mut memo: RoundMemo<Vec<(usize, usize)>> = RoundMemo::new();
+        let mut memo_hits = 0u64;
+
+        let loss = self.loss;
+        for _ in 0..self.params.n_rounds {
+            vmin_par::par_chunks_mut(&mut grad, ROUND_ROW_BLOCK, 2, |bi, chunk| {
+                let i0 = bi * ROUND_ROW_BLOCK;
+                for (di, g) in chunk.iter_mut().enumerate() {
+                    *g = loss.gradient(y[i0 + di], preds[i0 + di]);
+                }
+            });
+            state.reset(&grad);
+            // A memo hit replays the stored round's splits level by level,
+            // stopping where that round stopped; a miss searches each level.
+            let class = loss.gradient_class(y, &preds);
+            let earlier = class.as_deref().and_then(|c| memo.get(c));
+            let mut splits: Vec<(usize, usize)> = Vec::with_capacity(self.params.depth);
+            let mut levels: Vec<(usize, f64)> = Vec::with_capacity(self.params.depth);
+            for level in 0..self.params.depth {
+                let next = match earlier {
+                    Some(stored) => stored.get(level).copied(),
+                    None => state.best_level_split(binned, &features, &grad, &recip),
+                };
+                let Some((feature, k)) = next else {
+                    // No usable borders (all features constant), or the
+                    // replayed round stopped at this level for that reason.
+                    break;
+                };
+                state.apply_split(&binned.bin_of[feature], k, &grad);
+                splits.push((feature, k));
+                levels.push((feature, binned.borders[feature][k]));
+            }
+            if earlier.is_some() {
+                memo_hits += 1;
+            } else if let Some(c) = class {
+                memo.insert(c, splits);
+            }
+            // Leaf values straight from the leaf-major blocks (ascending
+            // row order inside each block, matching the exact loop's
+            // per-leaf enumeration); block ids bit-reverse into
+            // `leaf_index` positions.
+            let d_levels = levels.len();
+            let n_leaves = 1usize << d_levels;
+            let mut leaf_values = vec![0.0; n_leaves];
+            match loss {
+                Loss::Squared => {
+                    for block in 0..n_leaves {
+                        let rows = state.block(block);
+                        let g: f64 = rows.iter().map(|&i| grad[i as usize]).sum();
+                        leaf_values[crate::hist::bit_reverse(block, d_levels)] =
+                            -g / (rows.len() as f64 + l2);
+                    }
+                }
+                Loss::Pinball(q) => {
+                    for block in 0..n_leaves {
+                        let rows = state.block(block);
+                        if rows.is_empty() {
+                            continue; // empty leaf keeps value 0.0
+                        }
+                        let r: Vec<f64> = rows
+                            .iter()
+                            .map(|&i| y[i as usize] - preds[i as usize])
+                            .collect();
+                        let shrink = r.len() as f64 / (r.len() as f64 + l2);
+                        leaf_values[crate::hist::bit_reverse(block, d_levels)] =
+                            vmin_linalg::quantile(&r, q).unwrap_or(0.0) * shrink;
+                    }
+                }
+            }
+            // Prediction update straight from the blocks: no per-row tree
+            // walk, and element-wise so order is irrelevant.
+            for block in 0..n_leaves {
+                let v = leaf_values[crate::hist::bit_reverse(block, d_levels)];
+                for &i in state.block(block) {
+                    preds[i as usize] += lr * v;
+                }
+            }
+            self.trees.push(ObliviousTree {
+                levels,
+                leaf_values,
+            });
+        }
+        vmin_trace::counter_add("models.oblivious.memo_hits", memo_hits);
+        Ok(())
+    }
+}
+
+/// Test oracle: the exact boosting loop the histogram path replaced,
+/// verbatim apart from its trace calls. Every level re-scores every
+/// `(leaf, border)` pair from dense per-leaf gradient and Hessian
+/// histograms, with no round memo. Binned fits are compared against it in
+/// `hist.rs`.
+#[cfg(test)]
+impl ObliviousBoost {
+    pub(crate) fn fit_exact(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+        /// Minimum features before the per-level split search spawns
+        /// feature workers.
+        const PAR_MIN_FEATURES: usize = 8;
+
+        self.validate(x, y)?;
+        let binned = BinnedDataset::compute(x, self.params.border_count)?;
+        let n = x.rows();
+        self.n_features = x.cols();
+        self.base_score = if self.params.boost_from_mean {
+            vmin_linalg::mean(y)
+        } else {
+            self.loss.optimal_constant(y)?
+        };
+        self.trees.clear();
+
         // Quantile borders plus the pre-binned table: bin(v) = #{t ∈
         // borders : v > t}, so splitting at border k sends a sample right
         // iff its bin > k. This turns split search into histogram
@@ -356,134 +486,6 @@ impl ObliviousBoost {
             });
             self.trees.push(tree);
         }
-        Ok(())
-    }
-
-    /// The histogram-binned boosting loop (PR 7): rows live in a leaf-major
-    /// permutation ([`crate::hist::ObliviousHistState`]) so each level scan
-    /// touches only occupied bins, per-leaf Hessian totals collapse to row
-    /// counts (both losses have unit Hessians — the exhaustive match below
-    /// forces a revisit if that ever changes), leaf denominators come from
-    /// a `1/(count + l2)` table, and right-side totals derive from the
-    /// parent by subtraction. Levels, leaf values (same Newton / CatBoost
-    /// "Exact" quantile estimators), and tie rules mirror [`fit_inner`];
-    /// outputs are *not* bit-identical to the exact scan (different
-    /// summation shapes) but are bit-identical to themselves at any thread
-    /// count. Pinball rounds whose gradient class repeats an earlier
-    /// round's replay that round's splits instead of searching (the round
-    /// memo, DESIGN.md §12). `VMIN_HIST=0` routes back to the exact loop.
-    fn fit_inner_hist(&mut self, x: &Matrix, y: &[f64], binned: &BinnedDataset) -> Result<()> {
-        match self.loss {
-            Loss::Squared | Loss::Pinball(_) => {}
-        }
-        let n = x.rows();
-        self.n_features = x.cols();
-        self.base_score = if self.params.boost_from_mean {
-            vmin_linalg::mean(y)
-        } else {
-            self.loss.optimal_constant(y)?
-        };
-        self.trees.clear();
-
-        let _span = vmin_trace::span("models.hist.oblivious_fit");
-        vmin_trace::counter_add("models.oblivious.fits", 1);
-        vmin_trace::counter_add("models.hist.oblivious_fits", 1);
-        vmin_trace::counter_add("models.oblivious.rounds", self.params.n_rounds as u64);
-        let l2 = self.params.l2_leaf_reg;
-        let lr = self.params.learning_rate;
-        let recip: Vec<f64> = (0..=n).map(|c| 1.0 / (c as f64 + l2)).collect();
-        let mut preds = vec![self.base_score; n];
-        let mut grad = vec![0.0; n];
-        let mut state = crate::hist::ObliviousHistState::new(n);
-        let features: Vec<usize> = (0..x.cols()).collect();
-        // Pinball rounds whose gradient class repeats an earlier round's
-        // replay that round's `(feature, border index)` splits instead of
-        // searching: `reset`, `best_level_split` and `apply_split` read
-        // only the gradient, the bin table and `recip`, so the search would
-        // pick the same splits and leave the same blocks (see `RoundMemo`).
-        let mut memo: RoundMemo<Vec<(usize, usize)>> = RoundMemo::new();
-        let mut memo_hits = 0u64;
-
-        let loss = self.loss;
-        for _ in 0..self.params.n_rounds {
-            vmin_par::par_chunks_mut(&mut grad, ROUND_ROW_BLOCK, 2, |bi, chunk| {
-                let i0 = bi * ROUND_ROW_BLOCK;
-                for (di, g) in chunk.iter_mut().enumerate() {
-                    *g = loss.gradient(y[i0 + di], preds[i0 + di]);
-                }
-            });
-            state.reset(&grad);
-            // A memo hit replays the stored round's splits level by level,
-            // stopping where that round stopped; a miss searches each level.
-            let class = loss.gradient_class(y, &preds);
-            let earlier = class.as_deref().and_then(|c| memo.get(c));
-            let mut splits: Vec<(usize, usize)> = Vec::with_capacity(self.params.depth);
-            let mut levels: Vec<(usize, f64)> = Vec::with_capacity(self.params.depth);
-            for level in 0..self.params.depth {
-                let next = match earlier {
-                    Some(stored) => stored.get(level).copied(),
-                    None => state.best_level_split(binned, &features, &grad, &recip),
-                };
-                let Some((feature, k)) = next else {
-                    // No usable borders (all features constant), or the
-                    // replayed round stopped at this level for that reason.
-                    break;
-                };
-                state.apply_split(&binned.bin_of[feature], k, &grad);
-                splits.push((feature, k));
-                levels.push((feature, binned.borders[feature][k]));
-            }
-            if earlier.is_some() {
-                memo_hits += 1;
-            } else if let Some(c) = class {
-                memo.insert(c, splits);
-            }
-            // Leaf values straight from the leaf-major blocks (ascending
-            // row order inside each block, matching the exact loop's
-            // per-leaf enumeration); block ids bit-reverse into
-            // `leaf_index` positions.
-            let d_levels = levels.len();
-            let n_leaves = 1usize << d_levels;
-            let mut leaf_values = vec![0.0; n_leaves];
-            match loss {
-                Loss::Squared => {
-                    for block in 0..n_leaves {
-                        let rows = state.block(block);
-                        let g: f64 = rows.iter().map(|&i| grad[i as usize]).sum();
-                        leaf_values[crate::hist::bit_reverse(block, d_levels)] =
-                            -g / (rows.len() as f64 + l2);
-                    }
-                }
-                Loss::Pinball(q) => {
-                    for block in 0..n_leaves {
-                        let rows = state.block(block);
-                        if rows.is_empty() {
-                            continue; // empty leaf keeps value 0.0
-                        }
-                        let r: Vec<f64> = rows
-                            .iter()
-                            .map(|&i| y[i as usize] - preds[i as usize])
-                            .collect();
-                        let shrink = r.len() as f64 / (r.len() as f64 + l2);
-                        leaf_values[crate::hist::bit_reverse(block, d_levels)] =
-                            vmin_linalg::quantile(&r, q).unwrap_or(0.0) * shrink;
-                    }
-                }
-            }
-            // Prediction update straight from the blocks: no per-row tree
-            // walk, and element-wise so order is irrelevant.
-            for block in 0..n_leaves {
-                let v = leaf_values[crate::hist::bit_reverse(block, d_levels)];
-                for &i in state.block(block) {
-                    preds[i as usize] += lr * v;
-                }
-            }
-            self.trees.push(ObliviousTree {
-                levels,
-                leaf_values,
-            });
-        }
-        vmin_trace::counter_add("models.oblivious.memo_hits", memo_hits);
         Ok(())
     }
 }
@@ -710,11 +712,8 @@ mod tests {
         let (x, y) = data(88, 14);
         let loss = Loss::Pinball(0.05);
         let params = ObliviousBoostParams::default();
-        let m = crate::hist::with_histograms(true, || {
-            let mut m = ObliviousBoost::with_params(loss, params);
-            m.fit(&x, &y).unwrap();
-            m
-        });
+        let mut m = ObliviousBoost::with_params(loss, params);
+        m.fit(&x, &y).unwrap();
         let binned = BinnedDataset::compute(&x, params.border_count).unwrap();
         let recip: Vec<f64> = (0..=x.rows())
             .map(|c| 1.0 / (c as f64 + params.l2_leaf_reg))

@@ -1,15 +1,18 @@
-//! Regression trees trained on per-sample gradients/Hessians — the shared
-//! weak learner of the XGBoost-style booster.
+//! Regression trees trained on per-sample gradients — the weak learner of
+//! the XGBoost-style booster.
 //!
-//! Splits are found by exact greedy search: at each node, every feature's
-//! values are sorted and every boundary between distinct values is scored by
-//! the standard second-order gain
+//! Splits are found by histogram-binned search (see `hist.rs`): at each
+//! node, every feature's gradient/count histogram is scanned and every
+//! boundary between occupied bins is scored by the standard second-order
+//! gain
 //!
 //! ```text
 //! gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ] − γ
 //! ```
 //!
-//! and the leaf weight is the Newton step `w = −G/(H+λ)`.
+//! and the leaf weight is the Newton step `w = −G/(H+λ)`. Both losses have
+//! unit Hessians, so `H` is a row count. The exact greedy search over
+//! sorted values survives as the `#[cfg(test)]` oracle module `exact`.
 
 use crate::hist::{best_boundary_gbt, subtract_sibling, FeatHist, HistBinned, HistScratch};
 use vmin_linalg::Matrix;
@@ -88,41 +91,18 @@ pub struct GradientTree {
 }
 
 impl GradientTree {
-    /// Fits a tree to gradients `grad` and Hessians `hess` over the sample
-    /// subset `rows` of `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad`/`hess` lengths differ from `x.rows()` or `rows` is
-    /// empty.
-    pub fn fit(
-        x: &Matrix,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        params: &TreeParams,
-    ) -> Self {
-        assert_eq!(x.rows(), grad.len(), "tree: grad length mismatch");
-        assert_eq!(x.rows(), hess.len(), "tree: hess length mismatch");
-        assert!(!rows.is_empty(), "tree: empty sample subset");
-        vmin_trace::counter_add("models.tree.fits", 1);
-        let mut nodes = Vec::new();
-        build(x, grad, hess, rows, params, 0, &mut nodes);
-        vmin_trace::counter_add("models.tree.nodes", nodes.len() as u64);
-        GradientTree { nodes }
-    }
-
     /// Fits a tree over **all** rows of `x` by histogram-binned split
     /// finding (PR 7): node statistics are ≤256-bin per-feature
     /// gradient/count histograms, children reuse their parent's via the
     /// sibling-subtraction trick, and each node scans bin boundaries
     /// instead of sorted values. Same gain formula, `min_child_weight`
     /// gate, strict-`>` tie rules, node push order, and Newton leaf
-    /// weights as [`GradientTree::fit`]; thresholds are the smallest
-    /// training value above each boundary so training rows route exactly
-    /// as scored (see `hist.rs` for the binning contract). Not
-    /// bit-identical to the exact scan — candidate thresholds are
-    /// quantile-binned — but bit-identical to itself at any thread count.
+    /// weights as the exact oracle (`GradientTree::fit`, test builds
+    /// only); thresholds are the smallest training value above each
+    /// boundary so training rows route exactly as scored (see `hist.rs`
+    /// for the binning contract). Not bit-identical to the exact scan —
+    /// candidate thresholds are quantile-binned — but bit-identical to
+    /// itself at any thread count.
     ///
     /// Every Hessian is taken to be `1.0` (both losses have unit
     /// Hessians), so a node's Hessian sum is its row count.
@@ -142,7 +122,6 @@ impl GradientTree {
         assert!(x.rows() > 0, "tree: empty sample subset");
         assert_eq!(hb.n_features(), x.cols(), "tree: bin table shape mismatch");
         vmin_trace::counter_add("models.tree.fits", 1);
-        vmin_trace::counter_add("models.hist.tree_fits", 1);
         let n = x.rows();
         let mut rows: Vec<u32> = (0..n as u32).collect();
         let mut tmp: Vec<u32> = vec![0; n];
@@ -231,59 +210,9 @@ impl GradientTree {
 }
 
 /// Minimum rows at a node before the split search considers spawning
-/// feature workers; below it sorting is too cheap to amortize a thread.
+/// feature workers; below it a per-feature pass is too cheap to amortize a
+/// thread.
 const PAR_MIN_NODE_ROWS: usize = 128;
-
-/// Minimum features per node for a parallel split search. Raised above the
-/// paper-scale feature count (6): BENCH_PR5.json showed threads2 *slower*
-/// than threads1 on small inputs, so per-feature scans over a handful of
-/// microsecond-sized columns stay serial and the campaign/fold level
-/// carries the parallelism.
-const PAR_MIN_FEATURES: usize = 8;
-
-/// Best split candidate `(gain, feature, threshold)` for one feature,
-/// scanning boundaries in sorted order with the serial search's exact tie
-/// rule (strict `>` against a 0.0 floor keeps the earliest maximal gain).
-#[allow(clippy::too_many_arguments)]
-fn best_split_for_feature(
-    x: &Matrix,
-    grad: &[f64],
-    hess: &[f64],
-    rows: &[usize],
-    params: &TreeParams,
-    g_sum: f64,
-    h_sum: f64,
-    parent_score: f64,
-    feature: usize,
-) -> Option<(f64, usize, f64)> {
-    let mut sorted: Vec<usize> = rows.to_vec();
-    sorted.sort_by(|&a, &b| x[(a, feature)].total_cmp(&x[(b, feature)]));
-    let mut best: Option<(f64, usize, f64)> = None;
-    let mut gl = 0.0;
-    let mut hl = 0.0;
-    for w in 0..sorted.len() - 1 {
-        let i = sorted[w];
-        gl += grad[i];
-        hl += hess[i];
-        let v = x[(i, feature)];
-        let v_next = x[(sorted[w + 1], feature)];
-        if v_next <= v {
-            continue; // no boundary between identical values
-        }
-        let gr = g_sum - gl;
-        let hr = h_sum - hl;
-        if hl < params.min_child_weight || hr < params.min_child_weight {
-            continue;
-        }
-        let gain = 0.5
-            * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score)
-            - params.gamma;
-        if gain > best.map_or(0.0, |(g, _, _)| g) {
-            best = Some((gain, feature, 0.5 * (v + v_next)));
-        }
-    }
-    best
-}
 
 /// Parallel gating for the histogram passes: per-feature work below
 /// `PAR_MIN_NODE_ROWS` rows is too small to amortize a spawn.
@@ -438,79 +367,161 @@ fn build_hist(
     my_idx
 }
 
-/// Recursively grows the tree; returns the new node's index.
-fn build(
-    x: &Matrix,
-    grad: &[f64],
-    hess: &[f64],
-    rows: &[usize],
-    params: &TreeParams,
-    depth: usize,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    let g_sum: f64 = rows.iter().map(|&i| grad[i]).sum();
-    let h_sum: f64 = rows.iter().map(|&i| hess[i]).sum();
-    let make_leaf = |nodes: &mut Vec<Node>| {
-        let weight = -g_sum / (h_sum + params.lambda);
-        nodes.push(Node::Leaf { weight });
-        nodes.len() - 1
-    };
+/// Test oracle: the exact greedy builder the histogram path replaced,
+/// verbatim apart from its trace calls. At each node every feature's
+/// values are sorted and every boundary between distinct values is scored;
+/// the GBT oracle `GradientBoost::fit_exact` grows every round with it.
+#[cfg(test)]
+mod exact {
+    use super::{GradientTree, Node, TreeParams, PAR_MIN_NODE_ROWS};
+    use vmin_linalg::Matrix;
 
-    if depth >= params.max_depth || rows.len() < 2 {
-        return make_leaf(nodes);
-    }
-
-    // Exact greedy split search: per-feature candidates in parallel, then a
-    // cross-feature reduce in ascending feature order. Both stages use the
-    // same strict `>` with a 0.0 floor as the serial scan, so the winner is
-    // identical to serial at any thread count.
-    let parent_score = g_sum * g_sum / (h_sum + params.lambda);
-    // Node-level counter (not inside the per-feature closure): one scan per
-    // candidate node, so totals stay cheap and thread-count independent.
-    vmin_trace::counter_add("models.tree.split_scans", 1);
-    let features: Vec<usize> = (0..x.cols()).collect();
-    let min_feats = if rows.len() >= PAR_MIN_NODE_ROWS {
-        PAR_MIN_FEATURES
-    } else {
-        usize::MAX // tiny node: always serial
-    };
-    let per_feature = vmin_par::par_map(&features, min_feats, |_, &feature| {
-        best_split_for_feature(
-            x,
-            grad,
-            hess,
-            rows,
-            params,
-            g_sum,
-            h_sum,
-            parent_score,
-            feature,
-        )
-    });
-    let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-    for cand in per_feature.into_iter().flatten() {
-        if cand.0 > best.map_or(0.0, |(g, _, _)| g) {
-            best = Some(cand);
+    impl GradientTree {
+        /// Fits a tree to gradients `grad` and Hessians `hess` over the sample
+        /// subset `rows` of `x`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `grad`/`hess` lengths differ from `x.rows()` or `rows` is
+        /// empty.
+        pub(crate) fn fit(
+            x: &Matrix,
+            grad: &[f64],
+            hess: &[f64],
+            rows: &[usize],
+            params: &TreeParams,
+        ) -> Self {
+            assert_eq!(x.rows(), grad.len(), "tree: grad length mismatch");
+            assert_eq!(x.rows(), hess.len(), "tree: hess length mismatch");
+            assert!(!rows.is_empty(), "tree: empty sample subset");
+            let mut nodes = Vec::new();
+            build(x, grad, hess, rows, params, 0, &mut nodes);
+            GradientTree { nodes }
         }
     }
 
-    match best {
-        None => make_leaf(nodes),
-        Some((_, feature, threshold)) => {
-            let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-                rows.iter().partition(|&&i| x[(i, feature)] < threshold);
-            // Reserve this node's slot, then build children.
-            let my_idx = nodes.len();
-            nodes.push(Node::Leaf { weight: 0.0 }); // placeholder
-            let left = build(x, grad, hess, &left_rows, params, depth + 1, nodes);
-            let right = build(x, grad, hess, &right_rows, params, depth + 1, nodes);
-            nodes[my_idx] = Node::Split {
+    /// Minimum features per node for a parallel split search. Raised above the
+    /// paper-scale feature count (6): BENCH_PR5.json showed threads2 *slower*
+    /// than threads1 on small inputs, so per-feature scans over a handful of
+    /// microsecond-sized columns stay serial and the campaign/fold level
+    /// carries the parallelism.
+    const PAR_MIN_FEATURES: usize = 8;
+
+    /// Best split candidate `(gain, feature, threshold)` for one feature,
+    /// scanning boundaries in sorted order with the serial search's exact tie
+    /// rule (strict `>` against a 0.0 floor keeps the earliest maximal gain).
+    #[allow(clippy::too_many_arguments)]
+    fn best_split_for_feature(
+        x: &Matrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        params: &TreeParams,
+        g_sum: f64,
+        h_sum: f64,
+        parent_score: f64,
+        feature: usize,
+    ) -> Option<(f64, usize, f64)> {
+        let mut sorted: Vec<usize> = rows.to_vec();
+        sorted.sort_by(|&a, &b| x[(a, feature)].total_cmp(&x[(b, feature)]));
+        let mut best: Option<(f64, usize, f64)> = None;
+        let mut gl = 0.0;
+        let mut hl = 0.0;
+        for w in 0..sorted.len() - 1 {
+            let i = sorted[w];
+            gl += grad[i];
+            hl += hess[i];
+            let v = x[(i, feature)];
+            let v_next = x[(sorted[w + 1], feature)];
+            if v_next <= v {
+                continue; // no boundary between identical values
+            }
+            let gr = g_sum - gl;
+            let hr = h_sum - hl;
+            if hl < params.min_child_weight || hr < params.min_child_weight {
+                continue;
+            }
+            let gain = 0.5
+                * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score)
+                - params.gamma;
+            if gain > best.map_or(0.0, |(g, _, _)| g) {
+                best = Some((gain, feature, 0.5 * (v + v_next)));
+            }
+        }
+        best
+    }
+
+    /// Recursively grows the tree; returns the new node's index.
+    fn build(
+        x: &Matrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        params: &TreeParams,
+        depth: usize,
+        nodes: &mut Vec<Node>,
+    ) -> usize {
+        let g_sum: f64 = rows.iter().map(|&i| grad[i]).sum();
+        let h_sum: f64 = rows.iter().map(|&i| hess[i]).sum();
+        let make_leaf = |nodes: &mut Vec<Node>| {
+            let weight = -g_sum / (h_sum + params.lambda);
+            nodes.push(Node::Leaf { weight });
+            nodes.len() - 1
+        };
+
+        if depth >= params.max_depth || rows.len() < 2 {
+            return make_leaf(nodes);
+        }
+
+        // Exact greedy split search: per-feature candidates in parallel, then a
+        // cross-feature reduce in ascending feature order. Both stages use the
+        // same strict `>` with a 0.0 floor as the serial scan, so the winner is
+        // identical to serial at any thread count.
+        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
+        let features: Vec<usize> = (0..x.cols()).collect();
+        let min_feats = if rows.len() >= PAR_MIN_NODE_ROWS {
+            PAR_MIN_FEATURES
+        } else {
+            usize::MAX // tiny node: always serial
+        };
+        let per_feature = vmin_par::par_map(&features, min_feats, |_, &feature| {
+            best_split_for_feature(
+                x,
+                grad,
+                hess,
+                rows,
+                params,
+                g_sum,
+                h_sum,
+                parent_score,
                 feature,
-                threshold,
-                left,
-                right,
-            };
-            my_idx
+            )
+        });
+        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+        for cand in per_feature.into_iter().flatten() {
+            if cand.0 > best.map_or(0.0, |(g, _, _)| g) {
+                best = Some(cand);
+            }
+        }
+
+        match best {
+            None => make_leaf(nodes),
+            Some((_, feature, threshold)) => {
+                let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
+                    rows.iter().partition(|&&i| x[(i, feature)] < threshold);
+                // Reserve this node's slot, then build children.
+                let my_idx = nodes.len();
+                nodes.push(Node::Leaf { weight: 0.0 }); // placeholder
+                let left = build(x, grad, hess, &left_rows, params, depth + 1, nodes);
+                let right = build(x, grad, hess, &right_rows, params, depth + 1, nodes);
+                nodes[my_idx] = Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                };
+                my_idx
+            }
         }
     }
 }
@@ -518,10 +529,21 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fitplan::BinnedDataset;
+    use crate::hist::gbt_border_cap;
+    use std::sync::Arc;
 
-    /// Squared-loss gradients for current prediction 0: g = −y, h = 1.
-    fn grads_for(y: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        (y.iter().map(|v| -v).collect(), vec![1.0; y.len()])
+    /// Squared-loss gradients for current prediction 0: g = −y (h = 1).
+    fn grads_for(y: &[f64]) -> Vec<f64> {
+        y.iter().map(|v| -v).collect()
+    }
+
+    /// Grows one tree over every row of `x` on the bin table a boosted fit
+    /// over `x` would build.
+    fn fit(x: &Matrix, grad: &[f64], params: &TreeParams) -> GradientTree {
+        let binned = BinnedDataset::compute(x, gbt_border_cap(x.rows())).unwrap();
+        let hb = HistBinned::build(x, Arc::new(binned));
+        GradientTree::fit_hist(x, grad, params, &hb, &mut HistScratch::default())
     }
 
     #[test]
@@ -536,9 +558,8 @@ mod tests {
         ])
         .unwrap();
         let y = [0.0, 0.0, 0.0, 5.0, 5.0, 5.0];
-        let (g, h) = grads_for(&y);
-        let rows: Vec<usize> = (0..6).collect();
-        let tree = GradientTree::fit(&x, &g, &h, &rows, &TreeParams::default());
+        let g = grads_for(&y);
+        let tree = fit(&x, &g, &TreeParams::default());
         // With λ=1 leaves shrink towards zero: 3 samples of 5.0 → 15/4.
         let right = tree.predict_row(&[11.0]);
         assert!((right - 15.0 / 4.0).abs() < 1e-9, "got {right}");
@@ -550,12 +571,12 @@ mod tests {
     #[test]
     fn respects_max_depth_zero() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0]]).unwrap();
-        let (g, h) = grads_for(&[0.0, 10.0]);
+        let g = grads_for(&[0.0, 10.0]);
         let params = TreeParams {
             max_depth: 0,
             ..TreeParams::default()
         };
-        let tree = GradientTree::fit(&x, &g, &h, &[0, 1], &params);
+        let tree = fit(&x, &g, &params);
         assert_eq!(tree.n_leaves(), 1);
         // Single leaf = −G/(H+λ) = 10/3.
         assert!((tree.predict_row(&[0.0]) - 10.0 / 3.0).abs() < 1e-9);
@@ -564,12 +585,12 @@ mod tests {
     #[test]
     fn min_child_weight_blocks_tiny_splits() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0]]).unwrap();
-        let (g, h) = grads_for(&[0.0, 0.0, 100.0]);
+        let g = grads_for(&[0.0, 0.0, 100.0]);
         let params = TreeParams {
             min_child_weight: 2.0,
             ..TreeParams::default()
         };
-        let tree = GradientTree::fit(&x, &g, &h, &[0, 1, 2], &params);
+        let tree = fit(&x, &g, &params);
         // Only the 2-vs-1 split at x<1.5 … both children need H ≥ 2, so the
         // only legal split is {0,1}|{2}: H_R = 1 < 2 → no split at all.
         assert_eq!(tree.n_leaves(), 1);
@@ -578,20 +599,20 @@ mod tests {
     #[test]
     fn identical_feature_values_never_split() {
         let x = Matrix::from_rows(&[vec![3.0], vec![3.0], vec![3.0]]).unwrap();
-        let (g, h) = grads_for(&[1.0, 2.0, 3.0]);
-        let tree = GradientTree::fit(&x, &g, &h, &[0, 1, 2], &TreeParams::default());
+        let g = grads_for(&[1.0, 2.0, 3.0]);
+        let tree = fit(&x, &g, &TreeParams::default());
         assert_eq!(tree.n_leaves(), 1);
     }
 
     #[test]
     fn gamma_prunes_weak_splits() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let (g, h) = grads_for(&[0.0, 0.1, 0.0, 0.1]);
+        let g = grads_for(&[0.0, 0.1, 0.0, 0.1]);
         let strict = TreeParams {
             gamma: 10.0,
             ..TreeParams::default()
         };
-        let tree = GradientTree::fit(&x, &g, &h, &[0, 1, 2, 3], &strict);
+        let tree = fit(&x, &g, &strict);
         assert_eq!(tree.n_leaves(), 1, "γ=10 should prune everything");
     }
 
@@ -609,14 +630,14 @@ mod tests {
         ])
         .unwrap();
         let y = [0.0, 0.0, 0.0, 1.0];
-        let (g, h) = grads_for(&y);
+        let g = grads_for(&y);
         let params = TreeParams {
             max_depth: 2,
             lambda: 0.0,
             min_child_weight: 0.5,
             ..TreeParams::default()
         };
-        let tree = GradientTree::fit(&x, &g, &h, &[0, 1, 2, 3], &params);
+        let tree = fit(&x, &g, &params);
         for (row, target) in [
             ([0.0, 0.0], 0.0),
             ([0.0, 1.0], 0.0),
@@ -629,14 +650,5 @@ mod tests {
                 tree.predict_row(&row)
             );
         }
-    }
-
-    #[test]
-    fn subset_rows_are_respected() {
-        let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![100.0]]).unwrap();
-        let (g, h) = grads_for(&[0.0, 0.0, 99.0]);
-        // Fit only on rows {0, 1}: the outlier must not influence the tree.
-        let tree = GradientTree::fit(&x, &g, &h, &[0, 1], &TreeParams::default());
-        assert!(tree.predict_row(&[100.0]).abs() < 1e-9);
     }
 }

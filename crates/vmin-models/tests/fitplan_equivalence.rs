@@ -3,16 +3,15 @@
 //! byte-identical predictions to a plain `fit` — across seeds, matrix
 //! shapes, tie-heavy data, NaN features and thread counts. The plan is a
 //! pure time optimization; any drift here is a correctness bug, not a
-//! tolerance question. GBT consumes a plan only on the histogram path, so
-//! its cases pin histograms on.
+//! tolerance question.
 //!
 //! Seeded in-tree randomness keeps the suite hermetic; `heavy-tests`
 //! multiplies the case counts.
 
 use vmin_linalg::Matrix;
 use vmin_models::{
-    with_histograms, FitPlan, GradientBoost, GradientBoostParams, Loss, NeuralNet, NeuralNetParams,
-    ObliviousBoost, ObliviousBoostParams, QuantileLinear, Regressor,
+    FitPlan, GradientBoost, GradientBoostParams, Loss, NeuralNet, NeuralNetParams, ObliviousBoost,
+    ObliviousBoostParams, QuantileLinear, Regressor,
 };
 use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
 
@@ -29,7 +28,7 @@ fn seeds() -> std::ops::Range<u64> {
 const SHAPES: [(usize, usize); 3] = [(9, 2), (48, 3), (130, 6)];
 
 /// Mixed-regime data: smooth signal, heavy ties (quantized column) and a
-/// sprinkle of NaN to exercise the seed scan's `v_next <= v` semantics.
+/// sprinkle of NaN (bin 0 in training, right at prediction).
 fn gen_data(rng: &mut ChaCha8Rng, n: usize, d: usize, with_nan: bool) -> (Matrix, Vec<f64>) {
     let mut xs = Vec::with_capacity(n * d);
     for i in 0..n {
@@ -91,46 +90,23 @@ where
 
 #[test]
 fn gbt_predictions_are_bit_identical_with_and_without_plan() {
-    with_histograms(true, || {
-        for seed in seeds() {
-            let mut rng = ChaCha8Rng::seed_from_u64(7_000 + seed);
-            for &(n, d) in &SHAPES {
-                for with_nan in [false, true] {
-                    let (x, y) = gen_data(&mut rng, n, d, with_nan);
-                    let params = GradientBoostParams {
-                        n_rounds: 25,
-                        ..GradientBoostParams::default()
-                    };
-                    assert_plan_invariant(
-                        || GradientBoost::with_params(Loss::Pinball(0.9), params),
-                        &x,
-                        &y,
-                        &format!("gbt seed={seed} n={n} d={d} nan={with_nan}"),
-                    );
-                }
+    for seed in seeds() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7_000 + seed);
+        for &(n, d) in &SHAPES {
+            for with_nan in [false, true] {
+                let (x, y) = gen_data(&mut rng, n, d, with_nan);
+                let params = GradientBoostParams {
+                    n_rounds: 25,
+                    ..GradientBoostParams::default()
+                };
+                assert_plan_invariant(
+                    || GradientBoost::with_params(Loss::Pinball(0.9), params),
+                    &x,
+                    &y,
+                    &format!("gbt seed={seed} n={n} d={d} nan={with_nan}"),
+                );
             }
         }
-    });
-}
-
-#[test]
-fn subsampled_gbt_is_bit_identical_with_and_without_plan() {
-    // subsample < 1.0 ignores the plan and must still reproduce the seed
-    // RNG stream bit-for-bit.
-    for seed in seeds() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7_500 + seed);
-        let (x, y) = gen_data(&mut rng, 60, 3, false);
-        let params = GradientBoostParams {
-            n_rounds: 15,
-            subsample: 0.7,
-            ..GradientBoostParams::default()
-        };
-        assert_plan_invariant(
-            || GradientBoost::with_params(Loss::Squared, params),
-            &x,
-            &y,
-            &format!("gbt-subsample seed={seed}"),
-        );
     }
 }
 
@@ -189,22 +165,20 @@ fn shared_external_plan_is_bit_identical_across_thread_counts() {
         n_rounds: 25,
         ..GradientBoostParams::default()
     };
-    with_histograms(true, || {
-        let reference = vmin_par::with_threads(1, || {
+    let reference = vmin_par::with_threads(1, || {
+        let mut m = GradientBoost::with_params(Loss::Pinball(0.9), params);
+        m.fit(&x, &y).expect("reference fit");
+        pred_bits(&m, &x)
+    });
+    for threads in [1usize, 2, 8] {
+        let got = vmin_par::with_threads(threads, || {
+            let plan = FitPlan::build(&x);
             let mut m = GradientBoost::with_params(Loss::Pinball(0.9), params);
-            m.fit(&x, &y).expect("reference fit");
+            m.fit_with_plan(&x, &y, &plan).expect("planned fit");
             pred_bits(&m, &x)
         });
-        for threads in [1usize, 2, 8] {
-            let got = vmin_par::with_threads(threads, || {
-                let plan = FitPlan::build(&x);
-                let mut m = GradientBoost::with_params(Loss::Pinball(0.9), params);
-                m.fit_with_plan(&x, &y, &plan).expect("planned fit");
-                pred_bits(&m, &x)
-            });
-            assert_eq!(got, reference, "planned GBT diverged at {threads} threads");
-        }
-    });
+        assert_eq!(got, reference, "planned GBT diverged at {threads} threads");
+    }
 }
 
 #[test]
@@ -215,19 +189,17 @@ fn one_plan_serves_multiple_models_and_quantiles() {
     let mut rng = ChaCha8Rng::seed_from_u64(11_011);
     let (x, y) = gen_data(&mut rng, 80, 4, false);
     let plan = FitPlan::build(&x);
-    with_histograms(true, || {
-        for q in [0.05, 0.95] {
-            let mut plain = GradientBoost::new(Loss::Pinball(q));
-            plain.fit(&x, &y).expect("plain fit");
-            let mut planned = GradientBoost::new(Loss::Pinball(q));
-            planned.fit_with_plan(&x, &y, &plan).expect("planned fit");
-            assert_eq!(
-                pred_bits(&planned, &x),
-                pred_bits(&plain, &x),
-                "shared plan diverged at q={q}"
-            );
-        }
-    });
+    for q in [0.05, 0.95] {
+        let mut plain = GradientBoost::new(Loss::Pinball(q));
+        plain.fit(&x, &y).expect("plain fit");
+        let mut planned = GradientBoost::new(Loss::Pinball(q));
+        planned.fit_with_plan(&x, &y, &plan).expect("planned fit");
+        assert_eq!(
+            pred_bits(&planned, &x),
+            pred_bits(&plain, &x),
+            "shared plan diverged at q={q}"
+        );
+    }
     let mut plain = ObliviousBoost::new(Loss::Squared);
     plain.fit(&x, &y).expect("plain fit");
     let mut planned = ObliviousBoost::new(Loss::Squared);

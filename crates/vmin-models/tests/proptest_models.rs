@@ -141,7 +141,8 @@ fn quantile_linear_tracks_quantile() {
 }
 
 /// A single gradient tree perfectly memorizes distinct-feature training
-/// data when unregularized and deep enough.
+/// data when unregularized and deep enough: one round at learning rate 1
+/// lands every training row on its target.
 #[test]
 fn tree_memorizes_with_enough_depth() {
     let mut rng = ChaCha8Rng::seed_from_u64(406);
@@ -150,22 +151,22 @@ fn tree_memorizes_with_enough_depth() {
         let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
-        let grad: Vec<f64> = y.iter().map(|v| -v).collect();
-        let hess = vec![1.0; n];
-        let tree = vmin_models::GradientTree::fit(
-            &x,
-            &grad,
-            &hess,
-            &(0..n).collect::<Vec<_>>(),
-            &TreeParams {
-                max_depth: 8,
-                lambda: 0.0,
-                min_child_weight: 0.0,
-                gamma: 0.0,
+        let mut one_tree = GradientBoost::with_params(
+            Loss::Squared,
+            GradientBoostParams {
+                n_rounds: 1,
+                learning_rate: 1.0,
+                tree: TreeParams {
+                    max_depth: 8,
+                    lambda: 0.0,
+                    min_child_weight: 0.0,
+                    gamma: 0.0,
+                },
             },
         );
+        one_tree.fit(&x, &y).unwrap();
         for (i, target) in y.iter().enumerate() {
-            let p = tree.predict_row(&[i as f64]);
+            let p = one_tree.predict_row(&[i as f64]).unwrap();
             assert!((p - target).abs() < 1e-9, "leaf {i}: {p} vs {target}");
         }
     }

@@ -415,7 +415,7 @@ fn adaptive_stream_holds_coverage_under_drift_where_static_cqr_fails() {
     //     and over the post-drift aggregate.
     //   * Widened/recalibrating intervals legitimately over-cover, so only
     //     lower bounds are asserted for the adaptive tally.
-    use cqr_vmin::conformal::{with_adaptive, AdaptiveConfig, LadderState};
+    use cqr_vmin::conformal::{AdaptiveConfig, LadderState};
     use cqr_vmin::core::{run_stream, FeatureSet, StreamConfig};
     use cqr_vmin::silicon::{Campaign, DatasetSpec, DriftClass, DriftFault, DriftInjector};
 
@@ -458,88 +458,86 @@ fn adaptive_stream_holds_coverage_under_drift_where_static_cqr_fails() {
         DELTA,
     );
 
-    with_adaptive(true, || {
-        for (class, magnitude_mv, feature_set) in cases {
-            let (drifted, ledger) = DriftInjector::new(
-                vec![DriftFault {
-                    class,
-                    onset: ONSET,
-                    magnitude_mv,
-                    fraction: 1.0,
-                }],
-                3,
-            )
-            .unwrap()
-            .inject(&clean);
-            assert!(ledger.total() > 0, "{class}: nothing injected");
+    for (class, magnitude_mv, feature_set) in cases {
+        let (drifted, ledger) = DriftInjector::new(
+            vec![DriftFault {
+                class,
+                onset: ONSET,
+                magnitude_mv,
+                fraction: 1.0,
+            }],
+            3,
+        )
+        .unwrap()
+        .inject(&clean);
+        assert!(ledger.total() > 0, "{class}: nothing injected");
 
-            let cfg = StreamConfig {
-                feature_set,
-                ..StreamConfig::fast(STREAM_ALPHA)
-            };
-            let report = run_stream(&drifted, &cfg).unwrap();
-            assert_eq!(report.eval_chips, n_eval, "{class}: split drifted");
-            assert_ne!(
-                report.worst_state,
-                LadderState::Rejecting,
-                "{class}: magnitude {magnitude_mv} was meant to stay below the \
-                 terminal valve"
+        let cfg = StreamConfig {
+            feature_set,
+            ..StreamConfig::fast(STREAM_ALPHA)
+        };
+        let report = run_stream(&drifted, &cfg).unwrap();
+        assert_eq!(report.eval_chips, n_eval, "{class}: split drifted");
+        assert_ne!(
+            report.worst_state,
+            LadderState::Rejecting,
+            "{class}: magnitude {magnitude_mv} was meant to stay below the \
+             terminal valve"
+        );
+
+        let post = &report.per_read_point[ONSET..];
+        let n_post = post.len();
+        assert!(n_post >= 2, "campaign too short to observe the drift");
+
+        // Adaptive: every post-drift read point stays above the
+        // conservative exact-law floor…
+        let mut adaptive_total = 0;
+        for stats in post {
+            assert_eq!(
+                stats.issued, stats.n,
+                "{class} rp {}: intervals were withheld",
+                stats.read_point
             );
-
-            let post = &report.per_read_point[ONSET..];
-            let n_post = post.len();
-            assert!(n_post >= 2, "campaign too short to observe the drift");
-
-            // Adaptive: every post-drift read point stays above the
-            // conservative exact-law floor…
-            let mut adaptive_total = 0;
-            for stats in post {
-                assert_eq!(
-                    stats.issued, stats.n,
-                    "{class} rp {}: intervals were withheld",
-                    stats.read_point
-                );
-                assert!(
-                    stats.covered >= adaptive_rp_lo,
-                    "{class} rp {}: adaptive covered {}/{} under the \
-                     finite-sample floor {adaptive_rp_lo} \
-                     (BetaBin at ncal={min_window}, δ={DELTA:e})",
-                    stats.read_point,
-                    stats.covered,
-                    stats.issued,
-                );
-                adaptive_total += stats.covered;
-            }
-            // …and the post-drift aggregate clears the convolved floor,
-            // which is much tighter than the per-read-point one.
-            let agg_pmf = binomial::iid_sum_pmf(
-                &binomial::covered_pmf(n_eval, min_window, STREAM_ALPHA),
-                n_post,
-            );
-            let agg_lo = binomial::lower_acceptance(&agg_pmf, DELTA);
             assert!(
-                adaptive_total >= agg_lo,
-                "{class}: adaptive covered {adaptive_total}/{} post-drift, \
-                 under the aggregate floor {agg_lo}",
-                n_post * n_eval,
+                stats.covered >= adaptive_rp_lo,
+                "{class} rp {}: adaptive covered {}/{} under the \
+                 finite-sample floor {adaptive_rp_lo} \
+                 (BetaBin at ncal={min_window}, δ={DELTA:e})",
+                stats.read_point,
+                stats.covered,
+                stats.issued,
             );
-
-            // Static: the frozen calibration must demonstrably leave its own
-            // acceptance region at one or more post-drift read points —
-            // this is the exchangeability break the adaptive layer exists
-            // to absorb.
-            let static_failures = post
-                .iter()
-                .filter(|stats| stats.static_covered < static_rp_lo)
-                .count();
-            assert!(
-                static_failures >= 1,
-                "{class}: static CQR never left its acceptance region \
-                 (floor {static_rp_lo} at ncal={ncal_static}) — the drift \
-                 fault is too weak to demonstrate anything"
-            );
+            adaptive_total += stats.covered;
         }
-    });
+        // …and the post-drift aggregate clears the convolved floor,
+        // which is much tighter than the per-read-point one.
+        let agg_pmf = binomial::iid_sum_pmf(
+            &binomial::covered_pmf(n_eval, min_window, STREAM_ALPHA),
+            n_post,
+        );
+        let agg_lo = binomial::lower_acceptance(&agg_pmf, DELTA);
+        assert!(
+            adaptive_total >= agg_lo,
+            "{class}: adaptive covered {adaptive_total}/{} post-drift, \
+             under the aggregate floor {agg_lo}",
+            n_post * n_eval,
+        );
+
+        // Static: the frozen calibration must demonstrably leave its own
+        // acceptance region at one or more post-drift read points —
+        // this is the exchangeability break the adaptive layer exists
+        // to absorb.
+        let static_failures = post
+            .iter()
+            .filter(|stats| stats.static_covered < static_rp_lo)
+            .count();
+        assert!(
+            static_failures >= 1,
+            "{class}: static CQR never left its acceptance region \
+             (floor {static_rp_lo} at ncal={ncal_static}) — the drift \
+             fault is too weak to demonstrate anything"
+        );
+    }
 }
 
 #[test]

@@ -16,11 +16,11 @@ use cqr_vmin::silicon::{Campaign, DatasetSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serializes every test in this file that reads or flips a process-global
-/// flag: trace recording, histograms and adaptive. The harness runs tests
-/// concurrently, and each library `with_*` helper only serializes flips of
-/// its *own* flag, so a sibling test flipping tracing or histograms mid-run
-/// would otherwise change another test's snapshot or intervals.
+/// Serializes the tests in this file that flip the process-global trace
+/// flag (`vmin_trace::set_enabled`). The harness runs tests concurrently;
+/// tracing is observe-only, so no other test's results depend on the flag,
+/// but a sibling flipping it mid-run would change another test's snapshot
+/// or make its tracing-off cell record.
 static GLOBAL_FLAGS: Mutex<()> = Mutex::new(());
 
 /// Takes [`GLOBAL_FLAGS`] for the rest of the calling test. Tolerates
@@ -31,7 +31,6 @@ fn global_flags() -> MutexGuard<'static, ()> {
 
 #[test]
 fn campaign_is_bit_identical_across_thread_counts() {
-    let _flags = global_flags();
     let serial = vmin_par::with_threads(1, || Campaign::run(&DatasetSpec::small(), 2024));
     for threads in [2, 8] {
         let par = vmin_par::with_threads(threads, || Campaign::run(&DatasetSpec::small(), 2024));
@@ -41,7 +40,6 @@ fn campaign_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn cqr_predictor_is_bit_identical_across_thread_counts() {
-    let _flags = global_flags();
     let run_at = |threads: usize| {
         vmin_par::with_threads(threads, || {
             let campaign = Campaign::run(&DatasetSpec::small(), 7);
@@ -58,7 +56,7 @@ fn cqr_predictor_is_bit_identical_across_thread_counts() {
             (0..ds.n_samples())
                 .map(|i| {
                     let iv = predictor.interval(ds.sample(i)).unwrap();
-                    (iv.lo(), iv.hi())
+                    (iv.lo().to_bits(), iv.hi().to_bits())
                 })
                 .collect::<Vec<_>>()
         })
@@ -74,8 +72,61 @@ fn cqr_predictor_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn region_cell_and_study_are_bit_identical_across_thread_counts() {
+fn hist_split_and_thread_count_matrix_is_bit_identical() {
     let _flags = global_flags();
+    // The histogram split finders are the only split finders, so the matrix
+    // is VMIN_THREADS ∈ {1, 2, 8} per binned booster: the full simulate →
+    // assemble → CQR pipeline must be byte-identical in every cell. The
+    // one-thread reference runs traced, and must record the booster's
+    // histogram counter, so the invariance rows cannot pass on a fit that
+    // never reached the histogram kernels.
+    let run = |threads: usize, trace_on: bool, model: PointModel| {
+        let prev = vmin_trace::set_enabled(trace_on);
+        let (bits, snap) = vmin_trace::with_collector(|| {
+            vmin_par::with_threads(threads, || {
+                let campaign = Campaign::run(&DatasetSpec::small(), 7);
+                let ds = assemble_dataset(&campaign, 0, 1, FeatureSet::Both).unwrap();
+                let predictor = VminPredictor::fit(
+                    &ds,
+                    RegionMethod::Cqr(model),
+                    0.1,
+                    0.25,
+                    42,
+                    &ModelConfig::fast(),
+                )
+                .unwrap();
+                (0..ds.n_samples())
+                    .map(|i| {
+                        let iv = predictor.interval(ds.sample(i)).unwrap();
+                        (iv.lo().to_bits(), iv.hi().to_bits())
+                    })
+                    .collect::<Vec<_>>()
+            })
+        });
+        vmin_trace::set_enabled(prev);
+        (bits, snap)
+    };
+    for (model, hist_counter) in [
+        (PointModel::Xgboost, "models.hist.bins_scanned"),
+        (PointModel::CatBoost, "models.hist.level_searches"),
+    ] {
+        let (binned, snap) = run(1, true, model);
+        assert!(
+            snap.counters.get(hist_counter).is_some_and(|&n| n > 0),
+            "{model:?}: the fit recorded no `{hist_counter}` — histogram path not taken"
+        );
+        for threads in [2usize, 8] {
+            assert_eq!(
+                run(threads, false, model).0,
+                binned,
+                "{model:?}: binned intervals diverged at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn region_cell_and_study_are_bit_identical_across_thread_counts() {
     let campaign = Campaign::run(&DatasetSpec::small(), 11);
     let cfg = ExperimentConfig::fast();
     let cell_at = |threads: usize| {
@@ -180,7 +231,6 @@ fn streaming_report_is_bit_identical_across_threads_and_tracing() {
     // VMIN_THREADS ∈ {1, 2, 8} × tracing {on, off}. The report derives
     // PartialEq over raw f64s, so equality here is bit equality for every
     // width, α_t and q̂ the stream produced.
-    use cqr_vmin::conformal::with_adaptive;
     use cqr_vmin::core::{run_stream, StreamConfig};
     use cqr_vmin::silicon::{DriftClass, DriftFault, DriftInjector};
 
@@ -197,102 +247,45 @@ fn streaming_report_is_bit_identical_across_threads_and_tracing() {
     .unwrap()
     .inject(&clean);
 
-    with_adaptive(true, || {
-        let run = |threads: usize, trace_on: bool| {
-            let prev = vmin_trace::set_enabled(trace_on);
-            let (report, snap) = vmin_trace::with_collector(|| {
-                vmin_par::with_threads(threads, || {
-                    run_stream(&drifted, &StreamConfig::fast(0.2)).unwrap()
-                })
-            });
-            vmin_trace::set_enabled(prev);
-            (report, snap)
-        };
-
-        let (reference, ref_snap) = run(1, true);
-        assert!(
-            ref_snap
-                .counters
-                .keys()
-                .any(|k| k.starts_with("conformal.adaptive.")),
-            "the stream recorded no adaptive-layer counters"
-        );
-        for threads in [1usize, 2, 8] {
-            for trace_on in [true, false] {
-                let (report, snap) = run(threads, trace_on);
-                assert_eq!(
-                    report, reference,
-                    "stream report diverged at threads={threads} trace={trace_on}"
-                );
-                if trace_on {
-                    assert_eq!(
-                        snap.deterministic_view(),
-                        ref_snap.deterministic_view(),
-                        "stream metrics diverged at {threads} threads"
-                    );
-                }
-            }
-        }
-    });
-}
-
-#[test]
-fn hist_split_and_thread_count_matrix_is_bit_identical() {
-    let _flags = global_flags();
-    // PR 7 extends the matrix with the histogram dimension: the full
-    // simulate → assemble → CQR pipeline must be byte-identical at
-    // VMIN_THREADS ∈ {1, 2, 8} within each hist setting. Histograms are an
-    // *approximation* — hist off is the exact-scan reference, hist on has
-    // its own reference, and the two must actually differ (a kill switch
-    // wired to nothing would pass the invariance rows vacuously).
-    let run = |threads: usize, hist_on: bool, model: PointModel| {
-        vmin_par::with_threads(threads, || {
-            cqr_vmin::models::with_histograms(hist_on, || {
-                let campaign = Campaign::run(&DatasetSpec::small(), 7);
-                let ds = assemble_dataset(&campaign, 0, 1, FeatureSet::Both).unwrap();
-                let predictor = VminPredictor::fit(
-                    &ds,
-                    RegionMethod::Cqr(model),
-                    0.1,
-                    0.25,
-                    42,
-                    &ModelConfig::fast(),
-                )
-                .unwrap();
-                (0..ds.n_samples())
-                    .map(|i| {
-                        let iv = predictor.interval(ds.sample(i)).unwrap();
-                        (iv.lo().to_bits(), iv.hi().to_bits())
-                    })
-                    .collect::<Vec<_>>()
+    let run = |threads: usize, trace_on: bool| {
+        let prev = vmin_trace::set_enabled(trace_on);
+        let (report, snap) = vmin_trace::with_collector(|| {
+            vmin_par::with_threads(threads, || {
+                run_stream(&drifted, &StreamConfig::fast(0.2)).unwrap()
             })
-        })
+        });
+        vmin_trace::set_enabled(prev);
+        (report, snap)
     };
-    for model in [PointModel::Xgboost, PointModel::CatBoost] {
-        let exact = run(1, false, model);
-        let binned = run(1, true, model);
-        assert_ne!(
-            exact, binned,
-            "{model:?}: hist on/off produced identical intervals — switch unwired"
-        );
-        for threads in [2usize, 8] {
+
+    let (reference, ref_snap) = run(1, true);
+    assert!(
+        ref_snap
+            .counters
+            .keys()
+            .any(|k| k.starts_with("conformal.adaptive.")),
+        "the stream recorded no adaptive-layer counters"
+    );
+    for threads in [1usize, 2, 8] {
+        for trace_on in [true, false] {
+            let (report, snap) = run(threads, trace_on);
             assert_eq!(
-                run(threads, false, model),
-                exact,
-                "{model:?}: exact intervals diverged at {threads} threads"
+                report, reference,
+                "stream report diverged at threads={threads} trace={trace_on}"
             );
-            assert_eq!(
-                run(threads, true, model),
-                binned,
-                "{model:?}: binned intervals diverged at {threads} threads"
-            );
+            if trace_on {
+                assert_eq!(
+                    snap.deterministic_view(),
+                    ref_snap.deterministic_view(),
+                    "stream metrics diverged at {threads} threads"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn serve_matrix_is_bit_identical_and_artifact_bytes_are_stable() {
-    let _flags = global_flags();
     // PR 9 extends the matrix with the serving dimension: a captured
     // ServeModel must produce byte-identical intervals at
     // VMIN_THREADS ∈ {1, 4} × block sizes {1, 5, 32, 1000}, and its

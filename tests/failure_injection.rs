@@ -2,8 +2,7 @@
 //! surface as typed errors (or documented panics), never as silent garbage.
 
 use cqr_vmin::conformal::{
-    conformal_quantile, with_adaptive, CalibrationError, ConformalError, Cqr, LadderState,
-    SplitConformal,
+    conformal_quantile, CalibrationError, ConformalError, Cqr, LadderState, SplitConformal,
 };
 use cqr_vmin::core::{
     assemble_dataset, run_stream, sanitize_campaign, DegradationPolicy, FeatureSet, ModelConfig,
@@ -281,77 +280,69 @@ fn stream_drifted(
 
 #[test]
 fn catastrophic_sudden_shift_lands_in_rejecting() {
-    with_adaptive(true, || {
-        // A fleet-wide 2 V jump: no recalibration can rescue this; the
-        // terminal valve must close and stay closed.
-        let report = stream_drifted(DriftClass::SuddenShift, 3, 2000.0, FeatureSet::Both);
-        assert_eq!(report.worst_state, LadderState::Rejecting);
-        assert_eq!(report.final_state, LadderState::Rejecting);
-        // Graceful degradation: post-onset observations are consumed but no
-        // interval is certified.
-        for stats in &report.per_read_point[4..] {
-            assert_eq!(stats.issued, 0, "rp {}", stats.read_point);
-            assert_eq!(stats.rejected, stats.n);
-        }
-        // Pre-onset read points were healthy.
-        assert_eq!(report.per_read_point[0].rejected, 0);
-    });
+    // A fleet-wide 2 V jump: no recalibration can rescue this; the
+    // terminal valve must close and stay closed.
+    let report = stream_drifted(DriftClass::SuddenShift, 3, 2000.0, FeatureSet::Both);
+    assert_eq!(report.worst_state, LadderState::Rejecting);
+    assert_eq!(report.final_state, LadderState::Rejecting);
+    // Graceful degradation: post-onset observations are consumed but no
+    // interval is certified.
+    for stats in &report.per_read_point[4..] {
+        assert_eq!(stats.issued, 0, "rp {}", stats.read_point);
+        assert_eq!(stats.rejected, stats.n);
+    }
+    // Pre-onset read points were healthy.
+    assert_eq!(report.per_read_point[0].rejected, 0);
 }
 
 #[test]
 fn ramp_drift_forces_recalibration_and_recovers() {
-    with_adaptive(true, || {
-        let report = stream_drifted(DriftClass::Ramp, 3, 20.0, FeatureSet::Both);
-        assert_eq!(report.worst_state, LadderState::Recalibrating);
-        assert_ne!(report.final_state, LadderState::Rejecting);
-        // The point of recalibrating: at the last read point the adaptive
-        // layer still covers while the frozen calibration has collapsed.
-        let last = report.per_read_point.last().unwrap();
-        assert!(
-            last.covered > last.static_covered,
-            "adaptive {} vs static {} at rp {}",
-            last.covered,
-            last.static_covered,
-            last.read_point
-        );
-    });
+    let report = stream_drifted(DriftClass::Ramp, 3, 20.0, FeatureSet::Both);
+    assert_eq!(report.worst_state, LadderState::Recalibrating);
+    assert_ne!(report.final_state, LadderState::Rejecting);
+    // The point of recalibrating: at the last read point the adaptive
+    // layer still covers while the frozen calibration has collapsed.
+    let last = report.per_read_point.last().unwrap();
+    assert!(
+        last.covered > last.static_covered,
+        "adaptive {} vs static {} at rp {}",
+        last.covered,
+        last.static_covered,
+        last.read_point
+    );
 }
 
 #[test]
 fn variance_blowup_escalates_through_dispersion_statistic() {
-    with_adaptive(true, || {
-        // A pure noise blow-up barely moves the mean score; only the
-        // dispersion half of the drift statistic can catch it.
-        let report = stream_drifted(DriftClass::VarianceBlowup, 3, 60.0, FeatureSet::Both);
-        assert_eq!(report.worst_state, LadderState::Recalibrating);
-        assert_ne!(report.final_state, LadderState::Rejecting);
-        assert!(!report.transitions.is_empty());
-    });
+    // A pure noise blow-up barely moves the mean score; only the
+    // dispersion half of the drift statistic can catch it.
+    let report = stream_drifted(DriftClass::VarianceBlowup, 3, 60.0, FeatureSet::Both);
+    assert_eq!(report.worst_state, LadderState::Recalibrating);
+    assert_ne!(report.final_state, LadderState::Rejecting);
+    assert!(!report.transitions.is_empty());
 }
 
 #[test]
 fn sensor_dropout_escalates_an_onchip_model_beyond_its_clean_baseline() {
-    with_adaptive(true, || {
-        // Frozen monitors only hurt a model that actually *uses* them: under
-        // an on-chip-only feature set, stale readings push the ladder to a
-        // window rebuild, beyond anything the clean stream provokes.
-        let report = stream_drifted(DriftClass::SensorDropout, 3, 0.0, FeatureSet::OnChip);
-        assert_eq!(report.worst_state, LadderState::Recalibrating);
+    // Frozen monitors only hurt a model that actually *uses* them: under
+    // an on-chip-only feature set, stale readings push the ladder to a
+    // window rebuild, beyond anything the clean stream provokes.
+    let report = stream_drifted(DriftClass::SensorDropout, 3, 0.0, FeatureSet::OnChip);
+    assert_eq!(report.worst_state, LadderState::Recalibrating);
 
-        // Same campaign seed as `stream_drifted` so the comparison is
-        // dropout-vs-clean on one fleet, not two different fleets.
-        let clean = Campaign::run(&DatasetSpec::small(), 22);
-        let cfg = StreamConfig {
-            feature_set: FeatureSet::OnChip,
-            ..StreamConfig::fast(0.2)
-        };
-        let baseline = run_stream(&clean, &cfg).unwrap();
-        assert!(
-            baseline.worst_state < LadderState::Recalibrating,
-            "clean on-chip stream already reached {}",
-            baseline.worst_state
-        );
-    });
+    // Same campaign seed as `stream_drifted` so the comparison is
+    // dropout-vs-clean on one fleet, not two different fleets.
+    let clean = Campaign::run(&DatasetSpec::small(), 22);
+    let cfg = StreamConfig {
+        feature_set: FeatureSet::OnChip,
+        ..StreamConfig::fast(0.2)
+    };
+    let baseline = run_stream(&clean, &cfg).unwrap();
+    assert!(
+        baseline.worst_state < LadderState::Recalibrating,
+        "clean on-chip stream already reached {}",
+        baseline.worst_state
+    );
 }
 
 #[test]

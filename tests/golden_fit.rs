@@ -22,8 +22,8 @@ use cqr_vmin::core::{
 };
 use cqr_vmin::data::{train_test_split, Dataset, KFold};
 use cqr_vmin::models::{
-    with_histograms, GradientBoost, GradientBoostParams, Loss, NodeView, ObliviousBoost,
-    ObliviousBoostParams, Regressor, TreeParams,
+    GradientBoost, GradientBoostParams, Loss, NodeView, ObliviousBoost, ObliviousBoostParams,
+    Regressor, TreeParams,
 };
 use cqr_vmin::silicon::{Campaign, DatasetSpec};
 
@@ -200,27 +200,23 @@ fn cat_trees(ds: &Dataset) -> u64 {
 
 #[test]
 fn cqr_xgboost_cell_matches_golden_digests() {
-    with_histograms(true, || {
-        let ds = cell_dataset();
-        let eval = eval_digest(&ds, PointModel::Xgboost);
-        let trees = xgb_trees(&ds);
-        assert_eq!(eval, XGB_EVAL, "CQR-XGBoost RegionEval moved: {eval:#018x}");
-        assert_eq!(trees, XGB_TREES, "CQR-XGBoost trees moved: {trees:#018x}");
-    });
+    let ds = cell_dataset();
+    let eval = eval_digest(&ds, PointModel::Xgboost);
+    let trees = xgb_trees(&ds);
+    assert_eq!(eval, XGB_EVAL, "CQR-XGBoost RegionEval moved: {eval:#018x}");
+    assert_eq!(trees, XGB_TREES, "CQR-XGBoost trees moved: {trees:#018x}");
 }
 
 #[test]
 fn cqr_catboost_cell_matches_golden_digests() {
-    with_histograms(true, || {
-        let ds = cell_dataset();
-        let eval = eval_digest(&ds, PointModel::CatBoost);
-        let trees = cat_trees(&ds);
-        assert_eq!(
-            eval, CAT_EVAL,
-            "CQR-CatBoost RegionEval moved: {eval:#018x}"
-        );
-        assert_eq!(trees, CAT_TREES, "CQR-CatBoost trees moved: {trees:#018x}");
-    });
+    let ds = cell_dataset();
+    let eval = eval_digest(&ds, PointModel::CatBoost);
+    let trees = cat_trees(&ds);
+    assert_eq!(
+        eval, CAT_EVAL,
+        "CQR-CatBoost RegionEval moved: {eval:#018x}"
+    );
+    assert_eq!(trees, CAT_TREES, "CQR-CatBoost trees moved: {trees:#018x}");
 }
 
 #[test]
@@ -228,70 +224,66 @@ fn fleet_setup_pair_matches_golden_digest() {
     // The fleet screen's setup fit: screening campaign (512 chips, seed 1),
     // read point 0, first temperature, both feature sets; the first 384
     // rows train, the other 128 calibrate.
-    with_histograms(true, || {
-        let campaign = Campaign::run(&DatasetSpec::screening(512), 1);
-        let ds = assemble_dataset(&campaign, 0, 0, FeatureSet::Both).expect("assemble");
-        let train = ds
-            .subset_rows(&(0..384).collect::<Vec<_>>())
-            .expect("train rows");
-        let cal = ds
-            .subset_rows(&(384..ds.n_samples()).collect::<Vec<_>>())
-            .expect("calibration rows");
-        let params = GradientBoostParams {
-            tree: TreeParams {
-                max_depth: 6,
-                ..TreeParams::default()
-            },
-            ..GradientBoostParams::default()
-        };
-        let mut cqr = Cqr::new(
-            GradientBoost::with_params(Loss::Pinball(0.05), params),
-            GradientBoost::with_params(Loss::Pinball(0.95), params),
-            0.1,
-        );
-        cqr.fit_calibrate(
-            train.features(),
-            train.targets(),
-            cal.features(),
-            cal.targets(),
-        )
-        .expect("fit and calibrate");
-        let mut h = Fnv::new();
-        h.f64(cqr.qhat().expect("calibrated"));
-        gbt_digest(&mut h, cqr.lo_model());
-        gbt_digest(&mut h, cqr.hi_model());
-        assert_eq!(
-            h.0, FLEET_PAIR,
-            "fleet-setup CQR-XGBoost pair moved: {:#018x}",
-            h.0
-        );
-    });
+    let campaign = Campaign::run(&DatasetSpec::screening(512), 1);
+    let ds = assemble_dataset(&campaign, 0, 0, FeatureSet::Both).expect("assemble");
+    let train = ds
+        .subset_rows(&(0..384).collect::<Vec<_>>())
+        .expect("train rows");
+    let cal = ds
+        .subset_rows(&(384..ds.n_samples()).collect::<Vec<_>>())
+        .expect("calibration rows");
+    let params = GradientBoostParams {
+        tree: TreeParams {
+            max_depth: 6,
+            ..TreeParams::default()
+        },
+        ..GradientBoostParams::default()
+    };
+    let mut cqr = Cqr::new(
+        GradientBoost::with_params(Loss::Pinball(0.05), params),
+        GradientBoost::with_params(Loss::Pinball(0.95), params),
+        0.1,
+    );
+    cqr.fit_calibrate(
+        train.features(),
+        train.targets(),
+        cal.features(),
+        cal.targets(),
+    )
+    .expect("fit and calibrate");
+    let mut h = Fnv::new();
+    h.f64(cqr.qhat().expect("calibrated"));
+    gbt_digest(&mut h, cqr.lo_model());
+    gbt_digest(&mut h, cqr.hi_model());
+    assert_eq!(
+        h.0, FLEET_PAIR,
+        "fleet-setup CQR-XGBoost pair moved: {:#018x}",
+        h.0
+    );
 }
 
 #[test]
 fn table3_cell_serves_rounds_from_the_round_memo() {
-    with_histograms(true, || {
-        let ds = cell_dataset();
-        let prev = vmin_trace::set_enabled(true);
-        let (_, snap) = vmin_trace::with_collector(|| {
-            eval_digest(&ds, PointModel::Xgboost);
-            eval_digest(&ds, PointModel::CatBoost);
-        });
-        vmin_trace::set_enabled(prev);
-        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        assert!(
-            count("models.gbt.memo_hits") > 0,
-            "no GBT round hit the memo"
-        );
-        assert!(
-            count("models.oblivious.memo_hits") > 0,
-            "no oblivious round hit the memo"
-        );
-        // Work counters count work done: every GBT round grew a tree or
-        // was served from the memo.
-        assert_eq!(
-            count("models.hist.tree_fits") + count("models.gbt.memo_hits"),
-            count("models.gbt.rounds")
-        );
+    let ds = cell_dataset();
+    let prev = vmin_trace::set_enabled(true);
+    let (_, snap) = vmin_trace::with_collector(|| {
+        eval_digest(&ds, PointModel::Xgboost);
+        eval_digest(&ds, PointModel::CatBoost);
     });
+    vmin_trace::set_enabled(prev);
+    let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert!(
+        count("models.gbt.memo_hits") > 0,
+        "no GBT round hit the memo"
+    );
+    assert!(
+        count("models.oblivious.memo_hits") > 0,
+        "no oblivious round hit the memo"
+    );
+    // Work counters count work done: every GBT round grew a tree or
+    // was served from the memo.
+    assert_eq!(
+        count("models.tree.fits") + count("models.gbt.memo_hits"),
+        count("models.gbt.rounds")
+    );
 }

@@ -47,15 +47,13 @@ fn draw(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>) {
     (Matrix::from_rows(&rows).unwrap(), y)
 }
 
-fn gbt_pair(depth: usize, seed: u64) -> Cqr<GradientBoost, GradientBoost> {
+fn gbt_pair(depth: usize) -> Cqr<GradientBoost, GradientBoost> {
     let params = GradientBoostParams {
         n_rounds: 20,
         tree: TreeParams {
             max_depth: depth,
             ..TreeParams::default()
         },
-        subsample: 0.8,
-        seed,
         ..GradientBoostParams::default()
     };
     Cqr::new(
@@ -110,7 +108,7 @@ fn gbt_serving_is_bit_identical_to_live_structs() {
                 let (x_tr, y_tr) = draw(N_TRAIN, d, seed);
                 let (x_ca, y_ca) = draw(N_CAL, d, seed + 1);
                 let (x_te, _) = draw(N_TEST, d, seed + 2);
-                let mut cqr = gbt_pair(depth, seed);
+                let mut cqr = gbt_pair(depth);
                 cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
 
                 let cell = format!("gbt seed={seed} depth={depth} d={d}");
@@ -172,7 +170,7 @@ fn captured_scaler_reproduces_the_standardized_pipeline_bitwise() {
     let x_tr = scaler.transform(&x_tr_raw).unwrap();
     let x_ca = scaler.transform(&x_ca_raw).unwrap();
 
-    let mut cqr = gbt_pair(4, 21);
+    let mut cqr = gbt_pair(4);
     cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
 
     let model = ServeModel::from_gbt_cqr(&cqr, Some(&scaler)).unwrap();
@@ -192,11 +190,11 @@ fn captured_scaler_reproduces_the_standardized_pipeline_bitwise() {
 fn capture_refuses_uncalibrated_and_serving_refuses_wrong_width() {
     let (x_tr, y_tr) = draw(N_TRAIN, 2, 31);
     let (x_ca, y_ca) = draw(N_CAL, 2, 32);
-    let mut cqr = gbt_pair(3, 31);
+    let mut cqr = gbt_pair(3);
 
     // Fitted but never calibrated → no q̂ to capture.
     cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
-    let fresh = gbt_pair(3, 31);
+    let fresh = gbt_pair(3);
     assert_eq!(
         ServeModel::from_gbt_cqr(&fresh, None).unwrap_err(),
         ServeError::NotCalibrated
