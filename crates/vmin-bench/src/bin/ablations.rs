@@ -1,16 +1,18 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Regenerates the two ablation tables DESIGN.md §4 lists:
 //!
 //! - **A1 — calibration fraction**: how the CQR train/calibration split
 //!   (paper: 75/25) trades interval width against quantile-model quality.
 //! - **A2 — conformal variants**: split CP vs normalized CP vs CQR vs
 //!   jackknife+ around linear models on the same heteroscedastic data.
 //!
-//! Criterion measures the runtime of each variant; the quality numbers
-//! (mean length / coverage) are printed once to stderr at startup so the
-//! bench output doubles as the ablation table.
+//! Each row is the mean interval length and coverage over 20 seeded
+//! repetitions; the output is deterministic.
+//!
+//! Run: `cargo run --release -p vmin-bench --bin ablations`
 
-use vmin_bench::harness::Criterion;
-use vmin_bench::{criterion_group, criterion_main};
+#![forbid(unsafe_code)]
+
+use vmin_bench::die;
 use vmin_conformal::{
     evaluate_intervals, Cqr, JackknifePlus, NormalizedConformal, PredictionInterval, SplitConformal,
 };
@@ -31,32 +33,52 @@ fn hetero(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
         rows.push(vec![x]);
         y.push(550.0 + 10.0 * x + (2.0 + 3.0 * x) * rng.gen_range(-1.0..1.0));
     }
-    (Matrix::from_rows(&rows).unwrap(), y)
+    let x = Matrix::from_rows(&rows).unwrap_or_else(|e| die(&format!("hetero rows: {e}")));
+    (x, y)
 }
 
 fn qlin(q: f64) -> QuantileLinear {
     QuantileLinear::new(q).with_training(400, 0.02)
 }
 
+/// Splits `(x, y)` into proper-training and calibration parts with
+/// `train_test_split`: `(x_train, y_train, x_cal, y_cal)`.
+fn split(
+    x: &Matrix,
+    y: &[f64],
+    train_fraction: f64,
+    seed: u64,
+) -> (Matrix, Vec<f64>, Matrix, Vec<f64>) {
+    let split = train_test_split(x.rows(), train_fraction, seed);
+    let pick = |rows: &[usize]| {
+        let xs = x
+            .select_rows(rows)
+            .unwrap_or_else(|e| die(&format!("select rows: {e}")));
+        (xs, rows.iter().map(|&i| y[i]).collect::<Vec<f64>>())
+    };
+    let (x_tr, y_tr) = pick(&split.train);
+    let (x_ca, y_ca) = pick(&split.test);
+    (x_tr, y_tr, x_ca, y_ca)
+}
+
 fn run_cqr(cal_fraction: f64, seed: u64) -> (f64, f64) {
     let (x, y) = hetero(117, seed);
     let (x_te, y_te) = hetero(60, seed + 1000);
-    let ds_split = train_test_split(x.rows(), 1.0 - cal_fraction, seed);
-    let x_tr = x.select_rows(&ds_split.train).unwrap();
-    let y_tr: Vec<f64> = ds_split.train.iter().map(|&i| y[i]).collect();
-    let x_ca = x.select_rows(&ds_split.test).unwrap();
-    let y_ca: Vec<f64> = ds_split.test.iter().map(|&i| y[i]).collect();
+    let (x_tr, y_tr, x_ca, y_ca) = split(&x, &y, 1.0 - cal_fraction, seed);
     let mut cqr = Cqr::new(qlin(0.05), qlin(0.95), 0.1);
-    cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
-    let ivs = cqr.predict_intervals(&x_te).unwrap();
+    cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca)
+        .unwrap_or_else(|e| die(&format!("CQR fit: {e}")));
+    let ivs = cqr
+        .predict_intervals(&x_te)
+        .unwrap_or_else(|e| die(&format!("CQR predict: {e}")));
     let rep = evaluate_intervals(&ivs, &y_te);
     (rep.mean_length, rep.coverage)
 }
 
-/// A1: calibration-fraction sweep (quality table printed to stderr).
+/// A1: calibration-fraction sweep.
 fn print_a1_table() {
-    eprintln!("\n[A1] CQR calibration-fraction sweep (α = 0.1, linear base, 117 chips):");
-    eprintln!("{:>10} {:>12} {:>10}", "cal frac", "length", "coverage");
+    println!("\n[A1] CQR calibration-fraction sweep (α = 0.1, linear base, 117 chips):");
+    println!("{:>10} {:>12} {:>10}", "cal frac", "length", "coverage");
     for frac in [0.10, 0.15, 0.25, 0.35, 0.50] {
         let (mut len, mut cov) = (0.0, 0.0);
         let reps = 20;
@@ -65,7 +87,7 @@ fn print_a1_table() {
             len += l;
             cov += c;
         }
-        eprintln!(
+        println!(
             "{:>10.2} {:>12.2} {:>9.1}%",
             frac,
             len / reps as f64,
@@ -74,7 +96,7 @@ fn print_a1_table() {
     }
 }
 
-/// A2: conformal-variant quality comparison (printed to stderr).
+/// A2: conformal-variant quality comparison.
 fn print_a2_table() {
     let reps = 20;
     let mut rows: Vec<(&str, f64, f64)> = Vec::new();
@@ -91,28 +113,28 @@ fn print_a2_table() {
     accumulate("split CP (constant width)", &|seed| {
         let (x, y) = hetero(117, seed);
         let (x_te, y_te) = hetero(60, seed + 1000);
-        let split = train_test_split(x.rows(), 0.75, seed);
-        let x_tr = x.select_rows(&split.train).unwrap();
-        let y_tr: Vec<f64> = split.train.iter().map(|&i| y[i]).collect();
-        let x_ca = x.select_rows(&split.test).unwrap();
-        let y_ca: Vec<f64> = split.test.iter().map(|&i| y[i]).collect();
+        let (x_tr, y_tr, x_ca, y_ca) = split(&x, &y, 0.75, seed);
         let mut cp = SplitConformal::new(LinearRegression::new(), 0.1);
-        cp.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
-        let rep = evaluate_intervals(&cp.predict_intervals(&x_te).unwrap(), &y_te);
+        cp.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca)
+            .unwrap_or_else(|e| die(&format!("split CP fit: {e}")));
+        let ivs = cp
+            .predict_intervals(&x_te)
+            .unwrap_or_else(|e| die(&format!("split CP predict: {e}")));
+        let rep = evaluate_intervals(&ivs, &y_te);
         (rep.mean_length, rep.coverage)
     });
     accumulate("normalized CP", &|seed| {
         let (x, y) = hetero(117, seed);
         let (x_te, y_te) = hetero(60, seed + 1000);
-        let split = train_test_split(x.rows(), 0.75, seed);
-        let x_tr = x.select_rows(&split.train).unwrap();
-        let y_tr: Vec<f64> = split.train.iter().map(|&i| y[i]).collect();
-        let x_ca = x.select_rows(&split.test).unwrap();
-        let y_ca: Vec<f64> = split.test.iter().map(|&i| y[i]).collect();
+        let (x_tr, y_tr, x_ca, y_ca) = split(&x, &y, 0.75, seed);
         let mut ncp =
             NormalizedConformal::new(LinearRegression::new(), LinearRegression::new(), 0.1);
-        ncp.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
-        let rep = evaluate_intervals(&ncp.predict_intervals(&x_te).unwrap(), &y_te);
+        ncp.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca)
+            .unwrap_or_else(|e| die(&format!("normalized CP fit: {e}")));
+        let ivs = ncp
+            .predict_intervals(&x_te)
+            .unwrap_or_else(|e| die(&format!("normalized CP predict: {e}")));
+        let rep = evaluate_intervals(&ivs, &y_te);
         (rep.mean_length, rep.coverage)
     });
     accumulate("CQR (paper)", &|seed| run_cqr(0.25, seed));
@@ -123,44 +145,25 @@ fn print_a2_table() {
         jk.fit(&x, &y, || {
             Box::new(LinearRegression::new()) as Box<dyn Regressor>
         })
-        .unwrap();
+        .unwrap_or_else(|e| die(&format!("jackknife+ fit: {e}")));
         let ivs: Vec<PredictionInterval> = (0..x_te.rows())
-            .map(|i| jk.predict_interval(x_te.row(i)).unwrap())
+            .map(|i| {
+                jk.predict_interval(x_te.row(i))
+                    .unwrap_or_else(|e| die(&format!("jackknife+ predict: {e}")))
+            })
             .collect();
         let rep = evaluate_intervals(&ivs, &y_te);
         (rep.mean_length, rep.coverage)
     });
 
-    eprintln!("\n[A2] conformal variants on heteroscedastic data (α = 0.1):");
-    eprintln!("{:<28} {:>10} {:>10}", "variant", "length", "coverage");
+    println!("\n[A2] conformal variants on heteroscedastic data (α = 0.1):");
+    println!("{:<28} {:>10} {:>10}", "variant", "length", "coverage");
     for (name, len, cov) in rows {
-        eprintln!("{name:<28} {len:>10.2} {:>9.1}%", cov * 100.0);
+        println!("{name:<28} {len:>10.2} {:>9.1}%", cov * 100.0);
     }
-    eprintln!();
 }
 
-fn bench_ablations(c: &mut Criterion) {
-    if c.is_bench_mode() {
-        print_a1_table();
-        print_a2_table();
-    }
-
-    let mut group = c.benchmark_group("ablation_runtime");
-    group.sample_size(10);
-    group.bench_function("cqr_cal25", |b| b.iter(|| run_cqr(0.25, 1)));
-    group.bench_function("cqr_cal50", |b| b.iter(|| run_cqr(0.50, 1)));
-    group.bench_function("jackknife_plus_n60", |b| {
-        let (x, y) = hetero(60, 3);
-        b.iter(|| {
-            let mut jk = JackknifePlus::new(0.1);
-            jk.fit(&x, &y, || {
-                Box::new(LinearRegression::new()) as Box<dyn Regressor>
-            })
-            .unwrap();
-        })
-    });
-    group.finish();
+fn main() {
+    print_a1_table();
+    print_a2_table();
 }
-
-criterion_group!(benches, bench_ablations);
-criterion_main!(benches);

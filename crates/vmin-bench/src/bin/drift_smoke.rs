@@ -11,13 +11,9 @@
 
 #![forbid(unsafe_code)]
 
+use vmin_bench::die;
 use vmin_core::{run_stream, StreamConfig};
 use vmin_silicon::{Campaign, DatasetSpec, DriftClass, DriftFault, DriftInjector};
-
-fn die(msg: &str) -> ! {
-    eprintln!("[drift_smoke] fatal: {msg}");
-    std::process::exit(1)
-}
 
 fn main() {
     eprintln!(

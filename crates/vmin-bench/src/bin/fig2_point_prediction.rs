@@ -13,12 +13,12 @@
 
 #![forbid(unsafe_code)]
 
-use vmin_bench::Scale;
+use vmin_bench::{die, Scale};
 use vmin_core::{assemble_dataset, format_point_table, run_point_cell_on, FeatureSet, PointModel};
 use vmin_silicon::Campaign;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_env_args();
     let spec = scale.dataset_spec();
     let cfg = scale.experiment_config();
     eprintln!(
@@ -36,10 +36,8 @@ fn main() {
         // by the five-model sweep — the feature matrix is identical for all.
         let datasets: Vec<_> = (0..campaign.temperatures.len())
             .map(|temp_idx| {
-                assemble_dataset(&campaign, rp, temp_idx, FeatureSet::Both).unwrap_or_else(|e| {
-                    eprintln!("[fig2] assemble rp={rp} t={temp_idx}: {e}");
-                    std::process::exit(1)
-                })
+                assemble_dataset(&campaign, rp, temp_idx, FeatureSet::Both)
+                    .unwrap_or_else(|e| die(&format!("assemble rp={rp} t={temp_idx}: {e}")))
             })
             .collect();
         let mut results = Vec::new();
@@ -47,7 +45,7 @@ fn main() {
             let mut row = Vec::new();
             for (temp_idx, ds) in datasets.iter().enumerate() {
                 let eval = run_point_cell_on(ds, model, &cfg)
-                    .unwrap_or_else(|e| panic!("cell rp={rp} t={temp_idx} {model}: {e}"));
+                    .unwrap_or_else(|e| die(&format!("cell rp={rp} t={temp_idx} {model}: {e}")));
                 grand[mi].1 += eval.r2;
                 row.push(eval);
             }

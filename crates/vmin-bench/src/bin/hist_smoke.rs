@@ -13,16 +13,12 @@
 
 #![forbid(unsafe_code)]
 
+use vmin_bench::die;
 use vmin_core::{
     assemble_dataset, FeatureSet, ModelConfig, PointModel, RegionMethod, VminPredictor,
 };
 use vmin_data::Dataset;
 use vmin_silicon::{Campaign, DatasetSpec};
-
-fn die(msg: &str) -> ! {
-    eprintln!("[hist_smoke] fatal: {msg}");
-    std::process::exit(1)
-}
 
 /// Fits one CQR cell and returns every interval as `(lo, hi)`.
 fn cell_intervals(ds: &Dataset, model: PointModel) -> Vec<(f64, f64)> {

@@ -18,12 +18,12 @@
 
 #![forbid(unsafe_code)]
 
-use vmin_bench::Scale;
+use vmin_bench::{die, Scale};
 use vmin_core::{DegradationPolicy, FeatureSet, PointModel, RegionMethod, VminPredictor};
 use vmin_silicon::{Campaign, CorruptionConfig, CorruptionInjector};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_env_args();
     let spec = scale.dataset_spec();
     let cfg = scale.experiment_config();
     let alpha = cfg.alpha;
@@ -49,7 +49,7 @@ fn main() {
                 CorruptionConfig::mixed(rate),
                 Scale::CAMPAIGN_SEED ^ pct as u64,
             )
-            .unwrap_or_else(|e| panic!("rate {rate}: {e}"));
+            .unwrap_or_else(|e| die(&format!("rate {rate}: {e}")));
             injector.corrupt(&clean)
         };
         let fit = VminPredictor::fit_sanitized(
@@ -64,7 +64,7 @@ fn main() {
             cfg.seed,
             &cfg.models,
         )
-        .unwrap_or_else(|e| panic!("rate {rate}: {e}"));
+        .unwrap_or_else(|e| die(&format!("rate {rate}: {e}")));
 
         let ds = &fit.dataset;
         let mut covered = 0usize;
@@ -73,7 +73,7 @@ fn main() {
             let iv = fit
                 .predictor
                 .interval(ds.sample(i))
-                .unwrap_or_else(|e| panic!("rate {rate} chip {i}: {e}"));
+                .unwrap_or_else(|e| die(&format!("rate {rate} chip {i}: {e}")));
             if iv.contains(ds.targets()[i]) {
                 covered += 1;
             }

@@ -12,7 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::process::exit;
+use vmin_bench::die;
 use vmin_conformal::Cqr;
 use vmin_linalg::Matrix;
 use vmin_models::{GradientBoost, GradientBoostParams, Loss, TreeParams};
@@ -20,11 +20,6 @@ use vmin_rng::ChaCha8Rng;
 use vmin_rng::Rng;
 use vmin_rng::SeedableRng;
 use vmin_serve::ServeModel;
-
-fn die(msg: &str) -> ! {
-    eprintln!("serve_smoke: FAIL: {msg}");
-    exit(1);
-}
 
 fn draw(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -14,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::process::exit;
+use vmin_bench::die;
 use vmin_conformal::Cqr;
 use vmin_core::{assemble_dataset, fleet_screen, FeatureSet, FleetScreenConfig};
 use vmin_models::{GradientBoost, GradientBoostParams, Loss, TreeParams};
@@ -27,11 +27,6 @@ const MIN_SPEC_MV: f64 = 700.0;
 /// Odd chunk size for the re-stream self-check: block boundaries land
 /// mid-shard and the last block is short.
 const ODD_CHUNK: usize = 17;
-
-fn die(msg: &str) -> ! {
-    eprintln!("stream_smoke: FAIL: {msg}");
-    exit(1);
-}
 
 /// FNV-1a over a row's f64 bit patterns — a stable per-chip fingerprint.
 fn fnv1a(row: &[f64]) -> u64 {

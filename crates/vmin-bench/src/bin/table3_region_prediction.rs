@@ -14,14 +14,14 @@
 
 #![forbid(unsafe_code)]
 
-use vmin_bench::Scale;
+use vmin_bench::{die, Scale};
 use vmin_core::{
     assemble_dataset, format_region_table, run_region_cell_on, FeatureSet, RegionEval, RegionMethod,
 };
 use vmin_silicon::Campaign;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_env_args();
     let spec = scale.dataset_spec();
     let cfg = scale.experiment_config();
     eprintln!(
@@ -42,10 +42,8 @@ fn main() {
         // `run_region_cell_on`).
         let datasets: Vec<_> = (0..campaign.temperatures.len())
             .map(|temp_idx| {
-                assemble_dataset(&campaign, rp, temp_idx, FeatureSet::Both).unwrap_or_else(|e| {
-                    eprintln!("[table3] assemble rp={rp} t={temp_idx}: {e}");
-                    std::process::exit(1)
-                })
+                assemble_dataset(&campaign, rp, temp_idx, FeatureSet::Both)
+                    .unwrap_or_else(|e| die(&format!("assemble rp={rp} t={temp_idx}: {e}")))
             })
             .collect();
         let mut results: Vec<Vec<RegionEval>> = Vec::new();
@@ -53,7 +51,7 @@ fn main() {
             let mut row = Vec::new();
             for (temp_idx, ds) in datasets.iter().enumerate() {
                 let eval = run_region_cell_on(ds, method, &cfg)
-                    .unwrap_or_else(|e| panic!("cell rp={rp} t={temp_idx} {method}: {e}"));
+                    .unwrap_or_else(|e| die(&format!("cell rp={rp} t={temp_idx} {method}: {e}")));
                 totals[mi].1 += eval.mean_length;
                 totals[mi].2 += eval.coverage;
                 row.push(eval);

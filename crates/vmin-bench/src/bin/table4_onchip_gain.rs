@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use vmin_bench::Scale;
+use vmin_bench::{die, Scale};
 use vmin_core::{
     format_feature_set_table, onchip_monitor_gain, run_feature_set_study, run_region_cell,
     FeatureSet, PointModel, RegionMethod,
@@ -16,7 +16,7 @@ use vmin_core::{
 use vmin_silicon::Campaign;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_env_args();
     let spec = scale.dataset_spec();
     let cfg = scale.experiment_config();
     eprintln!(
@@ -39,7 +39,7 @@ fn main() {
             let mut acc = 0.0;
             for temp_idx in 0..campaign.temperatures.len() {
                 let eval = run_region_cell(&campaign, rp, temp_idx, method, fs, &cfg)
-                    .unwrap_or_else(|e| panic!("cell rp={rp} t={temp_idx} {fs}: {e}"));
+                    .unwrap_or_else(|e| die(&format!("cell rp={rp} t={temp_idx} {fs}: {e}")));
                 acc += eval.mean_length;
             }
             row.push(acc / campaign.temperatures.len() as f64);
@@ -55,10 +55,11 @@ fn main() {
     }
 
     // Table IV: averages across read points with the gain row.
-    let rows = run_feature_set_study(&campaign, method, &cfg).expect("feature-set study");
+    let rows = run_feature_set_study(&campaign, method, &cfg)
+        .unwrap_or_else(|e| die(&format!("feature-set study: {e}")));
     println!();
     println!("{}", format_feature_set_table(&campaign, &rows));
-    let gain = onchip_monitor_gain(&rows).expect("study covers all three feature sets");
+    let gain = onchip_monitor_gain(&rows).unwrap_or_else(|e| die(&format!("on-chip gain: {e}")));
     println!(
         "On-chip monitor gain (average): {:.2}% (paper: 21.01%)",
         gain * 100.0
@@ -66,11 +67,11 @@ fn main() {
     let onchip = rows
         .iter()
         .find(|r| r.feature_set == FeatureSet::OnChip)
-        .expect("on-chip row");
+        .unwrap_or_else(|| die("the study has no on-chip row"));
     let parametric = rows
         .iter()
         .find(|r| r.feature_set == FeatureSet::Parametric)
-        .expect("parametric row");
+        .unwrap_or_else(|| die("the study has no parametric row"));
     println!(
         "On-chip-only vs parametric-only: {:.2} vs {:.2} mV (paper: on-chip wins despite 10x fewer features)",
         onchip.average_length, parametric.average_length

@@ -13,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 
+use vmin_bench::die;
 use vmin_core::{
     run_point_cell, run_region_cell, ExperimentConfig, FeatureSet, PointModel, RegionMethod,
 };
@@ -33,10 +34,7 @@ fn main() {
             "[trace_report] point cell: r2 {:.3}, rmse {:.2}",
             eval.r2, eval.rmse
         ),
-        Err(e) => {
-            eprintln!("[trace_report] point cell failed: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => die(&format!("point cell: {e}")),
     }
     match run_region_cell(
         &campaign,
@@ -50,10 +48,7 @@ fn main() {
             "[trace_report] region cell: coverage {:.3}, length {:.2} mV",
             eval.coverage, eval.mean_length
         ),
-        Err(e) => {
-            eprintln!("[trace_report] region cell failed: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => die(&format!("region cell: {e}")),
     }
 
     match vmin_trace::export::write_json_if_configured(vmin_par::current_threads()) {

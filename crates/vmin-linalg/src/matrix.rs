@@ -22,13 +22,14 @@ const ROW_BLOCK: usize = 16;
 /// Minimum number of row blocks before worker threads are spawned; below
 /// this the kernels run serially on the calling thread.
 ///
-/// Raised from 2 after the PR 5 thread sweep (`BENCH_PR5.json`) showed the
-/// 2-thread rows of the small workloads (`matmul_threads2`,
-/// `table3_region_cell_threads2`) running *slower* than their 1-thread
-/// rows: at 2 blocks the spawn/join handoff costs more than the ~160-row
-/// matmuls it splits. 16 blocks (256 output rows) is the first size where
-/// splitting reliably pays for itself; the `par_speedup` bench enforces
-/// the threads2/threads1 ratio as a regression gate.
+/// Raised from 2 after a thread sweep showed the small workloads running
+/// *slower* at 2 threads than at 1 (a 160×220 · 220×140 matmul
+/// 1.54 vs 1.48 ms, a small CQR region cell 2.47 vs 2.31 ms; README,
+/// "Performance trajectory"): at 2 blocks the spawn/join handoff costs
+/// more than the ~160-row matmuls it splits. 16 blocks (256 output rows)
+/// is the first size where splitting reliably pays for itself;
+/// `matmul_serial_fallback_boundary_is_pinned` keeps the 160-row product
+/// serial and the 256-row one split.
 const MIN_PAR_BLOCKS: usize = 16;
 
 /// Dense row-major matrix of `f64`.
@@ -730,6 +731,36 @@ mod tests {
             for threads in [1, 2, 8] {
                 let got = vmin_par::with_threads(threads, || a.matmul(&b).unwrap());
                 assert_eq!(got, expect, "{m}x{k}x{n} threads {threads}");
+            }
+        }
+    }
+
+    /// Pins the kernels' serial-fallback boundary. The 160-row product
+    /// (10 row blocks) once ran slower at two threads than at one, which is
+    /// why `MIN_PAR_BLOCKS` exists: it must stay on the calling thread even
+    /// with a worker to spare. A product of exactly `MIN_PAR_BLOCKS` row
+    /// blocks must split. Neither may move a bit.
+    #[test]
+    fn matmul_serial_fallback_boundary_is_pinned() {
+        let small = (pseudo_random(160, 220, 11), pseudo_random(220, 140, 12));
+        let at_boundary = (
+            pseudo_random(MIN_PAR_BLOCKS * ROW_BLOCK, 32, 13),
+            pseudo_random(32, 24, 14),
+        );
+        for ((a, b), splits) in [(small, false), (at_boundary, true)] {
+            let serial = vmin_par::with_threads(1, || a.matmul(&b).unwrap());
+            let prev = vmin_trace::set_enabled(true);
+            let (two, snap) =
+                vmin_trace::with_collector(|| vmin_par::with_threads(2, || a.matmul(&b).unwrap()));
+            vmin_trace::set_enabled(prev);
+            let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&two), bits(&serial), "{} rows", a.rows());
+            let fallback = snap.topology.get("par.serial.fallback");
+            let spawned = snap.topology.get("par.tasks.spawned");
+            if splits {
+                assert_eq!((fallback, spawned), (None, Some(&2)), "{snap:?}");
+            } else {
+                assert_eq!((fallback, spawned), (Some(&1), None), "{snap:?}");
             }
         }
     }

@@ -26,8 +26,8 @@
 //!   baseline.
 //!
 //! The file is parsed by the minimal hand-rolled reader below — the
-//! workspace is dependency-free, so no serde (same policy as the bench
-//! harness's JSON writer).
+//! workspace is dependency-free, so no serde (same policy as the
+//! `vmin-trace/v1` JSON writer).
 
 use std::collections::BTreeMap;
 use std::fs;

@@ -1,7 +1,7 @@
 //! Human diagnostics and the machine-readable JSON report.
 //!
-//! The JSON report mirrors the bench harness's conventions (hand-rolled,
-//! 2-space indent, one record per line) and is written to the path named
+//! The JSON report is hand-rolled like the `vmin-trace/v1` export
+//! (2-space indent, one record per line) and is written to the path named
 //! by `VMIN_LINT_JSON` or `--json`. Schema:
 //!
 //! ```json

@@ -31,9 +31,10 @@ use vmin_linalg::Matrix;
 
 /// Minimum features before binning spawns feature workers — the same
 /// threshold the boosters use for their per-feature passes. Raised
-/// above the paper-scale feature count (6): BENCH_PR5.json showed threads2
-/// *slower* than threads1 on small inputs, so microsecond-sized per-feature
-/// passes stay serial and the campaign/fold level carries the parallelism.
+/// above the paper-scale feature count (6): a thread sweep measured 2
+/// threads *slower* than 1 on small inputs (README, "Performance
+/// trajectory"), so microsecond-sized per-feature passes stay serial and
+/// the campaign/fold level carries the parallelism.
 const PAR_MIN_FEATURES: usize = 8;
 
 /// The largest representable border count: `bin_of` stores bin indices as

@@ -66,8 +66,9 @@ use vmin_linalg::Matrix;
 
 /// Minimum features before the histogram passes spawn per-feature workers.
 /// Deliberately above the paper-scale feature count (6): at n ≈ 10³ rows a
-/// feature histogram costs a few microseconds, far below spawn cost
-/// (BENCH_PR5.json's threads2 regressions on small inputs).
+/// feature histogram costs a few microseconds, far below spawn cost (a thread
+/// sweep measured 2 threads slower than 1 on small inputs; README,
+/// "Performance trajectory").
 pub(crate) const PAR_MIN_FEATURES: usize = 8;
 
 /// Rejects fits over more rows than the histogram kernels can index: rows

@@ -401,10 +401,10 @@ mod exact {
     }
 
     /// Minimum features per node for a parallel split search. Raised above the
-    /// paper-scale feature count (6): BENCH_PR5.json showed threads2 *slower*
-    /// than threads1 on small inputs, so per-feature scans over a handful of
-    /// microsecond-sized columns stay serial and the campaign/fold level
-    /// carries the parallelism.
+    /// paper-scale feature count (6): a thread sweep measured 2 threads
+    /// *slower* than 1 on small inputs (README, "Performance trajectory"), so
+    /// per-feature scans over a handful of microsecond-sized columns stay
+    /// serial and the campaign/fold level carries the parallelism.
     const PAR_MIN_FEATURES: usize = 8;
 
     /// Best split candidate `(gain, feature, threshold)` for one feature,

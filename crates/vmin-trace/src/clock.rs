@@ -3,7 +3,7 @@
 //! The `vmin-lint` `det-wall-clock` rule denies `std::time::Instant` and
 //! `SystemTime` in **every** crate except this one: wall-clock state in
 //! numeric code silently breaks the bit-identical determinism contract,
-//! and even non-numeric crates (the bench harness, the CLI bins) must take
+//! and even non-numeric code (the CLI bins, the `perfbench` package) must take
 //! their time from here so the carve-out stays auditable in one place.
 //!
 //! Nothing returned by this module may feed a numeric decision: ticks are

@@ -147,9 +147,9 @@ fn escape(s: &str) -> String {
 pub fn write_json_if_configured(threads: usize) -> Option<std::path::PathBuf> {
     let path = std::path::PathBuf::from(std::env::var_os("VMIN_TRACE_JSON")?);
     let report = render_json(&crate::snapshot(), threads, crate::enabled());
-    // `cargo bench` runs harnesses with the package dir as cwd, so a
-    // relative path like `target/trace.json` may name a directory that
-    // doesn't exist yet — create it instead of failing the export.
+    // A relative path like `target/trace.json` may name a directory that
+    // doesn't exist yet (a fresh checkout, or a binary started from another
+    // working directory) — create it instead of failing the export.
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);

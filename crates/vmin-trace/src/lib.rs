@@ -21,7 +21,7 @@
 //!    exemptions: wall-clock time and thread topology legitimately vary.
 //! 3. **One clock owner.** The `vmin-lint` `det-wall-clock` deny rule
 //!    allows `std::time::Instant` in this crate only; everything else —
-//!    including the bench harness — goes through [`clock`].
+//!    the `perfbench` timer included — goes through [`clock`].
 //!
 //! Recording is gated by [`enabled`] (the `VMIN_TRACE` environment
 //! variable, default on; `VMIN_TRACE=0` disables) and is cheap either way:

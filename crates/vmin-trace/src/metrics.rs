@@ -15,7 +15,7 @@
 //! associative, so a summed statistic could differ between flush orders.
 //! Histograms carry bucket counts and min/max instead of a mean.
 //!
-//! Metrics land in a per-thread shard ([`ThreadState`]) and are flushed
+//! Metrics land in a per-thread shard (the private `ThreadState`) and are flushed
 //! into the thread's target [`Collector`] when the thread exits, when a
 //! collector scope ends, or explicitly. Shards and collectors key metrics
 //! by `&'static str` name in a `BTreeMap`, so every snapshot and report is

@@ -20,7 +20,7 @@ use cqr_vmin::silicon::{
 };
 
 /// The paper's 156-chip population with the laptop-sized test inventory
-/// (mirrors the benchmark harness's medium scale).
+/// (mirrors `vmin-bench`'s medium scale).
 fn paper_spec() -> DatasetSpec {
     let mut spec = DatasetSpec::default();
     spec.parametric.iddq_per_temp = 40;
