@@ -55,8 +55,6 @@ fn main() {
     }
 
     // Metrics accumulated above (models.hist.* counters and spans);
-    // written only when `VMIN_TRACE_JSON` names a path.
-    if let Some(path) = vmin_trace::export::write_json_if_configured(vmin_par::current_threads()) {
-        eprintln!("[hist_smoke] trace report written to {}", path.display());
-    }
+    // written, and its path logged, only when `VMIN_TRACE_JSON` names a path.
+    vmin_trace::export::write_json_if_configured(vmin_par::current_threads());
 }

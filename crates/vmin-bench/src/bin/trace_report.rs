@@ -51,20 +51,17 @@ fn main() {
         Err(e) => die(&format!("region cell: {e}")),
     }
 
-    match vmin_trace::export::write_json_if_configured(vmin_par::current_threads()) {
-        Some(path) => eprintln!("[trace_report] report at {}", path.display()),
-        None => {
-            // No sink configured: print the report so the binary is useful
-            // standalone.
-            let snap = vmin_trace::snapshot();
-            print!(
-                "{}",
-                vmin_trace::export::render_json(
-                    &snap,
-                    vmin_par::current_threads(),
-                    vmin_trace::enabled()
-                )
-            );
-        }
+    // The export logs the path it writes. No sink configured: print the
+    // report so the binary is useful standalone.
+    if vmin_trace::export::write_json_if_configured(vmin_par::current_threads()).is_none() {
+        let snap = vmin_trace::snapshot();
+        print!(
+            "{}",
+            vmin_trace::export::render_json(
+                &snap,
+                vmin_par::current_threads(),
+                vmin_trace::enabled()
+            )
+        );
     }
 }

@@ -299,38 +299,28 @@ fn detect_stuck_streams(campaign: &Campaign) -> Vec<StuckStream> {
         return Vec::new();
     }
     let majority = n_reads.div_ceil(2);
+    let monitors = &campaign.spec.monitors;
     let mut stuck = Vec::new();
     for (i, chip) in campaign.chips.iter().enumerate() {
-        for j in 0..campaign.spec.monitors.rod_count {
-            let first = chip.rod[0][j];
-            if !first.is_finite() {
-                continue;
-            }
-            let frozen = (1..n_reads)
-                .filter(|&k| chip.rod[k][j].to_bits() == first.to_bits())
-                .count();
-            if frozen >= majority {
-                stuck.push(StuckStream {
-                    chip: i,
-                    is_rod: true,
-                    monitor: j,
-                });
-            }
-        }
-        for j in 0..campaign.spec.monitors.cpd_count {
-            let first = chip.cpd[0][j];
-            if !first.is_finite() {
-                continue;
-            }
-            let frozen = (1..n_reads)
-                .filter(|&k| chip.cpd[k][j].to_bits() == first.to_bits())
-                .count();
-            if frozen >= majority {
-                stuck.push(StuckStream {
-                    chip: i,
-                    is_rod: false,
-                    monitor: j,
-                });
+        for (is_rod, reads, count) in [
+            (true, &chip.rod, monitors.rod_count),
+            (false, &chip.cpd, monitors.cpd_count),
+        ] {
+            for monitor in 0..count {
+                let first = reads[0][monitor];
+                if !first.is_finite() {
+                    continue;
+                }
+                let frozen = (1..n_reads)
+                    .filter(|&k| reads[k][monitor].to_bits() == first.to_bits())
+                    .count();
+                if frozen >= majority {
+                    stuck.push(StuckStream {
+                        chip: i,
+                        is_rod,
+                        monitor,
+                    });
+                }
             }
         }
     }

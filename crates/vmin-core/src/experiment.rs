@@ -88,6 +88,39 @@ impl From<vmin_data::DatasetError> for ExperimentError {
     }
 }
 
+/// Runs `eval(fold, train, test)` on every fold of the `cfg.folds`-fold CV
+/// of `ds` (§IV-B), on worker threads, and returns the results in fold
+/// order so the caller's serial reduction is bit-identical to a serial run
+/// at any thread count.
+///
+/// # Errors
+///
+/// [`FlowError::InvalidConfig`] (as [`ExperimentError::Flow`]) unless
+/// `2 ≤ cfg.folds ≤ ds.n_samples()`; otherwise the first failing fold's
+/// error.
+fn cv_folds<T: Send>(
+    ds: &Dataset,
+    cfg: &ExperimentConfig,
+    eval: impl Fn(usize, &Dataset, &Dataset) -> Result<T, FlowError> + Sync,
+) -> Result<Vec<T>, ExperimentError> {
+    let n = ds.n_samples();
+    if cfg.folds < 2 || cfg.folds > n {
+        return Err(FlowError::InvalidConfig(format!(
+            "cross-validation needs 2 to {n} folds on {n} rows, got {}",
+            cfg.folds
+        ))
+        .into());
+    }
+    let splits: Vec<_> = KFold::new(n, cfg.folds, cfg.seed).iter().collect();
+    vmin_par::par_map(&splits, 2, |fold, split| -> Result<T, ExperimentError> {
+        let train = ds.subset_rows(&split.train)?;
+        let test = ds.subset_rows(&split.test)?;
+        Ok(eval(fold, &train, &test)?)
+    })
+    .into_iter()
+    .collect()
+}
+
 /// Cross-validated point-prediction score for one (read point, temperature)
 /// cell — one bar of Fig. 2.
 ///
@@ -114,7 +147,8 @@ pub fn run_point_cell(
 ///
 /// # Errors
 ///
-/// Propagates pipeline failures.
+/// [`ExperimentError::Flow`] for a fold count outside `2..=ds.n_samples()`;
+/// otherwise propagates pipeline failures.
 pub fn run_point_cell_on(
     ds: &Dataset,
     model: PointModel,
@@ -122,25 +156,13 @@ pub fn run_point_cell_on(
 ) -> Result<PointEval, ExperimentError> {
     let _span = vmin_trace::span("core.run_point_cell");
     vmin_trace::counter_add("core.cells.point", 1);
-    let kf = KFold::new(ds.n_samples(), cfg.folds, cfg.seed);
-    let splits: Vec<_> = kf.iter().collect();
-    // Folds are independent; evaluate them on worker threads and reduce the
-    // sums serially in fold order so the cell score is bit-identical to a
-    // serial run at any thread count.
-    let evals = vmin_par::par_map(
-        &splits,
-        2,
-        |_, split| -> Result<PointEval, ExperimentError> {
-            let train = ds.subset_rows(&split.train)?;
-            let test = ds.subset_rows(&split.test)?;
-            Ok(eval_point_fold(model, &cfg.models, &train, &test)?)
-        },
-    );
+    let evals = cv_folds(ds, cfg, |_, train, test| {
+        eval_point_fold(model, &cfg.models, train, test)
+    })?;
     let mut r2_sum = 0.0;
     let mut rmse_sum = 0.0;
     let mut nfeat_sum = 0usize;
     for eval in evals {
-        let eval = eval?;
         r2_sum += eval.r2;
         rmse_sum += eval.rmse;
         nfeat_sum += eval.n_features;
@@ -178,7 +200,8 @@ pub fn run_region_cell(
 ///
 /// # Errors
 ///
-/// Propagates pipeline failures.
+/// [`ExperimentError::Flow`] for a fold count outside `2..=ds.n_samples()`;
+/// otherwise propagates pipeline failures.
 pub fn run_region_cell_on(
     ds: &Dataset,
     method: RegionMethod,
@@ -186,34 +209,22 @@ pub fn run_region_cell_on(
 ) -> Result<RegionEval, ExperimentError> {
     let _span = vmin_trace::span("core.run_region_cell");
     vmin_trace::counter_add("core.cells.region", 1);
-    let kf = KFold::new(ds.n_samples(), cfg.folds, cfg.seed);
-    let splits: Vec<_> = kf.iter().collect();
-    // Fold-parallel with a serial fold-order reduction — bit-identical to a
-    // serial run. `par_map` hands the closure the fold index, which keeps
-    // the per-fold seed family intact.
-    let evals = vmin_par::par_map(
-        &splits,
-        2,
-        |fold, split| -> Result<RegionEval, ExperimentError> {
-            let train = ds.subset_rows(&split.train)?;
-            let test = ds.subset_rows(&split.test)?;
-            Ok(eval_region_fold(
-                method,
-                &cfg.models,
-                &train,
-                &test,
-                cfg.alpha,
-                cfg.cal_fraction,
-                // Same seed family for every method (fair comparison, §IV-B),
-                // distinct per fold.
-                cfg.seed.wrapping_add(fold as u64),
-            )?)
-        },
-    );
+    let evals = cv_folds(ds, cfg, |fold, train, test| {
+        eval_region_fold(
+            method,
+            &cfg.models,
+            train,
+            test,
+            cfg.alpha,
+            cfg.cal_fraction,
+            // Same seed family for every method (fair comparison, §IV-B),
+            // distinct per fold.
+            cfg.seed.wrapping_add(fold as u64),
+        )
+    })?;
     let mut len_sum = 0.0;
     let mut cov_sum = 0.0;
     for eval in evals {
-        let eval = eval?;
         len_sum += eval.mean_length;
         cov_sum += eval.coverage;
     }
@@ -392,6 +403,25 @@ mod tests {
             run_point_cell(&c, 0, 1, PointModel::Linear, FeatureSet::Both, &cfg).unwrap();
         let p_dataset = run_point_cell_on(&ds, PointModel::Linear, &cfg).unwrap();
         assert_eq!(p_campaign, p_dataset);
+    }
+
+    #[test]
+    fn fold_counts_outside_two_to_n_rows_are_typed_errors() {
+        let ds = assemble_dataset(&campaign(), 0, 1, FeatureSet::Both).unwrap();
+        for folds in [1, ds.n_samples() + 1] {
+            let cfg = ExperimentConfig {
+                folds,
+                ..ExperimentConfig::fast()
+            };
+            let invalid = |e: &ExperimentError| match e {
+                ExperimentError::Flow(m) => m.starts_with("invalid configuration"),
+                _ => false,
+            };
+            let point = run_point_cell_on(&ds, PointModel::Linear, &cfg).unwrap_err();
+            assert!(invalid(&point), "folds {folds}: {point}");
+            let region = run_region_cell_on(&ds, RegionMethod::Gp, &cfg).unwrap_err();
+            assert!(invalid(&region), "folds {folds}: {region}");
+        }
     }
 
     #[test]

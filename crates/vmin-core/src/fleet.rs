@@ -15,9 +15,9 @@ use std::fmt;
 
 use vmin_linalg::Matrix;
 use vmin_serve::{ServeError, ServeModel};
-use vmin_silicon::{CampaignStream, DatasetSpec, DEFAULT_STREAM_CHUNK};
+use vmin_silicon::{BlockLayout, CampaignStream, DatasetSpec, DEFAULT_STREAM_CHUNK};
 
-use crate::scenario::{monitor_read_points, FeatureSet};
+use crate::scenario::{feature_layout, monitor_read_points, FeatureSet};
 
 /// Error from the fused screening driver.
 #[derive(Debug)]
@@ -197,13 +197,15 @@ pub fn fleet_screen(
         )));
     }
 
-    let monitor_points = monitor_read_points(cfg.read_point);
-    let use_parametric = matches!(cfg.feature_set, FeatureSet::Parametric | FeatureSet::Both);
-    let use_onchip = matches!(cfg.feature_set, FeatureSet::OnChip | FeatureSet::Both);
-    let d = usize::from(use_parametric) * spec.parametric.total_tests()
-        + usize::from(use_onchip)
-            * monitor_points.len()
-            * (spec.monitors.rod_count + spec.monitors.cpd_count);
+    // The feature row as column ranges of the streamed chip row, in the
+    // `assemble_dataset` layout.
+    let block_layout = BlockLayout::of(spec);
+    let spans: Vec<(usize, usize)> =
+        feature_layout(cfg.feature_set, &monitor_read_points(cfg.read_point))
+            .into_iter()
+            .map(|segment| segment.span(&block_layout))
+            .collect();
+    let d = spans.iter().map(|(a, b)| b - a).sum();
     if model.n_features() != d {
         return Err(FleetError::Width {
             expected: model.n_features(),
@@ -225,24 +227,12 @@ pub fn fleet_screen(
         // One flat buffer per chunk — the only allocation on the serve side.
         let mut data = vec![0.0f64; rows * d];
         for r in 0..rows {
-            let dst = &mut data[r * d..(r + 1) * d];
+            let (src, dst) = (block.row(r), &mut data[r * d..(r + 1) * d]);
             let mut col = 0;
-            if use_parametric {
-                let p = block.parametric(r);
-                dst[col..col + p.len()].copy_from_slice(p);
-                col += p.len();
+            for &(a, b) in &spans {
+                dst[col..col + b - a].copy_from_slice(&src[a..b]);
+                col += b - a;
             }
-            if use_onchip {
-                for &k in &monitor_points {
-                    let rod = block.rod(r, k);
-                    dst[col..col + rod.len()].copy_from_slice(rod);
-                    col += rod.len();
-                    let cpd = block.cpd(r, k);
-                    dst[col..col + cpd.len()].copy_from_slice(cpd);
-                    col += cpd.len();
-                }
-            }
-            debug_assert_eq!(col, d);
         }
         let x = Matrix::from_vec(rows, d, data).map_err(|e| FleetError::Shape(e.to_string()))?;
         let intervals = model.serve_batch(&x, cfg.serve_rows.max(1))?;

@@ -3,6 +3,7 @@
 use crate::degradation::{sanitize_campaign, DegradationError, DegradationPolicy, RepairLog};
 use crate::scenario::FeatureSet;
 use crate::zoo::{ModelConfig, PointModel, RegionMethod};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use vmin_conformal::{evaluate_intervals, Cqr, PredictionInterval};
@@ -83,6 +84,45 @@ pub const CFS_MAX_FEATURES: usize = 10;
 /// Candidate pool size for CFS pre-filtering on wide feature sets.
 pub const CFS_POOL: usize = 60;
 
+/// Checks that a miscoverage level or split fraction lies in (0, 1).
+pub(crate) fn check_open_unit(name: &str, value: f64) -> Result<(), FlowError> {
+    if value > 0.0 && value < 1.0 {
+        Ok(())
+    } else {
+        Err(FlowError::InvalidConfig(format!(
+            "{name} must be in (0, 1), got {value}"
+        )))
+    }
+}
+
+/// One bound of a quantile band, as the zoo builds it.
+type Quantile = Box<dyn Regressor>;
+
+/// The (α/2, 1 − α/2) quantile pair of `base`: the band every QR and CQR
+/// predictor is built from.
+pub(crate) fn quantile_pair(
+    base: PointModel,
+    alpha: f64,
+    cfg: &ModelConfig,
+) -> Result<(Quantile, Quantile), FlowError> {
+    let make = |q| {
+        base.make_quantile(q, cfg)
+            .ok_or_else(|| FlowError::InvalidConfig(format!("{base} has no quantile form")))
+    };
+    Ok((make(alpha / 2.0)?, make(1.0 - alpha / 2.0)?))
+}
+
+/// The §IV-C feature view of CFS models: the scaler fitted on `train`,
+/// `train` standardized by it, and the CFS selection (at most
+/// [`CFS_MAX_FEATURES`] columns, in selection order) over the standardized
+/// columns.
+pub(crate) fn cfs_view(train: &Dataset) -> Result<(Standardizer, Dataset, Vec<usize>), FlowError> {
+    let scaler = Standardizer::fit(train.features());
+    let z = scaler.transform_dataset(train)?;
+    let selected = cfs_select(z.features(), z.targets(), CFS_MAX_FEATURES, CFS_POOL).selected;
+    Ok((scaler, z, selected))
+}
+
 /// Fits `model` on `train` and evaluates on `test`, following §IV-C: models
 /// flagged [`PointModel::uses_cfs`] get a CFS sweep over 1..=10 features
 /// with the best *test* score reported (the paper's protocol); tree
@@ -98,18 +138,11 @@ pub fn eval_point_fold(
     test: &Dataset,
 ) -> Result<PointEval, FlowError> {
     if model.uses_cfs() {
-        let scaler = Standardizer::fit(train.features());
-        let train_z = scaler.transform_dataset(train)?;
+        let (scaler, train_z, selected) = cfs_view(train)?;
         let test_z = scaler.transform_dataset(test)?;
-        let selection = cfs_select(
-            train_z.features(),
-            train_z.targets(),
-            CFS_MAX_FEATURES,
-            CFS_POOL,
-        );
         let mut best: Option<PointEval> = None;
-        for k in 1..=selection.selected.len() {
-            let idx = &selection.selected[..k];
+        for k in 1..=selected.len() {
+            let idx = &selected[..k];
             let tr = train_z.subset_columns(idx)?;
             let te = test_z.subset_columns(idx)?;
             let mut m = model.make_point(cfg);
@@ -137,35 +170,7 @@ pub fn eval_point_fold(
     }
 }
 
-/// Selects the working feature view for a region method: CFS-10 columns for
-/// CFS models, all columns otherwise. Returns (train, test) with
-/// standardized features for CFS models (raw otherwise, matching how the
-/// tree ensembles are fed).
-fn region_feature_view(
-    method: RegionMethod,
-    train: &Dataset,
-    test: &Dataset,
-) -> Result<(Dataset, Dataset), FlowError> {
-    if method.uses_cfs() {
-        let scaler = Standardizer::fit(train.features());
-        let train_z = scaler.transform_dataset(train)?;
-        let test_z = scaler.transform_dataset(test)?;
-        let selection = cfs_select(
-            train_z.features(),
-            train_z.targets(),
-            CFS_MAX_FEATURES,
-            CFS_POOL,
-        );
-        Ok((
-            train_z.subset_columns(&selection.selected)?,
-            test_z.subset_columns(&selection.selected)?,
-        ))
-    } else {
-        Ok((train.clone(), test.clone()))
-    }
-}
-
-/// Fits a region predictor on `train` and evaluates interval length and
+/// Fits a [`VminPredictor`] on `train` and evaluates interval length and
 /// coverage on `test` (§IV-E/F):
 ///
 /// - `Gp`: Gaussian interval at miscoverage `alpha` (Eq. 4).
@@ -177,7 +182,8 @@ fn region_feature_view(
 ///
 /// # Errors
 ///
-/// Propagates failures as [`FlowError`].
+/// [`FlowError::InvalidConfig`] for an empty `test` and the conditions of
+/// [`VminPredictor::fit`]; other failures as [`FlowError`].
 pub fn eval_region_fold(
     method: RegionMethod,
     cfg: &ModelConfig,
@@ -187,76 +193,16 @@ pub fn eval_region_fold(
     cal_fraction: f64,
     seed: u64,
 ) -> Result<RegionEval, FlowError> {
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(FlowError::InvalidConfig(format!(
-            "alpha must be in (0, 1), got {alpha}"
-        )));
+    if test.n_samples() == 0 {
+        return Err(FlowError::InvalidConfig(
+            "a region fold needs at least one test row".into(),
+        ));
     }
-    let (train_v, test_v) = region_feature_view(method, train, test)?;
-    let intervals: Vec<PredictionInterval> = match method {
-        RegionMethod::Gp => {
-            // Region prediction keeps the noise-fitted GP: Eq. 4's Gaussian
-            // interval is only meaningful with an observation-noise model
-            // (the near-interpolating paper-default GP would degenerate to
-            // zero-width bands). Its coverage still misses the nominal level
-            // where residuals are heavy-tailed — the paper's Table III GP
-            // behaviour.
-            let mut gp = GaussianProcess::new();
-            gp.fit(train_v.features(), train_v.targets())?;
-            (0..test_v.n_samples())
-                .map(|i| {
-                    gp.predict_interval(test_v.sample(i), alpha)
-                        .map(|(lo, hi)| PredictionInterval::new(lo, hi))
-                })
-                .collect::<Result<_, _>>()?
-        }
-        RegionMethod::Qr(base) => {
-            let mut lo = base
-                .make_quantile(alpha / 2.0, cfg)
-                .ok_or_else(|| FlowError::InvalidConfig(format!("{base} has no quantile form")))?;
-            let mut hi = base
-                .make_quantile(1.0 - alpha / 2.0, cfg)
-                .ok_or_else(|| FlowError::InvalidConfig(format!("{base} has no quantile form")))?;
-            let (lo_res, hi_res) = vmin_par::join(
-                || lo.fit(train_v.features(), train_v.targets()),
-                || hi.fit(train_v.features(), train_v.targets()),
-            );
-            lo_res?;
-            hi_res?;
-            (0..test_v.n_samples())
-                .map(|i| {
-                    let l = lo.predict_row(test_v.sample(i))?;
-                    let h = hi.predict_row(test_v.sample(i))?;
-                    Ok::<_, vmin_models::ModelError>(PredictionInterval::new(l, h))
-                })
-                .collect::<Result<_, _>>()?
-        }
-        RegionMethod::Cqr(base) => {
-            if !(cal_fraction > 0.0 && cal_fraction < 1.0) {
-                return Err(FlowError::InvalidConfig(format!(
-                    "cal_fraction must be in (0, 1), got {cal_fraction}"
-                )));
-            }
-            let split = train_test_split(train_v.n_samples(), 1.0 - cal_fraction, seed);
-            let proper = train_v.subset_rows(&split.train)?;
-            let cal = train_v.subset_rows(&split.test)?;
-            let lo = base
-                .make_quantile(alpha / 2.0, cfg)
-                .ok_or_else(|| FlowError::InvalidConfig(format!("{base} has no quantile form")))?;
-            let hi = base
-                .make_quantile(1.0 - alpha / 2.0, cfg)
-                .ok_or_else(|| FlowError::InvalidConfig(format!("{base} has no quantile form")))?;
-            let mut cqr = Cqr::new(lo, hi, alpha);
-            cqr.fit_calibrate(
-                proper.features(),
-                proper.targets(),
-                cal.features(),
-                cal.targets(),
-            )?;
-            cqr.predict_intervals(test_v.features())?
-        }
-    };
-    let report = evaluate_intervals(&intervals, test_v.targets());
+    let predictor = VminPredictor::fit(train, method, alpha, cal_fraction, seed, cfg)?;
+    let intervals = (0..test.n_samples())
+        .map(|i| predictor.interval(test.sample(i)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let report = evaluate_intervals(&intervals, test.targets());
     Ok(RegionEval {
         mean_length: report.mean_length,
         coverage: report.coverage,
@@ -292,20 +238,17 @@ pub fn eval_region_fold(
 pub struct VminPredictor {
     method: RegionMethod,
     alpha: f64,
-    /// Column indices into the original feature space (empty = all).
-    selected: Vec<usize>,
-    scaler: Option<Standardizer>,
+    /// The CFS view's scaler and selected columns (into the original
+    /// feature space); `None` when the model takes raw rows.
+    cfs: Option<(Standardizer, Vec<usize>)>,
     fitted: FittedRegion,
 }
 
 #[derive(Debug)]
 enum FittedRegion {
     Gp(GaussianProcess),
-    Qr {
-        lo: Box<dyn Regressor>,
-        hi: Box<dyn Regressor>,
-    },
-    Cqr(Cqr<Box<dyn Regressor>, Box<dyn Regressor>>),
+    Qr { lo: Quantile, hi: Quantile },
+    Cqr(Cqr<Quantile, Quantile>),
 }
 
 impl VminPredictor {
@@ -317,7 +260,9 @@ impl VminPredictor {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and model failures as [`FlowError`].
+    /// [`FlowError::InvalidConfig`] for `alpha` (or, for CQR, `cal_fraction`)
+    /// outside (0, 1), a CQR method on fewer than 2 rows, or a base model
+    /// without a quantile form; other failures as [`FlowError`].
     pub fn fit(
         dataset: &Dataset,
         method: RegionMethod,
@@ -326,33 +271,40 @@ impl VminPredictor {
         seed: u64,
         cfg: &ModelConfig,
     ) -> Result<Self, FlowError> {
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return Err(FlowError::InvalidConfig(format!(
-                "alpha must be in (0, 1), got {alpha}"
-            )));
+        check_open_unit("alpha", alpha)?;
+        if let RegionMethod::Cqr(_) = method {
+            check_open_unit("cal_fraction", cal_fraction)?;
+            if dataset.n_samples() < 2 {
+                return Err(FlowError::InvalidConfig(format!(
+                    "CQR needs at least 2 rows to split off a calibration set, got {}",
+                    dataset.n_samples()
+                )));
+            }
         }
-        let (work, selected, scaler) = if method.uses_cfs() {
-            let scaler = Standardizer::fit(dataset.features());
-            let z = scaler.transform_dataset(dataset)?;
-            let sel = cfs_select(z.features(), z.targets(), CFS_MAX_FEATURES, CFS_POOL);
-            (z.subset_columns(&sel.selected)?, sel.selected, Some(scaler))
+        let (work, cfs) = if method.uses_cfs() {
+            let (scaler, z, selected) = cfs_view(dataset)?;
+            (
+                Cow::Owned(z.subset_columns(&selected)?),
+                Some((scaler, selected)),
+            )
         } else {
-            (dataset.clone(), Vec::new(), None)
+            (Cow::Borrowed(dataset), None)
         };
 
         let fitted = match method {
             RegionMethod::Gp => {
+                // Region prediction keeps the noise-fitted GP: Eq. 4's Gaussian
+                // interval is only meaningful with an observation-noise model
+                // (the near-interpolating paper-default GP would degenerate to
+                // zero-width bands). Its coverage still misses the nominal level
+                // where residuals are heavy-tailed — the paper's Table III GP
+                // behaviour.
                 let mut gp = GaussianProcess::new();
                 gp.fit(work.features(), work.targets())?;
                 FittedRegion::Gp(gp)
             }
             RegionMethod::Qr(base) => {
-                let mut lo = base.make_quantile(alpha / 2.0, cfg).ok_or_else(|| {
-                    FlowError::InvalidConfig(format!("{base} has no quantile form"))
-                })?;
-                let mut hi = base.make_quantile(1.0 - alpha / 2.0, cfg).ok_or_else(|| {
-                    FlowError::InvalidConfig(format!("{base} has no quantile form"))
-                })?;
+                let (mut lo, mut hi) = quantile_pair(base, alpha, cfg)?;
                 let (lo_res, hi_res) = vmin_par::join(
                     || lo.fit(work.features(), work.targets()),
                     || hi.fit(work.features(), work.targets()),
@@ -362,20 +314,10 @@ impl VminPredictor {
                 FittedRegion::Qr { lo, hi }
             }
             RegionMethod::Cqr(base) => {
-                if !(cal_fraction > 0.0 && cal_fraction < 1.0) {
-                    return Err(FlowError::InvalidConfig(format!(
-                        "cal_fraction must be in (0, 1), got {cal_fraction}"
-                    )));
-                }
                 let split = train_test_split(work.n_samples(), 1.0 - cal_fraction, seed);
                 let proper = work.subset_rows(&split.train)?;
                 let cal = work.subset_rows(&split.test)?;
-                let lo = base.make_quantile(alpha / 2.0, cfg).ok_or_else(|| {
-                    FlowError::InvalidConfig(format!("{base} has no quantile form"))
-                })?;
-                let hi = base.make_quantile(1.0 - alpha / 2.0, cfg).ok_or_else(|| {
-                    FlowError::InvalidConfig(format!("{base} has no quantile form"))
-                })?;
+                let (lo, hi) = quantile_pair(base, alpha, cfg)?;
                 let mut cqr = Cqr::new(lo, hi, alpha);
                 cqr.fit_calibrate(
                     proper.features(),
@@ -389,8 +331,7 @@ impl VminPredictor {
         Ok(VminPredictor {
             method,
             alpha,
-            selected,
-            scaler,
+            cfs,
             fitted,
         })
     }
@@ -405,14 +346,15 @@ impl VminPredictor {
         self.alpha
     }
 
-    /// Maps a raw feature row to the model's working view.
-    fn project(&self, row: &[f64]) -> Result<Vec<f64>, FlowError> {
-        match &self.scaler {
-            Some(scaler) => {
+    /// Maps a raw feature row to the model's working view; rows of models
+    /// without a scaler pass through borrowed.
+    fn project<'a>(&self, row: &'a [f64]) -> Result<Cow<'a, [f64]>, FlowError> {
+        match &self.cfs {
+            Some((scaler, selected)) => {
                 let z = scaler.transform_row(row)?;
-                Ok(self.selected.iter().map(|&j| z[j]).collect())
+                Ok(Cow::Owned(selected.iter().map(|&j| z[j]).collect()))
             }
-            None => Ok(row.to_vec()),
+            None => Ok(Cow::Borrowed(row)),
         }
     }
 
@@ -474,24 +416,15 @@ impl VminPredictor {
         seed: u64,
         cfg: &ModelConfig,
     ) -> Result<SanitizedFit, FlowError> {
-        let (dataset, mut log) =
-            sanitize_campaign(campaign, read_point, temp_idx, feature_set, policy)?;
-        let predictor = VminPredictor::fit(&dataset, method, alpha, cal_fraction, seed, cfg)?;
+        let sanitize = |policy: &DegradationPolicy| {
+            sanitize_campaign(campaign, read_point, temp_idx, feature_set, policy)
+        };
+        let fit = |ds: &Dataset| VminPredictor::fit(ds, method, alpha, cal_fraction, seed, cfg);
+        let (dataset, mut log) = sanitize(policy)?;
+        let predictor = fit(&dataset)?;
         if log.monitor_fallback {
-            log.fallback_length_cost_mv = fallback_length_cost(
-                campaign,
-                read_point,
-                temp_idx,
-                feature_set,
-                policy,
-                method,
-                alpha,
-                cal_fraction,
-                seed,
-                cfg,
-                &predictor,
-                &dataset,
-            );
+            log.fallback_length_cost_mv =
+                fallback_length_cost(policy, sanitize, fit, &predictor, &dataset);
         }
         Ok(SanitizedFit {
             predictor,
@@ -527,23 +460,15 @@ fn mean_interval_length_over(p: &VminPredictor, ds: &Dataset) -> Option<f64> {
     Some(sum / ds.n_samples() as f64)
 }
 
-/// Interval-length cost (mV) of the parametric-only fallback: refits with
-/// the fallback disabled (keeping whatever monitor columns survived) and
-/// compares mean interval lengths. Positive = the fallback costs interval
-/// sharpness, mirroring Table IV. `None` when no comparison fit is possible
-/// (e.g. the whole monitor bank is dead).
-#[allow(clippy::too_many_arguments)]
+/// Interval-length cost (mV) of the parametric-only fallback: re-sanitizes
+/// with the fallback disabled (keeping whatever monitor columns survived),
+/// refits with `fit` and compares mean interval lengths. Positive = the
+/// fallback costs interval sharpness, mirroring Table IV. `None` when no
+/// comparison fit is possible (e.g. the whole monitor bank is dead).
 fn fallback_length_cost(
-    campaign: &Campaign,
-    read_point: usize,
-    temp_idx: usize,
-    feature_set: FeatureSet,
     policy: &DegradationPolicy,
-    method: RegionMethod,
-    alpha: f64,
-    cal_fraction: f64,
-    seed: u64,
-    cfg: &ModelConfig,
+    sanitize: impl Fn(&DegradationPolicy) -> Result<(Dataset, RepairLog), DegradationError>,
+    fit: impl Fn(&Dataset) -> Result<VminPredictor, FlowError>,
     fallback: &VminPredictor,
     fallback_ds: &Dataset,
 ) -> Option<f64> {
@@ -551,12 +476,11 @@ fn fallback_length_cost(
         monitor_fallback_threshold: f64::INFINITY,
         ..policy.clone()
     };
-    let (full_ds, _) =
-        sanitize_campaign(campaign, read_point, temp_idx, feature_set, &keep_monitors).ok()?;
+    let (full_ds, _) = sanitize(&keep_monitors).ok()?;
     if full_ds.n_features() <= fallback_ds.n_features() {
         return None; // no monitor column survived; nothing to compare against
     }
-    let full = VminPredictor::fit(&full_ds, method, alpha, cal_fraction, seed, cfg).ok()?;
+    let full = fit(&full_ds).ok()?;
     let fb_len = mean_interval_length_over(fallback, fallback_ds)?;
     let full_len = mean_interval_length_over(&full, &full_ds)?;
     Some(fb_len - full_len)
@@ -660,6 +584,37 @@ mod tests {
             1,
         );
         assert!(matches!(bad_cal, Err(FlowError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn cqr_fit_on_fewer_than_two_rows_is_a_typed_error() {
+        let ds = small_dataset();
+        let one_row = ds.subset_rows(&[0]).unwrap();
+        let fit = VminPredictor::fit(
+            &one_row,
+            RegionMethod::Cqr(PointModel::Xgboost),
+            0.1,
+            0.25,
+            1,
+            &ModelConfig::fast(),
+        );
+        assert!(matches!(fit, Err(FlowError::InvalidConfig(_))), "{fit:?}");
+    }
+
+    #[test]
+    fn region_fold_with_an_empty_test_set_is_a_typed_error() {
+        let ds = small_dataset();
+        let empty = ds.subset_rows(&[]).unwrap();
+        let eval = eval_region_fold(
+            RegionMethod::Qr(PointModel::Linear),
+            &ModelConfig::fast(),
+            &ds,
+            &empty,
+            0.1,
+            0.25,
+            1,
+        );
+        assert!(matches!(eval, Err(FlowError::InvalidConfig(_))), "{eval:?}");
     }
 
     #[test]

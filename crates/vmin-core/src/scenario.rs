@@ -14,7 +14,7 @@ use std::error::Error;
 use std::fmt;
 use vmin_data::Dataset;
 use vmin_linalg::Matrix;
-use vmin_silicon::Campaign;
+use vmin_silicon::{BlockLayout, Campaign, ChipMeasurements};
 
 /// Which feature families enter the model (Fig. 3 / Table IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,6 +73,105 @@ pub fn monitor_read_points(read_point: usize) -> Vec<usize> {
     }
 }
 
+/// One run of consecutive feature columns: a chip's time-0 parametric
+/// results, or its ROD or CPD readings at one read point.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Segment {
+    /// Parametric test results, program order.
+    Parametric,
+    /// ROD readings at a read point.
+    Rod(usize),
+    /// CPD readings at a read point.
+    Cpd(usize),
+}
+
+impl Segment {
+    /// The segment's values in a materialized chip.
+    fn of_chip(self, chip: &ChipMeasurements) -> &[f64] {
+        match self {
+            Segment::Parametric => &chip.parametric,
+            Segment::Rod(k) => &chip.rod[k],
+            Segment::Cpd(k) => &chip.cpd[k],
+        }
+    }
+
+    /// The segment's column range within a streamed chip row.
+    pub(crate) fn span(self, layout: &BlockLayout) -> (usize, usize) {
+        match self {
+            Segment::Parametric => layout.parametric_span(),
+            Segment::Rod(k) => layout.rod_span(k),
+            Segment::Cpd(k) => layout.cpd_span(k),
+        }
+    }
+}
+
+/// The §III-A feature-row layout, the one owner of the column order:
+/// time-0 parametric results first, then each of `monitor_points` in
+/// order with its ROD readings followed by its CPD readings. A row's width
+/// is the sum of its segments' lengths; the column names stay with each
+/// caller.
+pub(crate) fn feature_layout(feature_set: FeatureSet, monitor_points: &[usize]) -> Vec<Segment> {
+    let mut layout = Vec::with_capacity(1 + 2 * monitor_points.len());
+    if matches!(feature_set, FeatureSet::Parametric | FeatureSet::Both) {
+        layout.push(Segment::Parametric);
+    }
+    if matches!(feature_set, FeatureSet::OnChip | FeatureSet::Both) {
+        for &k in monitor_points {
+            layout.extend([Segment::Rod(k), Segment::Cpd(k)]);
+        }
+    }
+    layout
+}
+
+/// The one row-fill body of both assemblers: checks the indices, lays
+/// every chip out per [`feature_layout`] over `monitor_points`, names the
+/// columns segment by segment with `names`, and targets Vmin at
+/// `(read_point, temp_idx)`.
+fn assemble(
+    campaign: &Campaign,
+    read_point: usize,
+    temp_idx: usize,
+    feature_set: FeatureSet,
+    monitor_points: &[usize],
+    names: impl Fn(Segment) -> Vec<String>,
+) -> Result<Dataset, ScenarioError> {
+    if read_point >= campaign.read_points.len() {
+        return Err(ScenarioError::IndexOutOfRange(format!(
+            "read point {read_point} (campaign has {})",
+            campaign.read_points.len()
+        )));
+    }
+    if temp_idx >= campaign.temperatures.len() {
+        return Err(ScenarioError::IndexOutOfRange(format!(
+            "temperature index {temp_idx} (campaign has {})",
+            campaign.temperatures.len()
+        )));
+    }
+    let layout = feature_layout(feature_set, monitor_points);
+    let names: Vec<String> = layout.iter().flat_map(|&segment| names(segment)).collect();
+
+    let n = campaign.chip_count();
+    let d = names.len();
+    let mut features = Vec::with_capacity(n * d);
+    let mut targets = Vec::with_capacity(n);
+    for (i, chip) in campaign.chips.iter().enumerate() {
+        let row_start = features.len();
+        for &segment in &layout {
+            features.extend_from_slice(segment.of_chip(chip));
+        }
+        if features.len() - row_start != d {
+            return Err(ScenarioError::Shape(format!(
+                "chip {i}: filled {} of {d} feature columns",
+                features.len() - row_start
+            )));
+        }
+        targets.push(chip.vmin_mv[read_point][temp_idx]);
+    }
+    let features =
+        Matrix::from_vec(n, d, features).map_err(|e| ScenarioError::Shape(e.to_string()))?;
+    Dataset::new(features, targets, names).map_err(|e| ScenarioError::Shape(e.to_string()))
+}
+
 /// Builds the supervised dataset for predicting SCAN Vmin at
 /// `(read_point, temp_idx)` from the campaign's measurements.
 ///
@@ -98,67 +197,19 @@ pub fn assemble_dataset(
     temp_idx: usize,
     feature_set: FeatureSet,
 ) -> Result<Dataset, ScenarioError> {
-    if read_point >= campaign.read_points.len() {
-        return Err(ScenarioError::IndexOutOfRange(format!(
-            "read point {read_point} (campaign has {})",
-            campaign.read_points.len()
-        )));
-    }
-    if temp_idx >= campaign.temperatures.len() {
-        return Err(ScenarioError::IndexOutOfRange(format!(
-            "temperature index {temp_idx} (campaign has {})",
-            campaign.temperatures.len()
-        )));
-    }
-
     let monitor_points = monitor_read_points(read_point);
-    let use_parametric = matches!(feature_set, FeatureSet::Parametric | FeatureSet::Both);
-    let use_onchip = matches!(feature_set, FeatureSet::OnChip | FeatureSet::Both);
-
-    let mut names: Vec<String> = Vec::new();
-    if use_parametric {
-        names.extend(campaign.parametric_names.iter().cloned());
-    }
-    if use_onchip {
-        for &k in &monitor_points {
-            names.extend(campaign.rod_names(k));
-            names.extend(campaign.cpd_names(k));
-        }
-    }
-
-    let n = campaign.chip_count();
-    let d = names.len();
-    let mut features = Matrix::zeros(n, d);
-    let mut targets = Vec::with_capacity(n);
-    for (i, chip) in campaign.chips.iter().enumerate() {
-        let mut col = 0;
-        if use_parametric {
-            for &v in &chip.parametric {
-                features[(i, col)] = v;
-                col += 1;
-            }
-        }
-        if use_onchip {
-            for &k in &monitor_points {
-                for &v in &chip.rod[k] {
-                    features[(i, col)] = v;
-                    col += 1;
-                }
-                for &v in &chip.cpd[k] {
-                    features[(i, col)] = v;
-                    col += 1;
-                }
-            }
-        }
-        if col != d {
-            return Err(ScenarioError::Shape(format!(
-                "chip {i}: filled {col} of {d} feature columns"
-            )));
-        }
-        targets.push(chip.vmin_mv[read_point][temp_idx]);
-    }
-
-    Dataset::new(features, targets, names).map_err(|e| ScenarioError::Shape(e.to_string()))
+    assemble(
+        campaign,
+        read_point,
+        temp_idx,
+        feature_set,
+        &monitor_points,
+        |segment| match segment {
+            Segment::Parametric => campaign.parametric_names.clone(),
+            Segment::Rod(k) => campaign.rod_names(k),
+            Segment::Cpd(k) => campaign.cpd_names(k),
+        },
+    )
 }
 
 /// Builds the *streaming snapshot* dataset for read point `k`: the features
@@ -196,61 +247,23 @@ pub fn assemble_stream_snapshot(
     temp_idx: usize,
     feature_set: FeatureSet,
 ) -> Result<Dataset, ScenarioError> {
-    if read_point >= campaign.read_points.len() {
-        return Err(ScenarioError::IndexOutOfRange(format!(
-            "read point {read_point} (campaign has {})",
-            campaign.read_points.len()
-        )));
-    }
-    if temp_idx >= campaign.temperatures.len() {
-        return Err(ScenarioError::IndexOutOfRange(format!(
-            "temperature index {temp_idx} (campaign has {})",
-            campaign.temperatures.len()
-        )));
-    }
-    let use_parametric = matches!(feature_set, FeatureSet::Parametric | FeatureSet::Both);
-    let use_onchip = matches!(feature_set, FeatureSet::OnChip | FeatureSet::Both);
-
-    let mut names: Vec<String> = Vec::new();
-    if use_parametric {
-        names.extend(campaign.parametric_names.iter().cloned());
-    }
-    if use_onchip {
-        names.extend((0..campaign.spec.monitors.rod_count).map(|j| format!("rod_{j:03}_now")));
-        names.extend((0..campaign.spec.monitors.cpd_count).map(|j| format!("cpd_{j:02}_now")));
-    }
-
-    let n = campaign.chip_count();
-    let d = names.len();
-    let mut features = Matrix::zeros(n, d);
-    let mut targets = Vec::with_capacity(n);
-    for (i, chip) in campaign.chips.iter().enumerate() {
-        let mut col = 0;
-        if use_parametric {
-            for &v in &chip.parametric {
-                features[(i, col)] = v;
-                col += 1;
-            }
-        }
-        if use_onchip {
-            for &v in &chip.rod[read_point] {
-                features[(i, col)] = v;
-                col += 1;
-            }
-            for &v in &chip.cpd[read_point] {
-                features[(i, col)] = v;
-                col += 1;
-            }
-        }
-        if col != d {
-            return Err(ScenarioError::Shape(format!(
-                "chip {i}: filled {col} of {d} snapshot columns"
-            )));
-        }
-        targets.push(chip.vmin_mv[read_point][temp_idx]);
-    }
-
-    Dataset::new(features, targets, names).map_err(|e| ScenarioError::Shape(e.to_string()))
+    let monitors = &campaign.spec.monitors;
+    assemble(
+        campaign,
+        read_point,
+        temp_idx,
+        feature_set,
+        &[read_point],
+        |segment| match segment {
+            Segment::Parametric => campaign.parametric_names.clone(),
+            Segment::Rod(_) => (0..monitors.rod_count)
+                .map(|j| format!("rod_{j:03}_now"))
+                .collect(),
+            Segment::Cpd(_) => (0..monitors.cpd_count)
+                .map(|j| format!("cpd_{j:02}_now"))
+                .collect(),
+        },
+    )
 }
 
 /// Like [`assemble_dataset`], but additionally appends *trend features* for

@@ -17,7 +17,7 @@
 //! identical by construction), so the report is byte-stable under any
 //! `VMIN_THREADS`.
 
-use crate::flow::FlowError;
+use crate::flow::{check_open_unit, quantile_pair, FlowError};
 use crate::scenario::{assemble_stream_snapshot, FeatureSet};
 use crate::zoo::{ModelConfig, PointModel};
 use vmin_conformal::{AdaptiveCalibrator, AdaptiveConfig, Cqr, LadderState, LadderTransition};
@@ -142,22 +142,9 @@ pub struct StreamReport {
 /// ```
 pub fn run_stream(campaign: &Campaign, config: &StreamConfig) -> Result<StreamReport, FlowError> {
     let _span = vmin_trace::span("core.stream.run");
-    if !(config.alpha > 0.0 && config.alpha < 1.0) {
-        return Err(FlowError::InvalidConfig(format!(
-            "alpha must be in (0, 1), got {}",
-            config.alpha
-        )));
-    }
-    for (name, f) in [
-        ("train_fraction", config.train_fraction),
-        ("cal_fraction", config.cal_fraction),
-    ] {
-        if !(f > 0.0 && f < 1.0) {
-            return Err(FlowError::InvalidConfig(format!(
-                "{name} must be in (0, 1), got {f}"
-            )));
-        }
-    }
+    check_open_unit("alpha", config.alpha)?;
+    check_open_unit("train_fraction", config.train_fraction)?;
+    check_open_unit("cal_fraction", config.cal_fraction)?;
     let n = campaign.chip_count();
     if n < 8 {
         return Err(FlowError::InvalidConfig(format!(
@@ -181,18 +168,7 @@ pub fn run_stream(campaign: &Campaign, config: &StreamConfig) -> Result<StreamRe
     let proper = snapshot0.subset_rows(&proper_idx)?;
     let cal = snapshot0.subset_rows(&cal_idx)?;
 
-    let lo = config
-        .model
-        .make_quantile(config.alpha / 2.0, &config.model_cfg)
-        .ok_or_else(|| {
-            FlowError::InvalidConfig(format!("{} has no quantile form", config.model))
-        })?;
-    let hi = config
-        .model
-        .make_quantile(1.0 - config.alpha / 2.0, &config.model_cfg)
-        .ok_or_else(|| {
-            FlowError::InvalidConfig(format!("{} has no quantile form", config.model))
-        })?;
+    let (lo, hi) = quantile_pair(config.model, config.alpha, &config.model_cfg)?;
     let mut cqr = Cqr::new(lo, hi, config.alpha);
     cqr.fit_calibrate(
         proper.features(),

@@ -3,8 +3,8 @@
 
 use std::fmt;
 use vmin_models::{
-    GaussianProcess, GradientBoost, LinearRegression, Loss, NeuralNet, NeuralNetParams,
-    ObliviousBoost, QuantileLinear, Regressor,
+    GaussianProcess, GradientBoost, GradientBoostParams, LinearRegression, Loss, NeuralNet,
+    NeuralNetParams, ObliviousBoost, ObliviousBoostParams, QuantileLinear, Regressor,
 };
 
 /// Training budgets, so tests can shrink the expensive models while the
@@ -84,65 +84,49 @@ impl PointModel {
 
     /// Constructs the point (conditional-mean) regressor.
     pub fn make_point(&self, cfg: &ModelConfig) -> Box<dyn Regressor> {
-        match self {
-            PointModel::Linear => Box::new(LinearRegression::new()),
-            PointModel::GaussianProcess => Box::new(GaussianProcess::paper_default()),
-            PointModel::Xgboost => Box::new(GradientBoost::with_params(
-                Loss::Squared,
-                vmin_models::GradientBoostParams {
-                    n_rounds: cfg.gbt_rounds,
-                    ..Default::default()
-                },
-            )),
-            PointModel::CatBoost => Box::new(ObliviousBoost::with_params(
-                Loss::Squared,
-                vmin_models::ObliviousBoostParams {
-                    n_rounds: cfg.cat_rounds,
-                    ..Default::default()
-                },
-            )),
-            PointModel::NeuralNet => Box::new(NeuralNet::with_params(
-                Loss::Squared,
-                NeuralNetParams {
-                    epochs: cfg.nn_epochs,
-                    seed: cfg.nn_seed,
-                    ..Default::default()
-                },
-            )),
-        }
+        // The GP is the one family not trained under a loss.
+        self.make_with_loss(Loss::Squared, cfg)
+            .unwrap_or_else(|| Box::new(GaussianProcess::paper_default()))
     }
 
     /// Constructs the quantile-`q` regressor of the same family, or `None`
     /// for the GP (whose region prediction is Gaussian, not quantile-based).
     pub fn make_quantile(&self, q: f64, cfg: &ModelConfig) -> Option<Box<dyn Regressor>> {
-        match self {
-            PointModel::Linear => Some(Box::new(
-                QuantileLinear::new(q).with_training(cfg.qlin_epochs, 0.02),
-            )),
-            PointModel::GaussianProcess => None,
-            PointModel::Xgboost => Some(Box::new(GradientBoost::with_params(
-                Loss::Pinball(q),
-                vmin_models::GradientBoostParams {
+        self.make_with_loss(Loss::Pinball(q), cfg)
+    }
+
+    /// The family's regressor trained under `loss` with its `cfg` budget —
+    /// the one constructor body behind both factories; `None` for the GP.
+    fn make_with_loss(&self, loss: Loss, cfg: &ModelConfig) -> Option<Box<dyn Regressor>> {
+        Some(match (self, loss) {
+            (PointModel::GaussianProcess, _) => return None,
+            (PointModel::Linear, Loss::Squared) => Box::new(LinearRegression::new()),
+            (PointModel::Linear, Loss::Pinball(q)) => {
+                Box::new(QuantileLinear::new(q).with_training(cfg.qlin_epochs, 0.02))
+            }
+            (PointModel::Xgboost, loss) => Box::new(GradientBoost::with_params(
+                loss,
+                GradientBoostParams {
                     n_rounds: cfg.gbt_rounds,
                     ..Default::default()
                 },
-            ))),
-            PointModel::CatBoost => Some(Box::new(ObliviousBoost::with_params(
-                Loss::Pinball(q),
-                vmin_models::ObliviousBoostParams {
+            )),
+            (PointModel::CatBoost, loss) => Box::new(ObliviousBoost::with_params(
+                loss,
+                ObliviousBoostParams {
                     n_rounds: cfg.cat_rounds,
                     ..Default::default()
                 },
-            ))),
-            PointModel::NeuralNet => Some(Box::new(NeuralNet::with_params(
-                Loss::Pinball(q),
+            )),
+            (PointModel::NeuralNet, loss) => Box::new(NeuralNet::with_params(
+                loss,
                 NeuralNetParams {
                     epochs: cfg.nn_epochs,
                     seed: cfg.nn_seed,
                     ..Default::default()
                 },
-            ))),
-        }
+            )),
+        })
     }
 }
 

@@ -7,8 +7,9 @@
 //! descent on the log marginal likelihood; the inverse length scales are
 //! the feature-relevance indicators.
 
-use crate::traits::{validate_training, ModelError, Regressor, Result};
-use vmin_linalg::{Cholesky, Matrix};
+use crate::gp::{GpDesign, GpState};
+use crate::traits::{ModelError, Regressor, Result};
+use vmin_linalg::Matrix;
 
 /// Per-dimension RBF kernel: `σ_f² · exp(−½ Σ_j (a_j − b_j)²/ℓ_j²)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,17 +64,7 @@ pub struct ArdGp {
     /// Coordinate-descent sweeps over the length scales.
     sweeps: usize,
     kernel: Option<ArdKernel>,
-    state: Option<ArdState>,
-}
-
-#[derive(Debug, Clone)]
-struct ArdState {
-    x_train: Matrix,
-    alpha: Vec<f64>,
-    chol: Cholesky,
-    y_mean: f64,
-    feat_means: Vec<f64>,
-    feat_scales: Vec<f64>,
+    state: Option<GpState>,
 }
 
 impl Default for ArdGp {
@@ -121,54 +112,17 @@ impl ArdGp {
         Ok(inv.iter().map(|v| v / total.max(1e-300)).collect())
     }
 
-    fn log_marginal(x: &Matrix, yc: &[f64], kernel: &ArdKernel) -> Result<f64> {
-        let n = x.rows();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = kernel.eval(x.row(i), x.row(j));
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-        }
-        k.add_diagonal(kernel.noise_variance.max(1e-10));
-        let chol = Cholesky::factor(&k)
-            .map_err(|e| ModelError::Numerical(format!("kernel not PD: {e}")))?;
-        let alpha = chol.solve(yc)?;
-        let fit: f64 = yc.iter().zip(&alpha).map(|(a, b)| a * b).sum();
-        Ok(-0.5 * fit - 0.5 * chol.log_det() - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln())
+    /// Log marginal likelihood of `design` under `kernel`.
+    fn log_marginal(design: &GpDesign, kernel: &ArdKernel) -> Result<f64> {
+        design.log_marginal(|a, b| kernel.eval(a, b), kernel.noise_variance)
     }
 }
 
 impl Regressor for ArdGp {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        validate_training(x, y)?;
-        let n = x.rows();
+        let design = GpDesign::new(x, y)?;
         let d = x.cols();
-
-        let feat_means: Vec<f64> = (0..d)
-            .map(|j| x.col_iter(j).sum::<f64>() / n as f64)
-            .collect();
-        let feat_scales: Vec<f64> = (0..d)
-            .map(|j| {
-                let m = feat_means[j];
-                let v = x.col_iter(j).map(|v| (v - m) * (v - m)).sum::<f64>() / n.max(2) as f64;
-                if v > 1e-24 {
-                    v.sqrt()
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let mut xz = x.clone();
-        for i in 0..n {
-            for j in 0..d {
-                xz[(i, j)] = (x[(i, j)] - feat_means[j]) / feat_scales[j];
-            }
-        }
-        let y_mean = vmin_linalg::mean(y);
         let y_var = vmin_linalg::variance(y).max(1e-12);
-        let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
         // Initialize isotropically, then coordinate-descend each ℓ_j over a
         // log-spaced grid, holding the others fixed.
@@ -178,14 +132,14 @@ impl Regressor for ArdGp {
             noise_variance: 0.05 * y_var,
         };
         let grid = [0.5, 1.0, 2.0, 5.0, 15.0, 50.0];
-        let mut best_lml = Self::log_marginal(&xz, &yc, &kernel)?;
+        let mut best_lml = Self::log_marginal(&design, &kernel)?;
         for _ in 0..self.sweeps {
             for j in 0..d {
                 let original = kernel.length_scales[j];
                 let mut best_l = original;
                 for &cand in &grid {
                     kernel.length_scales[j] = cand * (d as f64).sqrt();
-                    if let Ok(lml) = Self::log_marginal(&xz, &yc, &kernel) {
+                    if let Ok(lml) = Self::log_marginal(&design, &kernel) {
                         if lml > best_lml {
                             best_lml = lml;
                             best_l = kernel.length_scales[j];
@@ -199,7 +153,7 @@ impl Regressor for ArdGp {
             let mut best_n = original;
             for &cand in &[1e-3, 1e-2, 5e-2, 2e-1] {
                 kernel.noise_variance = cand * y_var;
-                if let Ok(lml) = Self::log_marginal(&xz, &yc, &kernel) {
+                if let Ok(lml) = Self::log_marginal(&design, &kernel) {
                     if lml > best_lml {
                         best_lml = lml;
                         best_n = kernel.noise_variance;
@@ -210,50 +164,20 @@ impl Regressor for ArdGp {
         }
 
         // Final factorization.
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = kernel.eval(xz.row(i), xz.row(j));
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-        }
-        k.add_diagonal(kernel.noise_variance.max(1e-10));
-        let chol = Cholesky::factor(&k)
-            .map_err(|e| ModelError::Numerical(format!("kernel not PD: {e}")))?;
-        let alpha = chol.solve(&yc)?;
+        self.state = Some(design.into_state(|a, b| kernel.eval(a, b), kernel.noise_variance)?);
         self.kernel = Some(kernel);
-        self.state = Some(ArdState {
-            x_train: xz,
-            alpha,
-            chol,
-            y_mean,
-            feat_means,
-            feat_scales,
-        });
         Ok(())
     }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64> {
         let st = self.state.as_ref().ok_or(ModelError::NotFitted)?;
         let kernel = self.kernel.as_ref().ok_or(ModelError::NotFitted)?;
-        if row.len() != st.feat_means.len() {
-            return Err(ModelError::InvalidInput(format!(
-                "model has {} features, row has {}",
-                st.feat_means.len(),
-                row.len()
-            )));
-        }
-        let z: Vec<f64> = row
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v - st.feat_means[j]) / st.feat_scales[j])
-            .collect();
+        let z = st.standardize_row(row)?;
+        // Posterior mean, summed from `y_mean` in training-row order.
         let mut acc = st.y_mean;
         for i in 0..st.x_train.rows() {
             acc += kernel.eval(st.x_train.row(i), &z) * st.alpha[i];
         }
-        let _ = &st.chol; // kept for future predictive-variance support
         Ok(acc)
     }
 }

@@ -10,6 +10,7 @@
 //! of Eq. 4 is built:
 //! `C(x) = [μ(x) + K_lo·σ(x), μ(x) + K_hi·σ(x)]`.
 
+use crate::fitplan::{standardize_design, StandardizedDesign};
 use crate::traits::{validate_training, ModelError, Regressor, Result};
 use vmin_linalg::{normal_inverse_cdf, Cholesky, Matrix};
 
@@ -66,16 +67,129 @@ pub struct GaussianProcess {
     state: Option<GpState>,
 }
 
-#[derive(Debug, Clone)]
-struct GpState {
-    x_train: Matrix,
-    /// `K⁻¹ (y − m)` where `m` is the target mean.
-    alpha: Vec<f64>,
-    chol: Cholesky,
+/// A training set prepared for exact GP inference — the core
+/// [`GaussianProcess`] and `ArdGp` share: standardized features (the
+/// [`standardize_design`] transform) and centred targets. Each kernel keeps
+/// its own `eval` and hyperparameter search.
+pub(crate) struct GpDesign {
+    /// Standardized training features.
+    xz: Matrix,
+    /// Targets minus their mean.
+    yc: Vec<f64>,
     y_mean: f64,
+    feat_means: Vec<f64>,
+    feat_scales: Vec<f64>,
+}
+
+impl GpDesign {
+    /// Validates and prepares `(x, y)`.
+    pub(crate) fn new(x: &Matrix, y: &[f64]) -> Result<Self> {
+        validate_training(x, y)?;
+        let StandardizedDesign {
+            feat_means,
+            feat_scales,
+            rows,
+        } = standardize_design(x);
+        let y_mean = vmin_linalg::mean(y);
+        Ok(GpDesign {
+            xz: Matrix::from_rows(&rows)?,
+            yc: y.iter().map(|v| v - y_mean).collect(),
+            y_mean,
+            feat_means,
+            feat_scales,
+        })
+    }
+
+    /// Factors the Gram matrix `K + max(noise, 1e-10)·I` of `kernel` over
+    /// the design and solves `K α = yc`.
+    fn factor(
+        &self,
+        kernel: impl Fn(&[f64], &[f64]) -> f64,
+        noise: f64,
+    ) -> Result<(Cholesky, Vec<f64>)> {
+        let n = self.xz.rows();
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let v = kernel(self.xz.row(i), self.xz.row(j));
+                k[(i, j)] = v;
+                k[(j, i)] = v;
+            }
+        }
+        k.add_diagonal(noise.max(1e-10));
+        let chol = Cholesky::factor(&k)
+            .map_err(|e| ModelError::Numerical(format!("kernel not PD: {e}")))?;
+        let alpha = chol.solve(&self.yc)?;
+        Ok((chol, alpha))
+    }
+
+    /// Log marginal likelihood of the centred targets under `kernel` with
+    /// observation-noise variance `noise`.
+    pub(crate) fn log_marginal(
+        &self,
+        kernel: impl Fn(&[f64], &[f64]) -> f64,
+        noise: f64,
+    ) -> Result<f64> {
+        let (chol, alpha) = self.factor(kernel, noise)?;
+        let fit: f64 = self.yc.iter().zip(&alpha).map(|(a, b)| a * b).sum();
+        Ok(-0.5 * fit
+            - 0.5 * chol.log_det()
+            - 0.5 * self.xz.rows() as f64 * (2.0 * std::f64::consts::PI).ln())
+    }
+
+    /// The final factorization under the chosen kernel.
+    pub(crate) fn into_state(
+        self,
+        kernel: impl Fn(&[f64], &[f64]) -> f64,
+        noise: f64,
+    ) -> Result<GpState> {
+        let (chol, alpha) = self.factor(kernel, noise)?;
+        Ok(GpState {
+            x_train: self.xz,
+            alpha,
+            chol,
+            y_mean: self.y_mean,
+            feat_means: self.feat_means,
+            feat_scales: self.feat_scales,
+        })
+    }
+}
+
+/// A fitted exact GP.
+#[derive(Debug, Clone)]
+pub(crate) struct GpState {
+    /// Standardized training features.
+    pub(crate) x_train: Matrix,
+    /// `K⁻¹ (y − m)` where `m` is the target mean.
+    pub(crate) alpha: Vec<f64>,
+    chol: Cholesky,
+    /// The training target mean `m`.
+    pub(crate) y_mean: f64,
     /// Feature standardization from the training fold.
     feat_means: Vec<f64>,
     feat_scales: Vec<f64>,
+}
+
+impl GpState {
+    /// Standardizes a raw feature row with the training fold's statistics.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidInput`] on dimension mismatch.
+    pub(crate) fn standardize_row(&self, row: &[f64]) -> Result<Vec<f64>> {
+        if row.len() != self.feat_means.len() {
+            return Err(ModelError::InvalidInput(format!(
+                "model has {} features, row has {}",
+                self.feat_means.len(),
+                row.len()
+            )));
+        }
+        Ok(row
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| (v - self.feat_means[j]) / self.feat_scales[j])
+            .collect())
+    }
 }
 
 impl Default for GaussianProcess {
@@ -127,27 +241,6 @@ impl GaussianProcess {
         self.kernel
     }
 
-    /// Log marginal likelihood of standardized targets `y` under `kernel`.
-    fn log_marginal(x: &Matrix, y: &[f64], kernel: &RbfKernel) -> Result<f64> {
-        let n = x.rows();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = kernel.eval(x.row(i), x.row(j));
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-        }
-        k.add_diagonal(kernel.noise_variance.max(1e-10));
-        let chol = Cholesky::factor(&k)
-            .map_err(|e| ModelError::Numerical(format!("kernel not PD: {e}")))?;
-        let alpha = chol.solve(y)?;
-        let fit_term: f64 = y.iter().zip(&alpha).map(|(a, b)| a * b).sum();
-        Ok(-0.5 * fit_term
-            - 0.5 * chol.log_det()
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln())
-    }
-
     /// Posterior mean and standard deviation at one (raw) feature row.
     ///
     /// # Errors
@@ -156,18 +249,7 @@ impl GaussianProcess {
     /// on dimension mismatch.
     pub fn predict_with_std(&self, row: &[f64]) -> Result<(f64, f64)> {
         let st = self.state.as_ref().ok_or(ModelError::NotFitted)?;
-        if row.len() != st.feat_means.len() {
-            return Err(ModelError::InvalidInput(format!(
-                "model has {} features, row has {}",
-                st.feat_means.len(),
-                row.len()
-            )));
-        }
-        let z: Vec<f64> = row
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v - st.feat_means[j]) / st.feat_scales[j])
-            .collect();
+        let z = st.standardize_row(row)?;
         let n = st.x_train.rows();
         let mut k_star = vec![0.0; n];
         for i in 0..n {
@@ -205,34 +287,9 @@ impl GaussianProcess {
 
 impl Regressor for GaussianProcess {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        validate_training(x, y)?;
-        let n = x.rows();
+        let design = GpDesign::new(x, y)?;
         let d = x.cols();
-
-        // Standardize features; center targets.
-        let feat_means: Vec<f64> = (0..d)
-            .map(|j| x.col_iter(j).sum::<f64>() / n as f64)
-            .collect();
-        let feat_scales: Vec<f64> = (0..d)
-            .map(|j| {
-                let m = feat_means[j];
-                let v = x.col_iter(j).map(|v| (v - m) * (v - m)).sum::<f64>() / n.max(2) as f64;
-                if v > 1e-24 {
-                    v.sqrt()
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let mut xz = x.clone();
-        for i in 0..n {
-            for j in 0..d {
-                xz[(i, j)] = (x[(i, j)] - feat_means[j]) / feat_scales[j];
-            }
-        }
-        let y_mean = vmin_linalg::mean(y);
         let y_sd = vmin_linalg::std_dev(y).max(1e-12);
-        let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
         if self.optimize {
             // Coordinate grid search over (ℓ, σ_f², σ_n²) in units of the
@@ -256,7 +313,9 @@ impl Regressor for GaussianProcess {
                             length_scale: ls * (d as f64).sqrt(),
                             noise_variance: sn * y_sd * y_sd,
                         };
-                        if let Ok(lml) = Self::log_marginal(&xz, &yc, &cand) {
+                        if let Ok(lml) =
+                            design.log_marginal(|a, b| cand.eval(a, b), cand.noise_variance)
+                        {
                             if lml > best.0 {
                                 best = (lml, cand);
                             }
@@ -270,26 +329,8 @@ impl Regressor for GaussianProcess {
         }
 
         // Final factorization with the chosen kernel.
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = self.kernel.eval(xz.row(i), xz.row(j));
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-        }
-        k.add_diagonal(self.kernel.noise_variance.max(1e-10));
-        let chol = Cholesky::factor(&k)
-            .map_err(|e| ModelError::Numerical(format!("kernel not PD: {e}")))?;
-        let alpha = chol.solve(&yc)?;
-        self.state = Some(GpState {
-            x_train: xz,
-            alpha,
-            chol,
-            y_mean,
-            feat_means,
-            feat_scales,
-        });
+        let kernel = self.kernel;
+        self.state = Some(design.into_state(|a, b| kernel.eval(a, b), kernel.noise_variance)?);
         Ok(())
     }
 

@@ -5,8 +5,9 @@
 //! the format is a flat, excel-friendly CSV.
 
 use crate::stream::{BlockLayout, CampaignStream, ChipBlock};
-use crate::testflow::{cpd_name, rod_name, Campaign};
+use crate::testflow::{cpd_name, rod_name, Campaign, ChipMeasurements};
 use crate::units::{Celsius, Hours};
+use std::borrow::Borrow;
 use std::io::{self, Write};
 
 /// Writes the full campaign as CSV to `out`.
@@ -20,40 +21,15 @@ use std::io::{self, Write};
 ///
 /// Propagates I/O errors from `out`. The writer may be `&mut Vec<u8>` or a
 /// `&mut File` (any `Write` by mutable reference).
-pub fn write_campaign_csv<W: Write>(campaign: &Campaign, mut out: W) -> io::Result<()> {
-    // Header.
-    let mut header: Vec<String> = vec!["chip_id".into(), "defective".into()];
-    header.extend(campaign.parametric_names.iter().cloned());
-    for k in 0..campaign.read_points.len() {
-        header.extend(campaign.rod_names(k));
-        header.extend(campaign.cpd_names(k));
-    }
-    for rp in &campaign.read_points {
-        for t in &campaign.temperatures {
-            header.push(format!("vmin_h{:.0}_t{:.0}", rp.0, t.0));
-        }
-    }
-    writeln!(out, "{}", header.join(","))?;
-
-    // Rows.
-    for chip in &campaign.chips {
-        let mut row: Vec<String> = vec![
-            chip.chip_id.to_string(),
-            usize::from(chip.defective).to_string(),
-        ];
-        row.extend(chip.parametric.iter().map(|v| format!("{v:.6e}")));
-        for k in 0..campaign.read_points.len() {
-            row.extend(chip.rod[k].iter().map(|v| format!("{v:.6}")));
-            row.extend(chip.cpd[k].iter().map(|v| format!("{v:.6}")));
-        }
-        for k in 0..campaign.read_points.len() {
-            for t in 0..campaign.temperatures.len() {
-                row.push(format!("{:.4}", chip.vmin_mv[k][t]));
-            }
-        }
-        writeln!(out, "{}", row.join(","))?;
-    }
-    Ok(())
+pub fn write_campaign_csv<W: Write>(campaign: &Campaign, out: W) -> io::Result<()> {
+    write_csv(
+        &campaign.parametric_names,
+        &campaign.read_points,
+        &campaign.temperatures,
+        &BlockLayout::of(&campaign.spec),
+        &campaign.chips,
+        out,
+    )
 }
 
 /// Streaming form of [`write_campaign_csv`]: consumes a [`CampaignStream`]
@@ -92,14 +68,40 @@ pub fn write_blocks_csv<W, I>(
     temperatures: &[Celsius],
     layout: &BlockLayout,
     blocks: I,
-    mut out: W,
+    out: W,
 ) -> io::Result<()>
 where
     W: Write,
     I: IntoIterator<Item = ChipBlock>,
 {
-    // Header — same column names, in the same order, as the monolithic
-    // writer (the name formats are shared with `Campaign::rod_names`).
+    let chips = blocks
+        .into_iter()
+        .flat_map(|block| (0..block.len()).map(move |r| block.to_measurements(r)));
+    write_csv(
+        parametric_names,
+        read_points,
+        temperatures,
+        layout,
+        chips,
+        out,
+    )
+}
+
+/// The one CSV body of both writers: the header (`layout`'s monitor counts
+/// per read point, named as `Campaign::rod_names` names them), then one row
+/// per chip, in `chips` order.
+fn write_csv<W, C>(
+    parametric_names: &[String],
+    read_points: &[Hours],
+    temperatures: &[Celsius],
+    layout: &BlockLayout,
+    chips: impl IntoIterator<Item = C>,
+    mut out: W,
+) -> io::Result<()>
+where
+    W: Write,
+    C: Borrow<ChipMeasurements>,
+{
     let mut header: Vec<String> = vec!["chip_id".into(), "defective".into()];
     header.extend(parametric_names.iter().cloned());
     for rp in read_points {
@@ -113,26 +115,23 @@ where
     }
     writeln!(out, "{}", header.join(","))?;
 
-    // Rows, straight from the flat block buffers — same value formats as
-    // the monolithic writer.
-    for block in blocks {
-        for r in 0..block.len() {
-            let mut row: Vec<String> = vec![
-                block.chip_id(r).to_string(),
-                usize::from(block.defective(r)).to_string(),
-            ];
-            row.extend(block.parametric(r).iter().map(|v| format!("{v:.6e}")));
-            for k in 0..read_points.len() {
-                row.extend(block.rod(r, k).iter().map(|v| format!("{v:.6}")));
-                row.extend(block.cpd(r, k).iter().map(|v| format!("{v:.6}")));
-            }
-            for k in 0..read_points.len() {
-                for t in 0..temperatures.len() {
-                    row.push(format!("{:.4}", block.vmin_mv(r, k, t)));
-                }
-            }
-            writeln!(out, "{}", row.join(","))?;
+    for chip in chips {
+        let chip = chip.borrow();
+        let mut row: Vec<String> = vec![
+            chip.chip_id.to_string(),
+            usize::from(chip.defective).to_string(),
+        ];
+        row.extend(chip.parametric.iter().map(|v| format!("{v:.6e}")));
+        for k in 0..read_points.len() {
+            row.extend(chip.rod[k].iter().map(|v| format!("{v:.6}")));
+            row.extend(chip.cpd[k].iter().map(|v| format!("{v:.6}")));
         }
+        for k in 0..read_points.len() {
+            for t in 0..temperatures.len() {
+                row.push(format!("{:.4}", chip.vmin_mv[k][t]));
+            }
+        }
+        writeln!(out, "{}", row.join(","))?;
     }
     Ok(())
 }

@@ -14,24 +14,65 @@
 //! Its deep trees, with many single-digit-row children, exercise the sparse
 //! node histograms far harder than the small cell does. That constant was
 //! recorded before node histograms tracked their occupied bins.
+//!
+//! The same cell also pins what the two boosted digests do not reach: the
+//! `RegionEval` of the other seven Table III methods (GP, the four raw QR
+//! bands, CQR-Linear and CQR-NN, whose base models see the standardized
+//! CFS view), the `PointEval` of the five Fig. 2 models, and the
+//! `StreamReport` of a drifted streaming run. Together with the constants
+//! above they cover every region fit, every CFS projection, the CV fold
+//! loop and the streaming CQR fit.
 
 use cqr_vmin::conformal::Cqr;
 use cqr_vmin::core::{
-    assemble_dataset, run_region_cell_on, ExperimentConfig, FeatureSet, PointModel, RegionEval,
-    RegionMethod,
+    assemble_dataset, run_point_cell_on, run_region_cell_on, run_stream, ExperimentConfig,
+    FeatureSet, PointEval, PointModel, RegionEval, RegionMethod, StreamConfig, StreamReport,
 };
 use cqr_vmin::data::{train_test_split, Dataset, KFold};
 use cqr_vmin::models::{
     GradientBoost, GradientBoostParams, Loss, NodeView, ObliviousBoost, ObliviousBoostParams,
     Regressor, TreeParams,
 };
-use cqr_vmin::silicon::{Campaign, DatasetSpec};
+use cqr_vmin::silicon::{Campaign, DatasetSpec, DriftClass, DriftFault, DriftInjector};
 
 const XGB_EVAL: u64 = 0xfc2d_693b_3fdd_6c15;
 const XGB_TREES: u64 = 0x96ee_3d56_9eaa_d79a;
 const CAT_EVAL: u64 = 0xec00_6430_b26f_3325;
 const CAT_TREES: u64 = 0xda5a_a0de_2b6c_620e;
 const FLEET_PAIR: u64 = 0xfc54_bff3_10fd_289f;
+
+/// `RegionEval` digests of the Table III methods the boosted CQR constants
+/// above do not cover.
+const REGION_EVALS: [(RegionMethod, u64); 7] = [
+    (RegionMethod::Gp, 0xc508_4ee1_489d_21c7),
+    (RegionMethod::Qr(PointModel::Linear), 0x2346_cd10_ae76_ec35),
+    (
+        RegionMethod::Qr(PointModel::NeuralNet),
+        0xfd0e_de66_b123_3f19,
+    ),
+    (RegionMethod::Qr(PointModel::Xgboost), 0x1355_1684_236c_3a7a),
+    (
+        RegionMethod::Qr(PointModel::CatBoost),
+        0x7030_e2cb_1f14_6178,
+    ),
+    (RegionMethod::Cqr(PointModel::Linear), 0x9f10_424e_ff91_c638),
+    (
+        RegionMethod::Cqr(PointModel::NeuralNet),
+        0x2d3e_68b6_1cf1_c691,
+    ),
+];
+
+/// `PointEval` digests of the five Fig. 2 models.
+const POINT_EVALS: [(PointModel, u64); 5] = [
+    (PointModel::Linear, 0x3ff6_d8c7_025f_ae00),
+    (PointModel::GaussianProcess, 0xd4d4_da95_6a6c_e264),
+    (PointModel::Xgboost, 0xf0c0_d018_e0f6_189e),
+    (PointModel::CatBoost, 0x5752_6dd9_c1d3_91c2),
+    (PointModel::NeuralNet, 0xd4f1_3d75_e72a_fe82),
+];
+
+/// `StreamReport` digest of the drifted stream in `tests/determinism.rs`.
+const DRIFT_STREAM: u64 = 0x793c_8636_5f82_e8ea;
 
 /// 64-bit FNV-1a over the little-endian bytes of a `u64` sequence.
 struct Fnv(u64);
@@ -59,15 +100,82 @@ fn cell_dataset() -> Dataset {
 }
 
 fn eval_digest(ds: &Dataset, model: PointModel) -> u64 {
+    region_digest(ds, RegionMethod::Cqr(model))
+}
+
+fn region_digest(ds: &Dataset, method: RegionMethod) -> u64 {
     let RegionEval {
         mean_length,
         coverage,
-    } = run_region_cell_on(ds, RegionMethod::Cqr(model), &ExperimentConfig::fast())
-        .expect("region cell");
+    } = run_region_cell_on(ds, method, &ExperimentConfig::fast()).expect("region cell");
     let mut h = Fnv::new();
     h.f64(mean_length);
     h.f64(coverage);
     h.0
+}
+
+fn point_digest(ds: &Dataset, model: PointModel) -> u64 {
+    let PointEval {
+        r2,
+        rmse,
+        n_features,
+    } = run_point_cell_on(ds, model, &ExperimentConfig::fast()).expect("point cell");
+    let mut h = Fnv::new();
+    h.f64(r2);
+    h.f64(rmse);
+    h.u64(n_features as u64);
+    h.0
+}
+
+fn stream_digest(report: &StreamReport) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(report.per_read_point.len() as u64);
+    for s in &report.per_read_point {
+        for count in [
+            s.read_point,
+            s.n,
+            s.issued,
+            s.covered,
+            s.rejected,
+            s.static_covered,
+            s.finite,
+        ] {
+            h.u64(count as u64);
+        }
+        h.f64(s.mean_finite_width);
+        h.f64(s.mean_alpha);
+        h.u64(s.end_state as u64);
+    }
+    h.u64(report.final_state as u64);
+    h.u64(report.worst_state as u64);
+    h.u64(report.transitions.len() as u64);
+    for t in &report.transitions {
+        h.u64(t.observation);
+        h.u64(t.from as u64);
+        h.u64(t.to as u64);
+        h.f64(t.drift_score);
+    }
+    h.f64(report.static_qhat);
+    h.f64(report.alpha_final);
+    h.u64(report.eval_chips as u64);
+    h.0
+}
+
+/// Fails listing every entry of `table` whose digest moved, so one run
+/// shows all of them.
+fn assert_digests<K: std::fmt::Display + Copy>(
+    what: &str,
+    table: &[(K, u64)],
+    f: impl Fn(K) -> u64,
+) {
+    let moved: Vec<String> = table
+        .iter()
+        .filter_map(|&(key, want)| {
+            let got = f(key);
+            (got != want).then(|| format!("{key}: {got:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "{what} moved: {moved:?}");
 }
 
 /// Fits one CQR pair per fold exactly as the region cell does (same folds,
@@ -217,6 +325,39 @@ fn cqr_catboost_cell_matches_golden_digests() {
         "CQR-CatBoost RegionEval moved: {eval:#018x}"
     );
     assert_eq!(trees, CAT_TREES, "CQR-CatBoost trees moved: {trees:#018x}");
+}
+
+#[test]
+fn other_region_methods_match_golden_digests() {
+    let ds = cell_dataset();
+    assert_digests("RegionEval", &REGION_EVALS, |method| {
+        region_digest(&ds, method)
+    });
+}
+
+#[test]
+fn point_models_match_golden_digests() {
+    let ds = cell_dataset();
+    assert_digests("PointEval", &POINT_EVALS, |model| point_digest(&ds, model));
+}
+
+#[test]
+fn drifted_stream_matches_golden_digest() {
+    let clean = Campaign::run(&DatasetSpec::small(), 7);
+    let (drifted, _) = DriftInjector::new(
+        vec![DriftFault {
+            class: DriftClass::Ramp,
+            onset: 3,
+            magnitude_mv: 20.0,
+            fraction: 1.0,
+        }],
+        41,
+    )
+    .expect("drift injector")
+    .inject(&clean);
+    let report = run_stream(&drifted, &StreamConfig::fast(0.2)).expect("stream");
+    let got = stream_digest(&report);
+    assert_eq!(got, DRIFT_STREAM, "drifted StreamReport moved: {got:#018x}");
 }
 
 #[test]
