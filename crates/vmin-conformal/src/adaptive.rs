@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::guard::{audit_widen_or_reject, AuditDecision, GuardConfig};
-use crate::interval::{CalibrationError, ConformalError, PredictionInterval, Result};
+use crate::interval::{check_alpha, CalibrationError, ConformalError, PredictionInterval, Result};
 use crate::quantile::{conformal_quantile, min_calibration_size};
 
 // ---------------------------------------------------------------------------
@@ -158,10 +158,8 @@ impl AdaptiveConfig {
     }
 
     fn validate(&self) -> Result<()> {
+        check_alpha(self.alpha)?;
         let bad = |msg: String| Err(ConformalError::InvalidArgument(msg));
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return bad(format!("alpha must be in (0, 1), got {}", self.alpha));
-        }
         if !(self.alpha_floor > 0.0 && self.alpha_floor <= self.alpha) {
             return bad(format!(
                 "alpha_floor {} must be in (0, alpha = {}]",

@@ -9,7 +9,9 @@
 //! yielding adaptive, heteroscedasticity-aware intervals with the same
 //! finite-sample coverage guarantee as split CP.
 
-use crate::interval::{ConformalError, PredictionInterval, Result};
+use crate::interval::{
+    check_alpha, check_calibration_set, ConformalError, PredictionInterval, Result,
+};
 use crate::quantile::conformal_quantile;
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
@@ -74,11 +76,7 @@ impl<L: Regressor, H: Regressor> Cqr<L, H> {
     /// or `qhat` is NaN (`+∞` is legal: it is what calibration yields when
     /// the window is too small for the requested coverage).
     pub fn from_calibrated(lo_model: L, hi_model: H, alpha: f64, qhat: f64) -> Result<Self> {
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return Err(ConformalError::InvalidArgument(format!(
-                "alpha must be in (0, 1), got {alpha}"
-            )));
-        }
+        check_alpha(alpha)?;
         if qhat.is_nan() {
             return Err(ConformalError::InvalidArgument(
                 "captured qhat is NaN".to_string(),
@@ -112,12 +110,7 @@ impl<L: Regressor, H: Regressor> Cqr<L, H> {
         x_cal: &Matrix,
         y_cal: &[f64],
     ) -> Result<()> {
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return Err(ConformalError::InvalidArgument(format!(
-                "alpha must be in (0, 1), got {}",
-                self.alpha
-            )));
-        }
+        check_alpha(self.alpha)?;
         let _span = vmin_trace::span("conformal.cqr.fit_calibrate");
         vmin_trace::counter_add("conformal.cqr.fits", 1);
         // The pair's fits are independent; run them on two threads when the
@@ -159,13 +152,7 @@ impl<L: Regressor, H: Regressor> Cqr<L, H> {
     ///
     /// Same conditions as [`Self::fit_calibrate`].
     pub fn calibrate(&mut self, x_cal: &Matrix, y_cal: &[f64]) -> Result<()> {
-        if x_cal.rows() != y_cal.len() || y_cal.is_empty() {
-            return Err(ConformalError::InvalidArgument(format!(
-                "calibration set: {} rows vs {} targets",
-                x_cal.rows(),
-                y_cal.len()
-            )));
-        }
+        check_calibration_set(x_cal, y_cal)?;
         let scores = self.scores(x_cal, y_cal)?;
         let qhat = conformal_quantile(&scores, self.alpha)?;
         vmin_trace::counter_add("conformal.cqr.calibrations", 1);

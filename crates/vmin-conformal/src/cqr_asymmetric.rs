@@ -9,7 +9,9 @@
 //! the benefit is one-sided validity — valuable for Vmin screening, where
 //! only the *upper* bound drives the min-spec decision.
 
-use crate::interval::{ConformalError, PredictionInterval, Result};
+use crate::interval::{
+    check_alpha, check_calibration_set, ConformalError, PredictionInterval, Result,
+};
 use crate::quantile::conformal_quantile;
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
@@ -69,17 +71,8 @@ impl<L: Regressor, H: Regressor> CqrAsymmetric<L, H> {
         x_cal: &Matrix,
         y_cal: &[f64],
     ) -> Result<()> {
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return Err(ConformalError::InvalidArgument(format!(
-                "alpha must be in (0, 1), got {}",
-                self.alpha
-            )));
-        }
-        if x_cal.rows() != y_cal.len() || y_cal.is_empty() {
-            return Err(ConformalError::InvalidArgument(
-                "empty or mismatched calibration set".into(),
-            ));
-        }
+        check_alpha(self.alpha)?;
+        check_calibration_set(x_cal, y_cal)?;
         self.lo_model.fit(x_train, y_train)?;
         self.hi_model.fit(x_train, y_train)?;
         let lo = self.lo_model.predict(x_cal)?;

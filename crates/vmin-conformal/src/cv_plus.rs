@@ -8,7 +8,7 @@
 //! instead of n. Its guarantee is `1 − 2α` in the worst case but ≈ `1 − α`
 //! in practice — which the ablation benches measure against split CP/CQR.
 
-use crate::interval::{ConformalError, PredictionInterval, Result};
+use crate::interval::{check_alpha, ConformalError, PredictionInterval, Result};
 use vmin_data::KFold;
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
@@ -55,12 +55,7 @@ impl CvPlus {
     where
         F: Fn() -> Box<dyn Regressor> + Sync,
     {
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return Err(ConformalError::InvalidArgument(format!(
-                "alpha must be in (0, 1), got {}",
-                self.alpha
-            )));
-        }
+        check_alpha(self.alpha)?;
         let n = x.rows();
         if self.k < 2 || self.k > n || n != y.len() {
             return Err(ConformalError::InvalidArgument(format!(

@@ -6,7 +6,9 @@
 //! calibration would behave across temperature corners (Mondrian), and what
 //! a split-free method costs at the paper's tiny data scale (jackknife+).
 
-use crate::interval::{ConformalError, PredictionInterval, Result};
+use crate::interval::{
+    check_alpha, check_calibration_set, ConformalError, PredictionInterval, Result,
+};
 use crate::quantile::conformal_quantile;
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
@@ -52,17 +54,8 @@ impl<R: Regressor, S: Regressor> NormalizedConformal<R, S> {
         x_cal: &Matrix,
         y_cal: &[f64],
     ) -> Result<()> {
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return Err(ConformalError::InvalidArgument(format!(
-                "alpha must be in (0, 1), got {}",
-                self.alpha
-            )));
-        }
-        if x_cal.rows() != y_cal.len() || y_cal.is_empty() {
-            return Err(ConformalError::InvalidArgument(
-                "empty or mismatched calibration set".into(),
-            ));
-        }
+        check_alpha(self.alpha)?;
+        check_calibration_set(x_cal, y_cal)?;
         self.mean_model.fit(x_train, y_train)?;
         let resid: Vec<f64> = self
             .mean_model
@@ -146,16 +139,14 @@ impl<R: Regressor> MondrianConformal<R> {
         y_cal: &[f64],
         cal_groups: &[usize],
     ) -> Result<()> {
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
+        check_alpha(self.alpha)?;
+        check_calibration_set(x_cal, y_cal)?;
+        if cal_groups.len() != y_cal.len() {
             return Err(ConformalError::InvalidArgument(format!(
-                "alpha must be in (0, 1), got {}",
-                self.alpha
+                "{} calibration groups vs {} targets",
+                cal_groups.len(),
+                y_cal.len()
             )));
-        }
-        if x_cal.rows() != y_cal.len() || y_cal.len() != cal_groups.len() || y_cal.is_empty() {
-            return Err(ConformalError::InvalidArgument(
-                "mismatched calibration arrays".into(),
-            ));
         }
         if let Some(&g) = cal_groups.iter().find(|&&g| g >= self.n_groups) {
             return Err(ConformalError::InvalidArgument(format!(
@@ -244,12 +235,7 @@ impl JackknifePlus {
     where
         F: Fn() -> Box<dyn Regressor>,
     {
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return Err(ConformalError::InvalidArgument(format!(
-                "alpha must be in (0, 1), got {}",
-                self.alpha
-            )));
-        }
+        check_alpha(self.alpha)?;
         let n = x.rows();
         if n < 3 || n != y.len() {
             return Err(ConformalError::InvalidArgument(format!(

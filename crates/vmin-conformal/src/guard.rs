@@ -21,7 +21,9 @@
 //!   failure instead of a silently miscalibrated predictor.
 
 use crate::cqr::Cqr;
-use crate::interval::{CalibrationError, ConformalError, PredictionInterval, Result};
+use crate::interval::{
+    check_calibration_set, CalibrationError, ConformalError, PredictionInterval, Result,
+};
 use crate::quantile::conformal_quantile;
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
@@ -81,9 +83,7 @@ impl GuardConfig {
         }
         Ok(())
     }
-}
 
-impl GuardConfig {
     /// Round-robin stride of the audit split: every `stride`-th point is
     /// audit. Shared by [`GuardedCqr`] and the adaptive recalibration valve
     /// so both slice the window identically.
@@ -256,20 +256,14 @@ impl<L: Regressor, H: Regressor> GuardedCqr<L, H> {
         let _span = vmin_trace::span("conformal.guard.fit_calibrate_audited");
         vmin_trace::counter_add("conformal.guard.audits", 1);
         config.validate()?;
-        if x_cal.rows() != y_cal.len() {
-            return Err(ConformalError::InvalidArgument(format!(
-                "calibration set: {} rows vs {} targets",
-                x_cal.rows(),
-                y_cal.len()
-            )));
-        }
         // Structurally unusable windows are the typed degenerate path: an
         // empty calibration set, or one with no finite target at all, has
         // nothing to audit — distinct from contamination, which is a
         // populated window under suspicion.
-        if y_cal.is_empty() {
+        if x_cal.rows() == 0 && y_cal.is_empty() {
             return Err(ConformalError::Calibration(CalibrationError::EmptyWindow));
         }
+        check_calibration_set(x_cal, y_cal)?;
         let non_finite = y_cal.iter().filter(|v| !v.is_finite()).count();
         if non_finite == y_cal.len() {
             return Err(ConformalError::Calibration(
@@ -314,8 +308,8 @@ impl<L: Regressor, H: Regressor> GuardedCqr<L, H> {
         cqr.fit_calibrate(x_train, y_train, &x_proper, &y_proper)?;
         let qhat = cqr.qhat().ok_or(ConformalError::NotCalibrated)?; // invariant: fit_calibrate sets q̂
 
-        let proper_scores = cqr_scores(&cqr, &x_proper, &y_proper)?;
-        let audit_scores = cqr_scores(&cqr, &x_audit, &y_audit)?;
+        let proper_scores = cqr.scores(&x_proper, &y_proper)?;
+        let audit_scores = cqr.scores(&x_audit, &y_audit)?;
         if proper_scores
             .iter()
             .chain(&audit_scores)
@@ -399,15 +393,6 @@ impl<L: Regressor, H: Regressor> GuardedCqr<L, H> {
             .map(|i| self.predict_interval(x.row(i)))
             .collect()
     }
-}
-
-/// CQR scores of a fitted pair over a slice: `max{ĝ_lo − y, y − ĝ_hi}`.
-fn cqr_scores<L: Regressor, H: Regressor>(
-    cqr: &Cqr<L, H>,
-    x: &Matrix,
-    y: &[f64],
-) -> Result<Vec<f64>> {
-    cqr.scores(x, y)
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use vmin_linalg::Matrix;
 
 /// A degenerate calibration window: no usable scores at all.
 ///
@@ -97,6 +98,31 @@ impl From<CalibrationError> for ConformalError {
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, ConformalError>;
+
+/// The one α check of every predictor: the miscoverage level must lie in
+/// the open interval `(0, 1)` (NaN fails).
+pub(crate) fn check_alpha(alpha: f64) -> Result<()> {
+    if alpha > 0.0 && alpha < 1.0 {
+        Ok(())
+    } else {
+        Err(ConformalError::InvalidArgument(format!(
+            "alpha must be in (0, 1), got {alpha}"
+        )))
+    }
+}
+
+/// The one calibration-shape check of every split predictor: a non-empty
+/// set with one target per row.
+pub(crate) fn check_calibration_set(x_cal: &Matrix, y_cal: &[f64]) -> Result<()> {
+    if x_cal.rows() != y_cal.len() || y_cal.is_empty() {
+        return Err(ConformalError::InvalidArgument(format!(
+            "calibration set: {} rows vs {} targets",
+            x_cal.rows(),
+            y_cal.len()
+        )));
+    }
+    Ok(())
+}
 
 /// A closed prediction interval `[lo, hi]`.
 ///
@@ -208,6 +234,96 @@ pub fn evaluate_intervals(intervals: &[PredictionInterval], y_true: &[f64]) -> I
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_entry_point_rejects_alpha_outside_the_open_unit_interval() {
+        use crate::{
+            conformal_quantile, AdaptiveCalibrator, AdaptiveConfig, Cqr, CqrAsymmetric, CvPlus,
+            GuardConfig, GuardedCqr, JackknifePlus, MondrianConformal, NormalizedConformal,
+            SplitConformal,
+        };
+        use vmin_models::{LinearRegression, QuantileLinear, Regressor};
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from(i)]).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let y: Vec<f64> = (0..40)
+            .map(|i| 2.0 * f64::from(i) + f64::from(i % 3))
+            .collect();
+        let pair = || (QuantileLinear::new(0.05), QuantileLinear::new(0.95));
+        let linear = LinearRegression::new;
+        let boxed = || Box::new(LinearRegression::new()) as Box<dyn Regressor>;
+        for alpha in [0.0, 1.0, -0.1, f64::NAN] {
+            let (lo, hi) = pair();
+            let (alo, ahi) = pair();
+            let (glo, ghi) = pair();
+            // `for_alpha` derives its window sizes from α, so only the α
+            // field is set to the value under test.
+            let adaptive = AdaptiveConfig {
+                alpha,
+                ..AdaptiveConfig::for_alpha(0.1)
+            };
+            let checks: [(&str, Result<()>); 11] = [
+                (
+                    "conformal_quantile",
+                    conformal_quantile(&y, alpha).map(drop),
+                ),
+                (
+                    "Cqr::from_calibrated",
+                    Cqr::from_calibrated(linear(), linear(), alpha, 1.0).map(drop),
+                ),
+                (
+                    "Cqr::fit_calibrate",
+                    Cqr::new(lo, hi, alpha).fit_calibrate(&x, &y, &x, &y),
+                ),
+                (
+                    "CqrAsymmetric::fit_calibrate",
+                    CqrAsymmetric::new(alo, ahi, alpha).fit_calibrate(&x, &y, &x, &y),
+                ),
+                (
+                    "GuardedCqr::fit_calibrate_audited",
+                    GuardedCqr::fit_calibrate_audited(
+                        glo,
+                        ghi,
+                        alpha,
+                        &x,
+                        &y,
+                        &x,
+                        &y,
+                        &GuardConfig::default(),
+                    )
+                    .map(drop),
+                ),
+                (
+                    "SplitConformal::fit_calibrate",
+                    SplitConformal::new(linear(), alpha).fit_calibrate(&x, &y, &x, &y),
+                ),
+                (
+                    "NormalizedConformal::fit_calibrate",
+                    NormalizedConformal::new(linear(), linear(), alpha)
+                        .fit_calibrate(&x, &y, &x, &y),
+                ),
+                (
+                    "MondrianConformal::fit_calibrate",
+                    MondrianConformal::new(linear(), alpha, 1)
+                        .fit_calibrate(&x, &y, &x, &y, &[0; 40]),
+                ),
+                ("CvPlus::fit", CvPlus::new(alpha, 4, 1).fit(&x, &y, boxed)),
+                (
+                    "JackknifePlus::fit",
+                    JackknifePlus::new(alpha).fit(&x, &y, boxed),
+                ),
+                (
+                    "AdaptiveCalibrator::new",
+                    AdaptiveCalibrator::new(&y, adaptive).map(drop),
+                ),
+            ];
+            for (entry, result) in checks {
+                assert!(
+                    matches!(result, Err(ConformalError::InvalidArgument(_))),
+                    "{entry} took α = {alpha}: {result:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn interval_basics() {

@@ -1,7 +1,7 @@
 //! The conformal quantile: the finite-sample-corrected empirical quantile of
 //! calibration scores that gives split CP and CQR their coverage guarantee.
 
-use crate::interval::{CalibrationError, ConformalError, Result};
+use crate::interval::{check_alpha, CalibrationError, ConformalError, Result};
 
 /// Computes the `⌈(M+1)(1−α)⌉ / M`-th empirical quantile of the calibration
 /// scores (the level used in Eq. 8/10 of the paper).
@@ -33,11 +33,7 @@ pub fn conformal_quantile(scores: &[f64], alpha: f64) -> Result<f64> {
     if scores.is_empty() {
         return Err(ConformalError::Calibration(CalibrationError::EmptyWindow));
     }
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(ConformalError::InvalidArgument(format!(
-            "alpha must be in (0, 1), got {alpha}"
-        )));
-    }
+    check_alpha(alpha)?;
     // A NaN anywhere poisons the rank statistic; a window of nothing but
     // ±∞ has no finite rank to offer either. Both are the typed degenerate
     // path (never a panic): the adaptive layer downgrades on it instead of

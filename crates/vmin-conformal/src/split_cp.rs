@@ -4,7 +4,9 @@
 //! guarantee holds, but every chip gets the same margin — the overkill /
 //! underkill limitation that motivates CQR (§III-C).
 
-use crate::interval::{ConformalError, PredictionInterval, Result};
+use crate::interval::{
+    check_alpha, check_calibration_set, ConformalError, PredictionInterval, Result,
+};
 use crate::quantile::conformal_quantile;
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
@@ -60,12 +62,7 @@ impl<R: Regressor> SplitConformal<R> {
         x_cal: &Matrix,
         y_cal: &[f64],
     ) -> Result<()> {
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return Err(ConformalError::InvalidArgument(format!(
-                "alpha must be in (0, 1), got {}",
-                self.alpha
-            )));
-        }
+        check_alpha(self.alpha)?;
         self.model.fit(x_train, y_train)?;
         self.calibrate(x_cal, y_cal)
     }
@@ -77,13 +74,7 @@ impl<R: Regressor> SplitConformal<R> {
     ///
     /// Same conditions as [`Self::fit_calibrate`].
     pub fn calibrate(&mut self, x_cal: &Matrix, y_cal: &[f64]) -> Result<()> {
-        if x_cal.rows() != y_cal.len() || y_cal.is_empty() {
-            return Err(ConformalError::InvalidArgument(format!(
-                "calibration set: {} rows vs {} targets",
-                x_cal.rows(),
-                y_cal.len()
-            )));
-        }
+        check_calibration_set(x_cal, y_cal)?;
         // Conformal score: absolute residual (Eq. 7).
         let preds = self.model.predict(x_cal)?;
         let scores: Vec<f64> = preds

@@ -8,7 +8,8 @@
 //! so the binning quality metric is the average shipped supply (and the
 //! fraction of chips that fall off the lowest bins).
 
-use crate::flow::{FlowError, VminPredictor};
+use crate::error::CoreError;
+use crate::flow::VminPredictor;
 use vmin_data::Dataset;
 
 /// A voltage-binning scheme: ascending bin supplies in mV.
@@ -23,19 +24,19 @@ impl BinningScheme {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::InvalidConfig`] if fewer than one bin is given,
+    /// Returns [`CoreError::InvalidConfig`] if fewer than one bin is given,
     /// bins are not strictly ascending, or the guard band is negative.
-    pub fn new(bins_mv: Vec<f64>, guard_band_mv: f64) -> Result<Self, FlowError> {
+    pub fn new(bins_mv: Vec<f64>, guard_band_mv: f64) -> Result<Self, CoreError> {
         if bins_mv.is_empty() {
-            return Err(FlowError::InvalidConfig("need at least one bin".into()));
+            return Err(CoreError::InvalidConfig("need at least one bin".into()));
         }
         if bins_mv.windows(2).any(|w| w[1] <= w[0]) {
-            return Err(FlowError::InvalidConfig(
+            return Err(CoreError::InvalidConfig(
                 "bin voltages must be strictly ascending".into(),
             ));
         }
         if guard_band_mv < 0.0 {
-            return Err(FlowError::InvalidConfig(
+            return Err(CoreError::InvalidConfig(
                 "guard band must be non-negative".into(),
             ));
         }
@@ -87,7 +88,7 @@ pub fn bin_population(
     predictor: &VminPredictor,
     scheme: &BinningScheme,
     population: &Dataset,
-) -> Result<BinningReport, FlowError> {
+) -> Result<BinningReport, CoreError> {
     let mut bin_counts = vec![0usize; scheme.bins_mv().len()];
     let mut unbinnable = 0usize;
     let mut escapes = 0usize;
@@ -95,7 +96,7 @@ pub fn bin_population(
     let mut power_sum = 0.0;
     // invariant: BinningScheme::new rejects an empty bin list.
     let Some(&v_top) = scheme.bins_mv().last() else {
-        return Err(FlowError::InvalidConfig(
+        return Err(CoreError::InvalidConfig(
             "binning scheme has no bins".to_string(),
         ));
     };

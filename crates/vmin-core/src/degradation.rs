@@ -15,16 +15,16 @@
 //!    grossly outlying chips quarantined.
 //!
 //! With `repair` disabled the policy is *strict*: any contamination yields a
-//! typed [`DegradationError::DirtyDataRejected`] instead of a silently
+//! typed [`CoreError::DirtyDataRejected`] instead of a silently
 //! miscalibrated fit.
 
-use crate::scenario::{assemble_dataset, monitor_read_points, FeatureSet, ScenarioError};
+use crate::error::CoreError;
+use crate::scenario::{assemble_dataset, monitor_read_points, FeatureSet};
 use std::collections::BTreeMap;
-use std::error::Error;
 use std::fmt;
 use vmin_data::hygiene::{
     deduplicate, drop_all_missing_columns, exclude_censored, impute_missing, quarantine_rows,
-    winsorize, HygieneError, HygieneReport,
+    winsorize, HygieneReport,
 };
 use vmin_data::Dataset;
 use vmin_linalg::Matrix;
@@ -71,46 +71,6 @@ impl DegradationPolicy {
             repair: false,
             ..DegradationPolicy::repair_default()
         }
-    }
-}
-
-/// Typed failure of the degradation pipeline.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DegradationError {
-    /// Strict mode found contamination and refused to fit on it.
-    DirtyDataRejected {
-        /// Human-readable account of what was found.
-        summary: String,
-    },
-    /// A hygiene repair pass failed (e.g. nothing left after exclusion).
-    Hygiene(HygieneError),
-    /// Feature assembly failed.
-    Scenario(ScenarioError),
-}
-
-impl fmt::Display for DegradationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DegradationError::DirtyDataRejected { summary } => {
-                write!(f, "dirty data rejected (repair disabled): {summary}")
-            }
-            DegradationError::Hygiene(e) => write!(f, "hygiene repair failed: {e}"),
-            DegradationError::Scenario(e) => write!(f, "feature assembly failed: {e}"),
-        }
-    }
-}
-
-impl Error for DegradationError {}
-
-impl From<HygieneError> for DegradationError {
-    fn from(e: HygieneError) -> Self {
-        DegradationError::Hygiene(e)
-    }
-}
-
-impl From<ScenarioError> for DegradationError {
-    fn from(e: ScenarioError) -> Self {
-        DegradationError::Scenario(e)
     }
 }
 
@@ -337,7 +297,7 @@ fn void_stale_reads(
     campaign: &Campaign,
     read_point: usize,
     stuck: &[StuckStream],
-) -> Result<(Dataset, usize), DegradationError> {
+) -> Result<(Dataset, usize), CoreError> {
     let stale_points: Vec<usize> = monitor_read_points(read_point)
         .into_iter()
         .filter(|&k| k > 0)
@@ -375,10 +335,8 @@ fn void_stale_reads(
             }
         }
     }
-    let features = Matrix::from_vec(rows, cols, data)
-        .map_err(|e| DegradationError::Scenario(ScenarioError::Shape(e.to_string())))?;
-    let out = Dataset::new(features, ds.targets().to_vec(), ds.names().to_vec())
-        .map_err(HygieneError::from)?;
+    let features = Matrix::from_vec(rows, cols, data)?;
+    let out = Dataset::new(features, ds.targets().to_vec(), ds.names().to_vec())?;
     Ok((out, voided))
 }
 
@@ -394,18 +352,18 @@ fn is_monitor_column(name: &str) -> bool {
 ///
 /// # Errors
 ///
-/// - [`DegradationError::DirtyDataRejected`] when `policy.repair` is off and
+/// - [`CoreError::DirtyDataRejected`] when `policy.repair` is off and
 ///   contamination was found;
-/// - [`DegradationError::Hygiene`] when a repair pass fails (e.g. every row
+/// - [`CoreError::Hygiene`] when a repair pass fails (e.g. every row
 ///   censored away);
-/// - [`DegradationError::Scenario`] for invalid scenario indices.
+/// - [`CoreError::Index`] for invalid scenario indices.
 pub fn sanitize_campaign(
     campaign: &Campaign,
     read_point: usize,
     temp_idx: usize,
     feature_set: FeatureSet,
     policy: &DegradationPolicy,
-) -> Result<(Dataset, RepairLog), DegradationError> {
+) -> Result<(Dataset, RepairLog), CoreError> {
     let raw = assemble_dataset(campaign, read_point, temp_idx, feature_set)?;
     let ceiling = policy
         .censor_ceiling_mv
@@ -431,7 +389,7 @@ pub fn sanitize_campaign(
         if !structurally_dirty {
             return Ok((raw, RepairLog::clean(scan)));
         }
-        return Err(DegradationError::DirtyDataRejected {
+        return Err(CoreError::DirtyDataRejected {
             summary: format!(
                 "{} missing cells, {} outlier cells, {} duplicate rows, \
                  {} censored targets, {} non-finite targets, {} stuck streams",
@@ -472,9 +430,7 @@ pub fn sanitize_campaign(
             .map(|(j, _)| j)
             .collect();
         monitor_columns_dropped = total_monitor_cols;
-        ds = ds
-            .subset_columns(&parametric_idx)
-            .map_err(HygieneError::from)?;
+        ds = ds.subset_columns(&parametric_idx)?;
         monitor_fallback = true;
     }
 
@@ -537,7 +493,7 @@ mod tests {
         let err = sanitize_campaign(&c, 0, 1, FeatureSet::Both, &DegradationPolicy::strict())
             .unwrap_err();
         assert!(
-            matches!(err, DegradationError::DirtyDataRejected { .. }),
+            matches!(err, CoreError::DirtyDataRejected { .. }),
             "{err:?}"
         );
     }

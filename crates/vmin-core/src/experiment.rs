@@ -2,8 +2,9 @@
 //! protocol (§IV-B): 4-fold CV, the same seed shared by all predictors,
 //! 75/25 train/calibration inside CQR, α = 0.1.
 
-use crate::flow::{eval_point_fold, eval_region_fold, FlowError, PointEval, RegionEval};
-use crate::scenario::{assemble_dataset, FeatureSet, ScenarioError};
+use crate::error::CoreError;
+use crate::flow::{eval_point_fold, eval_region_fold, PointEval, RegionEval};
+use crate::scenario::{assemble_dataset, FeatureSet};
 use crate::zoo::{ModelConfig, PointModel, RegionMethod};
 use vmin_data::{Dataset, KFold};
 use vmin_silicon::Campaign;
@@ -45,49 +46,6 @@ impl ExperimentConfig {
     }
 }
 
-/// Error from an experiment run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExperimentError {
-    /// Feature assembly failed.
-    Scenario(String),
-    /// A fold pipeline failed.
-    Flow(String),
-    /// A summary table lacked a row the statistic needs.
-    MissingSummaryRow(&'static str),
-}
-
-impl std::fmt::Display for ExperimentError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExperimentError::Scenario(m) => write!(f, "scenario failure: {m}"),
-            ExperimentError::Flow(m) => write!(f, "flow failure: {m}"),
-            ExperimentError::MissingSummaryRow(row) => {
-                write!(f, "feature-set study summary lacks the {row} row")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExperimentError {}
-
-impl From<ScenarioError> for ExperimentError {
-    fn from(e: ScenarioError) -> Self {
-        ExperimentError::Scenario(e.to_string())
-    }
-}
-
-impl From<FlowError> for ExperimentError {
-    fn from(e: FlowError) -> Self {
-        ExperimentError::Flow(e.to_string())
-    }
-}
-
-impl From<vmin_data::DatasetError> for ExperimentError {
-    fn from(e: vmin_data::DatasetError) -> Self {
-        ExperimentError::Flow(e.to_string())
-    }
-}
-
 /// Runs `eval(fold, train, test)` on every fold of the `cfg.folds`-fold CV
 /// of `ds` (§IV-B), on worker threads, and returns the results in fold
 /// order so the caller's serial reduction is bit-identical to a serial run
@@ -95,27 +53,26 @@ impl From<vmin_data::DatasetError> for ExperimentError {
 ///
 /// # Errors
 ///
-/// [`FlowError::InvalidConfig`] (as [`ExperimentError::Flow`]) unless
+/// [`CoreError::InvalidConfig`] unless
 /// `2 ≤ cfg.folds ≤ ds.n_samples()`; otherwise the first failing fold's
 /// error.
 fn cv_folds<T: Send>(
     ds: &Dataset,
     cfg: &ExperimentConfig,
-    eval: impl Fn(usize, &Dataset, &Dataset) -> Result<T, FlowError> + Sync,
-) -> Result<Vec<T>, ExperimentError> {
+    eval: impl Fn(usize, &Dataset, &Dataset) -> Result<T, CoreError> + Sync,
+) -> Result<Vec<T>, CoreError> {
     let n = ds.n_samples();
     if cfg.folds < 2 || cfg.folds > n {
-        return Err(FlowError::InvalidConfig(format!(
+        return Err(CoreError::InvalidConfig(format!(
             "cross-validation needs 2 to {n} folds on {n} rows, got {}",
             cfg.folds
-        ))
-        .into());
+        )));
     }
     let splits: Vec<_> = KFold::new(n, cfg.folds, cfg.seed).iter().collect();
-    vmin_par::par_map(&splits, 2, |fold, split| -> Result<T, ExperimentError> {
+    vmin_par::par_map(&splits, 2, |fold, split| -> Result<T, CoreError> {
         let train = ds.subset_rows(&split.train)?;
         let test = ds.subset_rows(&split.test)?;
-        Ok(eval(fold, &train, &test)?)
+        eval(fold, &train, &test)
     })
     .into_iter()
     .collect()
@@ -136,7 +93,7 @@ pub fn run_point_cell(
     model: PointModel,
     feature_set: FeatureSet,
     cfg: &ExperimentConfig,
-) -> Result<PointEval, ExperimentError> {
+) -> Result<PointEval, CoreError> {
     let ds = assemble_dataset(campaign, read_point, temp_idx, feature_set)?;
     run_point_cell_on(&ds, model, cfg)
 }
@@ -147,13 +104,13 @@ pub fn run_point_cell(
 ///
 /// # Errors
 ///
-/// [`ExperimentError::Flow`] for a fold count outside `2..=ds.n_samples()`;
+/// [`CoreError::InvalidConfig`] for a fold count outside `2..=ds.n_samples()`;
 /// otherwise propagates pipeline failures.
 pub fn run_point_cell_on(
     ds: &Dataset,
     model: PointModel,
     cfg: &ExperimentConfig,
-) -> Result<PointEval, ExperimentError> {
+) -> Result<PointEval, CoreError> {
     let _span = vmin_trace::span("core.run_point_cell");
     vmin_trace::counter_add("core.cells.point", 1);
     let evals = cv_folds(ds, cfg, |_, train, test| {
@@ -188,7 +145,7 @@ pub fn run_region_cell(
     method: RegionMethod,
     feature_set: FeatureSet,
     cfg: &ExperimentConfig,
-) -> Result<RegionEval, ExperimentError> {
+) -> Result<RegionEval, CoreError> {
     let ds = assemble_dataset(campaign, read_point, temp_idx, feature_set)?;
     run_region_cell_on(&ds, method, cfg)
 }
@@ -200,13 +157,13 @@ pub fn run_region_cell(
 ///
 /// # Errors
 ///
-/// [`ExperimentError::Flow`] for a fold count outside `2..=ds.n_samples()`;
+/// [`CoreError::InvalidConfig`] for a fold count outside `2..=ds.n_samples()`;
 /// otherwise propagates pipeline failures.
 pub fn run_region_cell_on(
     ds: &Dataset,
     method: RegionMethod,
     cfg: &ExperimentConfig,
-) -> Result<RegionEval, ExperimentError> {
+) -> Result<RegionEval, CoreError> {
     let _span = vmin_trace::span("core.run_region_cell");
     vmin_trace::counter_add("core.cells.region", 1);
     let evals = cv_folds(ds, cfg, |fold, train, test| {
@@ -260,7 +217,7 @@ pub fn run_feature_set_study(
     campaign: &Campaign,
     method: RegionMethod,
     cfg: &ExperimentConfig,
-) -> Result<Vec<FeatureSetSummary>, ExperimentError> {
+) -> Result<Vec<FeatureSetSummary>, CoreError> {
     let mut out = Vec::new();
     for feature_set in [FeatureSet::Parametric, FeatureSet::OnChip, FeatureSet::Both] {
         let n_temps = campaign.temperatures.len();
@@ -296,18 +253,18 @@ pub fn run_feature_set_study(
 ///
 /// # Errors
 ///
-/// [`ExperimentError::MissingSummaryRow`] when `summaries` lacks the
+/// [`CoreError::MissingSummaryRow`] when `summaries` lacks the
 /// Parametric or Both row — e.g. a partial study driven by a caller that
 /// restricted the feature sets.
-pub fn onchip_monitor_gain(summaries: &[FeatureSetSummary]) -> Result<f64, ExperimentError> {
+pub fn onchip_monitor_gain(summaries: &[FeatureSetSummary]) -> Result<f64, CoreError> {
     let parametric = summaries
         .iter()
         .find(|s| s.feature_set == FeatureSet::Parametric)
-        .ok_or(ExperimentError::MissingSummaryRow("Parametric"))?;
+        .ok_or(CoreError::MissingSummaryRow("Parametric"))?;
     let both = summaries
         .iter()
         .find(|s| s.feature_set == FeatureSet::Both)
-        .ok_or(ExperimentError::MissingSummaryRow("Both"))?;
+        .ok_or(CoreError::MissingSummaryRow("Both"))?;
     Ok((parametric.average_length - both.average_length) / parametric.average_length)
 }
 
@@ -378,7 +335,7 @@ mod tests {
             .collect();
         assert!(matches!(
             onchip_monitor_gain(&partial),
-            Err(ExperimentError::MissingSummaryRow("Both"))
+            Err(CoreError::MissingSummaryRow("Both"))
         ));
     }
 
@@ -413,9 +370,9 @@ mod tests {
                 folds,
                 ..ExperimentConfig::fast()
             };
-            let invalid = |e: &ExperimentError| match e {
-                ExperimentError::Flow(m) => m.starts_with("invalid configuration"),
-                _ => false,
+            let invalid = |e: &CoreError| {
+                matches!(e, CoreError::InvalidConfig(_))
+                    && e.to_string().starts_with("invalid configuration")
             };
             let point = run_point_cell_on(&ds, PointModel::Linear, &cfg).unwrap_err();
             assert!(invalid(&point), "folds {folds}: {point}");

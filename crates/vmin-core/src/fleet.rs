@@ -10,55 +10,12 @@
 //!
 //! [`assemble_dataset`]: crate::assemble_dataset
 
-use std::error::Error;
-use std::fmt;
-
 use vmin_linalg::Matrix;
-use vmin_serve::{ServeError, ServeModel};
+use vmin_serve::ServeModel;
 use vmin_silicon::{BlockLayout, CampaignStream, DatasetSpec, DEFAULT_STREAM_CHUNK};
 
+use crate::error::CoreError;
 use crate::scenario::{feature_layout, monitor_read_points, FeatureSet};
-
-/// Error from the fused screening driver.
-#[derive(Debug)]
-pub enum FleetError {
-    /// A read-point or temperature index fell outside the spec's grid.
-    Index(String),
-    /// The model's feature width does not match the screening feature layout.
-    Width {
-        /// Width the serve model expects.
-        expected: usize,
-        /// Width the spec + feature set actually produce.
-        got: usize,
-    },
-    /// Serving a block failed.
-    Serve(ServeError),
-    /// A chunk's feature buffer could not form a matrix (internal
-    /// invariant; surfaced instead of panicking).
-    Shape(String),
-}
-
-impl fmt::Display for FleetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetError::Index(msg) => write!(f, "fleet index error: {msg}"),
-            FleetError::Width { expected, got } => write!(
-                f,
-                "model expects {expected} features but the screening layout produces {got}"
-            ),
-            FleetError::Serve(e) => write!(f, "serve error: {e}"),
-            FleetError::Shape(msg) => write!(f, "fleet shape error: {msg}"),
-        }
-    }
-}
-
-impl Error for FleetError {}
-
-impl From<ServeError> for FleetError {
-    fn from(e: ServeError) -> Self {
-        FleetError::Serve(e)
-    }
-}
 
 /// Knobs of a fused screening run.
 #[derive(Debug, Clone, Copy)]
@@ -140,10 +97,10 @@ impl FleetScreenReport {
 ///
 /// # Errors
 ///
-/// [`FleetError::Index`] when `cfg.read_point` / `cfg.temp_idx` fall outside
-/// the spec's grid, [`FleetError::Width`] when the model's feature count does
+/// [`CoreError::Index`] when `cfg.read_point` / `cfg.temp_idx` fall outside
+/// the spec's grid, [`CoreError::Width`] when the model's feature count does
 /// not match the layout implied by `spec` + `cfg.feature_set`, and
-/// [`FleetError::Serve`] when batch serving fails.
+/// [`CoreError::Serve`] when batch serving fails.
 ///
 /// [`assemble_dataset`]: crate::assemble_dataset
 ///
@@ -179,20 +136,20 @@ pub fn fleet_screen(
     seed: u64,
     model: &ServeModel,
     cfg: &FleetScreenConfig,
-) -> Result<FleetScreenReport, FleetError> {
+) -> Result<FleetScreenReport, CoreError> {
     let _span = vmin_trace::span("fleet.screen");
 
     let n_rp = spec.stress.read_points.len();
     if cfg.read_point >= n_rp {
-        return Err(FleetError::Index(format!(
-            "read_point {} out of range (spec has {n_rp})",
+        return Err(CoreError::Index(format!(
+            "read_point {} (spec has {n_rp})",
             cfg.read_point
         )));
     }
     let n_temps = spec.vmin_test.temperatures.len();
     if cfg.temp_idx >= n_temps {
-        return Err(FleetError::Index(format!(
-            "temp_idx {} out of range (spec has {n_temps})",
+        return Err(CoreError::Index(format!(
+            "temp_idx {} (spec has {n_temps})",
             cfg.temp_idx
         )));
     }
@@ -207,7 +164,7 @@ pub fn fleet_screen(
             .collect();
     let d = spans.iter().map(|(a, b)| b - a).sum();
     if model.n_features() != d {
-        return Err(FleetError::Width {
+        return Err(CoreError::Width {
             expected: model.n_features(),
             got: d,
         });
@@ -234,7 +191,7 @@ pub fn fleet_screen(
                 col += b - a;
             }
         }
-        let x = Matrix::from_vec(rows, d, data).map_err(|e| FleetError::Shape(e.to_string()))?;
+        let x = Matrix::from_vec(rows, d, data)?;
         let intervals = model.serve_batch(&x, cfg.serve_rows.max(1))?;
 
         for (r, iv) in intervals.iter().enumerate() {
@@ -388,7 +345,7 @@ mod tests {
         let mut cfg = FleetScreenConfig::new(700.0);
         cfg.feature_set = FeatureSet::Parametric; // narrower layout
         match fleet_screen(&spec, 1, &model, &cfg) {
-            Err(FleetError::Width { expected, got }) => {
+            Err(CoreError::Width { expected, got }) => {
                 assert_eq!(expected, model.n_features());
                 assert!(got < expected);
             }
@@ -404,13 +361,13 @@ mod tests {
         cfg.read_point = 99;
         assert!(matches!(
             fleet_screen(&spec, 1, &model, &cfg),
-            Err(FleetError::Index(_))
+            Err(CoreError::Index(_))
         ));
         cfg.read_point = 0;
         cfg.temp_idx = 99;
         assert!(matches!(
             fleet_screen(&spec, 1, &model, &cfg),
-            Err(FleetError::Index(_))
+            Err(CoreError::Index(_))
         ));
     }
 

@@ -1,62 +1,14 @@
 //! Fold-level fitting/evaluation and the user-facing [`VminPredictor`].
 
-use crate::degradation::{sanitize_campaign, DegradationError, DegradationPolicy, RepairLog};
+use crate::degradation::{sanitize_campaign, DegradationPolicy, RepairLog};
+use crate::error::CoreError;
 use crate::scenario::FeatureSet;
 use crate::zoo::{ModelConfig, PointModel, RegionMethod};
 use std::borrow::Cow;
-use std::error::Error;
-use std::fmt;
 use vmin_conformal::{evaluate_intervals, Cqr, PredictionInterval};
 use vmin_data::{cfs_select, r_squared, rmse, train_test_split, Dataset, Standardizer};
 use vmin_models::{GaussianProcess, Regressor};
 use vmin_silicon::Campaign;
-
-/// Error from the prediction flow.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlowError {
-    /// A wrapped model / conformal / dataset failure.
-    Inner(String),
-    /// The configuration is inconsistent (e.g. α outside (0, 1)).
-    InvalidConfig(String),
-    /// The degradation pipeline rejected dirty data or failed to repair it.
-    Degradation(DegradationError),
-}
-
-impl fmt::Display for FlowError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlowError::Inner(m) => write!(f, "pipeline failure: {m}"),
-            FlowError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
-            FlowError::Degradation(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl Error for FlowError {}
-
-impl From<DegradationError> for FlowError {
-    fn from(e: DegradationError) -> Self {
-        FlowError::Degradation(e)
-    }
-}
-
-impl From<vmin_models::ModelError> for FlowError {
-    fn from(e: vmin_models::ModelError) -> Self {
-        FlowError::Inner(e.to_string())
-    }
-}
-
-impl From<vmin_conformal::ConformalError> for FlowError {
-    fn from(e: vmin_conformal::ConformalError) -> Self {
-        FlowError::Inner(e.to_string())
-    }
-}
-
-impl From<vmin_data::DatasetError> for FlowError {
-    fn from(e: vmin_data::DatasetError) -> Self {
-        FlowError::Inner(e.to_string())
-    }
-}
 
 /// Point-prediction quality on one test fold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,11 +37,11 @@ pub const CFS_MAX_FEATURES: usize = 10;
 pub const CFS_POOL: usize = 60;
 
 /// Checks that a miscoverage level or split fraction lies in (0, 1).
-pub(crate) fn check_open_unit(name: &str, value: f64) -> Result<(), FlowError> {
+pub(crate) fn check_open_unit(name: &str, value: f64) -> Result<(), CoreError> {
     if value > 0.0 && value < 1.0 {
         Ok(())
     } else {
-        Err(FlowError::InvalidConfig(format!(
+        Err(CoreError::InvalidConfig(format!(
             "{name} must be in (0, 1), got {value}"
         )))
     }
@@ -104,10 +56,10 @@ pub(crate) fn quantile_pair(
     base: PointModel,
     alpha: f64,
     cfg: &ModelConfig,
-) -> Result<(Quantile, Quantile), FlowError> {
+) -> Result<(Quantile, Quantile), CoreError> {
     let make = |q| {
         base.make_quantile(q, cfg)
-            .ok_or_else(|| FlowError::InvalidConfig(format!("{base} has no quantile form")))
+            .ok_or_else(|| CoreError::InvalidConfig(format!("{base} has no quantile form")))
     };
     Ok((make(alpha / 2.0)?, make(1.0 - alpha / 2.0)?))
 }
@@ -116,7 +68,7 @@ pub(crate) fn quantile_pair(
 /// `train` standardized by it, and the CFS selection (at most
 /// [`CFS_MAX_FEATURES`] columns, in selection order) over the standardized
 /// columns.
-pub(crate) fn cfs_view(train: &Dataset) -> Result<(Standardizer, Dataset, Vec<usize>), FlowError> {
+pub(crate) fn cfs_view(train: &Dataset) -> Result<(Standardizer, Dataset, Vec<usize>), CoreError> {
     let scaler = Standardizer::fit(train.features());
     let z = scaler.transform_dataset(train)?;
     let selected = cfs_select(z.features(), z.targets(), CFS_MAX_FEATURES, CFS_POOL).selected;
@@ -130,13 +82,14 @@ pub(crate) fn cfs_view(train: &Dataset) -> Result<(Standardizer, Dataset, Vec<us
 ///
 /// # Errors
 ///
-/// Propagates model and dataset failures as [`FlowError::Inner`].
+/// Model and dataset failures, typed ([`CoreError::Model`],
+/// [`CoreError::Dataset`]).
 pub fn eval_point_fold(
     model: PointModel,
     cfg: &ModelConfig,
     train: &Dataset,
     test: &Dataset,
-) -> Result<PointEval, FlowError> {
+) -> Result<PointEval, CoreError> {
     if model.uses_cfs() {
         let (scaler, train_z, selected) = cfs_view(train)?;
         let test_z = scaler.transform_dataset(test)?;
@@ -157,7 +110,7 @@ pub fn eval_point_fold(
                 best = Some(eval);
             }
         }
-        best.ok_or_else(|| FlowError::Inner("CFS selected no features".into()))
+        best.ok_or_else(|| CoreError::Shape("CFS selected no features".into()))
     } else {
         let mut m = model.make_point(cfg);
         m.fit(train.features(), train.targets())?;
@@ -182,8 +135,8 @@ pub fn eval_point_fold(
 ///
 /// # Errors
 ///
-/// [`FlowError::InvalidConfig`] for an empty `test` and the conditions of
-/// [`VminPredictor::fit`]; other failures as [`FlowError`].
+/// [`CoreError::InvalidConfig`] for an empty `test` and the conditions of
+/// [`VminPredictor::fit`]; other failures as [`CoreError`].
 pub fn eval_region_fold(
     method: RegionMethod,
     cfg: &ModelConfig,
@@ -192,9 +145,9 @@ pub fn eval_region_fold(
     alpha: f64,
     cal_fraction: f64,
     seed: u64,
-) -> Result<RegionEval, FlowError> {
+) -> Result<RegionEval, CoreError> {
     if test.n_samples() == 0 {
-        return Err(FlowError::InvalidConfig(
+        return Err(CoreError::InvalidConfig(
             "a region fold needs at least one test row".into(),
         ));
     }
@@ -260,9 +213,9 @@ impl VminPredictor {
     ///
     /// # Errors
     ///
-    /// [`FlowError::InvalidConfig`] for `alpha` (or, for CQR, `cal_fraction`)
+    /// [`CoreError::InvalidConfig`] for `alpha` (or, for CQR, `cal_fraction`)
     /// outside (0, 1), a CQR method on fewer than 2 rows, or a base model
-    /// without a quantile form; other failures as [`FlowError`].
+    /// without a quantile form; other failures as [`CoreError`].
     pub fn fit(
         dataset: &Dataset,
         method: RegionMethod,
@@ -270,12 +223,12 @@ impl VminPredictor {
         cal_fraction: f64,
         seed: u64,
         cfg: &ModelConfig,
-    ) -> Result<Self, FlowError> {
+    ) -> Result<Self, CoreError> {
         check_open_unit("alpha", alpha)?;
         if let RegionMethod::Cqr(_) = method {
             check_open_unit("cal_fraction", cal_fraction)?;
             if dataset.n_samples() < 2 {
-                return Err(FlowError::InvalidConfig(format!(
+                return Err(CoreError::InvalidConfig(format!(
                     "CQR needs at least 2 rows to split off a calibration set, got {}",
                     dataset.n_samples()
                 )));
@@ -348,7 +301,7 @@ impl VminPredictor {
 
     /// Maps a raw feature row to the model's working view; rows of models
     /// without a scaler pass through borrowed.
-    fn project<'a>(&self, row: &'a [f64]) -> Result<Cow<'a, [f64]>, FlowError> {
+    fn project<'a>(&self, row: &'a [f64]) -> Result<Cow<'a, [f64]>, CoreError> {
         match &self.cfs {
             Some((scaler, selected)) => {
                 let z = scaler.transform_row(row)?;
@@ -362,8 +315,10 @@ impl VminPredictor {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Inner`] on dimension mismatch or model failure.
-    pub fn interval(&self, row: &[f64]) -> Result<PredictionInterval, FlowError> {
+    /// A row of the wrong width or a model failure, typed as the layer
+    /// that raised it ([`CoreError::Dataset`], [`CoreError::Model`] or
+    /// [`CoreError::Conformal`]).
+    pub fn interval(&self, row: &[f64]) -> Result<PredictionInterval, CoreError> {
         let z = self.project(row)?;
         Ok(match &self.fitted {
             FittedRegion::Gp(gp) => {
@@ -384,7 +339,7 @@ impl VminPredictor {
     /// # Errors
     ///
     /// Same conditions as [`Self::interval`].
-    pub fn flags_spec_risk(&self, row: &[f64], min_spec_mv: f64) -> Result<bool, FlowError> {
+    pub fn flags_spec_risk(&self, row: &[f64], min_spec_mv: f64) -> Result<bool, CoreError> {
         Ok(self.interval(row)?.hi() > min_spec_mv)
     }
 
@@ -400,9 +355,10 @@ impl VminPredictor {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Degradation`] when the policy rejects or cannot repair
-    /// the data (notably [`DegradationError::DirtyDataRejected`] in strict
-    /// mode); otherwise the same conditions as [`Self::fit`].
+    /// [`CoreError::DirtyDataRejected`] in strict mode and
+    /// [`CoreError::Hygiene`] when a repair pass fails (see
+    /// [`crate::sanitize_campaign`]); otherwise the same conditions as
+    /// [`Self::fit`].
     #[allow(clippy::too_many_arguments)] // mirrors `fit` plus the scenario coordinates
     pub fn fit_sanitized(
         campaign: &Campaign,
@@ -415,7 +371,7 @@ impl VminPredictor {
         cal_fraction: f64,
         seed: u64,
         cfg: &ModelConfig,
-    ) -> Result<SanitizedFit, FlowError> {
+    ) -> Result<SanitizedFit, CoreError> {
         let sanitize = |policy: &DegradationPolicy| {
             sanitize_campaign(campaign, read_point, temp_idx, feature_set, policy)
         };
@@ -467,8 +423,8 @@ fn mean_interval_length_over(p: &VminPredictor, ds: &Dataset) -> Option<f64> {
 /// comparison fit is possible (e.g. the whole monitor bank is dead).
 fn fallback_length_cost(
     policy: &DegradationPolicy,
-    sanitize: impl Fn(&DegradationPolicy) -> Result<(Dataset, RepairLog), DegradationError>,
-    fit: impl Fn(&Dataset) -> Result<VminPredictor, FlowError>,
+    sanitize: impl Fn(&DegradationPolicy) -> Result<(Dataset, RepairLog), CoreError>,
+    fit: impl Fn(&Dataset) -> Result<VminPredictor, CoreError>,
     fallback: &VminPredictor,
     fallback_ds: &Dataset,
 ) -> Option<f64> {
@@ -558,6 +514,31 @@ mod tests {
     }
 
     #[test]
+    fn base_model_rejections_arrive_typed_with_their_source() {
+        use std::error::Error;
+        use vmin_models::ModelError;
+        // Every target non-finite, so the base model rejects the training
+        // set whichever rows CQR splits off for calibration.
+        let ds = small_dataset();
+        let nan = vec![f64::NAN; ds.n_samples()];
+        let bad = Dataset::new(ds.features().clone(), nan, ds.names().to_vec()).unwrap();
+        let fit = |method| {
+            VminPredictor::fit(&bad, method, 0.1, 0.25, 42, &ModelConfig::fast()).unwrap_err()
+        };
+        let qr = fit(RegionMethod::Qr(PointModel::Xgboost));
+        assert!(
+            matches!(qr, CoreError::Model(ModelError::InvalidInput(_))),
+            "{qr:?}"
+        );
+        let cqr = fit(RegionMethod::Cqr(PointModel::Xgboost));
+        assert!(matches!(cqr, CoreError::Conformal(_)), "{cqr:?}");
+        for e in [qr, cqr] {
+            let source = e.source().expect("a wrapped error exposes its source");
+            assert!(e.to_string().ends_with(&source.to_string()), "{e}");
+        }
+    }
+
+    #[test]
     fn invalid_configs_rejected() {
         let ds = small_dataset();
         let kf = KFold::new(ds.n_samples(), 2, 1);
@@ -573,7 +554,7 @@ mod tests {
             0.25,
             1,
         );
-        assert!(matches!(bad_alpha, Err(FlowError::InvalidConfig(_))));
+        assert!(matches!(bad_alpha, Err(CoreError::InvalidConfig(_))));
         let bad_cal = eval_region_fold(
             RegionMethod::Cqr(PointModel::Linear),
             &ModelConfig::fast(),
@@ -583,7 +564,7 @@ mod tests {
             0.0,
             1,
         );
-        assert!(matches!(bad_cal, Err(FlowError::InvalidConfig(_))));
+        assert!(matches!(bad_cal, Err(CoreError::InvalidConfig(_))));
     }
 
     #[test]
@@ -598,7 +579,7 @@ mod tests {
             1,
             &ModelConfig::fast(),
         );
-        assert!(matches!(fit, Err(FlowError::InvalidConfig(_))), "{fit:?}");
+        assert!(matches!(fit, Err(CoreError::InvalidConfig(_))), "{fit:?}");
     }
 
     #[test]
@@ -614,7 +595,7 @@ mod tests {
             0.25,
             1,
         );
-        assert!(matches!(eval, Err(FlowError::InvalidConfig(_))), "{eval:?}");
+        assert!(matches!(eval, Err(CoreError::InvalidConfig(_))), "{eval:?}");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!     &ExperimentConfig::fast(),
 //! )?;
 //! assert!(cell.mean_length > 0.0);
-//! # Ok::<(), vmin_core::ExperimentError>(())
+//! # Ok::<(), vmin_core::CoreError>(())
 //! ```
 //!
 //! [`Campaign`]: vmin_silicon::Campaign
@@ -48,6 +48,7 @@
 
 mod binning;
 mod degradation;
+mod error;
 mod experiment;
 mod fleet;
 mod flow;
@@ -59,17 +60,16 @@ mod streaming;
 mod zoo;
 
 pub use binning::{bin_population, BinningReport, BinningScheme};
-pub use degradation::{
-    sanitize_campaign, ClassDisposition, DegradationError, DegradationPolicy, RepairLog,
-};
+pub use degradation::{sanitize_campaign, ClassDisposition, DegradationPolicy, RepairLog};
+pub use error::CoreError;
 pub use experiment::{
     onchip_monitor_gain, run_feature_set_study, run_point_cell, run_point_cell_on, run_region_cell,
-    run_region_cell_on, ExperimentConfig, ExperimentError, FeatureSetSummary,
+    run_region_cell_on, ExperimentConfig, FeatureSetSummary,
 };
-pub use fleet::{fleet_screen, FleetError, FleetScreenConfig, FleetScreenReport};
+pub use fleet::{fleet_screen, FleetScreenConfig, FleetScreenReport};
 pub use flow::{
-    eval_point_fold, eval_region_fold, FlowError, PointEval, RegionEval, SanitizedFit,
-    VminPredictor, CFS_MAX_FEATURES, CFS_POOL,
+    eval_point_fold, eval_region_fold, PointEval, RegionEval, SanitizedFit, VminPredictor,
+    CFS_MAX_FEATURES, CFS_POOL,
 };
 pub use reliability::{forecast_fleet, ChipForecast, FleetReport};
 pub use report::{
@@ -77,7 +77,7 @@ pub use report::{
 };
 pub use scenario::{
     assemble_dataset, assemble_dataset_with_trends, assemble_stream_snapshot, monitor_read_points,
-    FeatureSet, ScenarioError,
+    FeatureSet,
 };
 pub use screening::{simulate_screening, ScreeningDecision, ScreeningPolicy, ScreeningReport};
 pub use streaming::{run_stream, ReadPointStats, StreamConfig, StreamReport};

@@ -9,7 +9,8 @@
 //! alarm time with the true first violation yields lead time, missed
 //! alarms and false alarms over a fleet.
 
-use crate::flow::{FlowError, VminPredictor};
+use crate::error::CoreError;
+use crate::flow::VminPredictor;
 use crate::scenario::{assemble_dataset, FeatureSet};
 use crate::zoo::{ModelConfig, RegionMethod};
 use vmin_silicon::Campaign;
@@ -94,14 +95,13 @@ pub fn forecast_fleet(
     alpha: f64,
     min_spec_mv: f64,
     cfg: &ModelConfig,
-) -> Result<FleetReport, FlowError> {
+) -> Result<FleetReport, CoreError> {
     let n_rps = campaign.read_points.len();
     let mut alarm_at: Vec<Option<usize>> = vec![None; fleet.len()];
     let mut violation_at: Vec<Option<usize>> = vec![None; fleet.len()];
 
     for rp in 0..n_rps {
-        let ds = assemble_dataset(campaign, rp, temp_idx, FeatureSet::Both)
-            .map_err(|e| FlowError::Inner(e.to_string()))?;
+        let ds = assemble_dataset(campaign, rp, temp_idx, FeatureSet::Both)?;
         let train_ds = ds.subset_rows(train)?;
         let predictor = VminPredictor::fit(&train_ds, method, alpha, 0.25, 7, cfg)?;
         for (fi, &chip) in fleet.iter().enumerate() {

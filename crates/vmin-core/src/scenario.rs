@@ -10,7 +10,7 @@
 //! The assembled feature set can be restricted to parametric-only or
 //! on-chip-only to reproduce the Table IV / Fig. 3 comparison.
 
-use std::error::Error;
+use crate::error::CoreError;
 use std::fmt;
 use vmin_data::Dataset;
 use vmin_linalg::Matrix;
@@ -37,27 +37,6 @@ impl fmt::Display for FeatureSet {
         f.write_str(s)
     }
 }
-
-/// Error from feature assembly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScenarioError {
-    /// Read point or temperature index out of range for the campaign.
-    IndexOutOfRange(String),
-    /// Internal shape inconsistency (should not occur on well-formed
-    /// campaigns).
-    Shape(String),
-}
-
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScenarioError::IndexOutOfRange(m) => write!(f, "index out of range: {m}"),
-            ScenarioError::Shape(m) => write!(f, "shape inconsistency: {m}"),
-        }
-    }
-}
-
-impl Error for ScenarioError {}
 
 /// Which monitor read points feed the prediction of Vmin at `read_point`.
 ///
@@ -134,15 +113,15 @@ fn assemble(
     feature_set: FeatureSet,
     monitor_points: &[usize],
     names: impl Fn(Segment) -> Vec<String>,
-) -> Result<Dataset, ScenarioError> {
+) -> Result<Dataset, CoreError> {
     if read_point >= campaign.read_points.len() {
-        return Err(ScenarioError::IndexOutOfRange(format!(
+        return Err(CoreError::Index(format!(
             "read point {read_point} (campaign has {})",
             campaign.read_points.len()
         )));
     }
     if temp_idx >= campaign.temperatures.len() {
-        return Err(ScenarioError::IndexOutOfRange(format!(
+        return Err(CoreError::Index(format!(
             "temperature index {temp_idx} (campaign has {})",
             campaign.temperatures.len()
         )));
@@ -160,16 +139,15 @@ fn assemble(
             features.extend_from_slice(segment.of_chip(chip));
         }
         if features.len() - row_start != d {
-            return Err(ScenarioError::Shape(format!(
+            return Err(CoreError::Shape(format!(
                 "chip {i}: filled {} of {d} feature columns",
                 features.len() - row_start
             )));
         }
         targets.push(chip.vmin_mv[read_point][temp_idx]);
     }
-    let features =
-        Matrix::from_vec(n, d, features).map_err(|e| ScenarioError::Shape(e.to_string()))?;
-    Dataset::new(features, targets, names).map_err(|e| ScenarioError::Shape(e.to_string()))
+    let features = Matrix::from_vec(n, d, features)?;
+    Ok(Dataset::new(features, targets, names)?)
 }
 
 /// Builds the supervised dataset for predicting SCAN Vmin at
@@ -177,8 +155,9 @@ fn assemble(
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError::IndexOutOfRange`] for invalid indices, and
-/// [`ScenarioError::Shape`] if the campaign data is internally inconsistent.
+/// Returns [`CoreError::Index`] for invalid indices, and
+/// [`CoreError::Shape`], [`CoreError::Linalg`] or [`CoreError::Dataset`] if
+/// the campaign data is internally inconsistent.
 ///
 /// # Examples
 ///
@@ -189,14 +168,14 @@ fn assemble(
 /// let campaign = Campaign::run(&DatasetSpec::small(), 1);
 /// let ds = assemble_dataset(&campaign, 0, 1, FeatureSet::Both)?;
 /// assert_eq!(ds.n_samples(), campaign.chip_count());
-/// # Ok::<(), vmin_core::ScenarioError>(())
+/// # Ok::<(), vmin_core::CoreError>(())
 /// ```
 pub fn assemble_dataset(
     campaign: &Campaign,
     read_point: usize,
     temp_idx: usize,
     feature_set: FeatureSet,
-) -> Result<Dataset, ScenarioError> {
+) -> Result<Dataset, CoreError> {
     let monitor_points = monitor_read_points(read_point);
     assemble(
         campaign,
@@ -239,14 +218,14 @@ pub fn assemble_dataset(
 /// let t0 = assemble_stream_snapshot(&campaign, 0, 1, FeatureSet::Both)?;
 /// let t5 = assemble_stream_snapshot(&campaign, 5, 1, FeatureSet::Both)?;
 /// assert_eq!(t0.n_features(), t5.n_features()); // constant feature space
-/// # Ok::<(), vmin_core::ScenarioError>(())
+/// # Ok::<(), vmin_core::CoreError>(())
 /// ```
 pub fn assemble_stream_snapshot(
     campaign: &Campaign,
     read_point: usize,
     temp_idx: usize,
     feature_set: FeatureSet,
-) -> Result<Dataset, ScenarioError> {
+) -> Result<Dataset, CoreError> {
     let monitors = &campaign.spec.monitors;
     assemble(
         campaign,
@@ -287,7 +266,7 @@ pub fn assemble_dataset_with_trends(
     read_point: usize,
     temp_idx: usize,
     feature_set: FeatureSet,
-) -> Result<Dataset, ScenarioError> {
+) -> Result<Dataset, CoreError> {
     let base = assemble_dataset(campaign, read_point, temp_idx, feature_set)?;
     let points = monitor_read_points(read_point);
     if points.len() < 2 || matches!(feature_set, FeatureSet::Parametric) {
@@ -296,7 +275,7 @@ pub fn assemble_dataset_with_trends(
     let (Some(&first), Some(&last)) = (points.first(), points.last()) else {
         // unreachable in practice: the points.len() < 2 early return above
         // guarantees at least two monitor read points here.
-        return Err(ScenarioError::Shape(
+        return Err(CoreError::Shape(
             "monitor read-point schedule is empty".to_string(),
         ));
     };
@@ -314,10 +293,8 @@ pub fn assemble_dataset_with_trends(
             trend[(i, rods + j)] = chip.cpd[last][j] - chip.cpd[first][j];
         }
     }
-    let trend_ds = Dataset::new(trend, base.targets().to_vec(), names)
-        .map_err(|e| ScenarioError::Shape(e.to_string()))?;
-    base.hconcat(&trend_ds)
-        .map_err(|e| ScenarioError::Shape(e.to_string()))
+    let trend_ds = Dataset::new(trend, base.targets().to_vec(), names)?;
+    Ok(base.hconcat(&trend_ds)?)
 }
 
 #[cfg(test)]
@@ -385,8 +362,14 @@ mod tests {
     #[test]
     fn out_of_range_indices_error() {
         let c = campaign();
-        assert!(assemble_dataset(&c, 99, 0, FeatureSet::Both).is_err());
-        assert!(assemble_dataset(&c, 0, 99, FeatureSet::Both).is_err());
+        for (read_point, temp_idx) in [(99, 0), (0, 99)] {
+            for ds in [
+                assemble_dataset(&c, read_point, temp_idx, FeatureSet::Both),
+                assemble_stream_snapshot(&c, read_point, temp_idx, FeatureSet::Both),
+            ] {
+                assert!(matches!(ds, Err(CoreError::Index(_))), "{ds:?}");
+            }
+        }
     }
 
     #[test]

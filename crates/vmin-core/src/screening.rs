@@ -16,7 +16,8 @@
 //! rate (shipped chips whose true Vmin violates spec) is bounded by the
 //! miscoverage budget spent on the PredictPass bucket.
 
-use crate::flow::{FlowError, VminPredictor};
+use crate::error::CoreError;
+use crate::flow::VminPredictor;
 use std::fmt;
 use vmin_data::Dataset;
 
@@ -72,7 +73,7 @@ impl<'a> ScreeningPolicy<'a> {
     /// # Errors
     ///
     /// Propagates predictor failures.
-    pub fn decide(&self, row: &[f64]) -> Result<ScreeningDecision, FlowError> {
+    pub fn decide(&self, row: &[f64]) -> Result<ScreeningDecision, CoreError> {
         let iv = self.predictor.interval(row)?;
         if iv.hi() < self.min_spec_mv - self.guard_band_mv {
             Ok(ScreeningDecision::PredictPass)
@@ -124,7 +125,7 @@ impl ScreeningReport {
 pub fn simulate_screening(
     policy: &ScreeningPolicy<'_>,
     chips: &Dataset,
-) -> Result<ScreeningReport, FlowError> {
+) -> Result<ScreeningReport, CoreError> {
     let mut report = ScreeningReport {
         predicted_pass: 0,
         predicted_fail: 0,

@@ -17,10 +17,13 @@
 //! identical by construction), so the report is byte-stable under any
 //! `VMIN_THREADS`.
 
-use crate::flow::{check_open_unit, quantile_pair, FlowError};
+use crate::error::CoreError;
+use crate::flow::{check_open_unit, quantile_pair};
 use crate::scenario::{assemble_stream_snapshot, FeatureSet};
 use crate::zoo::{ModelConfig, PointModel};
-use vmin_conformal::{AdaptiveCalibrator, AdaptiveConfig, Cqr, LadderState, LadderTransition};
+use vmin_conformal::{
+    AdaptiveCalibrator, AdaptiveConfig, ConformalError, Cqr, LadderState, LadderTransition,
+};
 use vmin_data::train_test_split;
 use vmin_silicon::Campaign;
 
@@ -125,9 +128,9 @@ pub struct StreamReport {
 ///
 /// # Errors
 ///
-/// [`FlowError::InvalidConfig`] for inconsistent fractions/α or a base
-/// model without a quantile form; [`FlowError::Inner`] for assembly, model
-/// or conformal failures.
+/// [`CoreError::InvalidConfig`] for inconsistent fractions/α or a base
+/// model without a quantile form; assembly, model and conformal failures
+/// arrive typed as the layer that raised them.
 ///
 /// # Examples
 ///
@@ -138,22 +141,21 @@ pub struct StreamReport {
 /// let campaign = Campaign::run(&DatasetSpec::small(), 5);
 /// let report = run_stream(&campaign, &StreamConfig::fast(0.2))?;
 /// assert_eq!(report.per_read_point.len(), campaign.read_points.len());
-/// # Ok::<(), vmin_core::FlowError>(())
+/// # Ok::<(), vmin_core::CoreError>(())
 /// ```
-pub fn run_stream(campaign: &Campaign, config: &StreamConfig) -> Result<StreamReport, FlowError> {
+pub fn run_stream(campaign: &Campaign, config: &StreamConfig) -> Result<StreamReport, CoreError> {
     let _span = vmin_trace::span("core.stream.run");
     check_open_unit("alpha", config.alpha)?;
     check_open_unit("train_fraction", config.train_fraction)?;
     check_open_unit("cal_fraction", config.cal_fraction)?;
     let n = campaign.chip_count();
     if n < 8 {
-        return Err(FlowError::InvalidConfig(format!(
+        return Err(CoreError::InvalidConfig(format!(
             "streaming needs at least 8 chips to split three ways, got {n}"
         )));
     }
 
-    let snapshot0 = assemble_stream_snapshot(campaign, 0, config.temp_idx, config.feature_set)
-        .map_err(|e| FlowError::Inner(e.to_string()))?;
+    let snapshot0 = assemble_stream_snapshot(campaign, 0, config.temp_idx, config.feature_set)?;
 
     // Fleet split: pool (fit + calibrate) vs evaluation stream, then pool
     // into proper-training vs calibration chips. Both splits are seeded.
@@ -176,16 +178,13 @@ pub fn run_stream(campaign: &Campaign, config: &StreamConfig) -> Result<StreamRe
         cal.features(),
         cal.targets(),
     )?;
-    let static_qhat = cqr
-        .qhat()
-        .ok_or_else(|| FlowError::Inner("CQR lost its calibration".into()))?;
+    let static_qhat = cqr.qhat().ok_or(ConformalError::NotCalibrated)?;
     let initial_scores = cqr.scores(cal.features(), cal.targets())?;
     let mut adaptive = AdaptiveCalibrator::new(&initial_scores, config.adaptive.clone())?;
 
     let mut per_read_point = Vec::with_capacity(campaign.read_points.len());
     for k in 0..campaign.read_points.len() {
-        let snapshot = assemble_stream_snapshot(campaign, k, config.temp_idx, config.feature_set)
-            .map_err(|e| FlowError::Inner(e.to_string()))?;
+        let snapshot = assemble_stream_snapshot(campaign, k, config.temp_idx, config.feature_set)?;
         let mut stats = ReadPointStats {
             read_point: k,
             n: 0,
@@ -292,7 +291,7 @@ mod tests {
             },
         ] {
             assert!(
-                matches!(run_stream(&c, &bad), Err(FlowError::InvalidConfig(_))),
+                matches!(run_stream(&c, &bad), Err(CoreError::InvalidConfig(_))),
                 "accepted {bad:?}"
             );
         }

@@ -34,7 +34,7 @@
 //! whose walks could fail to terminate.
 
 use crate::engine::{FlatPair, ScalerState, ServeModel};
-use crate::flat::{FlatGbt, FlatOblivious, LEAF, MAX_OBLIVIOUS_DEPTH};
+use crate::flat::{check_gbt_tables, check_oblivious_tables, FlatGbt, FlatOblivious};
 use std::error::Error;
 use std::fmt;
 
@@ -459,57 +459,8 @@ fn decode_gbt(payload: &[u8], which: &str) -> Result<FlatGbt, ArtifactError> {
     let left = c.u32_vec(n_nodes)?;
     let right = c.u32_vec(n_nodes)?;
     c.finish("GBT model section")?;
-    if roots[0] != 0 || roots[n_trees] as usize != n_nodes {
-        return Err(ArtifactError::Malformed(format!(
-            "{which} model: root offsets do not span the node table"
-        )));
-    }
-    for t in 0..n_trees {
-        let (start, end) = (roots[t] as usize, roots[t + 1] as usize);
-        if end <= start || end > n_nodes {
-            return Err(ArtifactError::Malformed(format!(
-                "{which} model: tree {t} offsets ({start}, {end}) are not increasing"
-            )));
-        }
-        let mut referenced = vec![false; end - start];
-        for i in start..end {
-            if feature[i] == LEAF {
-                // Leaves must self-loop: the fixed-depth lockstep walk
-                // parks rows that reach a leaf early on the leaf itself.
-                if left[i] as usize != i || right[i] as usize != i {
-                    return Err(ArtifactError::Malformed(format!(
-                        "{which} model: leaf {i} children ({}, {}) are not self-loops",
-                        left[i], right[i]
-                    )));
-                }
-                continue;
-            }
-            if feature[i] >= n_features {
-                return Err(ArtifactError::Malformed(format!(
-                    "{which} model: node {i} tests feature {} of {n_features}",
-                    feature[i]
-                )));
-            }
-            let (l, r) = (left[i] as usize, right[i] as usize);
-            // Strictly-forward children guarantee the walk terminates.
-            if l <= i || r <= i || l >= end || r >= end {
-                return Err(ArtifactError::Malformed(format!(
-                    "{which} model: node {i} children ({l}, {r}) escape ({i}, {end})"
-                )));
-            }
-            // Each node hangs off at most one split: the decoder's
-            // breadth-first renumbering walks a *tree*, and rejecting
-            // shared children here keeps that walk linear even on
-            // hostile bytes (a DAG would blow up exponentially).
-            if l == r || referenced[l - start] || referenced[r - start] {
-                return Err(ArtifactError::Malformed(format!(
-                    "{which} model: node {i} children ({l}, {r}) reuse a node"
-                )));
-            }
-            referenced[l - start] = true;
-            referenced[r - start] = true;
-        }
-    }
+    check_gbt_tables(n_features, &roots, &feature, &left, &right)
+        .map_err(|m| ArtifactError::Malformed(format!("{which} model: {m}")))?;
     let tables = crate::flat::derive_gbt_tables(&roots, &feature, &threshold, &left, &right);
     Ok(FlatGbt {
         n_features,
@@ -550,44 +501,8 @@ fn decode_oblivious(payload: &[u8], which: &str) -> Result<FlatOblivious, Artifa
     let n_lut = c.len("LUT length")?;
     let lut = c.f64_vec(n_lut)?;
     c.finish("oblivious model section")?;
-    if level_off[0] != 0 || level_off[n_trees] as usize != n_levels {
-        return Err(ArtifactError::Malformed(format!(
-            "{which} model: level offsets do not span the level table"
-        )));
-    }
-    if lut_off[0] != 0 || lut_off[n_trees] as usize != n_lut {
-        return Err(ArtifactError::Malformed(format!(
-            "{which} model: LUT offsets do not span the LUT"
-        )));
-    }
-    for t in 0..n_trees {
-        let (ls, le) = (level_off[t] as usize, level_off[t + 1] as usize);
-        if le < ls || le > n_levels {
-            return Err(ArtifactError::Malformed(format!(
-                "{which} model: tree {t} level offsets ({ls}, {le}) are not monotone"
-            )));
-        }
-        let depth = le - ls;
-        if depth > MAX_OBLIVIOUS_DEPTH {
-            return Err(ArtifactError::Malformed(format!(
-                "{which} model: tree {t} has {depth} levels (max {MAX_OBLIVIOUS_DEPTH})"
-            )));
-        }
-        let (us, ue) = (lut_off[t] as usize, lut_off[t + 1] as usize);
-        if ue < us || ue > n_lut || ue - us != 1usize << depth {
-            return Err(ArtifactError::Malformed(format!(
-                "{which} model: tree {t} LUT has {} slots for {depth} levels",
-                ue.saturating_sub(us)
-            )));
-        }
-        for (k, &f) in level_feat.iter().enumerate().take(le).skip(ls) {
-            if f >= n_features {
-                return Err(ArtifactError::Malformed(format!(
-                    "{which} model: level {k} tests feature {f} of {n_features}"
-                )));
-            }
-        }
-    }
+    check_oblivious_tables(n_features, &level_off, &level_feat, &lut_off, n_lut)
+        .map_err(|m| ArtifactError::Malformed(format!("{which} model: {m}")))?;
     Ok(FlatOblivious {
         n_features,
         base_score,

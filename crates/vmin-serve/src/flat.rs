@@ -24,8 +24,9 @@
 //!
 //! Structural invariant used for safe, provably-terminating walks: every
 //! fit path pushes a split node before its children, so child indices are
-//! strictly greater than the parent's. [`FlatGbt::compile`] checks it and
-//! the artifact decoder re-checks it on untrusted bytes.
+//! strictly greater than the parent's. One body per table kind checks it
+//! with the other table rules over the flat arrays, for
+//! [`FlatGbt::compile`] and for the artifact decoder on untrusted bytes.
 
 use crate::engine::ServeError;
 use vmin_models::{GradientBoost, NodeView, ObliviousBoost};
@@ -419,6 +420,115 @@ pub(crate) fn derive_gbt_tables(
     }
 }
 
+/// True when prefix offsets `off` start at 0 and end at `len`.
+fn spans(off: &[u32], len: usize) -> bool {
+    off.first() == Some(&0) && off.last().map(|&o| o as usize) == Some(len)
+}
+
+/// The structural rules of a servable GBT node table, over the flat
+/// arrays: the roots span the table in increasing offsets; leaves
+/// self-loop (the lockstep walk parks early rows on them); a split tests a
+/// feature within the width and its children point strictly forward
+/// inside its own tree, so every walk terminates; and no node hangs off
+/// two splits, so [`derive_gbt_tables`]' breadth-first renumbering walks a
+/// *tree* (a DAG of hostile bytes would blow it up exponentially).
+/// [`FlatGbt::compile`] and the artifact decoder both call it; `Err`
+/// describes the first violation.
+pub(crate) fn check_gbt_tables(
+    n_features: u32,
+    roots: &[u32],
+    feature: &[u32],
+    left: &[u32],
+    right: &[u32],
+) -> Result<(), String> {
+    let n_nodes = feature.len();
+    if !spans(roots, n_nodes) {
+        return Err("root offsets do not span the node table".to_string());
+    }
+    for (t, w) in roots.windows(2).enumerate() {
+        let (start, end) = (w[0] as usize, w[1] as usize);
+        if end <= start || end > n_nodes {
+            return Err(format!(
+                "tree {t} offsets ({start}, {end}) are not increasing"
+            ));
+        }
+        let mut referenced = vec![false; end - start];
+        for i in start..end {
+            let (l, r) = (left[i] as usize, right[i] as usize);
+            if feature[i] == LEAF {
+                if l != i || r != i {
+                    return Err(format!("leaf {i} children ({l}, {r}) are not self-loops"));
+                }
+                continue;
+            }
+            if feature[i] >= n_features {
+                return Err(format!(
+                    "node {i} tests feature {} of {n_features}",
+                    feature[i]
+                ));
+            }
+            if l <= i || r <= i || l >= end || r >= end {
+                return Err(format!("node {i} children ({l}, {r}) escape ({i}, {end})"));
+            }
+            if l == r || referenced[l - start] || referenced[r - start] {
+                return Err(format!("node {i} children ({l}, {r}) reuse a node"));
+            }
+            referenced[l - start] = true;
+            referenced[r - start] = true;
+        }
+    }
+    Ok(())
+}
+
+/// The structural rules of a servable oblivious table, over the flat
+/// arrays: the level and LUT offsets span their tables, every tree has
+/// at most [`MAX_OBLIVIOUS_DEPTH`] levels and exactly `2^levels` LUT
+/// slots, and every level tests a feature within the width.
+/// [`FlatOblivious::compile`] and the artifact decoder both call it; `Err`
+/// describes the first violation.
+pub(crate) fn check_oblivious_tables(
+    n_features: u32,
+    level_off: &[u32],
+    level_feat: &[u32],
+    lut_off: &[u32],
+    n_lut: usize,
+) -> Result<(), String> {
+    let n_levels = level_feat.len();
+    if !spans(level_off, n_levels) {
+        return Err("level offsets do not span the level table".to_string());
+    }
+    if !spans(lut_off, n_lut) {
+        return Err("LUT offsets do not span the LUT".to_string());
+    }
+    for (t, (lv, lu)) in level_off.windows(2).zip(lut_off.windows(2)).enumerate() {
+        let (ls, le) = (lv[0] as usize, lv[1] as usize);
+        if le < ls || le > n_levels {
+            return Err(format!(
+                "tree {t} level offsets ({ls}, {le}) are not monotone"
+            ));
+        }
+        let depth = le - ls;
+        if depth > MAX_OBLIVIOUS_DEPTH {
+            return Err(format!(
+                "tree {t} has {depth} levels (max {MAX_OBLIVIOUS_DEPTH})"
+            ));
+        }
+        let (us, ue) = (lu[0] as usize, lu[1] as usize);
+        if ue < us || ue > n_lut || ue - us != 1usize << depth {
+            return Err(format!(
+                "tree {t} LUT has {} slots for {depth} levels",
+                ue.saturating_sub(us)
+            ));
+        }
+        for (k, &f) in level_feat.iter().enumerate().take(le).skip(ls) {
+            if f >= n_features {
+                return Err(format!("level {k} tests feature {f} of {n_features}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 impl FlatGbt {
     /// Flattens a fitted booster. Fails (typed, no panic) on an unfitted
     /// model or any structural violation of the node-table invariants.
@@ -442,57 +552,29 @@ impl FlatGbt {
         let mut right = Vec::new();
         for tree in model.trees() {
             let base = feature.len();
-            let n_nodes = tree.n_nodes();
-            let mut referenced = vec![false; n_nodes];
             for (i, node) in tree.nodes().into_iter().enumerate() {
-                match node {
-                    NodeView::Leaf { weight } => {
-                        feature.push(LEAF);
-                        // Same bits as the live path's per-prediction
-                        // `learning_rate * weight` (see module docs).
-                        threshold.push(lr * weight);
-                        // Self-looping children: the fixed-depth lockstep
-                        // walk parks early rows here (struct docs).
-                        let me = narrow(base + i, "node index")?;
-                        left.push(me);
-                        right.push(me);
-                    }
+                let (f, t, l, r) = match node {
+                    // Same bits as the live path's per-prediction
+                    // `learning_rate * weight` (see module docs), and
+                    // self-looping children: the fixed-depth lockstep walk
+                    // parks early rows here (struct docs).
+                    NodeView::Leaf { weight } => (LEAF, lr * weight, i, i),
                     NodeView::Split {
                         feature: f,
                         threshold: t,
                         left: l,
                         right: r,
-                    } => {
-                        if f >= model.n_features() {
-                            return Err(ServeError::InvalidModel(format!(
-                                "split on feature {f} but model has {} features",
-                                model.n_features()
-                            )));
-                        }
-                        if l <= i || r <= i || l >= n_nodes || r >= n_nodes {
-                            return Err(ServeError::InvalidModel(format!(
-                                "node {i}: children ({l}, {r}) must lie in ({i}, {n_nodes})"
-                            )));
-                        }
-                        // Each node hangs off at most one split — the
-                        // breadth-first renumbering relies on it (tree,
-                        // not DAG).
-                        if l == r || referenced[l] || referenced[r] {
-                            return Err(ServeError::InvalidModel(format!(
-                                "node {i}: children ({l}, {r}) reuse a node"
-                            )));
-                        }
-                        referenced[l] = true;
-                        referenced[r] = true;
-                        feature.push(narrow(f, "feature index")?);
-                        threshold.push(t);
-                        left.push(narrow(base + l, "node index")?);
-                        right.push(narrow(base + r, "node index")?);
-                    }
-                }
+                    } => (narrow(f, "feature index")?, t, l, r),
+                };
+                feature.push(f);
+                threshold.push(t);
+                left.push(narrow(base + l, "node index")?);
+                right.push(narrow(base + r, "node index")?);
             }
             roots.push(narrow(feature.len(), "node-table length")?);
         }
+        check_gbt_tables(n_features, &roots, &feature, &left, &right)
+            .map_err(ServeError::InvalidModel)?;
         let tables = derive_gbt_tables(&roots, &feature, &threshold, &left, &right);
         Ok(FlatGbt {
             n_features,
@@ -740,26 +822,7 @@ impl FlatOblivious {
         let mut lut = Vec::new();
         let mut lut_off = vec![0u32];
         for (levels, leaf_values) in model.tree_tables() {
-            if levels.len() > MAX_OBLIVIOUS_DEPTH {
-                return Err(ServeError::InvalidModel(format!(
-                    "oblivious tree has {} levels (max {MAX_OBLIVIOUS_DEPTH})",
-                    levels.len()
-                )));
-            }
-            if leaf_values.len() != 1usize << levels.len() {
-                return Err(ServeError::InvalidModel(format!(
-                    "oblivious tree: {} leaves for {} levels",
-                    leaf_values.len(),
-                    levels.len()
-                )));
-            }
             for &(f, thr) in levels {
-                if f >= model.n_features() {
-                    return Err(ServeError::InvalidModel(format!(
-                        "level tests feature {f} but model has {} features",
-                        model.n_features()
-                    )));
-                }
                 level_feat.push(narrow(f, "feature index")?);
                 level_thr.push(thr);
             }
@@ -768,6 +831,8 @@ impl FlatOblivious {
             level_off.push(narrow(level_feat.len(), "level-table length")?);
             lut_off.push(narrow(lut.len(), "LUT length")?);
         }
+        check_oblivious_tables(n_features, &level_off, &level_feat, &lut_off, lut.len())
+            .map_err(ServeError::InvalidModel)?;
         Ok(FlatOblivious {
             n_features,
             base_score: model.base_score(),

@@ -257,6 +257,145 @@ fn hostile_bytes_produce_typed_errors() {
     ));
 }
 
+/// Payload offset of the lo-model section (tag 3) of an artifact, walking
+/// the section framing: `tag u8 · payload_len u64 · payload`.
+fn lo_payload(bytes: &[u8]) -> usize {
+    let mut pos = MAGIC.len() + 2; // family, n_sections
+    while bytes[pos] != 3 {
+        pos += 9 + read_u64(bytes, pos + 1) as usize;
+    }
+    pos + 9
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+fn write_u64(bytes: &mut [u8], at: usize, v: u64) {
+    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn write_u32(bytes: &mut [u8], at: usize, v: u32) {
+    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Applies `patch` to a copy of `good`, reseals it and decodes it: the
+/// damage must come back as `Malformed` naming `expect`.
+fn assert_malformed(good: &[u8], case: &str, expect: &str, patch: impl FnOnce(&mut [u8])) {
+    let mut bytes = good.to_vec();
+    patch(&mut bytes);
+    match ServeModel::from_bytes(&reseal(bytes)) {
+        Err(ArtifactError::Malformed(m)) => {
+            assert!(m.contains(expect), "{case}: message {m:?} lacks {expect:?}")
+        }
+        other => panic!("{case}: expected Malformed({expect:?}), got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_gbt_tables_hit_every_decoder_rejection() {
+    // Lo-model payload: n_features u64 · base_score f64 · n_trees u64 ·
+    // roots (n_trees+1)×u32 · n_nodes u64 · feature ×u32 · threshold ×f64 ·
+    // left ×u32 · right ×u32.
+    let good = read_fixture("gbt.artifact");
+    let p = lo_payload(&good);
+    let n_features = read_u64(&good, p) as u32;
+    let n_trees = read_u64(&good, p + 16) as usize;
+    let roots = p + 24;
+    let nodes_at = roots + 4 * (n_trees + 1);
+    let n_nodes = read_u64(&good, nodes_at) as usize;
+    let feature = nodes_at + 8;
+    let left = feature + 12 * n_nodes;
+    let right = left + 4 * n_nodes;
+    // Node 0 is tree 0's root split; find a leaf as well.
+    assert_ne!(read_u32(&good, feature), u32::MAX, "tree 0 is a stump");
+    let leaf = (0..n_nodes)
+        .find(|&i| read_u32(&good, feature + 4 * i) == u32::MAX)
+        .unwrap();
+    let leaf_at = u32::try_from(leaf).unwrap();
+
+    assert_malformed(&good, "zero width", "feature count 0", |b| {
+        write_u64(b, p, 0)
+    });
+    assert_malformed(&good, "zero trees", "zero trees", |b| {
+        write_u64(b, p + 16, 0)
+    });
+    assert_malformed(&good, "overlong count", "exceeds the section size", |b| {
+        write_u64(b, nodes_at, u64::MAX)
+    });
+    assert_malformed(&good, "short count", "trailing bytes", |b| {
+        write_u64(b, nodes_at, (n_nodes - 1) as u64)
+    });
+    assert_malformed(&good, "unanchored roots", "do not span", |b| {
+        write_u32(b, roots, 1)
+    });
+    assert_malformed(&good, "empty tree", "not increasing", |b| {
+        write_u32(b, roots + 4, 0)
+    });
+    assert_malformed(&good, "leaf exit", "not self-loops", |b| {
+        write_u32(b, left + 4 * leaf, leaf_at + 1)
+    });
+    assert_malformed(&good, "wide split", "tests feature", |b| {
+        write_u32(b, feature, n_features)
+    });
+    assert_malformed(&good, "backward child", "escape", |b| write_u32(b, left, 0));
+    assert_malformed(&good, "shared child", "reuse a node", |b| {
+        let l = read_u32(b, left);
+        write_u32(b, right, l)
+    });
+}
+
+#[test]
+fn hostile_oblivious_tables_hit_every_decoder_rejection() {
+    // Lo-model payload: n_features u64 · base_score f64 · n_trees u64 ·
+    // level_off (n_trees+1)×u32 · n_levels u64 · level_feat ×u32 ·
+    // level_thr ×f64 · lut_off (n_trees+1)×u32 · n_lut u64 · lut ×f64.
+    let good = read_fixture("oblivious.artifact");
+    let p = lo_payload(&good);
+    let n_features = read_u64(&good, p) as u32;
+    let n_trees = read_u64(&good, p + 16) as usize;
+    let level_off = p + 24;
+    let levels_at = level_off + 4 * (n_trees + 1);
+    let n_levels = read_u64(&good, levels_at) as usize;
+    let level_feat = levels_at + 8;
+    let lut_off = level_feat + 12 * n_levels;
+    let too_deep = 17; // one past the deepest servable tree
+    assert!(n_trees >= 2 && n_levels >= too_deep, "fixture too small");
+
+    assert_malformed(&good, "zero trees", "zero trees", |b| {
+        write_u64(b, p + 16, 0)
+    });
+    assert_malformed(&good, "overlong count", "exceeds the section size", |b| {
+        write_u64(b, levels_at, u64::MAX)
+    });
+    assert_malformed(
+        &good,
+        "unanchored levels",
+        "level offsets do not span",
+        |b| write_u32(b, level_off, 1),
+    );
+    assert_malformed(&good, "unanchored LUT", "LUT offsets do not span", |b| {
+        write_u32(b, lut_off, 1)
+    });
+    assert_malformed(&good, "overrun levels", "not monotone", |b| {
+        write_u32(b, level_off + 4, (n_levels + 1) as u32)
+    });
+    assert_malformed(&good, "deep tree", "levels (max 16)", |b| {
+        write_u32(b, level_off + 4, too_deep as u32)
+    });
+    assert_malformed(&good, "short LUT", "slots for", |b| {
+        let end = read_u32(b, lut_off + 4);
+        write_u32(b, lut_off + 4, end - 1)
+    });
+    assert_malformed(&good, "wide level", "tests feature", |b| {
+        write_u32(b, level_feat, n_features)
+    });
+}
+
 #[test]
 fn no_single_byte_mutation_panics() {
     // Exhaustive single-byte fuzz over the whole fixture: every mutation

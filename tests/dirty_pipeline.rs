@@ -12,8 +12,7 @@
 //!   rejection, never a silently miscalibrated fit.
 
 use cqr_vmin::core::{
-    DegradationError, DegradationPolicy, FeatureSet, FlowError, ModelConfig, PointModel,
-    RegionMethod, VminPredictor,
+    CoreError, DegradationPolicy, FeatureSet, ModelConfig, PointModel, RegionMethod, VminPredictor,
 };
 use cqr_vmin::silicon::{
     Campaign, CorruptionConfig, CorruptionInjector, DatasetSpec, FaultClass, InjectionLedger,
@@ -141,10 +140,7 @@ fn strict_mode_rejects_dirty_campaign_with_typed_error() {
     )
     .unwrap_err();
     assert!(
-        matches!(
-            err,
-            FlowError::Degradation(DegradationError::DirtyDataRejected { .. })
-        ),
+        matches!(err, CoreError::DirtyDataRejected { .. }),
         "expected DirtyDataRejected, got {err:?}"
     );
     // The typed summary names what was found, so a floor operator can act.
