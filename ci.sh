@@ -129,7 +129,7 @@ echo "==> serve leg: thread invariance, artifact header"
 VMIN_THREADS=1 VMIN_TRACE_JSON=target/trace-serve.json \
     cargo run -q --release -p vmin-bench --bin serve_smoke target/serve-t1.bin \
     > target/serve-t1.txt
-VMIN_THREADS=4 \
+VMIN_THREADS=4 VMIN_TRACE_JSON=target/trace-serve-t4.json \
     cargo run -q --release -p vmin-bench --bin serve_smoke target/serve-t4.bin \
     > target/serve-t4.txt
 diff target/serve-t1.txt target/serve-t4.txt \
@@ -143,6 +143,12 @@ cmp target/serve-t1.bin target/serve-t4.bin \
 test -s target/trace-serve.json
 grep -q '"serve.rows"' target/trace-serve.json
 grep -q '"serve.artifact.saves"' target/trace-serve.json
+# The derived kernel-table bytes of the served model: present, and the
+# same at both thread counts.
+grep -q '"serve.table.bytes"' target/trace-serve.json
+diff <(grep '"serve.table.bytes"' target/trace-serve.json) \
+    <(grep '"serve.table.bytes"' target/trace-serve-t4.json) \
+    || { echo "serve.table.bytes differs between VMIN_THREADS=1 and 4"; exit 1; }
 
 echo "==> stream leg: chunk/thread invariance + trace counters"
 # (The vmin-silicon suite — the Vmin-search oracle and the chunked stream

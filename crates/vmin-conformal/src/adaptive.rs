@@ -138,7 +138,7 @@ impl AdaptiveConfig {
         AdaptiveConfig {
             alpha,
             window_capacity: 128,
-            min_window: (2 * min_calibration_size(alpha)).max(12),
+            min_window: min_calibration_size(alpha).saturating_mul(2).max(12),
             gamma: 0.05,
             alpha_floor: (alpha / 4.0).max(1e-3),
             alpha_ceil: (2.0 * alpha).min(0.45),
@@ -758,6 +758,18 @@ mod tests {
                 AdaptiveCalibrator::new(&scores, bad.clone()).is_err(),
                 "accepted {bad:?}"
             );
+        }
+    }
+
+    #[test]
+    fn levels_outside_the_unit_interval_are_typed_errors_not_hangs() {
+        // `for_alpha` sizes its windows from `min_calibration_size`, which
+        // once looped forever at α ≤ 0.
+        for alpha in [0.0, -0.1, f64::NAN, 1.0] {
+            match AdaptiveCalibrator::new(&initial_scores(30), AdaptiveConfig::for_alpha(alpha)) {
+                Err(ConformalError::InvalidArgument(_)) => {}
+                other => panic!("alpha {alpha}: expected InvalidArgument, got {other:?}"),
+            }
         }
     }
 

@@ -69,9 +69,7 @@ impl CvPlus {
         let splits: Vec<_> = kf.iter().collect();
         type FoldFit = Result<(Box<dyn Regressor>, Vec<(usize, f64)>)>;
         let per_fold = vmin_par::par_map(&splits, 2, |_, split| -> FoldFit {
-            let x_tr = x
-                .select_rows(&split.train)
-                .map_err(|e| ConformalError::Model(e.to_string()))?;
+            let x_tr = x.select_rows(&split.train)?;
             let y_tr: Vec<f64> = split.train.iter().map(|&i| y[i]).collect();
             let mut model = factory();
             // One plan per fold: the fold-complement design is shared by

@@ -248,9 +248,7 @@ impl JackknifePlus {
         let mut residuals = Vec::with_capacity(n);
         for i in 0..n {
             let keep: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-            let x_loo = x
-                .select_rows(&keep)
-                .map_err(|e| ConformalError::Model(format!("row selection failed: {e}")))?;
+            let x_loo = x.select_rows(&keep)?;
             let y_loo: Vec<f64> = keep.iter().map(|&j| y[j]).collect();
             let mut model = factory();
             model.fit(&x_loo, &y_loo)?;

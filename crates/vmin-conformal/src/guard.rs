@@ -295,13 +295,9 @@ impl<L: Regressor, H: Regressor> GuardedCqr<L, H> {
                 config.min_audit, config.audit_fraction
             )));
         }
-        let x_proper = x_cal
-            .select_rows(&proper_idx)
-            .map_err(|e| ConformalError::InvalidArgument(e.to_string()))?;
+        let x_proper = x_cal.select_rows(&proper_idx)?;
         let y_proper: Vec<f64> = proper_idx.iter().map(|&i| y_cal[i]).collect();
-        let x_audit = x_cal
-            .select_rows(&audit_idx)
-            .map_err(|e| ConformalError::InvalidArgument(e.to_string()))?;
+        let x_audit = x_cal.select_rows(&audit_idx)?;
         let y_audit: Vec<f64> = audit_idx.iter().map(|&i| y_cal[i]).collect();
 
         let mut cqr = Cqr::new(lo_model, hi_model, alpha);

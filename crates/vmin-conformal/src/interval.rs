@@ -2,7 +2,8 @@
 
 use std::error::Error;
 use std::fmt;
-use vmin_linalg::Matrix;
+use vmin_linalg::{LinalgError, Matrix};
+use vmin_models::ModelError;
 
 /// A degenerate calibration window: no usable scores at all.
 ///
@@ -45,7 +46,10 @@ pub enum ConformalError {
     /// Miscoverage α outside `(0, 1)`, empty calibration set, …
     InvalidArgument(String),
     /// The underlying model failed.
-    Model(String),
+    Model(ModelError),
+    /// A linear-algebra operation failed (the row selections that carve
+    /// folds and audit slices out of a calibration matrix).
+    Linalg(LinalgError),
     /// Calibration has not happened yet.
     NotCalibrated,
     /// The calibration window is structurally unusable (empty, or every
@@ -67,7 +71,8 @@ impl fmt::Display for ConformalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConformalError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
-            ConformalError::Model(m) => write!(f, "model failure: {m}"),
+            ConformalError::Model(e) => write!(f, "model failure: {e}"),
+            ConformalError::Linalg(e) => write!(f, "linear-algebra failure: {e}"),
             ConformalError::NotCalibrated => write!(f, "predictor has not been calibrated"),
             ConformalError::Calibration(e) => write!(f, "unusable calibration window: {e}"),
             ConformalError::CalibrationContaminated {
@@ -82,11 +87,26 @@ impl fmt::Display for ConformalError {
     }
 }
 
-impl Error for ConformalError {}
+impl Error for ConformalError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            ConformalError::Model(e) => Some(e),
+            ConformalError::Linalg(e) => Some(e),
+            ConformalError::Calibration(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
-impl From<vmin_models::ModelError> for ConformalError {
-    fn from(e: vmin_models::ModelError) -> Self {
-        ConformalError::Model(e.to_string())
+impl From<ModelError> for ConformalError {
+    fn from(e: ModelError) -> Self {
+        ConformalError::Model(e)
+    }
+}
+
+impl From<LinalgError> for ConformalError {
+    fn from(e: LinalgError) -> Self {
+        ConformalError::Linalg(e)
     }
 }
 
@@ -367,8 +387,17 @@ mod tests {
 
     #[test]
     fn error_conversion_from_model() {
-        let e: ConformalError = vmin_models::ModelError::NotFitted.into();
-        assert!(matches!(e, ConformalError::Model(_)));
-        assert!(!e.to_string().is_empty());
+        let e: ConformalError = ModelError::NotFitted.into();
+        assert!(matches!(e, ConformalError::Model(ModelError::NotFitted)));
+        assert_eq!(e.to_string(), "model failure: model has not been fitted");
+        let source = e.source().expect("a model failure exposes its source");
+        assert_eq!(source.to_string(), ModelError::NotFitted.to_string());
+        let e: ConformalError = LinalgError::InvalidArgument("no rows".into()).into();
+        assert!(matches!(
+            e,
+            ConformalError::Linalg(LinalgError::InvalidArgument(_))
+        ));
+        assert!(e.source().is_some());
+        assert!(ConformalError::NotCalibrated.source().is_none());
     }
 }

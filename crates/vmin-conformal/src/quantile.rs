@@ -58,19 +58,47 @@ pub fn conformal_quantile(scores: &[f64], alpha: f64) -> Result<f64> {
     Ok(sorted[rank - 1])
 }
 
+/// Unit steps [`min_calibration_size`] may take from the closed-form bound
+/// while it settles the rounding of the f64 finiteness test.
+const SETTLE_STEPS: usize = 64;
+
 /// Minimum calibration-set size for which the conformal quantile is finite
-/// at miscoverage `alpha`: `M ≥ ⌈1/α⌉ − 1 + 1` i.e. `(M+1)·(1−α) ≤ M`.
+/// at miscoverage `alpha`: the smallest `M ≥ 1` with
+/// `⌈(M+1)·(1−α)⌉ ≤ M`, i.e. `M ≥ (1−α)/α`.
+///
+/// The search starts at the closed form `⌈(1−α)/α⌉` and takes at most
+/// 64 unit steps to settle the rounding of the f64 test that
+/// [`conformal_quantile`] evaluates, so the work is bounded for every
+/// `alpha`. For `α ≥ 1e-4` that lands exactly on the smallest passing `M`;
+/// far below, the f64 test is noisy near the bound and the result is the
+/// bound to within those steps. Outside `(0, 1)` (NaN included) no
+/// calibration set makes the quantile finite — [`conformal_quantile`]
+/// rejects the level — and the result is `usize::MAX`.
 ///
 /// # Examples
 ///
 /// ```
 /// // α = 0.1 needs at least 9 calibration points for a finite interval.
 /// assert_eq!(vmin_conformal::min_calibration_size(0.1), 9);
+/// assert_eq!(vmin_conformal::min_calibration_size(0.0), usize::MAX);
 /// ```
 pub fn min_calibration_size(alpha: f64) -> usize {
-    let mut m = 1usize;
-    while ((m as f64 + 1.0) * (1.0 - alpha)).ceil() as usize > m {
-        m += 1;
+    if !(alpha > 0.0 && alpha < 1.0) {
+        return usize::MAX;
+    }
+    let c = 1.0 - alpha;
+    let finite = |m: usize| ((m as f64 + 1.0) * c).ceil() as usize <= m;
+    // `1 − c` is exact for `c ≥ 0.5` (every α that needs more than one
+    // point), so the closed form uses the very `c` the test multiplies by.
+    let mut m = ((c / (1.0 - c)).ceil() as usize).max(1);
+    for _ in 0..SETTLE_STEPS {
+        if m > 1 && finite(m - 1) {
+            m -= 1;
+        } else if !finite(m) {
+            m = m.saturating_add(1);
+        } else {
+            break;
+        }
     }
     m
 }
@@ -78,6 +106,50 @@ pub fn min_calibration_size(alpha: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear search `min_calibration_size` replaced: the smallest
+    /// `M ≥ 1` passing the f64 finiteness test, counted up from 1 (never
+    /// returns for `α ≤ 0`, about `1/α` steps otherwise).
+    fn min_calibration_size_oracle(alpha: f64) -> usize {
+        let mut m = 1usize;
+        while ((m as f64 + 1.0) * (1.0 - alpha)).ceil() as usize > m {
+            m += 1;
+        }
+        m
+    }
+
+    #[test]
+    fn min_calibration_size_matches_the_linear_search() {
+        let linear = (1..10_000).map(|k| k as f64 * 1e-4);
+        let log = (0..4_000).map(|k| 10f64.powf(-4.0 + 4.0 * k as f64 / 4_000.0));
+        let special = [0.5, 1.0 / 3.0, 0.2, 0.1, 0.05, 0.01, 1e-3, 0.999_999];
+        for alpha in linear.chain(log).chain(special) {
+            assert_eq!(
+                min_calibration_size(alpha),
+                min_calibration_size_oracle(alpha),
+                "alpha = {alpha:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn min_calibration_size_is_bounded_for_every_alpha() {
+        for alpha in [0.0, -0.1, f64::NAN, 1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(min_calibration_size(alpha), usize::MAX, "alpha = {alpha}");
+        }
+        // About 10^12 steps for the linear search; a bounded settle here,
+        // onto a size the f64 finiteness test passes. (`1 − 1e-12` rounds,
+        // so the bound sits at ≈ 1.00002·10^12, not at 10^12.)
+        let alpha = 1e-12;
+        let m = min_calibration_size(alpha);
+        assert!(
+            ((m as f64 + 1.0) * (1.0 - alpha)).ceil() as usize <= m,
+            "{m}"
+        );
+        assert!(m.abs_diff(1_000_000_000_000) < 100_000_000, "{m}");
+        // So small that 1 − α rounds to 1: no finite size exists.
+        assert_eq!(min_calibration_size(1e-300), usize::MAX);
+    }
 
     #[test]
     fn known_rank_small_set() {

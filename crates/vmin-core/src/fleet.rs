@@ -1,7 +1,7 @@
 //! Fused fleet screening: generate → serve without materializing the fleet.
 //!
-//! [`fleet_screen`] pipes [`CampaignStream`] chunks straight into
-//! [`ServeModel::serve_batch`], so a million-chip screening campaign runs in
+//! [`fleet_screen`] serves [`CampaignStream`] chunks in place through
+//! [`ServeModel::serve_rows`], so a million-chip screening campaign runs in
 //! the memory footprint of a single chunk. Because the stream is bit-identical
 //! to `Campaign::run` and serving is row-independent, the fused path produces
 //! exactly the counts and interval statistics of materializing the whole
@@ -10,8 +10,8 @@
 //!
 //! [`assemble_dataset`]: crate::assemble_dataset
 
-use vmin_linalg::Matrix;
-use vmin_serve::ServeModel;
+use vmin_conformal::PredictionInterval;
+use vmin_serve::{RowSource, ServeModel};
 use vmin_silicon::{BlockLayout, CampaignStream, DatasetSpec, DEFAULT_STREAM_CHUNK};
 
 use crate::error::CoreError;
@@ -29,7 +29,7 @@ pub struct FleetScreenConfig {
     /// Product min-spec in millivolts; a chip whose interval upper bound
     /// crosses it is flagged (the Fig. 1 screening decision).
     pub min_spec_mv: f64,
-    /// Rows per serve block handed to [`ServeModel::serve_batch`].
+    /// Rows per serve block handed to [`ServeModel::serve_rows`].
     pub serve_rows: usize,
     /// Generation chunk size; `None` means [`DEFAULT_STREAM_CHUNK`]. The
     /// report is bit-identical at any value.
@@ -85,10 +85,11 @@ impl FleetScreenReport {
 }
 
 /// Screens a synthetic fleet end to end: generates chips with
-/// [`CampaignStream`], assembles each chunk's feature rows in the exact
-/// [`assemble_dataset`] layout, serves them through `model`, and folds the
-/// screening decisions into a [`FleetScreenReport`] — without ever holding
-/// more than one chunk in memory.
+/// [`CampaignStream`], serves each chunk's chip records through `model`
+/// read as the column ranges of the exact [`assemble_dataset`] layout, and
+/// folds the screening decisions into a [`FleetScreenReport`] — without
+/// ever holding more than one chunk in memory, and without copying a chunk
+/// into a feature matrix.
 ///
 /// Determinism: generation is bit-identical to `Campaign::run` at any
 /// `VMIN_THREADS` and chunk size, and serving is row-independent, so
@@ -179,20 +180,15 @@ pub fn fleet_screen(
 
     let chunk = cfg.chunk.unwrap_or(DEFAULT_STREAM_CHUNK);
     let stream = CampaignStream::with_chunk(spec, seed, chunk);
+    // One interval buffer, reused by every chunk.
+    let mut intervals = Vec::new();
     for block in stream {
         let rows = block.len();
-        // One flat buffer per chunk — the only allocation on the serve side.
-        let mut data = vec![0.0f64; rows * d];
-        for r in 0..rows {
-            let (src, dst) = (block.row(r), &mut data[r * d..(r + 1) * d]);
-            let mut col = 0;
-            for &(a, b) in &spans {
-                dst[col..col + b - a].copy_from_slice(&src[a..b]);
-                col += b - a;
-            }
-        }
-        let x = Matrix::from_vec(rows, d, data)?;
-        let intervals = model.serve_batch(&x, cfg.serve_rows.max(1))?;
+        // The chunk's chip records are served in place, read through the
+        // feature column ranges: no per-chunk feature matrix.
+        let src = RowSource::new(block.data(), block.row_width(), &spans)?;
+        intervals.resize(rows, PredictionInterval::new(0.0, 0.0));
+        model.serve_rows(&src, cfg.serve_rows.max(1), &mut intervals)?;
 
         for (r, iv) in intervals.iter().enumerate() {
             // Same decision as `VminPredictor::flags_spec_risk`.

@@ -516,6 +516,7 @@ mod tests {
     #[test]
     fn base_model_rejections_arrive_typed_with_their_source() {
         use std::error::Error;
+        use vmin_conformal::ConformalError;
         use vmin_models::ModelError;
         // Every target non-finite, so the base model rejects the training
         // set whichever rows CQR splits off for calibration.
@@ -531,7 +532,13 @@ mod tests {
             "{qr:?}"
         );
         let cqr = fit(RegionMethod::Cqr(PointModel::Xgboost));
-        assert!(matches!(cqr, CoreError::Conformal(_)), "{cqr:?}");
+        assert!(
+            matches!(
+                cqr,
+                CoreError::Conformal(ConformalError::Model(ModelError::InvalidInput(_)))
+            ),
+            "{cqr:?}"
+        );
         for e in [qr, cqr] {
             let source = e.source().expect("a wrapped error exposes its source");
             assert!(e.to_string().ends_with(&source.to_string()), "{e}");

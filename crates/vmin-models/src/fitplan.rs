@@ -213,16 +213,15 @@ pub struct FitPlan {
     standardized: Mutex<Option<Arc<StandardizedDesign>>>,
 }
 
-/// FNV-1a over the matrix shape and raw element bits: cheap (one pass) and
-/// sufficient to detect a plan/matrix mismatch.
+/// FNV-1a over the matrix shape and raw element bits, one xor-multiply per
+/// 8-byte word: cheap (one pass) and sufficient to detect a plan/matrix
+/// mismatch. Each step `h ↦ (h ^ w)·P` is a bijection of `h` for a fixed
+/// word and of `w` for a fixed `h` (the FNV prime `P` is odd, so
+/// multiplying by it is invertible mod 2⁶⁴), hence changing any one
+/// element always changes the fingerprint.
 fn fingerprint_of(x: &Matrix) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
     mix(x.rows() as u64);
     mix(x.cols() as u64);
     for &v in x.as_slice() {
@@ -351,6 +350,21 @@ mod tests {
         let cached = plan.standardized(&x);
         assert_eq!(*cached, direct);
         assert!(Arc::ptr_eq(&cached, &plan.standardized(&x)));
+    }
+
+    #[test]
+    fn fingerprint_changes_with_any_single_bit_of_any_element() {
+        let x = toy_matrix();
+        let base = fingerprint_of(&x);
+        let (rows, cols) = (x.rows(), x.cols());
+        for k in 0..rows * cols {
+            for bit in 0..64 {
+                let mut data = x.as_slice().to_vec();
+                data[k] = f64::from_bits(data[k].to_bits() ^ (1 << bit));
+                let flipped = Matrix::from_vec(rows, cols, data).unwrap();
+                assert_ne!(fingerprint_of(&flipped), base, "element {k}, bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! whose walks could fail to terminate.
 
 use crate::engine::{FlatPair, ScalerState, ServeModel};
-use crate::flat::{check_gbt_tables, check_oblivious_tables, FlatGbt, FlatOblivious};
+use crate::flat::{check_oblivious_tables, FlatGbt, FlatOblivious};
 use std::error::Error;
 use std::fmt;
 
@@ -459,25 +459,10 @@ fn decode_gbt(payload: &[u8], which: &str) -> Result<FlatGbt, ArtifactError> {
     let left = c.u32_vec(n_nodes)?;
     let right = c.u32_vec(n_nodes)?;
     c.finish("GBT model section")?;
-    check_gbt_tables(n_features, &roots, &feature, &left, &right)
-        .map_err(|m| ArtifactError::Malformed(format!("{which} model: {m}")))?;
-    let tables = crate::flat::derive_gbt_tables(&roots, &feature, &threshold, &left, &right);
-    Ok(FlatGbt {
-        n_features,
-        base_score,
-        roots,
-        feature,
-        threshold,
-        left,
-        right,
-        packed: tables.packed,
-        value: tables.value,
-        packed_roots: tables.roots,
-        depth: tables.depth,
-        thr_pad: tables.thr_pad,
-        meta_pad: tables.meta_pad,
-        value_pad: tables.value_pad,
-    })
+    FlatGbt::from_tables(
+        n_features, base_score, roots, feature, threshold, left, right,
+    )
+    .map_err(|m| ArtifactError::Malformed(format!("{which} model: {m}")))
 }
 
 fn decode_oblivious(payload: &[u8], which: &str) -> Result<FlatOblivious, ArtifactError> {
@@ -512,4 +497,56 @@ fn decode_oblivious(payload: &[u8], which: &str) -> Result<FlatOblivious, Artifa
         lut,
         lut_off,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flat::LEAF;
+
+    /// A GBT ensemble of `n_trees` single-leaf trees — the cheapest tree
+    /// an artifact can carry (24 bytes).
+    fn leaves(n_trees: usize) -> FlatGbt {
+        let n = u32::try_from(n_trees).unwrap();
+        FlatGbt::from_tables(
+            2,
+            0.5,
+            (0..=n).collect(),
+            vec![LEAF; n_trees],
+            (0..n_trees).map(|i| 1e-3 * i as f64).collect(),
+            (0..n).collect(),
+            (0..n).collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn thousands_of_single_leaf_trees_decode_in_linear_memory() {
+        let pair = FlatPair::Gbt {
+            lo: Box::new(leaves(5_000)),
+            hi: Box::new(leaves(3_001)),
+        };
+        let bytes = ServeModel::from_parts(pair, 0.1, 0.0, None)
+            .unwrap()
+            .to_bytes();
+        let (decoded, snap) = vmin_trace::with_collector(|| ServeModel::from_bytes(&bytes));
+        let model = decoded.unwrap();
+        let table_bytes = model.pair.table_bytes();
+        assert!(
+            table_bytes <= 4 * bytes.len(),
+            "{table_bytes} derived bytes from a {}-byte artifact",
+            bytes.len()
+        );
+        if vmin_trace::enabled() {
+            assert_eq!(snap.gauges["serve.table.bytes"], table_bytes as f64);
+        }
+        // Every tree contributes its leaf, in tree order.
+        let x = vmin_linalg::Matrix::from_rows(&vec![vec![0.0, 1.0]; 19]).unwrap();
+        let served = model.serve_batch(&x, 16).unwrap();
+        let sum = |n: usize| (0..n).fold(0.5, |acc, i| acc + 1e-3 * i as f64);
+        for iv in served {
+            assert_eq!(iv.lo().to_bits(), sum(5_000).min(sum(3_001)).to_bits());
+            assert_eq!(iv.hi().to_bits(), sum(5_000).max(sum(3_001)).to_bits());
+        }
+    }
 }

@@ -1,4 +1,4 @@
-//! The serving engine: a captured model plus `serve_batch`.
+//! The serving engine: a captured model plus its one serving body.
 
 use crate::flat::{FlatGbt, FlatOblivious};
 use std::error::Error;
@@ -18,6 +18,10 @@ pub enum ServeError {
     /// A model failed flattening validation (unfitted, inconsistent
     /// shapes, structural invariant violated).
     InvalidModel(String),
+    /// A [`RowSource`] layout is inconsistent (a column range reversed or
+    /// past the record stride, a partial trailing record) or the output
+    /// slice does not hold one interval per row.
+    InvalidRows(String),
     /// A batch's column count differs from the captured model's width.
     ShapeMismatch {
         /// Width the captured model expects.
@@ -34,6 +38,7 @@ impl fmt::Display for ServeError {
                 write!(f, "CQR pair is not calibrated; no q-hat to capture")
             }
             ServeError::InvalidModel(m) => write!(f, "invalid model: {m}"),
+            ServeError::InvalidRows(m) => write!(f, "invalid rows: {m}"),
             ServeError::ShapeMismatch { expected, got } => {
                 write!(f, "batch has {got} columns, model expects {expected}")
             }
@@ -80,13 +85,90 @@ impl FlatPair {
             FlatPair::Oblivious { lo, .. } => lo.n_features(),
         }
     }
+
+    /// Bytes of the derived kernel tables of both ensembles (oblivious
+    /// trees serve straight from their serialized LUTs and derive none).
+    pub(crate) fn table_bytes(&self) -> usize {
+        match self {
+            FlatPair::Gbt { lo, hi } => lo.kernel.table_bytes() + hi.kernel.table_bytes(),
+            FlatPair::Oblivious { .. } => 0,
+        }
+    }
+}
+
+/// Feature rows as the serving body reads them: `data` holds row-major
+/// records of `stride` values each, and a record's feature row is the
+/// concatenation of the column ranges `columns`, in order. A [`Matrix`] is
+/// the one-range case; a generated chunk hands over its chip records and
+/// the feature layout's ranges, so nothing is copied into a feature matrix
+/// first.
+#[derive(Debug, Clone, Copy)]
+pub struct RowSource<'a> {
+    data: &'a [f64],
+    stride: usize,
+    columns: &'a [(usize, usize)],
+    width: usize,
+}
+
+impl<'a> RowSource<'a> {
+    /// Checks the layout: every range `(a, b)` must satisfy
+    /// `a ≤ b ≤ stride`, and `data` must hold whole records.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidRows`] naming the first violation.
+    pub fn new(
+        data: &'a [f64],
+        stride: usize,
+        columns: &'a [(usize, usize)],
+    ) -> Result<Self, ServeError> {
+        if let Some(&(a, b)) = columns.iter().find(|&&(a, b)| a > b || b > stride) {
+            return Err(ServeError::InvalidRows(format!(
+                "column range ({a}, {b}) does not fit records of {stride} values"
+            )));
+        }
+        // A zero stride holds whole records only when there is no data.
+        if !data.len().is_multiple_of(stride) {
+            return Err(ServeError::InvalidRows(format!(
+                "{} values are not whole records of {stride}",
+                data.len()
+            )));
+        }
+        Ok(RowSource {
+            data,
+            stride,
+            columns,
+            width: columns.iter().map(|&(a, b)| b - a).sum(),
+        })
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.data.len().checked_div(self.stride).unwrap_or(0)
+    }
+
+    /// Width of every feature row (the summed range lengths).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Copies row `r`'s feature values into `dst` (`width` long).
+    fn gather(&self, r: usize, dst: &mut [f64]) {
+        let record = &self.data[r * self.stride..(r + 1) * self.stride];
+        let mut col = 0;
+        for &(a, b) in self.columns {
+            dst[col..col + b - a].copy_from_slice(&record[a..b]);
+            col += b - a;
+        }
+    }
 }
 
 /// A deployable snapshot of a fitted, calibrated CQR pair: flattened
 /// kernels, `α`, `q̂` and optional standardizer state. Build one from a
 /// live pair ([`Self::from_gbt_cqr`] / [`Self::from_oblivious_cqr`]) or
 /// reload one from `vmin-artifact/v1` bytes ([`Self::from_bytes`]); both
-/// serve through [`Self::serve_batch`].
+/// serve through [`Self::serve_rows`] (or [`Self::serve_batch`] for a
+/// [`Matrix`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeModel {
     pub(crate) pair: FlatPair,
@@ -132,6 +214,7 @@ impl ServeModel {
                 ));
             }
         }
+        vmin_trace::gauge_max("serve.table.bytes", pair.table_bytes() as f64);
         Ok(ServeModel {
             pair,
             alpha,
@@ -201,30 +284,9 @@ impl ServeModel {
         self.qhat
     }
 
-    /// Copies row `i` of `x` into `dst`, standardizing when the artifact
-    /// captured a scaler (same per-element expression as the training-side
-    /// `transform_row`).
-    fn gather_row(&self, x: &Matrix, i: usize, dst: &mut [f64]) {
-        let row = x.row(i);
-        match &self.scaler {
-            None => dst.copy_from_slice(row),
-            Some(s) => {
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = (row[j] - s.means[j]) / s.scales[j];
-                }
-            }
-        }
-    }
-
-    /// Serves conformal intervals for every row of `x`, processing
-    /// `block_rows` rows per block (clamped to ≥ 1) and fanning blocks out
-    /// via `vmin-par` — work is partitioned by block index and collected
-    /// in block order, so outputs are bit-identical at any `VMIN_THREADS`
-    /// and any block size.
-    ///
-    /// Each interval is `[lo(x) − q̂, hi(x) + q̂]` built through
-    /// `PredictionInterval::new`, crossed-endpoint swap included — the
-    /// exact expression `Cqr::predict_interval` evaluates.
+    /// Serves conformal intervals for every row of `x`: [`Self::serve_rows`]
+    /// over the matrix as a one-range [`RowSource`], collected into a
+    /// vector.
     ///
     /// # Errors
     ///
@@ -234,28 +296,69 @@ impl ServeModel {
         x: &Matrix,
         block_rows: usize,
     ) -> Result<Vec<PredictionInterval>, ServeError> {
+        let columns = [(0, x.cols())];
+        let src = RowSource::new(x.as_slice(), x.cols(), &columns)?;
+        let mut out = vec![PredictionInterval::new(0.0, 0.0); src.rows()];
+        self.serve_rows(&src, block_rows, &mut out)?;
+        Ok(out)
+    }
+
+    /// The serving body: writes the conformal interval of row `i` of `src`
+    /// into `out[i]`, processing `block_rows` rows per block (clamped to
+    /// ≥ 1) and fanning blocks out via `vmin-par` — work is partitioned by
+    /// block index, so outputs are bit-identical at any `VMIN_THREADS` and
+    /// any block size.
+    ///
+    /// Each block gathers its rows (standardizing them when the artifact
+    /// captured a scaler, with the training-side `transform_row`
+    /// expression) and runs both ensembles' kernels. Each interval is
+    /// `[lo(x) − q̂, hi(x) + q̂]` built through `PredictionInterval::new`,
+    /// crossed-endpoint swap included — the exact expression
+    /// `Cqr::predict_interval` evaluates.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::ShapeMismatch`] when `src` rows have the wrong width;
+    /// [`ServeError::InvalidRows`] when `out` does not hold one slot per
+    /// row.
+    pub fn serve_rows(
+        &self,
+        src: &RowSource<'_>,
+        block_rows: usize,
+        out: &mut [PredictionInterval],
+    ) -> Result<(), ServeError> {
         let d = self.n_features();
-        if x.cols() != d {
+        if src.width() != d {
             return Err(ServeError::ShapeMismatch {
                 expected: d,
-                got: x.cols(),
+                got: src.width(),
             });
+        }
+        let n = src.rows();
+        if out.len() != n {
+            return Err(ServeError::InvalidRows(format!(
+                "{} output slots for {n} rows",
+                out.len()
+            )));
         }
         let _span = vmin_trace::span("serve.batch");
         vmin_trace::counter_add("serve.batches", 1);
-        let n = x.rows();
         vmin_trace::counter_add("serve.rows", n as u64);
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let block = block_rows.max(1);
-        let mut bands = vec![(0.0f64, 0.0f64); n];
         vmin_trace::counter_add("serve.blocks", n.div_ceil(block) as u64);
-        vmin_par::par_chunks_mut(&mut bands, block, 2, |ci, chunk| {
+        vmin_par::par_chunks_mut(out, block, 2, |ci, chunk| {
             let start = ci * block;
             let mut rows = vec![0.0f64; chunk.len() * d];
             for (j, dst) in rows.chunks_mut(d).enumerate() {
-                self.gather_row(x, start + j, dst);
+                src.gather(start + j, dst);
+                if let Some(s) = &self.scaler {
+                    for ((v, m), sc) in dst.iter_mut().zip(&s.means).zip(&s.scales) {
+                        *v = (*v - m) / sc;
+                    }
+                }
             }
             let mut lo_acc = vec![0.0f64; chunk.len()];
             let mut hi_acc = vec![0.0f64; chunk.len()];
@@ -269,14 +372,11 @@ impl ServeModel {
                     hi.accumulate_block(&rows, d, &mut hi_acc);
                 }
             }
-            for (band, (l, h)) in chunk.iter_mut().zip(lo_acc.iter().zip(&hi_acc)) {
-                *band = (*l, *h);
+            for (iv, (l, h)) in chunk.iter_mut().zip(lo_acc.iter().zip(&hi_acc)) {
+                *iv = PredictionInterval::new(l - self.qhat, h + self.qhat);
             }
         });
-        Ok(bands
-            .into_iter()
-            .map(|(lo, hi)| PredictionInterval::new(lo - self.qhat, hi + self.qhat))
-            .collect())
+        Ok(())
     }
 }
 

@@ -90,7 +90,7 @@ pub(crate) const LANE_BLOCK: usize = LANE_WIDTH * GROUP + GROUP;
 /// `+0.0` first (IEEE treats them as equal, their raw bit patterns do
 /// not), and NaN maps to `u64::MAX`, which sits above every threshold
 /// key — so `key(v) < key(thr)` is false exactly when `v < thr` is,
-/// NaN included. This is what lets [`FlatGbt::walk_group_fixed`] route
+/// NaN included. This is what lets [`Window::walk_groups`] route
 /// with one integer compare instead of an FP compare + flag
 /// materialization.
 #[inline]
@@ -171,12 +171,10 @@ fn walk_step(
 /// reach a leaf early just spin in place, so the walk has no per-row
 /// termination branch at all.
 ///
-/// `packed`, `value`, `packed_roots`, `depth` and the `*_pad` padded
-/// tables are *derived* (not serialized): recomputed identically from
-/// the node arrays on both
-/// capture and artifact decode, so two models with equal serialized
-/// arrays always carry equal kernels — equality compares only the
-/// serialized fields.
+/// `kernel` is *derived* (not serialized): recomputed identically from
+/// the node arrays on both capture and artifact decode, so two models
+/// with equal serialized arrays always carry equal kernels — equality
+/// compares only the serialized fields.
 #[derive(Debug, Clone)]
 pub struct FlatGbt {
     pub(crate) n_features: u32,
@@ -191,39 +189,16 @@ pub struct FlatGbt {
     pub(crate) left: Vec<u32>,
     /// Absolute node index of the `≥` child (self for leaves).
     pub(crate) right: Vec<u32>,
-    /// Derived: breadth-first renumbered nodes for the lockstep kernel.
-    pub(crate) packed: Vec<PackedNode>,
-    /// Derived: pre-scaled leaf payload per packed node (0 for splits),
-    /// read once per walk at the final gather.
-    pub(crate) value: Vec<f64>,
-    /// Derived: packed-table root index per tree (reachable nodes only,
-    /// so these can differ from `roots` on pathological inputs).
-    pub(crate) packed_roots: Vec<u32>,
-    /// Derived: per-tree maximum root→leaf depth in edges — the lockstep
-    /// walk's unconditional iteration count.
-    pub(crate) depth: Vec<u32>,
-    /// Derived: [`PAD_TREE`]-strided tree-relative split thresholds as
-    /// [`threshold_key`] sort keys (`0` for leaves and padding; empty
-    /// when some tree exceeds [`PAD_STRIDE`] nodes, making the kernel
-    /// fall back to `packed`).
-    pub(crate) thr_pad: Vec<u64>,
-    /// Derived: companion to `thr_pad` — one `u16` per node packing the
-    /// tree-relative `<` child in the high byte and the *pre-scaled*
-    /// lane offset `feat · GROUP` in the low byte. Both being single
-    /// bytes is what makes the walk step bounds-check-free: a byte
-    /// index (≤ 255, plus the `+ 1` right-child or `+ j` lane
-    /// adjustment) is in range of the [`PAD_TREE`]- and
-    /// [`LANE_BLOCK`]-sized arrays by construction.
-    pub(crate) meta_pad: Vec<u16>,
-    /// Derived: leaf payloads aligned with `thr_pad`/`meta_pad`.
-    pub(crate) value_pad: Vec<f64>,
+    /// Derived: the tables of the one batch kernel this model runs.
+    pub(crate) kernel: GbtKernel,
 }
 
 impl PartialEq for FlatGbt {
     fn eq(&self, other: &Self) -> bool {
         // Derived tables are a pure function of the serialized fields
-        // (and `packed` holds NaN leaf sentinels, which would poison a
-        // field-wise comparison), so equality is over serialized state.
+        // (and the packed table holds NaN leaf sentinels, which would
+        // poison a field-wise comparison), so equality is over serialized
+        // state.
         self.n_features == other.n_features
             && self.base_score == other.base_score
             && self.roots == other.roots
@@ -234,9 +209,9 @@ impl PartialEq for FlatGbt {
     }
 }
 
-/// One node as the lockstep kernel reads it — a 16-byte record so node
-/// loads never straddle cache lines and each walk step costs one node
-/// load plus one row load. Routing is arithmetic, not selected:
+/// One node as the packed lockstep kernel reads it — a 16-byte record so
+/// node loads never straddle cache lines and each walk step costs one
+/// node load plus one row load. Routing is arithmetic, not selected:
 /// `next = left + (row[feat] < threshold ? 0 : 1)`, which works because
 /// the breadth-first renumbering in [`derive_gbt_tables`] places every
 /// split's right child at `left + 1`. Leaves store `threshold = NaN`
@@ -250,39 +225,116 @@ pub(crate) struct PackedNode {
     pub(crate) left: u32,
 }
 
-/// The derived kernel tables of a GBT ensemble; see [`derive_gbt_tables`].
-pub(crate) struct GbtKernelTables {
-    pub(crate) packed: Vec<PackedNode>,
-    pub(crate) value: Vec<f64>,
-    pub(crate) roots: Vec<u32>,
-    pub(crate) depth: Vec<u32>,
-    pub(crate) thr_pad: Vec<u64>,
-    pub(crate) meta_pad: Vec<u16>,
-    pub(crate) value_pad: Vec<f64>,
+/// Where one tree sits in the windowed tables.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowTree {
+    /// The [`PAD_TREE`]-slot window holding the tree.
+    pub(crate) window: u32,
+    /// Window slot of the root. A byte, so the walk's first position is
+    /// in bounds by its type.
+    pub(crate) root: u8,
+    /// Maximum root→leaf depth in edges — the lockstep walk's
+    /// unconditional iteration count (≤ 63 for ≤ [`PAD_STRIDE`] nodes).
+    pub(crate) depth: u8,
 }
 
-/// Maximum reachable nodes per tree for the padded kernel tables —
-/// always satisfied by the paper's depth ≤ 7 models. The bound matters
-/// because it keeps every tree-relative child index a single *byte*,
-/// which is what lets the kernel walk without any bounds checks.
+/// The derived tables of the one batch kernel a GBT ensemble runs; see
+/// [`derive_gbt_tables`]. Only the chosen kernel's tables exist.
+#[derive(Debug, Clone)]
+pub(crate) enum GbtKernel {
+    /// Every tree fits [`PAD_STRIDE`] reachable nodes and the model tests
+    /// at most [`LANE_WIDTH`] features: trees packed into shared
+    /// [`PAD_TREE`]-slot windows, walked bounds-check-free.
+    Windowed {
+        /// Split thresholds as [`threshold_key`] sort keys (`0` for
+        /// leaves and padding).
+        thr: Vec<u64>,
+        /// One `u16` per slot packing the window-relative `<` child in
+        /// the high byte and the *pre-scaled* lane offset `feat · GROUP`
+        /// in the low byte (a leaf holds its own slot `− 1`). Both being
+        /// single bytes is what makes the walk step bounds-check-free: a
+        /// byte index (≤ 255, plus the `+ 1` right-child or `+ j` lane
+        /// adjustment) is in range of the [`PAD_TREE`]- and
+        /// [`LANE_BLOCK`]-sized arrays by construction.
+        meta: Vec<u16>,
+        /// Pre-scaled leaf payloads aligned with `thr`/`meta` (0 for
+        /// splits and padding).
+        value: Vec<f64>,
+        /// Per-tree window, root slot and depth.
+        trees: Vec<WindowTree>,
+    },
+    /// Breadth-first renumbered nodes of every tree, absolute indices.
+    Packed {
+        /// The renumbered nodes.
+        nodes: Vec<PackedNode>,
+        /// Pre-scaled leaf payload per packed node (0 for splits), read
+        /// once per walk at the final gather.
+        value: Vec<f64>,
+        /// Packed-table root index per tree (reachable nodes only, so
+        /// these can differ from `roots` on pathological inputs).
+        roots: Vec<u32>,
+        /// Per-tree maximum root→leaf depth in edges.
+        depth: Vec<u32>,
+    },
+}
+
+impl GbtKernel {
+    /// Bytes the derived tables hold (what `serve.table.bytes` reports).
+    pub(crate) fn table_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        match self {
+            GbtKernel::Windowed {
+                thr,
+                meta,
+                value,
+                trees,
+            } => {
+                size_of_val(thr.as_slice())
+                    + size_of_val(meta.as_slice())
+                    + size_of_val(value.as_slice())
+                    + size_of_val(trees.as_slice())
+            }
+            GbtKernel::Packed {
+                nodes,
+                value,
+                roots,
+                depth,
+            } => {
+                size_of_val(nodes.as_slice())
+                    + size_of_val(value.as_slice())
+                    + size_of_val(roots.as_slice())
+                    + size_of_val(depth.as_slice())
+            }
+        }
+    }
+}
+
+/// Maximum reachable nodes per tree for the windowed kernel — always
+/// satisfied by the paper's depth ≤ 7 models. The bound matters because
+/// it keeps every tree inside one window, so every window-relative child
+/// index is a single *byte*, which is what lets the kernel walk without
+/// any bounds checks.
 pub(crate) const PAD_STRIDE: usize = 128;
 
-/// Per-tree stride of the padded kernel tables. When every tree fits
-/// (≤ [`PAD_STRIDE`] reachable nodes), tree `t` occupies exactly
-/// `t·PAD_TREE..(t+1)·PAD_TREE` of `thr_pad`/`meta_pad`/`value_pad`
-/// with *tree-relative* child indices and the root at slot 0. The batch
-/// kernel views each tree as a `&[_; PAD_TREE]` array; since a walk
-/// index is a child byte (≤ 255) plus at most 1, `PAD_TREE = 257`
-/// makes every node access provably in bounds with no masking at all —
-/// the compiler drops the per-step bounds check from the index type
-/// alone. Deeper ensembles keep the unpadded absolute-index kernel.
+/// Window stride of the windowed kernel tables. Window `w` occupies
+/// exactly `w·PAD_TREE..(w+1)·PAD_TREE` of `thr`/`meta`/`value`; the
+/// batch kernel views it as a `&[_; PAD_TREE]` array. Since a walk index
+/// is a child byte (≤ 255) plus at most 1, `PAD_TREE = 257` makes every
+/// node access provably in bounds with no masking at all — the compiler
+/// drops the per-step bounds check from the index type alone. Deeper
+/// ensembles keep the packed absolute-index kernel.
 pub(crate) const PAD_TREE: usize = 257;
 
+/// Slots a window hands out to trees: one short of [`PAD_TREE`], so every
+/// node slot, root slot included, is a byte. The last slot is never
+/// occupied; it only makes `byte + 1` provably in bounds.
+const WINDOW_SLOTS: usize = PAD_TREE - 1;
+
 /// Derivation-internal narrowing. Everything narrowed while deriving the
-/// kernel tables was already bounds-validated by [`FlatGbt::compile`] or
-/// the artifact decoder (node counts fit `u32`, padded tree positions
-/// fit a byte), so the saturating fallback is unreachable — it only
-/// keeps the derivation panic-free on arbitrary inputs.
+/// kernel tables was already bounds-validated by [`check_gbt_tables`] or
+/// the window packing (node counts fit `u32`, window slots and depths fit
+/// a byte), so the saturating fallback is unreachable — it only keeps the
+/// derivation panic-free on arbitrary inputs.
 #[inline]
 fn nar32(v: usize) -> u32 {
     u32::try_from(v).unwrap_or(u32::MAX)
@@ -294,129 +346,202 @@ fn nar16(v: usize) -> u16 {
     u16::try_from(v).unwrap_or(u16::MAX)
 }
 
-/// Computes the derived kernel tables from validated node arrays by
-/// renumbering each tree breadth-first: a split's children are enqueued
-/// together, so in the packed table the right child always sits at
-/// `left + 1` and the kernel routes with an add instead of a select.
-/// The BFS touches each node at most once because validation rejects
-/// tables where any node is referenced by more than one split
-/// (`compile` and the artifact decoder both enforce this), and per-node
-/// depth falls out of the same pass since parents are emitted before
-/// their children.
-pub(crate) fn derive_gbt_tables(
+/// See [`nar32`].
+#[inline]
+fn nar8(v: usize) -> u8 {
+    u8::try_from(v).unwrap_or(u8::MAX)
+}
+
+/// Breadth-first renumbering scratch, reused tree by tree: a split's
+/// children are enqueued together, so in BFS order the right child always
+/// sits at `left + 1` and both kernels route with an add instead of a
+/// select. The BFS touches each node at most once because
+/// [`check_gbt_tables`] rejects tables where any node is referenced by
+/// more than one split, and per-node depth falls out of the same pass
+/// since parents are emitted before their children.
+#[derive(Default)]
+struct Bfs {
+    /// Absolute node index per BFS position (reachable nodes only).
+    order: Vec<usize>,
+    /// BFS position per tree-relative node index.
+    pos: Vec<u32>,
+    /// Depth per BFS position.
+    depth: Vec<u32>,
+}
+
+impl Bfs {
+    /// Renumbers the tree spanning `start..end` and returns its maximum
+    /// root→leaf depth in edges.
+    fn run(
+        &mut self,
+        start: usize,
+        end: usize,
+        feature: &[u32],
+        left: &[u32],
+        right: &[u32],
+    ) -> u32 {
+        self.order.clear();
+        self.order.push(start);
+        let mut head = 0;
+        while head < self.order.len() {
+            let i = self.order[head];
+            head += 1;
+            if feature[i] != LEAF {
+                self.order.push(left[i] as usize);
+                self.order.push(right[i] as usize);
+            }
+        }
+        self.pos.clear();
+        self.pos.resize(end - start, 0);
+        for (k, &i) in self.order.iter().enumerate() {
+            self.pos[i - start] = nar32(k);
+        }
+        self.depth.clear();
+        self.depth.resize(self.order.len(), 0);
+        let mut max = 0u32;
+        for (k, &i) in self.order.iter().enumerate() {
+            if feature[i] == LEAF {
+                max = max.max(self.depth[k]);
+            } else {
+                let l = self.pos[left[i] as usize - start] as usize;
+                self.depth[l] = self.depth[k] + 1;
+                self.depth[l + 1] = self.depth[k] + 1;
+            }
+        }
+        max
+    }
+
+    /// BFS position of split `i`'s `<` child (its `≥` child is the next
+    /// position) in the tree starting at `start`.
+    fn left_of(&self, i: usize, start: usize, left: &[u32]) -> usize {
+        self.pos[left[i] as usize - start] as usize
+    }
+}
+
+/// Next-fit placement of trees of `sizes` reachable nodes (each at most
+/// [`PAD_STRIDE`]) into windows of [`WINDOW_SLOTS`] slots: a tree goes at
+/// the current window's fill unless it would overrun it, and then the
+/// window closes and the tree opens the next one. Returns each tree's
+/// `(window, root slot)` and the window count.
+///
+/// A window closes only when the next tree does not fit, i.e. with more
+/// than `WINDOW_SLOTS − PAD_STRIDE = 128` slots filled, so every closed
+/// window is more than half full and the tables hold at most
+/// `2·nodes + PAD_TREE` slots: derived memory is linear in the artifact.
+fn pack_windows(sizes: &[usize]) -> (Vec<(u32, u8)>, usize) {
+    let mut placed = Vec::with_capacity(sizes.len());
+    let (mut windows, mut fill) = (0usize, 0usize);
+    for &n in sizes {
+        if windows == 0 || fill + n > WINDOW_SLOTS {
+            windows += 1;
+            fill = 0;
+        }
+        placed.push((nar32(windows - 1), nar8(fill)));
+        fill += n;
+    }
+    (placed, windows)
+}
+
+/// Computes the kernel tables of validated node arrays: the windowed
+/// tables when the model tests at most [`LANE_WIDTH`] features and every
+/// tree has at most [`PAD_STRIDE`] reachable nodes, the packed table
+/// otherwise. Both renumber each tree breadth-first ([`Bfs`]).
+fn derive_gbt_tables(
+    n_features: u32,
     roots: &[u32],
     feature: &[u32],
     threshold: &[f64],
     left: &[u32],
     right: &[u32],
-) -> GbtKernelTables {
+) -> GbtKernel {
     let n_trees = roots.len() - 1;
-    let mut packed = Vec::with_capacity(feature.len());
+    let extent = |t: usize| (roots[t] as usize, roots[t + 1] as usize);
+    let mut bfs = Bfs::default();
+    if n_features as usize <= LANE_WIDTH {
+        let mut sizes = Vec::with_capacity(n_trees);
+        for t in 0..n_trees {
+            let (start, end) = extent(t);
+            bfs.run(start, end, feature, left, right);
+            if bfs.order.len() > PAD_STRIDE {
+                break;
+            }
+            sizes.push(bfs.order.len());
+        }
+        if sizes.len() == n_trees {
+            let (placed, windows) = pack_windows(&sizes);
+            let mut thr = vec![0u64; windows * PAD_TREE];
+            let mut meta = vec![0u16; windows * PAD_TREE];
+            let mut value = vec![0.0f64; windows * PAD_TREE];
+            let mut trees = Vec::with_capacity(n_trees);
+            for (t, &(window, root)) in placed.iter().enumerate() {
+                let (start, end) = extent(t);
+                let depth = bfs.run(start, end, feature, left, right);
+                let root = usize::from(root);
+                let base = window as usize * PAD_TREE;
+                for (k, &i) in bfs.order.iter().enumerate() {
+                    let slot = root + k;
+                    if feature[i] == LEAF {
+                        // Sentinel key 0 (left in `thr`): no lane key is
+                        // unsigned-below it, so a parked row keeps
+                        // stepping to `slot − 1 + 1`.
+                        meta[base + slot] = nar16(slot.saturating_sub(1)) << 8;
+                        value[base + slot] = threshold[i];
+                    } else {
+                        let child = root + bfs.left_of(i, start, left);
+                        thr[base + slot] = threshold_key(threshold[i]);
+                        // `feat · GROUP ≤ 248` fits the byte for any
+                        // `feat < LANE_WIDTH`, the only width this
+                        // kernel is derived for.
+                        let lane_off = u8::try_from(feature[i] as usize * GROUP).unwrap_or(0);
+                        meta[base + slot] = (nar16(child) << 8) | u16::from(lane_off);
+                    }
+                }
+                trees.push(WindowTree {
+                    window,
+                    root: nar8(root),
+                    depth: nar8(depth as usize),
+                });
+            }
+            return GbtKernel::Windowed {
+                thr,
+                meta,
+                value,
+                trees,
+            };
+        }
+    }
+    let mut nodes = Vec::with_capacity(feature.len());
     let mut value = Vec::with_capacity(feature.len());
     let mut packed_roots = Vec::with_capacity(n_trees);
     let mut depth = Vec::with_capacity(n_trees);
-    let mut thr_pad = Vec::with_capacity(n_trees * PAD_TREE);
-    let mut meta_pad = Vec::with_capacity(n_trees * PAD_TREE);
-    let mut value_pad = Vec::with_capacity(n_trees * PAD_TREE);
-    let mut all_fit = true;
-    let mut order: Vec<usize> = Vec::new();
-    let mut new_of: Vec<u32> = Vec::new();
-    let mut node_depth: Vec<u32> = Vec::new();
     for t in 0..n_trees {
-        let (start, end) = (roots[t] as usize, roots[t + 1] as usize);
-        let base = packed.len();
+        let (start, end) = extent(t);
+        depth.push(bfs.run(start, end, feature, left, right));
+        let base = nodes.len();
         packed_roots.push(nar32(base));
-        order.clear();
-        order.push(start);
-        let mut head = 0;
-        while head < order.len() {
-            let i = order[head];
-            head += 1;
-            if feature[i] != LEAF {
-                order.push(left[i] as usize);
-                order.push(right[i] as usize);
-            }
-        }
-        new_of.clear();
-        new_of.resize(end - start, 0);
-        for (k, &i) in order.iter().enumerate() {
-            new_of[i - start] = nar32(base + k);
-        }
-        node_depth.clear();
-        node_depth.resize(order.len(), 0);
-        let mut max = 0u32;
-        for (k, &i) in order.iter().enumerate() {
+        for (k, &i) in bfs.order.iter().enumerate() {
             if feature[i] == LEAF {
-                packed.push(PackedNode {
+                nodes.push(PackedNode {
                     threshold: f64::NAN,
                     feat: 0,
                     left: nar32((base + k).saturating_sub(1)),
                 });
                 value.push(threshold[i]);
-                max = max.max(node_depth[k]);
             } else {
-                let l = new_of[left[i] as usize - start];
-                packed.push(PackedNode {
+                nodes.push(PackedNode {
                     threshold: threshold[i],
                     feat: feature[i],
-                    left: l,
+                    left: nar32(base + bfs.left_of(i, start, left)),
                 });
                 value.push(0.0);
-                let lk = l as usize - base;
-                node_depth[lk] = node_depth[k] + 1;
-                node_depth[lk + 1] = node_depth[k] + 1;
             }
         }
-        depth.push(max);
-        // Padded per-tree copy with tree-relative indices (root at 0),
-        // for the bounds-check-free fixed-stride kernel. `meta` packs
-        // the `<` child in the high byte and the lane offset
-        // `feat · GROUP` in the low byte (both ≤ 255 when the tree fits
-        // [`PAD_STRIDE`] nodes and the model fits [`LANE_WIDTH`]
-        // features — the only configuration that runs this kernel).
-        if all_fit && order.len() <= PAD_STRIDE {
-            for (k, &i) in order.iter().enumerate() {
-                if feature[i] == LEAF {
-                    // Sentinel key 0: no lane key is unsigned-below it,
-                    // so a parked row keeps stepping to `self − 1 + 1`.
-                    thr_pad.push(0);
-                    meta_pad.push(nar16(k.saturating_sub(1)) << 8);
-                    value_pad.push(threshold[i]);
-                } else {
-                    let rel = nar16(new_of[left[i] as usize - start] as usize - base);
-                    thr_pad.push(threshold_key(threshold[i]));
-                    // `feat · GROUP ≤ 248` fits the byte for any
-                    // `feat < LANE_WIDTH`. For models wider than that
-                    // the saturated byte is garbage, but this kernel is
-                    // then never selected (`accumulate_block` checks
-                    // width).
-                    let lane_off = u8::try_from(feature[i] as usize * GROUP).unwrap_or(0);
-                    meta_pad.push((rel << 8) | u16::from(lane_off));
-                    value_pad.push(0.0);
-                }
-            }
-            for _ in order.len()..PAD_TREE {
-                thr_pad.push(0);
-                meta_pad.push(0);
-                value_pad.push(0.0);
-            }
-        } else {
-            all_fit = false;
-        }
     }
-    if !all_fit {
-        thr_pad = Vec::new();
-        meta_pad = Vec::new();
-        value_pad = Vec::new();
-    }
-    GbtKernelTables {
-        packed,
+    GbtKernel::Packed {
+        nodes,
         value,
         roots: packed_roots,
         depth,
-        thr_pad,
-        meta_pad,
-        value_pad,
     }
 }
 
@@ -573,24 +698,46 @@ impl FlatGbt {
             }
             roots.push(narrow(feature.len(), "node-table length")?);
         }
-        check_gbt_tables(n_features, &roots, &feature, &left, &right)
-            .map_err(ServeError::InvalidModel)?;
-        let tables = derive_gbt_tables(&roots, &feature, &threshold, &left, &right);
-        Ok(FlatGbt {
+        Self::from_tables(
             n_features,
-            base_score: model.base_score(),
+            model.base_score(),
             roots,
             feature,
             threshold,
             left,
             right,
-            packed: tables.packed,
-            value: tables.value,
-            packed_roots: tables.roots,
-            depth: tables.depth,
-            thr_pad: tables.thr_pad,
-            meta_pad: tables.meta_pad,
-            value_pad: tables.value_pad,
+        )
+        .map_err(ServeError::InvalidModel)
+    }
+
+    /// Assembles an ensemble from its serialized arrays: checks them with
+    /// [`check_gbt_tables`], then derives the kernel tables. The one
+    /// constructor behind [`Self::compile`] and the artifact decoder;
+    /// `Err` describes the first violation.
+    pub(crate) fn from_tables(
+        n_features: u32,
+        base_score: f64,
+        roots: Vec<u32>,
+        feature: Vec<u32>,
+        threshold: Vec<f64>,
+        left: Vec<u32>,
+        right: Vec<u32>,
+    ) -> Result<Self, String> {
+        let n = feature.len();
+        if threshold.len() != n || left.len() != n || right.len() != n {
+            return Err("node arrays differ in length".to_string());
+        }
+        check_gbt_tables(n_features, &roots, &feature, &left, &right)?;
+        let kernel = derive_gbt_tables(n_features, &roots, &feature, &threshold, &left, &right);
+        Ok(FlatGbt {
+            n_features,
+            base_score,
+            roots,
+            feature,
+            threshold,
+            left,
+            right,
+            kernel,
         })
     }
 
@@ -622,147 +769,82 @@ impl FlatGbt {
         }
     }
 
-    /// [`GROUP`] rows walked through one tree in lockstep, every row for
-    /// exactly `depth` unconditional iterations (early leaves self-loop).
-    /// Each iteration issues [`GROUP`] independent load→compare→load
-    /// chains, so the walk is bound by throughput, not chain latency —
-    /// this interleaving is where the batch kernel's speed-up over
-    /// per-chip dispatch comes from. Routing is branch-free arithmetic
-    /// over the BFS-renumbered [`PackedNode`] table:
-    /// `next = left + (row < threshold ? 0 : 1)`, which sends NaN right
-    /// exactly like the live walk and parks leaf-bound rows on the
-    /// leaf's NaN-threshold self-loop.
-    // `!(v < thr)` is NOT `v >= thr`: NaN (row value or leaf sentinel)
-    // must take the right/self branch, and only the negation does that.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    #[inline]
-    fn walk_group(&self, t: usize, lanes: &[f64], out: &mut [f64]) {
-        let root = self.packed_roots[t] as usize;
-        let nodes = self.packed.as_slice();
-        let mut idx = [root; GROUP];
-        for _ in 0..self.depth[t] {
-            for (j, slot) in idx.iter_mut().enumerate() {
-                let n = nodes[*slot];
-                let v = lanes[n.feat as usize * GROUP + j];
-                *slot = n.left as usize + usize::from(!(v < n.threshold));
-            }
-        }
-        for (acc, i) in out.iter_mut().zip(idx) {
-            *acc += self.value[i];
-        }
-    }
-
-    /// The fully bounds-check-free walk over the [`PAD_TREE`]-strided
-    /// struct-of-arrays tables and [`LANE_BLOCK`]-sized lane scratch.
-    /// No index is ever masked: a walk position is a child *byte* (from
-    /// `meta`'s high byte) plus at most 1, so it is `< PAD_TREE = 257`
-    /// by its type, and a lane index is a pre-scaled offset byte plus a
-    /// constant `j < GROUP`, so it is `< LANE_BLOCK`. Because both the
-    /// lane values and the thresholds are [`lane_key`]/[`threshold_key`]
-    /// sort keys, routing is one *unsigned integer* compare whose carry
-    /// feeds the child-index add directly (cmp + sbb on x86) — no FP
-    /// compare, no flag materialization — bringing a step down to
-    /// 6 fused µops / 3 loads on a 4-wide core, which is what bounds
-    /// the whole batch. This is the kernel production-scale models
-    /// actually run (depth ≤ 7, ≤ [`LANE_WIDTH`] features).
-    /// The walk is monomorphized per tree depth (`D` is the loop bound)
-    /// so the level loop fully unrolls: no live loop counter, no
-    /// end-of-iteration register shuffle, and all [`GROUP`] walk
-    /// positions stay in registers instead of spilling. Trees deeper
-    /// than the dispatch table (pathological chains — never produced by
-    /// the paper's depth ≤ 7 fits) take the runtime-depth twin below.
-    /// One tree's padded tables as fixed-size arrays — the [`PAD_TREE`]
-    /// stride means `as_chunks` lands tree `t` exactly at chunk `t`, and
-    /// the array types carry the length proof the walk's bounds elision
-    /// rests on.
-    #[inline]
-    fn padded_tree(&self, t: usize) -> (&[u64; PAD_TREE], &[u16; PAD_TREE], &[f64; PAD_TREE]) {
-        (
-            &self.thr_pad.as_chunks::<PAD_TREE>().0[t],
-            &self.meta_pad.as_chunks::<PAD_TREE>().0[t],
-            &self.value_pad.as_chunks::<PAD_TREE>().0[t],
-        )
-    }
-
-    #[inline]
-    fn walk_group_fixed<const D: usize>(
-        &self,
-        t: usize,
-        lanes: &[u64; LANE_BLOCK],
-        out: &mut [f64],
-    ) {
-        let (thr, meta, values) = self.padded_tree(t);
-        let mut idx = [0usize; GROUP];
-        for _ in 0..D {
-            walk_step(meta, thr, lanes, &mut idx);
-        }
-        for (acc, i) in out.iter_mut().zip(idx) {
-            *acc += values[i];
-        }
-    }
-
-    /// Runtime-depth twin of [`Self::walk_group_fixed`] for trees deeper
-    /// than the const dispatch covers.
-    #[inline]
-    fn walk_group_fixed_deep(&self, t: usize, lanes: &[u64; LANE_BLOCK], out: &mut [f64]) {
-        let (thr, meta, values) = self.padded_tree(t);
-        let mut idx = [0usize; GROUP];
-        for _ in 0..self.depth[t] {
-            walk_step(meta, thr, lanes, &mut idx);
-        }
-        for (acc, i) in out.iter_mut().zip(idx) {
-            *acc += values[i];
-        }
-    }
-
     /// Batch kernel over a gathered row block (`rows` is row-major,
     /// `out.len()` rows of `width` columns). Full [`GROUP`]s are first
-    /// repacked lane-major by [`transpose_lanes`]; trees then run in the
-    /// outer loop so each tree's tables stay cache-hot across the whole
-    /// block (the scalar walk mops up the remainder rows). Each row still
-    /// accumulates its contributions in tree order, so every `out[j]`
-    /// carries the same bits as the live `GradientBoost::predict_row` on
-    /// row `j` — the transpose moves values, never changes or reorders the
-    /// arithmetic.
+    /// repacked lane-major; trees then run in the outer loop so each
+    /// tree's tables stay cache-hot across the whole block (the scalar
+    /// walk mops up the remainder rows). Each row still accumulates its
+    /// contributions in tree order, so every `out[j]` carries the same
+    /// bits as the live `GradientBoost::predict_row` on row `j` — the
+    /// transpose moves values, never changes or reorders the arithmetic.
     pub(crate) fn accumulate_block(&self, rows: &[f64], width: usize, out: &mut [f64]) {
         debug_assert_eq!(rows.len(), width * out.len());
         out.fill(self.base_score);
         let groups = out.len() / GROUP;
         let tail = groups * GROUP;
-        let fixed = !self.thr_pad.is_empty() && width <= LANE_WIDTH;
-        if fixed {
-            let lanes = transpose_lanes_fixed(rows, width, groups);
-            let lane_groups = lanes.as_chunks::<LANE_BLOCK>().0;
-            for t in 0..self.n_trees() {
-                for (g, group_lanes) in lane_groups.iter().enumerate() {
-                    let start = g * GROUP;
-                    let group_out = &mut out[start..start + GROUP];
-                    // Depth dispatch is per tree, so this match is
-                    // perfectly predicted within the group loop.
-                    match self.depth[t] as usize {
-                        0 => self.walk_group_fixed::<0>(t, group_lanes, group_out),
-                        1 => self.walk_group_fixed::<1>(t, group_lanes, group_out),
-                        2 => self.walk_group_fixed::<2>(t, group_lanes, group_out),
-                        3 => self.walk_group_fixed::<3>(t, group_lanes, group_out),
-                        4 => self.walk_group_fixed::<4>(t, group_lanes, group_out),
-                        5 => self.walk_group_fixed::<5>(t, group_lanes, group_out),
-                        6 => self.walk_group_fixed::<6>(t, group_lanes, group_out),
-                        7 => self.walk_group_fixed::<7>(t, group_lanes, group_out),
-                        8 => self.walk_group_fixed::<8>(t, group_lanes, group_out),
-                        _ => self.walk_group_fixed_deep(t, group_lanes, group_out),
+        match &self.kernel {
+            GbtKernel::Windowed {
+                thr,
+                meta,
+                value,
+                trees,
+            } => {
+                debug_assert!(width <= LANE_WIDTH);
+                let lanes = transpose_lanes_fixed(rows, width, groups);
+                let lane_groups = lanes.as_chunks::<LANE_BLOCK>().0;
+                let (thr, meta, value) = (
+                    thr.as_chunks::<PAD_TREE>().0,
+                    meta.as_chunks::<PAD_TREE>().0,
+                    value.as_chunks::<PAD_TREE>().0,
+                );
+                for (t, tree) in trees.iter().enumerate() {
+                    let w = tree.window as usize;
+                    let window = Window {
+                        thr: &thr[w],
+                        meta: &meta[w],
+                        value: &value[w],
+                    };
+                    let grouped = &mut out[..tail];
+                    // Depth dispatch once per tree; the group loop runs
+                    // inside the monomorphized walk.
+                    match tree.depth {
+                        0 => window.walk_groups::<0>(tree.root, lane_groups, grouped),
+                        1 => window.walk_groups::<1>(tree.root, lane_groups, grouped),
+                        2 => window.walk_groups::<2>(tree.root, lane_groups, grouped),
+                        3 => window.walk_groups::<3>(tree.root, lane_groups, grouped),
+                        4 => window.walk_groups::<4>(tree.root, lane_groups, grouped),
+                        5 => window.walk_groups::<5>(tree.root, lane_groups, grouped),
+                        6 => window.walk_groups::<6>(tree.root, lane_groups, grouped),
+                        7 => window.walk_groups::<7>(tree.root, lane_groups, grouped),
+                        8 => window.walk_groups::<8>(tree.root, lane_groups, grouped),
+                        d => window.walk_groups_deep(tree.root, d, lane_groups, grouped),
                     }
+                    self.accumulate_tail(t, rows, width, tail, out);
                 }
-                self.accumulate_tail(t, rows, width, tail, out);
             }
-        } else {
-            let lanes = transpose_lanes(rows, width, groups);
-            for t in 0..self.n_trees() {
-                for g in 0..groups {
-                    let start = g * GROUP;
-                    let group_lanes = &lanes[start * width..(start + GROUP) * width];
-                    self.walk_group(t, group_lanes, &mut out[start..start + GROUP]);
+            GbtKernel::Packed {
+                nodes,
+                value,
+                roots,
+                depth,
+            } => {
+                let lanes = transpose_lanes(rows, width, groups);
+                for t in 0..self.n_trees() {
+                    let (root, depth) = (roots[t] as usize, depth[t]);
+                    for g in 0..groups {
+                        let start = g * GROUP;
+                        let group_lanes = &lanes[start * width..(start + GROUP) * width];
+                        walk_packed(
+                            nodes,
+                            value,
+                            root,
+                            depth,
+                            group_lanes,
+                            &mut out[start..start + GROUP],
+                        );
+                    }
+                    self.accumulate_tail(t, rows, width, tail, out);
                 }
-                self.accumulate_tail(t, rows, width, tail, out);
             }
         }
     }
@@ -778,6 +860,113 @@ impl FlatGbt {
             .zip(rows[tail * width..].chunks_exact(width))
         {
             *acc += self.tree_contribution(root, row);
+        }
+    }
+}
+
+/// [`GROUP`] rows walked through one tree of the packed table in
+/// lockstep, every row for exactly `depth` unconditional iterations
+/// (early leaves self-loop). Each iteration issues [`GROUP`] independent
+/// load→compare→load chains, so the walk is bound by throughput, not
+/// chain latency — this interleaving is where the batch kernel's speed-up
+/// over per-chip dispatch comes from. Routing is branch-free arithmetic
+/// over the BFS-renumbered [`PackedNode`] table:
+/// `next = left + (row < threshold ? 0 : 1)`, which sends NaN right
+/// exactly like the live walk and parks leaf-bound rows on the leaf's
+/// NaN-threshold self-loop.
+// `!(v < thr)` is NOT `v >= thr`: NaN (row value or leaf sentinel)
+// must take the right/self branch, and only the negation does that.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+#[inline]
+fn walk_packed(
+    nodes: &[PackedNode],
+    value: &[f64],
+    root: usize,
+    depth: u32,
+    lanes: &[f64],
+    out: &mut [f64],
+) {
+    let mut idx = [root; GROUP];
+    for _ in 0..depth {
+        for (j, slot) in idx.iter_mut().enumerate() {
+            let n = nodes[*slot];
+            let v = lanes[n.feat as usize * GROUP + j];
+            *slot = n.left as usize + usize::from(!(v < n.threshold));
+        }
+    }
+    for (acc, i) in out.iter_mut().zip(idx) {
+        *acc += value[i];
+    }
+}
+
+/// One window of the windowed tables as fixed-size arrays — the
+/// [`PAD_TREE`] stride means `as_chunks` lands window `w` exactly at
+/// chunk `w`, and the array types carry the length proof the walk's
+/// bounds elision rests on.
+#[derive(Clone, Copy)]
+struct Window<'a> {
+    thr: &'a [u64; PAD_TREE],
+    meta: &'a [u16; PAD_TREE],
+    value: &'a [f64; PAD_TREE],
+}
+
+impl Window<'_> {
+    /// The fully bounds-check-free walk of one tree rooted at window
+    /// slot `root`, over every full [`GROUP`] of the block. No index is
+    /// ever masked: a walk position is the root byte or a child *byte*
+    /// (from `meta`'s high byte) plus at most 1, so it is
+    /// `< PAD_TREE = 257` by its type, and a lane index is a pre-scaled
+    /// offset byte plus a constant `j < GROUP`, so it is `< LANE_BLOCK`.
+    /// Because both the lane values and the thresholds are
+    /// [`lane_key`]/[`threshold_key`] sort keys, routing is one
+    /// *unsigned integer* compare whose carry feeds the child-index add
+    /// directly (cmp + sbb on x86) — no FP compare, no flag
+    /// materialization — bringing a step down to 6 fused µops / 3 loads
+    /// on a 4-wide core, which is what bounds the whole batch. This is
+    /// the kernel production-scale models actually run (depth ≤ 7,
+    /// ≤ [`LANE_WIDTH`] features). The walk is monomorphized per tree
+    /// depth (`D` is the loop bound) so the level loop fully unrolls: no
+    /// live loop counter, no end-of-iteration register shuffle, and all
+    /// [`GROUP`] walk positions stay in registers instead of spilling.
+    /// Trees deeper than the dispatch table (pathological chains — never
+    /// produced by the paper's depth ≤ 7 fits) take the runtime-depth
+    /// twin below.
+    #[inline]
+    fn walk_groups<const D: usize>(
+        self,
+        root: u8,
+        lane_groups: &[[u64; LANE_BLOCK]],
+        out: &mut [f64],
+    ) {
+        for (lanes, group_out) in lane_groups.iter().zip(out.chunks_exact_mut(GROUP)) {
+            let mut idx = [usize::from(root); GROUP];
+            for _ in 0..D {
+                walk_step(self.meta, self.thr, lanes, &mut idx);
+            }
+            for (acc, i) in group_out.iter_mut().zip(idx) {
+                *acc += self.value[i];
+            }
+        }
+    }
+
+    /// Runtime-depth twin of [`Self::walk_groups`] for trees deeper than
+    /// the const dispatch covers.
+    #[inline]
+    fn walk_groups_deep(
+        self,
+        root: u8,
+        depth: u8,
+        lane_groups: &[[u64; LANE_BLOCK]],
+        out: &mut [f64],
+    ) {
+        for (lanes, group_out) in lane_groups.iter().zip(out.chunks_exact_mut(GROUP)) {
+            let mut idx = [usize::from(root); GROUP];
+            for _ in 0..depth {
+                walk_step(self.meta, self.thr, lanes, &mut idx);
+            }
+            for (acc, i) in group_out.iter_mut().zip(idx) {
+                *acc += self.value[i];
+            }
         }
     }
 }
@@ -904,6 +1093,270 @@ impl FlatOblivious {
                 .zip(rows[tail * width..].chunks_exact(width))
             {
                 *acc += self.tree_contribution(t, row);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeModel;
+    use vmin_conformal::Cqr;
+    use vmin_linalg::Matrix;
+    use vmin_models::{GradientBoostParams, Loss, TreeParams};
+    use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
+
+    /// Checks one next-fit layout: trees sit back to back inside their
+    /// window, a window opens only for a tree that did not fit the last
+    /// one, and the padded slots stay within `2·nodes + PAD_TREE`.
+    fn check_packing(sizes: &[usize]) {
+        let (placed, windows) = pack_windows(sizes);
+        let mut fill = 0usize;
+        for (t, (&n, &(window, root))) in sizes.iter().zip(&placed).enumerate() {
+            let root = usize::from(root);
+            assert!(root + n <= WINDOW_SLOTS, "tree {t} overruns its window");
+            if t > 0 && window == placed[t - 1].0 {
+                assert_eq!(root, fill, "tree {t} is not next to its predecessor");
+            } else {
+                assert_eq!(root, 0, "tree {t} opens a window mid-way");
+                if t > 0 {
+                    assert_eq!(window, placed[t - 1].0 + 1, "tree {t} skips a window");
+                    assert!(fill + n > WINDOW_SLOTS, "tree {t} closed a window it fit");
+                    assert!(
+                        2 * fill > PAD_TREE,
+                        "window {} closed at most half full",
+                        window - 1
+                    );
+                }
+            }
+            fill = root + n;
+        }
+        let nodes: usize = sizes.iter().sum();
+        assert!(
+            windows * PAD_TREE <= 2 * nodes + PAD_TREE,
+            "{windows} windows for {nodes} nodes"
+        );
+    }
+
+    #[test]
+    fn padded_slots_stay_within_twice_the_nodes_plus_one_window() {
+        for n in 1..=PAD_STRIDE {
+            check_packing(&vec![n; 300]);
+            check_packing(&[n]);
+        }
+        // The worst case for next-fit: a full-size tree after a window
+        // just past half full.
+        check_packing(&[PAD_STRIDE, 1].repeat(100));
+        check_packing(&[1, PAD_STRIDE].repeat(100));
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for _ in 0..50 {
+            let sizes: Vec<usize> = (0..200).map(|_| rng.gen_range(1..=PAD_STRIDE)).collect();
+            check_packing(&sizes);
+        }
+    }
+
+    /// Serialized GBT arrays assembled tree by tree.
+    struct Tables {
+        roots: Vec<u32>,
+        feature: Vec<u32>,
+        threshold: Vec<f64>,
+        left: Vec<u32>,
+        right: Vec<u32>,
+    }
+
+    impl Tables {
+        fn new() -> Self {
+            Tables {
+                roots: vec![0],
+                feature: Vec::new(),
+                threshold: Vec::new(),
+                left: Vec::new(),
+                right: Vec::new(),
+            }
+        }
+
+        fn node(&mut self, feature: u32, threshold: f64, left: usize, right: usize) {
+            self.feature.push(feature);
+            self.threshold.push(threshold);
+            self.left.push(nar32(left));
+            self.right.push(nar32(right));
+        }
+
+        /// Appends a chain tree of `nodes` serialized nodes: split `j`
+        /// tests feature `j % width` with its `<` child a leaf and its `≥`
+        /// child the next split. An even count leaves the last node
+        /// unreachable (it hangs off no split), so the walk sees
+        /// `nodes − 1` of them.
+        fn push_chain(&mut self, nodes: usize, width: u32) {
+            let base = self.feature.len();
+            for j in 0..(nodes - 1) / 2 {
+                let i = base + 2 * j;
+                self.node(nar32(j) % width, 0.5 + (j % 7) as f64 * 0.4, i + 1, i + 2);
+                self.node(LEAF, 0.01 * (i + 1) as f64, i + 1, i + 1);
+            }
+            while self.feature.len() < base + nodes {
+                let i = self.feature.len();
+                self.node(LEAF, -0.003 * i as f64, i, i);
+            }
+            self.roots.push(nar32(self.feature.len()));
+        }
+
+        fn build(self, width: u32) -> FlatGbt {
+            FlatGbt::from_tables(
+                width,
+                0.25,
+                self.roots,
+                self.feature,
+                self.threshold,
+                self.left,
+                self.right,
+            )
+            .unwrap()
+        }
+    }
+
+    #[test]
+    fn chain_trees_of_every_size_serve_like_the_scalar_walk() {
+        let width = 3u32;
+        let mut tables = Tables::new();
+        for n in 1..=PAD_STRIDE {
+            tables.push_chain(n, width);
+        }
+        let nodes = tables.feature.len();
+        let flat = tables.build(width);
+        match &flat.kernel {
+            GbtKernel::Windowed { thr, trees, .. } => {
+                assert!(thr.len() <= 2 * nodes + PAD_TREE, "{} slots", thr.len());
+                // The 127-node chain is 63 levels deep: the runtime-depth walk.
+                assert!(trees.iter().any(|t| t.depth > 8));
+            }
+            GbtKernel::Packed { .. } => {
+                panic!("trees of at most PAD_STRIDE nodes must be windowed")
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let w = width as usize;
+        let rows: Vec<f64> = (0..37 * w).map(|_| rng.gen_range(0.0..3.5)).collect();
+        let mut out = vec![0.0; 37];
+        flat.accumulate_block(&rows, w, &mut out);
+        for (r, got) in out.iter().enumerate() {
+            let row = &rows[r * w..(r + 1) * w];
+            let mut want = flat.base_score;
+            for t in 0..flat.n_trees() {
+                want += flat.tree_contribution(flat.roots[t] as usize, row);
+            }
+            assert_eq!(got.to_bits(), want.to_bits(), "row {r}");
+        }
+    }
+
+    #[test]
+    fn a_tree_over_pad_stride_or_a_wide_model_derives_only_the_packed_table() {
+        let mut tables = Tables::new();
+        tables.push_chain(PAD_STRIDE + 1, 2);
+        let deep = tables.build(2);
+        assert!(matches!(deep.kernel, GbtKernel::Packed { .. }));
+        let mut tables = Tables::new();
+        tables.push_chain(5, 2);
+        let wide = tables.build(nar32(LANE_WIDTH + 1));
+        assert!(matches!(wide.kernel, GbtKernel::Packed { .. }));
+    }
+
+    /// Sizes of a flattened ensemble's trees (fitted trees have no
+    /// unreachable nodes) next to their window placement.
+    fn layout(flat: &FlatGbt) -> Vec<(usize, WindowTree)> {
+        let GbtKernel::Windowed { trees, .. } = &flat.kernel else {
+            panic!("a depth-6 model of two features must be windowed");
+        };
+        flat.roots
+            .windows(2)
+            .map(|w| w[1] as usize - w[0] as usize)
+            .zip(trees.iter().copied())
+            .collect()
+    }
+
+    #[test]
+    fn window_boundaries_serve_bit_identically_to_the_live_pair() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut draw = |n: usize| {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| vec![rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)])
+                .collect();
+            let y: Vec<f64> = rows
+                .iter()
+                .map(|r| 100.0 * r[0] + 10.0 * (3.0 * r[1]).sin() + rng.gen_range(-0.1..0.1))
+                .collect();
+            (Matrix::from_rows(&rows).unwrap(), y)
+        };
+        let (x_tr, y_tr) = draw(512);
+        let (x_ca, y_ca) = draw(64);
+        let (x_te, _) = draw(301);
+        let tree = |lambda, gamma| TreeParams {
+            max_depth: 6,
+            lambda,
+            gamma,
+            ..TreeParams::default()
+        };
+        // Unregularized ramp fits grow full 127-node trees, which close
+        // their window every second tree; the pruned fit shrinks to
+        // single leaves that fill a window to the last slot and open the
+        // next one.
+        let full = GradientBoostParams {
+            n_rounds: 8,
+            learning_rate: 0.5,
+            tree: tree(0.0, 0.0),
+        };
+        let pruned = GradientBoostParams {
+            n_rounds: 300,
+            learning_rate: 0.5,
+            tree: tree(1.0, 100.0),
+        };
+        let mut cqr = Cqr::new(
+            GradientBoost::with_params(Loss::Squared, full),
+            GradientBoost::with_params(Loss::Squared, pruned),
+            0.1,
+        );
+        cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
+        let model = ServeModel::from_gbt_cqr(&cqr, None).unwrap();
+
+        let crate::engine::FlatPair::Gbt { lo, hi } = &model.pair else {
+            unreachable!("captured from a GBT pair")
+        };
+        let trees: Vec<(usize, WindowTree)> = layout(lo).into_iter().chain(layout(hi)).collect();
+        assert!(
+            trees.iter().any(|&(n, _)| n == PAD_STRIDE - 1),
+            "no 127-node tree"
+        );
+        let closes = trees.windows(2).any(|p| {
+            let ((n, a), (m, b)) = (p[0], p[1]);
+            b.window == a.window + 1 && usize::from(a.root) + n + m > WINDOW_SLOTS && m > 1
+        });
+        assert!(closes, "no window closed by a tree that did not fit");
+        assert!(
+            trees
+                .iter()
+                .any(|&(n, t)| n == 1 && t.root == 0 && t.window > 0),
+            "no single-leaf tree opens a window"
+        );
+        assert!(
+            trees.iter().any(|&(n, t)| n == 1 && t.root > 0),
+            "no single-leaf tree inside a window"
+        );
+
+        for block in [1, 7, 256] {
+            let served = model.serve_batch(&x_te, block).unwrap();
+            for (i, iv) in served.iter().enumerate() {
+                let live = cqr.predict_interval(x_te.row(i)).unwrap();
+                assert_eq!(
+                    iv.lo().to_bits(),
+                    live.lo().to_bits(),
+                    "block {block}, row {i}"
+                );
+                assert_eq!(
+                    iv.hi().to_bits(),
+                    live.hi().to_bits(),
+                    "block {block}, row {i}"
+                );
             }
         }
     }

@@ -22,9 +22,11 @@
 //!   calibration quantile `q̂`, the miscoverage level `α` and optional
 //!   standardizer state. Reloads are bit-identical and predict without
 //!   touching any fit path.
-//! - **Batch serving** ([`ServeModel::serve_batch`]): row blocks fanned
-//!   out via `vmin-par`, bit-identical across `VMIN_THREADS` and block
-//!   sizes, with `serve.*` counters/spans.
+//! - **Batch serving** ([`ServeModel::serve_rows`], and
+//!   [`ServeModel::serve_batch`] for a [`vmin_linalg::Matrix`]): rows read
+//!   in place from a [`RowSource`], blocks fanned out via `vmin-par`,
+//!   intervals written into the caller's slice — bit-identical across
+//!   `VMIN_THREADS` and block sizes, with `serve.*` counters/spans.
 //!
 //! ## Example
 //!
@@ -62,5 +64,5 @@ mod engine;
 mod flat;
 
 pub use artifact::{ArtifactError, MAGIC};
-pub use engine::{ServeError, ServeModel};
+pub use engine::{RowSource, ServeError, ServeModel};
 pub use flat::{FlatGbt, FlatOblivious};
