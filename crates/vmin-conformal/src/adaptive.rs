@@ -133,12 +133,16 @@ pub struct AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// Defaults tuned for fleet streams of a few hundred observations per
-    /// read point at miscoverage `alpha`.
+    /// read point at miscoverage `alpha`. The window holds 128 scores, or
+    /// `min_window` where that is larger (every `alpha < 0.016`): at a
+    /// capacity of twice `min_calibration_size(alpha)` the round-robin
+    /// audit (stride ≥ 2) still leaves a certifiable proper slice.
     pub fn for_alpha(alpha: f64) -> Self {
+        let min_window = min_calibration_size(alpha).saturating_mul(2).max(12);
         AdaptiveConfig {
             alpha,
-            window_capacity: 128,
-            min_window: min_calibration_size(alpha).saturating_mul(2).max(12),
+            window_capacity: 128.max(min_window),
+            min_window,
             gamma: 0.05,
             alpha_floor: (alpha / 4.0).max(1e-3),
             alpha_ceil: (2.0 * alpha).min(0.45),
@@ -769,6 +773,23 @@ mod tests {
             match AdaptiveCalibrator::new(&initial_scores(30), AdaptiveConfig::for_alpha(alpha)) {
                 Err(ConformalError::InvalidArgument(_)) => {}
                 other => panic!("alpha {alpha}: expected InvalidArgument, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn default_configs_are_accepted_at_every_level() {
+        // A fixed 128-score window once fell below `min_window` for every
+        // α < 0.016 (132 at α = 0.015, 1,998 at α = 0.001).
+        let scores = initial_scores(30);
+        for k in 0..=60 {
+            let alpha = 1e-3 * (450.0f64).powf(f64::from(k) / 60.0);
+            let cfg = AdaptiveConfig::for_alpha(alpha);
+            if alpha >= 0.016 {
+                assert_eq!(cfg.window_capacity, 128, "alpha {alpha}");
+            }
+            if let Err(e) = AdaptiveCalibrator::new(&scores, cfg) {
+                panic!("alpha {alpha}: {e}");
             }
         }
     }

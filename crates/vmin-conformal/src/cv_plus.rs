@@ -9,7 +9,7 @@
 //! in practice — which the ablation benches measure against split CP/CQR.
 
 use crate::interval::{check_alpha, ConformalError, PredictionInterval, Result};
-use vmin_data::KFold;
+use vmin_data::{KFold, Split};
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
 
@@ -22,13 +22,84 @@ pub struct CvPlus {
     state: Option<CvState>,
 }
 
+/// The fitted state CV+ and jackknife+ share: one model per split and
+/// every sample's out-of-split residual.
 #[derive(Debug)]
-struct CvState {
-    /// One model per fold, fit on that fold's complement.
+pub(crate) struct CvState {
+    /// One model per split, fit on that split's `train` rows.
     models: Vec<Box<dyn Regressor>>,
     /// Out-of-fold absolute residual and the index of the model that
     /// produced it, for every training sample.
     residuals: Vec<(f64, usize)>,
+}
+
+impl CvState {
+    /// Fits one model per split on its `train` rows and records each
+    /// `test` row's absolute residual against it; the `test` sets must
+    /// partition `0..x.rows()`. Splits are independent, so they fit on
+    /// `vmin-par` worker threads (hence `factory: Sync`) and the result is
+    /// bit-identical to a serial fit at any thread count.
+    pub(crate) fn fit<F>(x: &Matrix, y: &[f64], splits: &[Split], factory: F) -> Result<Self>
+    where
+        F: Fn() -> Box<dyn Regressor> + Sync,
+    {
+        type FoldFit = Result<(Box<dyn Regressor>, Vec<(usize, f64)>)>;
+        let per_fold = vmin_par::par_map(splits, 2, |_, split| -> FoldFit {
+            let x_tr = x.select_rows(&split.train)?;
+            let y_tr: Vec<f64> = split.train.iter().map(|&i| y[i]).collect();
+            let mut model = factory();
+            // One plan per fold: the fold-complement design is shared by
+            // everything the model memoizes (bins, designs). fit_with_plan
+            // is exact, so fold models are unchanged.
+            if model.wants_fit_plan() {
+                let plan = vmin_models::FitPlan::build(&x_tr);
+                model.fit_with_plan(&x_tr, &y_tr, &plan)?;
+            } else {
+                model.fit(&x_tr, &y_tr)?;
+            }
+            let mut fold_residuals = Vec::with_capacity(split.test.len());
+            for &i in &split.test {
+                let p = model.predict_row(x.row(i))?;
+                fold_residuals.push((i, (y[i] - p).abs()));
+            }
+            Ok((model, fold_residuals))
+        });
+        let mut models = Vec::with_capacity(splits.len());
+        let mut residuals = vec![(0.0, 0usize); x.rows()];
+        for (fold_idx, fold) in per_fold.into_iter().enumerate() {
+            let (model, fold_residuals) = fold?;
+            for (i, r) in fold_residuals {
+                residuals[i] = (r, fold_idx);
+            }
+            models.push(model);
+        }
+        Ok(CvState { models, residuals })
+    }
+
+    /// The jackknife+ rank rule at miscoverage `alpha`: the
+    /// `⌊α(n+1)⌋`-th smallest of `{μ_fold(i)(x) − R_i}` and the
+    /// `⌈(1−α)(n+1)⌉`-th smallest of `{μ_fold(i)(x) + R_i}` over all `n`
+    /// training samples `i`.
+    pub(crate) fn predict_interval(&self, alpha: f64, row: &[f64]) -> Result<PredictionInterval> {
+        // One prediction per fold model, reused for all its fold's samples.
+        let fold_preds: Vec<f64> = self
+            .models
+            .iter()
+            .map(|m| m.predict_row(row))
+            .collect::<std::result::Result<_, _>>()?;
+        let n = self.residuals.len();
+        let mut lows: Vec<f64> = Vec::with_capacity(n);
+        let mut highs: Vec<f64> = Vec::with_capacity(n);
+        for &(r, fold) in &self.residuals {
+            lows.push(fold_preds[fold] - r);
+            highs.push(fold_preds[fold] + r);
+        }
+        lows.sort_by(|a, b| a.total_cmp(b));
+        highs.sort_by(|a, b| a.total_cmp(b));
+        let k_lo = ((alpha * (n as f64 + 1.0)).floor() as usize).max(1) - 1;
+        let k_hi = (((1.0 - alpha) * (n as f64 + 1.0)).ceil() as usize).min(n) - 1;
+        Ok(PredictionInterval::new(lows[k_lo], highs[k_hi]))
+    }
 }
 
 impl CvPlus {
@@ -65,39 +136,8 @@ impl CvPlus {
                 y.len()
             )));
         }
-        let kf = KFold::new(n, self.k, self.seed);
-        let splits: Vec<_> = kf.iter().collect();
-        type FoldFit = Result<(Box<dyn Regressor>, Vec<(usize, f64)>)>;
-        let per_fold = vmin_par::par_map(&splits, 2, |_, split| -> FoldFit {
-            let x_tr = x.select_rows(&split.train)?;
-            let y_tr: Vec<f64> = split.train.iter().map(|&i| y[i]).collect();
-            let mut model = factory();
-            // One plan per fold: the fold-complement design is shared by
-            // everything the model memoizes (bins, designs). fit_with_plan
-            // is exact, so fold models are unchanged.
-            if model.wants_fit_plan() {
-                let plan = vmin_models::FitPlan::build(&x_tr);
-                model.fit_with_plan(&x_tr, &y_tr, &plan)?;
-            } else {
-                model.fit(&x_tr, &y_tr)?;
-            }
-            let mut fold_residuals = Vec::with_capacity(split.test.len());
-            for &i in &split.test {
-                let p = model.predict_row(x.row(i))?;
-                fold_residuals.push((i, (y[i] - p).abs()));
-            }
-            Ok((model, fold_residuals))
-        });
-        let mut models = Vec::with_capacity(self.k);
-        let mut residuals = vec![(0.0, 0usize); n];
-        for (fold_idx, fold) in per_fold.into_iter().enumerate() {
-            let (model, fold_residuals) = fold?;
-            for (i, r) in fold_residuals {
-                residuals[i] = (r, fold_idx);
-            }
-            models.push(model);
-        }
-        self.state = Some(CvState { models, residuals });
+        let splits: Vec<Split> = KFold::new(n, self.k, self.seed).iter().collect();
+        self.state = Some(CvState::fit(x, y, &splits, factory)?);
         Ok(())
     }
 
@@ -109,24 +149,7 @@ impl CvPlus {
     /// [`ConformalError::NotCalibrated`] before `fit`.
     pub fn predict_interval(&self, row: &[f64]) -> Result<PredictionInterval> {
         let st = self.state.as_ref().ok_or(ConformalError::NotCalibrated)?;
-        // One prediction per fold model, reused for all its fold's samples.
-        let fold_preds: Vec<f64> = st
-            .models
-            .iter()
-            .map(|m| m.predict_row(row))
-            .collect::<std::result::Result<_, _>>()?;
-        let n = st.residuals.len();
-        let mut lows: Vec<f64> = Vec::with_capacity(n);
-        let mut highs: Vec<f64> = Vec::with_capacity(n);
-        for &(r, fold) in &st.residuals {
-            lows.push(fold_preds[fold] - r);
-            highs.push(fold_preds[fold] + r);
-        }
-        lows.sort_by(|a, b| a.total_cmp(b));
-        highs.sort_by(|a, b| a.total_cmp(b));
-        let k_lo = ((self.alpha * (n as f64 + 1.0)).floor() as usize).max(1) - 1;
-        let k_hi = (((1.0 - self.alpha) * (n as f64 + 1.0)).ceil() as usize).min(n) - 1;
-        Ok(PredictionInterval::new(lows[k_lo], highs[k_hi]))
+        st.predict_interval(self.alpha, row)
     }
 
     /// Intervals for every row of `x`.

@@ -6,10 +6,12 @@
 //! calibration would behave across temperature corners (Mondrian), and what
 //! a split-free method costs at the paper's tiny data scale (jackknife+).
 
+use crate::cv_plus::CvState;
 use crate::interval::{
     check_alpha, check_calibration_set, ConformalError, PredictionInterval, Result,
 };
 use crate::quantile::conformal_quantile;
+use vmin_data::Split;
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
 
@@ -202,18 +204,14 @@ impl<R: Regressor> MondrianConformal<R> {
 /// the paper's 156-chip scale where splitting hurts.
 ///
 /// Requires a factory so a fresh model can be fit per left-out sample.
+/// It is CV+ ([`crate::CvPlus`]) over the `n` leave-one-out splits, and
+/// shares its fit body and rank rule.
 #[derive(Debug)]
 pub struct JackknifePlus {
     alpha: f64,
-    /// (LOO prediction function outputs, LOO residuals): for each training
-    /// index `i`, the model fit without `i` and its residual on `i`.
-    state: Option<JackknifeState>,
-}
-
-#[derive(Debug)]
-struct JackknifeState {
-    models: Vec<Box<dyn Regressor>>,
-    residuals: Vec<f64>,
+    /// For each training index `i`, the model fit without `i` and its
+    /// residual on `i`.
+    state: Option<CvState>,
 }
 
 impl JackknifePlus {
@@ -222,7 +220,9 @@ impl JackknifePlus {
         JackknifePlus { alpha, state: None }
     }
 
-    /// Fits `n` leave-one-out models using `factory` to create each one.
+    /// Fits `n` leave-one-out models using `factory` to create each one;
+    /// they are independent, so they fit on `vmin-par` worker threads
+    /// (hence `factory: Sync`), bit-identical at any thread count.
     ///
     /// This is `O(n)` model fits — the cost split CP avoids; acceptable for
     /// fast models (linear regression) at n ≈ 156.
@@ -233,7 +233,7 @@ impl JackknifePlus {
     /// samples; model errors otherwise.
     pub fn fit<F>(&mut self, x: &Matrix, y: &[f64], factory: F) -> Result<()>
     where
-        F: Fn() -> Box<dyn Regressor>,
+        F: Fn() -> Box<dyn Regressor> + Sync,
     {
         check_alpha(self.alpha)?;
         let n = x.rows();
@@ -244,19 +244,13 @@ impl JackknifePlus {
                 y.len()
             )));
         }
-        let mut models = Vec::with_capacity(n);
-        let mut residuals = Vec::with_capacity(n);
-        for i in 0..n {
-            let keep: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-            let x_loo = x.select_rows(&keep)?;
-            let y_loo: Vec<f64> = keep.iter().map(|&j| y[j]).collect();
-            let mut model = factory();
-            model.fit(&x_loo, &y_loo)?;
-            let pred_i = model.predict_row(x.row(i))?;
-            residuals.push((y[i] - pred_i).abs());
-            models.push(model);
-        }
-        self.state = Some(JackknifeState { models, residuals });
+        let splits: Vec<Split> = (0..n)
+            .map(|i| Split {
+                train: (0..n).filter(|&j| j != i).collect(),
+                test: vec![i],
+            })
+            .collect();
+        self.state = Some(CvState::fit(x, y, &splits, factory)?);
         Ok(())
     }
 
@@ -269,19 +263,7 @@ impl JackknifePlus {
     /// [`ConformalError::NotCalibrated`] before `fit`.
     pub fn predict_interval(&self, row: &[f64]) -> Result<PredictionInterval> {
         let st = self.state.as_ref().ok_or(ConformalError::NotCalibrated)?;
-        let n = st.models.len();
-        let mut lows = Vec::with_capacity(n);
-        let mut highs = Vec::with_capacity(n);
-        for (model, r) in st.models.iter().zip(&st.residuals) {
-            let p = model.predict_row(row)?;
-            lows.push(p - r);
-            highs.push(p + r);
-        }
-        lows.sort_by(|a, b| a.total_cmp(b));
-        highs.sort_by(|a, b| a.total_cmp(b));
-        let k_lo = ((self.alpha * (n as f64 + 1.0)).floor() as usize).max(1) - 1;
-        let k_hi = (((1.0 - self.alpha) * (n as f64 + 1.0)).ceil() as usize).min(n) - 1;
-        Ok(PredictionInterval::new(lows[k_lo], highs[k_hi]))
+        st.predict_interval(self.alpha, row)
     }
 }
 

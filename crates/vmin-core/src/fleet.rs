@@ -188,7 +188,7 @@ pub fn fleet_screen(
         // feature column ranges: no per-chunk feature matrix.
         let src = RowSource::new(block.data(), block.row_width(), &spans)?;
         intervals.resize(rows, PredictionInterval::new(0.0, 0.0));
-        model.serve_rows(&src, cfg.serve_rows.max(1), &mut intervals)?;
+        model.serve_rows(&src, cfg.serve_rows, &mut intervals)?;
 
         for (r, iv) in intervals.iter().enumerate() {
             // Same decision as `VminPredictor::flags_spec_risk`.

@@ -1,8 +1,9 @@
 //! The serving engine: a captured model plus its one serving body.
 
-use crate::flat::{FlatGbt, FlatOblivious};
+use crate::flat::{lane_key, lane_stride, FlatGbt, FlatOblivious, GROUP};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use vmin_conformal::{Cqr, PredictionInterval};
 use vmin_data::Standardizer;
 use vmin_linalg::Matrix;
@@ -151,16 +152,6 @@ impl<'a> RowSource<'a> {
     pub fn width(&self) -> usize {
         self.width
     }
-
-    /// Copies row `r`'s feature values into `dst` (`width` long).
-    fn gather(&self, r: usize, dst: &mut [f64]) {
-        let record = &self.data[r * self.stride..(r + 1) * self.stride];
-        let mut col = 0;
-        for &(a, b) in self.columns {
-            dst[col..col + b - a].copy_from_slice(&record[a..b]);
-            col += b - a;
-        }
-    }
 }
 
 /// A deployable snapshot of a fitted, calibrated CQR pair: flattened
@@ -304,17 +295,20 @@ impl ServeModel {
     }
 
     /// The serving body: writes the conformal interval of row `i` of `src`
-    /// into `out[i]`, processing `block_rows` rows per block (clamped to
-    /// ≥ 1) and fanning blocks out via `vmin-par` — work is partitioned by
-    /// block index, so outputs are bit-identical at any `VMIN_THREADS` and
-    /// any block size.
+    /// into `out[i]`, processing `block_rows` rows per block (floored at
+    /// the kernels' 8-row lockstep group, so only a call's final block
+    /// can be partial) and fanning blocks out via `vmin-par` — work is
+    /// partitioned by block index, so outputs are bit-identical at any
+    /// `VMIN_THREADS` and any block size.
     ///
-    /// Each block gathers its rows (standardizing them when the artifact
-    /// captured a scaler, with the training-side `transform_row`
-    /// expression) and runs both ensembles' kernels. Each interval is
-    /// `[lo(x) − q̂, hi(x) + q̂]` built through `PredictionInterval::new`,
-    /// crossed-endpoint swap included — the exact expression
-    /// `Cqr::predict_interval` evaluates.
+    /// Each block gathers its rows once, straight from `src`'s records,
+    /// into the lane-major block both ensembles' kernels read
+    /// (standardizing them when the artifact captured a scaler, with the
+    /// training-side `transform_row` expression); its last lockstep group
+    /// is padded to full size and the padding's outputs are dropped. Each
+    /// interval is `[lo(x) − q̂, hi(x) + q̂]` built through
+    /// `PredictionInterval::new`, crossed-endpoint swap included — the
+    /// exact expression `Cqr::predict_interval` evaluates.
     ///
     /// # Errors
     ///
@@ -347,36 +341,61 @@ impl ServeModel {
         if n == 0 {
             return Ok(());
         }
-        let block = block_rows.max(1);
+        let block = block_rows.max(GROUP);
         vmin_trace::counter_add("serve.blocks", n.div_ceil(block) as u64);
         vmin_par::par_chunks_mut(out, block, 2, |ci, chunk| {
-            let start = ci * block;
-            let mut rows = vec![0.0f64; chunk.len() * d];
-            for (j, dst) in rows.chunks_mut(d).enumerate() {
-                src.gather(start + j, dst);
-                if let Some(s) = &self.scaler {
-                    for ((v, m), sc) in dst.iter_mut().zip(&s.means).zip(&s.scales) {
-                        *v = (*v - m) / sc;
-                    }
-                }
-            }
-            let mut lo_acc = vec![0.0f64; chunk.len()];
-            let mut hi_acc = vec![0.0f64; chunk.len()];
+            let rows = ci * block..ci * block + chunk.len();
+            let padded = chunk.len().next_multiple_of(GROUP);
+            let mut acc = vec![0.0f64; 2 * padded];
+            let (lo_acc, hi_acc) = acc.split_at_mut(padded);
             match &self.pair {
                 FlatPair::Gbt { lo, hi } => {
-                    lo.accumulate_block(&rows, d, &mut lo_acc);
-                    hi.accumulate_block(&rows, d, &mut hi_acc);
+                    let lanes = self.gather(src, rows, lane_key);
+                    lo.accumulate_block(&lanes, lo_acc);
+                    hi.accumulate_block(&lanes, hi_acc);
                 }
                 FlatPair::Oblivious { lo, hi } => {
-                    lo.accumulate_block(&rows, d, &mut lo_acc);
-                    hi.accumulate_block(&rows, d, &mut hi_acc);
+                    let lanes = self.gather(src, rows, |v| v);
+                    lo.accumulate_block(&lanes, lo_acc);
+                    hi.accumulate_block(&lanes, hi_acc);
                 }
             }
-            for (iv, (l, h)) in chunk.iter_mut().zip(lo_acc.iter().zip(&hi_acc)) {
+            for (iv, (l, h)) in chunk.iter_mut().zip(lo_acc.iter().zip(hi_acc.iter())) {
                 *iv = PredictionInterval::new(l - self.qhat, h + self.qhat);
             }
         });
         Ok(())
+    }
+
+    /// Gathers `rows` of `src` into one lane-major block: after the
+    /// scaler, feature `f` of the `i`-th row lands at
+    /// `(i / GROUP)·stride + f·GROUP + i % GROUP` as `key(v)`, with
+    /// `stride = lane_stride(width)`; the last group is padded to a whole
+    /// `GROUP` with `T::default()`.
+    fn gather<T: Copy + Default>(
+        &self,
+        src: &RowSource<'_>,
+        rows: Range<usize>,
+        key: impl Fn(f64) -> T,
+    ) -> Vec<T> {
+        let stride = lane_stride(src.width);
+        let mut lanes = vec![T::default(); rows.len().div_ceil(GROUP) * stride];
+        for (i, r) in rows.enumerate() {
+            let base = i / GROUP * stride + i % GROUP;
+            let record = &src.data[r * src.stride..(r + 1) * src.stride];
+            let mut f = 0;
+            for &(a, b) in src.columns {
+                for &v in &record[a..b] {
+                    let v = match &self.scaler {
+                        Some(s) => (v - s.means[f]) / s.scales[f],
+                        None => v,
+                    };
+                    lanes[base + f * GROUP] = key(v);
+                    f += 1;
+                }
+            }
+        }
+        lanes
     }
 }
 

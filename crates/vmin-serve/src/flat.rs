@@ -19,8 +19,11 @@
 //!   argument) and the kernel rebuilds the identical bitmask.
 //! - **Tie/NaN routing.** Thresholds are copied verbatim: strict `<`
 //!   (GBT, NaN routes right) and strict `>` (oblivious, NaN leaves the
-//!   bit clear) behave exactly as trained. See DESIGN.md §14 for how this
-//!   composes with the training-time `split_at` semantics.
+//!   bit clear) behave exactly as trained. Both GBT kernels compare
+//!   order-isomorphic sort keys ([`lane_key`], [`threshold_key`]) instead
+//!   of the `f64`s, which replays IEEE `<` exactly, NaN included. See
+//!   DESIGN.md §14 for how this composes with the training-time
+//!   `split_at` semantics.
 //!
 //! Structural invariant used for safe, provably-terminating walks: every
 //! fit path pushes a split node before its children, so child indices are
@@ -44,45 +47,38 @@ fn narrow(value: usize, what: &str) -> Result<u32, ServeError> {
         .map_err(|_| ServeError::InvalidModel(format!("{what} {value} exceeds u32 range")))
 }
 
-/// Rows walked in lockstep per tree by the batch kernel. Each row's walk
+/// Rows walked in lockstep per tree by the batch kernels. Each row's walk
 /// is a serial load→compare→load dependency chain; running [`GROUP`]
 /// independent chains interleaved lets the CPU overlap their latencies.
 pub(crate) const GROUP: usize = 8;
 
-/// Repacks a row-major block into per-[`GROUP`] *lane-major* scratch:
-/// group `g`, feature `f`, lane `j` lands at
-/// `g·GROUP·width + f·GROUP + j`. Every lockstep chain then addresses its
-/// row value off one shared base pointer (`feat · GROUP + j`, with `j` a
-/// compile-time constant per unrolled chain) instead of keeping
-/// [`GROUP`] per-row base pointers alive — which is the difference
-/// between the kernel running out of registers and not. The transpose
-/// runs once per block and is reused by every tree.
-fn transpose_lanes(rows: &[f64], width: usize, groups: usize) -> Vec<f64> {
-    let mut lanes = vec![0.0; groups * GROUP * width];
-    for g in 0..groups {
-        let rows_base = g * GROUP * width;
-        for j in 0..GROUP {
-            let row = &rows[rows_base + j * width..rows_base + (j + 1) * width];
-            for (f, &v) in row.iter().enumerate() {
-                lanes[rows_base + f * GROUP + j] = v;
-            }
-        }
-    }
-    lanes
-}
-
-/// Feature slots of the fixed-width lane layout ([`transpose_lanes_fixed`]).
-/// Models at most this wide qualify for the fully bounds-check-free
-/// kernel: a group's lanes become a `[u64; LANE_BLOCK]` array and the
-/// lane index — an offset *byte* plus a constant `j < GROUP` — is
-/// provably within it from its type alone, no masking needed.
+/// Feature slots of the fixed-width lane layout. Models at most this wide
+/// qualify for the fully bounds-check-free kernel: a group's lanes become
+/// a `[u64; LANE_BLOCK]` array and the lane index — an offset *byte* plus
+/// a constant `j < GROUP` — is provably within it from its type alone, no
+/// masking needed.
 pub(crate) const LANE_WIDTH: usize = 32;
 
-/// Lane scratch per group in the fixed-width layout: [`LANE_WIDTH`]
-/// feature slots of [`GROUP`] lanes, plus one spare [`GROUP`] so that a
+/// Lane slots per group in the fixed-width layout: [`LANE_WIDTH`] feature
+/// slots of [`GROUP`] lanes, plus one spare [`GROUP`] so that a
 /// pre-scaled offset byte (≤ 255) plus a lane index (`< GROUP`) is
 /// provably in bounds with no masking.
 pub(crate) const LANE_BLOCK: usize = LANE_WIDTH * GROUP + GROUP;
+
+/// Values per [`GROUP`] in the *lane-major* block every batch kernel
+/// reads: feature `f` of lane `j` of group `g` sits at
+/// `g·stride + f·GROUP + j`. Every lockstep chain then addresses its row
+/// value off one shared base pointer (`feat · GROUP + j`, with `j` a
+/// compile-time constant per unrolled chain) instead of keeping [`GROUP`]
+/// per-row base pointers alive — the difference between the kernel
+/// running out of registers and not. The feature axis is padded to at
+/// least [`LANE_WIDTH`] slots plus the spare group, so for every model
+/// the windowed kernel runs on the stride is exactly [`LANE_BLOCK`]; the
+/// padding slots are never read (every tested feature index is
+/// `< width`).
+pub(crate) fn lane_stride(width: usize) -> usize {
+    width.max(LANE_WIDTH) * GROUP + GROUP
+}
 
 /// Maps a row value to a `u64` that compares (unsigned) in the same
 /// strict order as the `f64` does under IEEE `<`: flip all bits of
@@ -90,11 +86,10 @@ pub(crate) const LANE_BLOCK: usize = LANE_WIDTH * GROUP + GROUP;
 /// `+0.0` first (IEEE treats them as equal, their raw bit patterns do
 /// not), and NaN maps to `u64::MAX`, which sits above every threshold
 /// key — so `key(v) < key(thr)` is false exactly when `v < thr` is,
-/// NaN included. This is what lets [`Window::walk_groups`] route
-/// with one integer compare instead of an FP compare + flag
-/// materialization.
+/// NaN included. This is what lets both GBT kernels route with one
+/// integer compare instead of an FP compare + flag materialization.
 #[inline]
-fn lane_key(v: f64) -> u64 {
+pub(crate) fn lane_key(v: f64) -> u64 {
     if v.is_nan() {
         return u64::MAX;
     }
@@ -122,23 +117,6 @@ fn threshold_key(thr: f64) -> u64 {
     } else {
         lane_key(thr)
     }
-}
-
-/// [`transpose_lanes`] with the feature axis padded to [`LANE_WIDTH`]
-/// slots and every value pre-mapped through [`lane_key`]; the padding
-/// slots are never read (every tested feature index is `< width`), they
-/// only make the per-group extent a compile-time constant.
-fn transpose_lanes_fixed(rows: &[f64], width: usize, groups: usize) -> Vec<u64> {
-    let mut lanes = vec![0u64; groups * LANE_BLOCK];
-    for g in 0..groups {
-        for j in 0..GROUP {
-            let row = &rows[(g * GROUP + j) * width..(g * GROUP + j + 1) * width];
-            for (f, &v) in row.iter().enumerate() {
-                lanes[g * LANE_BLOCK + f * GROUP + j] = lane_key(v);
-            }
-        }
-    }
-    lanes
 }
 
 /// One lockstep level of the bounds-check-free walk: every lane reads
@@ -195,10 +173,8 @@ pub struct FlatGbt {
 
 impl PartialEq for FlatGbt {
     fn eq(&self, other: &Self) -> bool {
-        // Derived tables are a pure function of the serialized fields
-        // (and the packed table holds NaN leaf sentinels, which would
-        // poison a field-wise comparison), so equality is over serialized
-        // state.
+        // Derived tables are a pure function of the serialized fields, so
+        // equality is over serialized state.
         self.n_features == other.n_features
             && self.base_score == other.base_score
             && self.roots == other.roots
@@ -212,15 +188,17 @@ impl PartialEq for FlatGbt {
 /// One node as the packed lockstep kernel reads it — a 16-byte record so
 /// node loads never straddle cache lines and each walk step costs one
 /// node load plus one row load. Routing is arithmetic, not selected:
-/// `next = left + (row[feat] < threshold ? 0 : 1)`, which works because
-/// the breadth-first renumbering in [`derive_gbt_tables`] places every
-/// split's right child at `left + 1`. Leaves store `threshold = NaN`
-/// (every comparison routes right) and `left = self − 1`, so a parked
-/// row keeps stepping to itself; their payload lives in the side `value`
-/// table read at the final gather.
+/// `next = left + (key < threshold ? 0 : 1)`, which works because the
+/// breadth-first renumbering in [`derive_gbt_tables`] places every
+/// split's right child at `left + 1`. The threshold is a
+/// [`threshold_key`], compared with the row's [`lane_key`] exactly as the
+/// windowed walk does. Leaves store the NaN sentinel's key `0` (every row
+/// routes right) and `left = self − 1`, so a parked row keeps stepping to
+/// itself; their payload lives in the side `value` table read at the
+/// final gather.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PackedNode {
-    pub(crate) threshold: f64,
+    pub(crate) threshold: u64,
     pub(crate) feat: u32,
     pub(crate) left: u32,
 }
@@ -522,14 +500,14 @@ fn derive_gbt_tables(
         for (k, &i) in bfs.order.iter().enumerate() {
             if feature[i] == LEAF {
                 nodes.push(PackedNode {
-                    threshold: f64::NAN,
+                    threshold: threshold_key(f64::NAN),
                     feat: 0,
                     left: nar32((base + k).saturating_sub(1)),
                 });
                 value.push(threshold[i]);
             } else {
                 nodes.push(PackedNode {
-                    threshold: threshold[i],
+                    threshold: threshold_key(threshold[i]),
                     feat: feature[i],
                     left: nar32(base + bfs.left_of(i, start, left)),
                 });
@@ -752,8 +730,9 @@ impl FlatGbt {
     }
 
     /// One tree's contribution for one row — the same walk
-    /// `GradientTree::predict_row` performs, over the flat table.
-    #[inline]
+    /// `GradientTree::predict_row` performs, over the serialized arrays:
+    /// the oracle the kernel tests compare against.
+    #[cfg(test)]
     fn tree_contribution(&self, root: usize, row: &[f64]) -> f64 {
         let mut idx = root;
         loop {
@@ -769,19 +748,18 @@ impl FlatGbt {
         }
     }
 
-    /// Batch kernel over a gathered row block (`rows` is row-major,
-    /// `out.len()` rows of `width` columns). Full [`GROUP`]s are first
-    /// repacked lane-major; trees then run in the outer loop so each
-    /// tree's tables stay cache-hot across the whole block (the scalar
-    /// walk mops up the remainder rows). Each row still accumulates its
-    /// contributions in tree order, so every `out[j]` carries the same
-    /// bits as the live `GradientBoost::predict_row` on row `j` — the
-    /// transpose moves values, never changes or reorders the arithmetic.
-    pub(crate) fn accumulate_block(&self, rows: &[f64], width: usize, out: &mut [f64]) {
-        debug_assert_eq!(rows.len(), width * out.len());
+    /// Batch kernel over a lane block of [`lane_key`]s as `serve_rows`
+    /// gathers it: whole [`GROUP`]s of [`lane_stride`] keys each, one
+    /// group per `GROUP` slots of `out`. Trees run in the outer loop so
+    /// each tree's tables stay cache-hot across the whole block, and each
+    /// row still accumulates its contributions in tree order, so every
+    /// `out[j]` carries the same bits as the live
+    /// `GradientBoost::predict_row` on row `j` — the lane layout moves
+    /// values, never changes or reorders the arithmetic.
+    pub(crate) fn accumulate_block(&self, lanes: &[u64], out: &mut [f64]) {
+        let stride = lane_stride(self.n_features());
+        debug_assert_eq!(lanes.len() * GROUP, out.len() * stride);
         out.fill(self.base_score);
-        let groups = out.len() / GROUP;
-        let tail = groups * GROUP;
         match &self.kernel {
             GbtKernel::Windowed {
                 thr,
@@ -789,37 +767,34 @@ impl FlatGbt {
                 value,
                 trees,
             } => {
-                debug_assert!(width <= LANE_WIDTH);
-                let lanes = transpose_lanes_fixed(rows, width, groups);
+                debug_assert_eq!(stride, LANE_BLOCK);
                 let lane_groups = lanes.as_chunks::<LANE_BLOCK>().0;
                 let (thr, meta, value) = (
                     thr.as_chunks::<PAD_TREE>().0,
                     meta.as_chunks::<PAD_TREE>().0,
                     value.as_chunks::<PAD_TREE>().0,
                 );
-                for (t, tree) in trees.iter().enumerate() {
+                for tree in trees {
                     let w = tree.window as usize;
                     let window = Window {
                         thr: &thr[w],
                         meta: &meta[w],
                         value: &value[w],
                     };
-                    let grouped = &mut out[..tail];
                     // Depth dispatch once per tree; the group loop runs
                     // inside the monomorphized walk.
                     match tree.depth {
-                        0 => window.walk_groups::<0>(tree.root, lane_groups, grouped),
-                        1 => window.walk_groups::<1>(tree.root, lane_groups, grouped),
-                        2 => window.walk_groups::<2>(tree.root, lane_groups, grouped),
-                        3 => window.walk_groups::<3>(tree.root, lane_groups, grouped),
-                        4 => window.walk_groups::<4>(tree.root, lane_groups, grouped),
-                        5 => window.walk_groups::<5>(tree.root, lane_groups, grouped),
-                        6 => window.walk_groups::<6>(tree.root, lane_groups, grouped),
-                        7 => window.walk_groups::<7>(tree.root, lane_groups, grouped),
-                        8 => window.walk_groups::<8>(tree.root, lane_groups, grouped),
-                        d => window.walk_groups_deep(tree.root, d, lane_groups, grouped),
+                        0 => window.walk_groups::<0>(tree.root, lane_groups, out),
+                        1 => window.walk_groups::<1>(tree.root, lane_groups, out),
+                        2 => window.walk_groups::<2>(tree.root, lane_groups, out),
+                        3 => window.walk_groups::<3>(tree.root, lane_groups, out),
+                        4 => window.walk_groups::<4>(tree.root, lane_groups, out),
+                        5 => window.walk_groups::<5>(tree.root, lane_groups, out),
+                        6 => window.walk_groups::<6>(tree.root, lane_groups, out),
+                        7 => window.walk_groups::<7>(tree.root, lane_groups, out),
+                        8 => window.walk_groups::<8>(tree.root, lane_groups, out),
+                        d => window.walk_groups_deep(tree.root, d, lane_groups, out),
                     }
-                    self.accumulate_tail(t, rows, width, tail, out);
                 }
             }
             GbtKernel::Packed {
@@ -828,38 +803,14 @@ impl FlatGbt {
                 roots,
                 depth,
             } => {
-                let lanes = transpose_lanes(rows, width, groups);
-                for t in 0..self.n_trees() {
-                    let (root, depth) = (roots[t] as usize, depth[t]);
-                    for g in 0..groups {
-                        let start = g * GROUP;
-                        let group_lanes = &lanes[start * width..(start + GROUP) * width];
-                        walk_packed(
-                            nodes,
-                            value,
-                            root,
-                            depth,
-                            group_lanes,
-                            &mut out[start..start + GROUP],
-                        );
+                for (&root, &depth) in roots.iter().zip(depth) {
+                    for (group_lanes, group_out) in
+                        lanes.chunks_exact(stride).zip(out.chunks_exact_mut(GROUP))
+                    {
+                        walk_packed(nodes, value, root as usize, depth, group_lanes, group_out);
                     }
-                    self.accumulate_tail(t, rows, width, tail, out);
                 }
             }
-        }
-    }
-
-    /// Scalar mop-up for the `out.len() % GROUP` rows past the last full
-    /// group, keeping their tree-order accumulation identical to the
-    /// lockstep rows'.
-    #[inline]
-    fn accumulate_tail(&self, t: usize, rows: &[f64], width: usize, tail: usize, out: &mut [f64]) {
-        let root = self.roots[t] as usize;
-        for (acc, row) in out[tail..]
-            .iter_mut()
-            .zip(rows[tail * width..].chunks_exact(width))
-        {
-            *acc += self.tree_contribution(root, row);
         }
     }
 }
@@ -871,27 +822,25 @@ impl FlatGbt {
 /// chain latency — this interleaving is where the batch kernel's speed-up
 /// over per-chip dispatch comes from. Routing is branch-free arithmetic
 /// over the BFS-renumbered [`PackedNode`] table:
-/// `next = left + (row < threshold ? 0 : 1)`, which sends NaN right
-/// exactly like the live walk and parks leaf-bound rows on the leaf's
-/// NaN-threshold self-loop.
-// `!(v < thr)` is NOT `v >= thr`: NaN (row value or leaf sentinel)
-// must take the right/self branch, and only the negation does that.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
+/// `next = left + (key < threshold ? 0 : 1)` on sort keys, which sends a
+/// NaN row right exactly like the live walk and parks leaf-bound rows on
+/// the leaf's key-`0` self-loop.
 #[inline]
 fn walk_packed(
     nodes: &[PackedNode],
     value: &[f64],
     root: usize,
     depth: u32,
-    lanes: &[f64],
+    lanes: &[u64],
     out: &mut [f64],
 ) {
     let mut idx = [root; GROUP];
     for _ in 0..depth {
         for (j, slot) in idx.iter_mut().enumerate() {
             let n = nodes[*slot];
-            let v = lanes[n.feat as usize * GROUP + j];
-            *slot = n.left as usize + usize::from(!(v < n.threshold));
+            let (left, v) = (n.left as usize, lanes[n.feat as usize * GROUP + j]);
+            // The windowed walk's routing (`walk_step`), on the same keys.
+            *slot = if v < n.threshold { left } else { left + 1 };
         }
     }
     for (acc, i) in out.iter_mut().zip(idx) {
@@ -912,7 +861,7 @@ struct Window<'a> {
 
 impl Window<'_> {
     /// The fully bounds-check-free walk of one tree rooted at window
-    /// slot `root`, over every full [`GROUP`] of the block. No index is
+    /// slot `root`, over every [`GROUP`] of the block. No index is
     /// ever masked: a walk position is the root byte or a child *byte*
     /// (from `meta`'s high byte) plus at most 1, so it is
     /// `< PAD_TREE = 257` by its type, and a lane index is a pre-scaled
@@ -1043,39 +992,24 @@ impl FlatOblivious {
         self.n_features as usize
     }
 
-    /// One tree's pre-scaled leaf for one row: the comparison bitmask of
-    /// `ObliviousTree::leaf_index`, rebuilt branch-free.
-    #[inline]
-    fn tree_contribution(&self, t: usize, row: &[f64]) -> f64 {
-        let lo = self.level_off[t] as usize;
-        let hi = self.level_off[t + 1] as usize;
-        let mut idx = 0usize;
-        for (bit, k) in (lo..hi).enumerate() {
-            let test = row[self.level_feat[k] as usize] > self.level_thr[k];
-            idx |= usize::from(test) << bit;
-        }
-        self.lut[self.lut_off[t] as usize + idx]
-    }
-
-    /// Batch kernel over a gathered row block; see
-    /// [`FlatGbt::accumulate_block`] for the layout and exactness notes.
-    /// Levels run in the outer loop over each [`GROUP`]-row group, so one
-    /// `(feature, threshold)` pair is broadcast across all rows — and in
-    /// the lane-major scratch the [`GROUP`] compared values sit
-    /// contiguously, so the comparisons vectorize. Only the final LUT
-    /// load depends on a row's accumulated bitmask.
-    pub(crate) fn accumulate_block(&self, rows: &[f64], width: usize, out: &mut [f64]) {
-        debug_assert_eq!(rows.len(), width * out.len());
+    /// Batch kernel over a lane block of raw `f64` row values as
+    /// `serve_rows` gathers it; see [`FlatGbt::accumulate_block`] for the
+    /// layout and exactness notes. Levels run in the outer loop over each
+    /// [`GROUP`]-row group, so one `(feature, threshold)` pair is
+    /// broadcast across all rows — and in the lane-major block the
+    /// [`GROUP`] compared values sit contiguously, so the comparisons
+    /// vectorize. Only the final LUT load depends on a row's accumulated
+    /// bitmask, the one `ObliviousTree::leaf_index` builds.
+    pub(crate) fn accumulate_block(&self, lanes: &[f64], out: &mut [f64]) {
+        let stride = lane_stride(self.n_features());
+        debug_assert_eq!(lanes.len() * GROUP, out.len() * stride);
         out.fill(self.base_score);
-        let groups = out.len() / GROUP;
-        let tail = groups * GROUP;
-        let lanes = transpose_lanes(rows, width, groups);
         for t in 0..self.n_trees() {
             let (ls, le) = (self.level_off[t] as usize, self.level_off[t + 1] as usize);
             let off = self.lut_off[t] as usize;
-            for g in 0..groups {
-                let start = g * GROUP;
-                let group_lanes = &lanes[start * width..(start + GROUP) * width];
+            for (group_lanes, group_out) in
+                lanes.chunks_exact(stride).zip(out.chunks_exact_mut(GROUP))
+            {
                 let mut idx = [0usize; GROUP];
                 for (bit, k) in (ls..le).enumerate() {
                     let f = self.level_feat[k] as usize;
@@ -1084,15 +1018,9 @@ impl FlatOblivious {
                         *slot |= usize::from(group_lanes[f * GROUP + j] > thr) << bit;
                     }
                 }
-                for (acc, i) in out[start..start + GROUP].iter_mut().zip(idx) {
+                for (acc, i) in group_out.iter_mut().zip(idx) {
                     *acc += self.lut[off + i];
                 }
-            }
-            for (acc, row) in out[tail..]
-                .iter_mut()
-                .zip(rows[tail * width..].chunks_exact(width))
-            {
-                *acc += self.tree_contribution(t, row);
             }
         }
     }
@@ -1238,15 +1166,22 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let w = width as usize;
         let rows: Vec<f64> = (0..37 * w).map(|_| rng.gen_range(0.0..3.5)).collect();
-        let mut out = vec![0.0; 37];
-        flat.accumulate_block(&rows, w, &mut out);
-        for (r, got) in out.iter().enumerate() {
+        // Served as both bounds with q̂ = 0, so `lo` is the kernel's sum.
+        let pair = crate::engine::FlatPair::Gbt {
+            lo: Box::new(flat.clone()),
+            hi: Box::new(flat.clone()),
+        };
+        let model = ServeModel::from_parts(pair, 0.1, 0.0, None).unwrap();
+        let served = model
+            .serve_batch(&Matrix::from_vec(37, w, rows.clone()).unwrap(), 16)
+            .unwrap();
+        for (r, iv) in served.iter().enumerate() {
             let row = &rows[r * w..(r + 1) * w];
             let mut want = flat.base_score;
             for t in 0..flat.n_trees() {
                 want += flat.tree_contribution(flat.roots[t] as usize, row);
             }
-            assert_eq!(got.to_bits(), want.to_bits(), "row {r}");
+            assert_eq!(iv.lo().to_bits(), want.to_bits(), "row {r}");
         }
     }
 

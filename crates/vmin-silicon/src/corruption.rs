@@ -69,11 +69,10 @@ impl FaultClass {
         }
     }
 
+    /// Position in [`Self::ALL`]: the variants are declared in `ALL`'s
+    /// order, so the discriminant is the index.
     fn index(&self) -> usize {
-        FaultClass::ALL
-            .iter()
-            .position(|c| c == self)
-            .expect("FaultClass::ALL is exhaustive") // invariant: ALL lists every variant
+        *self as usize
     }
 }
 
@@ -455,6 +454,15 @@ mod tests {
 
     fn base() -> Campaign {
         Campaign::run(&DatasetSpec::small(), 11)
+    }
+
+    #[test]
+    fn fault_class_index_is_its_position_in_all() {
+        // Each class seeds its own stream from its index, so this order
+        // is what keeps every fault stream's seed.
+        for (i, class) in FaultClass::ALL.iter().enumerate() {
+            assert_eq!(class.index(), i, "{class}");
+        }
     }
 
     /// Flattens every measurement to bit patterns so NaN == NaN for the

@@ -155,6 +155,114 @@ fn oblivious_serving_is_bit_identical_to_live_structs() {
     }
 }
 
+/// Row values on the routing edges of every kernel: both zeros, the
+/// smallest normals and subnormals (the finite six come first), then NaN
+/// and both infinities.
+const EDGE_VALUES: [f64; 9] = [
+    -0.0,
+    0.0,
+    f64::MIN_POSITIVE,
+    -f64::MIN_POSITIVE,
+    5e-324,
+    -5e-324,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// `x` with about `share` of its cells replaced by one of `values`.
+fn with_edges(x: &Matrix, share: f64, values: &[f64], seed: u64) -> Matrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut data = x.as_slice().to_vec();
+    for v in &mut data {
+        if rng.gen_range(0.0..1.0) < share {
+            *v = values[rng.gen_range(0..values.len())];
+        }
+    }
+    Matrix::from_vec(x.rows(), x.cols(), data).unwrap()
+}
+
+/// Fits on rows whose cells are about 10 % finite edge values, so some
+/// split thresholds sit on them, then serves 150 rows (a partial group
+/// in every block size) whose cells are about 30 % edge values.
+fn edge_cell(d: usize, n_train: usize, seed: u64) -> (Matrix, Vec<f64>, Matrix, Vec<f64>, Matrix) {
+    let (x_tr, y_tr) = draw(n_train, d, seed);
+    let (x_ca, y_ca) = draw(N_CAL, d, seed + 1);
+    let (x_te, _) = draw(150, d, seed + 2);
+    (
+        with_edges(&x_tr, 0.1, &EDGE_VALUES[..6], seed + 3),
+        y_tr,
+        x_ca,
+        y_ca,
+        with_edges(&x_te, 0.3, &EDGE_VALUES, seed + 4),
+    )
+}
+
+#[test]
+fn gbt_kernel_edges_serve_bit_identically_to_the_live_pair() {
+    // Width 3 runs the windowed kernel and width 40 (> LANE_WIDTH = 32)
+    // the packed one; the unregularized depth-11 pair grows trees over
+    // PAD_STRIDE = 128 nodes, which run the packed kernel too.
+    let deep = GradientBoostParams {
+        n_rounds: 6,
+        tree: TreeParams {
+            max_depth: 11,
+            lambda: 0.0,
+            gamma: 0.0,
+            ..TreeParams::default()
+        },
+        ..GradientBoostParams::default()
+    };
+    let deep_pair = Cqr::new(
+        GradientBoost::with_params(Loss::Pinball(ALPHA / 2.0), deep),
+        GradientBoost::with_params(Loss::Pinball(1.0 - ALPHA / 2.0), deep),
+        ALPHA,
+    );
+    let cells = [
+        (3usize, N_TRAIN, gbt_pair(5)),
+        (40, N_TRAIN, gbt_pair(5)),
+        (3, 3000, deep_pair),
+    ];
+    assert!(
+        cells.iter().any(|c| c.0 > 32),
+        "no pair wider than LANE_WIDTH"
+    );
+    let mut over_pad_stride = false;
+    for (k, (d, n_train, mut cqr)) in cells.into_iter().enumerate() {
+        let (x_tr, y_tr, x_ca, y_ca, x_te) = edge_cell(d, n_train, 41 + 10 * k as u64);
+        cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
+        let mut trees = cqr.lo_model().trees().iter().chain(cqr.hi_model().trees());
+        over_pad_stride |= trees.any(|t| t.n_nodes() > 128);
+        let model = ServeModel::from_gbt_cqr(&cqr, None).unwrap();
+        let live = |row: &[f64]| {
+            let iv = cqr.predict_interval(row).unwrap();
+            (iv.lo(), iv.hi())
+        };
+        assert_bitwise_equal(
+            &model,
+            &live,
+            &x_te,
+            &format!("gbt edges d={d} n={n_train}"),
+        );
+    }
+    assert!(over_pad_stride, "no tree over PAD_STRIDE nodes");
+}
+
+#[test]
+fn oblivious_kernel_edges_serve_bit_identically_to_the_live_pair() {
+    for (k, d) in [3usize, 40].into_iter().enumerate() {
+        let (x_tr, y_tr, x_ca, y_ca, x_te) = edge_cell(d, N_TRAIN, 71 + 10 * k as u64);
+        let mut cqr = oblivious_pair(5);
+        cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
+        let model = ServeModel::from_oblivious_cqr(&cqr, None).unwrap();
+        let live = |row: &[f64]| {
+            let iv = cqr.predict_interval(row).unwrap();
+            (iv.lo(), iv.hi())
+        };
+        assert_bitwise_equal(&model, &live, &x_te, &format!("oblivious edges d={d}"));
+    }
+}
+
 #[test]
 fn captured_scaler_reproduces_the_standardized_pipeline_bitwise() {
     // Production models are trained on standardized monitors; the artifact
