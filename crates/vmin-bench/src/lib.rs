@@ -18,9 +18,10 @@
 //!   reduced parametric-test count and training budgets sized for a laptop.
 //! - `full`: the paper's full Table II inventory and §IV-C model budgets.
 //!
-//! The `*_smoke` binaries and `trace_report` are CI drivers: each prints
-//! bit patterns that `ci.sh` diffs across `VMIN_THREADS` values. Timing
-//! lives in the standalone `perfbench/` package.
+//! `ci.sh` runs `trace_report` at two `VMIN_THREADS` values and diffs
+//! its `vmin-trace/v1` exports. The in-process thread-invariance
+//! checks live in the workspace's `tests/determinism.rs`, and timing in
+//! the standalone `perfbench/` package.
 //!
 //! Every binary reports a failure through [`die`]: one line on stderr and
 //! exit status 1, never a panic.

@@ -136,7 +136,9 @@ impl AdaptiveConfig {
     /// read point at miscoverage `alpha`. The window holds 128 scores, or
     /// `min_window` where that is larger (every `alpha < 0.016`): at a
     /// capacity of twice `min_calibration_size(alpha)` the round-robin
-    /// audit (stride ≥ 2) still leaves a certifiable proper slice.
+    /// audit (stride ≥ 2) still leaves a certifiable proper slice. The
+    /// α_t band is `[α/4, 2α]` clipped to `[0.001, 0.45]`, widened back
+    /// to contain `alpha` itself where the clip would exclude it.
     pub fn for_alpha(alpha: f64) -> Self {
         let min_window = min_calibration_size(alpha).saturating_mul(2).max(12);
         AdaptiveConfig {
@@ -144,8 +146,8 @@ impl AdaptiveConfig {
             window_capacity: 128.max(min_window),
             min_window,
             gamma: 0.05,
-            alpha_floor: (alpha / 4.0).max(1e-3),
-            alpha_ceil: (2.0 * alpha).min(0.45),
+            alpha_floor: (alpha / 4.0).max(1e-3).min(alpha),
+            alpha_ceil: (2.0 * alpha).min(0.45).max(alpha),
             drift_window: 16,
             widen_sds: 4.0,
             recalibrate_sds: 8.0,
@@ -780,10 +782,12 @@ mod tests {
     #[test]
     fn default_configs_are_accepted_at_every_level() {
         // A fixed 128-score window once fell below `min_window` for every
-        // α < 0.016 (132 at α = 0.015, 1,998 at α = 0.001).
+        // α < 0.016 (132 at α = 0.015, 1,998 at α = 0.001), and the
+        // clamped α range once left (0, α] below α = 0.001 and [α, 1)
+        // above α = 0.45.
         let scores = initial_scores(30);
-        for k in 0..=60 {
-            let alpha = 1e-3 * (450.0f64).powf(f64::from(k) / 60.0);
+        for k in 0..=80 {
+            let alpha = 1e-4 * (9_900.0f64).powf(f64::from(k) / 80.0);
             let cfg = AdaptiveConfig::for_alpha(alpha);
             if alpha >= 0.016 {
                 assert_eq!(cfg.window_capacity, 128, "alpha {alpha}");

@@ -350,12 +350,12 @@ impl ServeModel {
             let (lo_acc, hi_acc) = acc.split_at_mut(padded);
             match &self.pair {
                 FlatPair::Gbt { lo, hi } => {
-                    let lanes = self.gather(src, rows, lane_key);
+                    let lanes = self.gather(src, rows, lane_stride(d), lane_key);
                     lo.accumulate_block(&lanes, lo_acc);
                     hi.accumulate_block(&lanes, hi_acc);
                 }
                 FlatPair::Oblivious { lo, hi } => {
-                    let lanes = self.gather(src, rows, |v| v);
+                    let lanes = self.gather(src, rows, d * GROUP, |v| v);
                     lo.accumulate_block(&lanes, lo_acc);
                     hi.accumulate_block(&lanes, hi_acc);
                 }
@@ -370,15 +370,15 @@ impl ServeModel {
     /// Gathers `rows` of `src` into one lane-major block: after the
     /// scaler, feature `f` of the `i`-th row lands at
     /// `(i / GROUP)·stride + f·GROUP + i % GROUP` as `key(v)`, with
-    /// `stride = lane_stride(width)`; the last group is padded to a whole
-    /// `GROUP` with `T::default()`.
+    /// `stride` the values per group the pair's kernel reads; the last
+    /// group is padded to a whole `GROUP` with `T::default()`.
     fn gather<T: Copy + Default>(
         &self,
         src: &RowSource<'_>,
         rows: Range<usize>,
+        stride: usize,
         key: impl Fn(f64) -> T,
     ) -> Vec<T> {
-        let stride = lane_stride(src.width);
         let mut lanes = vec![T::default(); rows.len().div_ceil(GROUP) * stride];
         for (i, r) in rows.enumerate() {
             let base = i / GROUP * stride + i % GROUP;

@@ -65,17 +65,17 @@ pub(crate) const LANE_WIDTH: usize = 32;
 /// provably in bounds with no masking.
 pub(crate) const LANE_BLOCK: usize = LANE_WIDTH * GROUP + GROUP;
 
-/// Values per [`GROUP`] in the *lane-major* block every batch kernel
-/// reads: feature `f` of lane `j` of group `g` sits at
-/// `g·stride + f·GROUP + j`. Every lockstep chain then addresses its row
-/// value off one shared base pointer (`feat · GROUP + j`, with `j` a
-/// compile-time constant per unrolled chain) instead of keeping [`GROUP`]
-/// per-row base pointers alive — the difference between the kernel
-/// running out of registers and not. The feature axis is padded to at
-/// least [`LANE_WIDTH`] slots plus the spare group, so for every model
-/// the windowed kernel runs on the stride is exactly [`LANE_BLOCK`]; the
-/// padding slots are never read (every tested feature index is
-/// `< width`).
+/// Values per [`GROUP`] in the *lane-major* block both GBT kernels read:
+/// feature `f` of lane `j` of group `g` sits at `g·stride + f·GROUP + j`.
+/// Every lockstep chain then addresses its row value off one shared base
+/// pointer (`feat · GROUP + j`, with `j` a compile-time constant per
+/// unrolled chain) instead of keeping [`GROUP`] per-row base pointers
+/// alive — the difference between the kernel running out of registers
+/// and not. The feature axis is padded to at least [`LANE_WIDTH`] slots
+/// plus the spare group, so for every model the windowed kernel runs on
+/// the stride is exactly [`LANE_BLOCK`]; the padding slots are never read
+/// (every tested feature index is `< width`). The oblivious kernel reads
+/// the same layout unpadded, `width·GROUP` values per group.
 pub(crate) fn lane_stride(width: usize) -> usize {
     width.max(LANE_WIDTH) * GROUP + GROUP
 }
@@ -993,15 +993,16 @@ impl FlatOblivious {
     }
 
     /// Batch kernel over a lane block of raw `f64` row values as
-    /// `serve_rows` gathers it; see [`FlatGbt::accumulate_block`] for the
-    /// layout and exactness notes. Levels run in the outer loop over each
+    /// `serve_rows` gathers it, `n_features·GROUP` values per group with
+    /// no padding; see [`FlatGbt::accumulate_block`] for the layout and
+    /// exactness notes. Levels run in the outer loop over each
     /// [`GROUP`]-row group, so one `(feature, threshold)` pair is
     /// broadcast across all rows — and in the lane-major block the
     /// [`GROUP`] compared values sit contiguously, so the comparisons
     /// vectorize. Only the final LUT load depends on a row's accumulated
     /// bitmask, the one `ObliviousTree::leaf_index` builds.
     pub(crate) fn accumulate_block(&self, lanes: &[f64], out: &mut [f64]) {
-        let stride = lane_stride(self.n_features());
+        let stride = self.n_features() * GROUP;
         debug_assert_eq!(lanes.len() * GROUP, out.len() * stride);
         out.fill(self.base_score);
         for t in 0..self.n_trees() {
