@@ -1,11 +1,11 @@
 //! Streaming in-field recalibration: an *online* conformal layer for chips
 //! that keep reporting monitor readings after they ship.
 //!
-//! The batch machinery ([`crate::Cqr`], [`crate::GuardedCqr`]) calibrates
-//! once and assumes exchangeability forever after. In the field that
-//! assumption decays: aging shifts the score distribution between
-//! recalibrations, and a frozen `q̂` silently loses its 1−α promise. This
-//! module defends the guarantee online:
+//! The batch machinery ([`crate::Cqr`]) calibrates once and assumes
+//! exchangeability forever after. In the field that assumption decays:
+//! aging shifts the score distribution between recalibrations, and a
+//! frozen `q̂` silently loses its 1−α promise. This module defends the
+//! guarantee online:
 //!
 //! - a **bounded rolling calibration window** of nonconformity scores with
 //!   deterministic online quantile tracking (sorted multiset maintained by
@@ -19,8 +19,8 @@
 //!   mean shift and log-dispersion shift of the most recent scores against
 //!   the calibration baseline, both in σ units) that escalates a typed
 //!   degradation ladder `Nominal → Widened → Recalibrating → Rejecting`;
-//! - the **terminal safety valve**: completing a recalibration replays
-//!   [`crate::GuardedCqr`]'s widen-or-reject audit over the rebuilt window,
+//! - the **terminal safety valve**: completing a recalibration replays the
+//!   widen-or-reject audit of [`crate::GuardConfig`] over the rebuilt window,
 //!   so a stream whose post-drift scores cannot re-certify α ends in a loud
 //!   `Rejecting` state instead of a silently miscalibrated one.
 //!
@@ -127,7 +127,7 @@ pub struct AdaptiveConfig {
     /// de-escalate `Widened → Nominal`.
     pub calm_observations: usize,
     /// The widen-or-reject audit contract applied when a rebuilt window
-    /// finishes recalibrating — shared with [`crate::GuardedCqr`].
+    /// finishes recalibrating.
     pub guard: GuardConfig,
 }
 

@@ -1,12 +1,12 @@
 //! Conformal extensions beyond the paper: normalized (locally-weighted)
 //! split CP, Mondrian (group-conditional) CP and jackknife+.
 //!
-//! These serve the ablation benches: they quantify how much of CQR's win
-//! comes from adaptivity (vs. normalized CP), how group-conditional
-//! calibration would behave across temperature corners (Mondrian), and what
-//! a split-free method costs at the paper's tiny data scale (jackknife+).
+//! Ablation A2 runs normalized CP and jackknife+: they quantify how much of
+//! CQR's win comes from adaptivity (vs. normalized CP) and what a
+//! split-free method costs at the paper's tiny data scale (jackknife+).
+//! Mondrian CP, per-group calibration (e.g. per temperature corner), is
+//! not run by any pipeline.
 
-use crate::cv_plus::CvState;
 use crate::interval::{
     check_alpha, check_calibration_set, ConformalError, PredictionInterval, Result,
 };
@@ -204,8 +204,6 @@ impl<R: Regressor> MondrianConformal<R> {
 /// the paper's 156-chip scale where splitting hurts.
 ///
 /// Requires a factory so a fresh model can be fit per left-out sample.
-/// It is CV+ ([`crate::CvPlus`]) over the `n` leave-one-out splits, and
-/// shares its fit body and rank rule.
 #[derive(Debug)]
 pub struct JackknifePlus {
     alpha: f64,
@@ -267,11 +265,91 @@ impl JackknifePlus {
     }
 }
 
+/// The fitted state of jackknife+: one model per split and every sample's
+/// out-of-split residual.
+#[derive(Debug)]
+struct CvState {
+    /// One model per split, fit on that split's `train` rows.
+    models: Vec<Box<dyn Regressor>>,
+    /// Out-of-fold absolute residual and the index of the model that
+    /// produced it, for every training sample.
+    residuals: Vec<(f64, usize)>,
+}
+
+impl CvState {
+    /// Fits one model per split on its `train` rows and records each
+    /// `test` row's absolute residual against it; the `test` sets must
+    /// partition `0..x.rows()`. Splits are independent, so they fit on
+    /// `vmin-par` worker threads (hence `factory: Sync`) and the result is
+    /// bit-identical to a serial fit at any thread count.
+    fn fit<F>(x: &Matrix, y: &[f64], splits: &[Split], factory: F) -> Result<Self>
+    where
+        F: Fn() -> Box<dyn Regressor> + Sync,
+    {
+        type FoldFit = Result<(Box<dyn Regressor>, Vec<(usize, f64)>)>;
+        let per_fold = vmin_par::par_map(splits, 2, |_, split| -> FoldFit {
+            let x_tr = x.select_rows(&split.train)?;
+            let y_tr: Vec<f64> = split.train.iter().map(|&i| y[i]).collect();
+            let mut model = factory();
+            // One plan per fold: the fold-complement design is shared by
+            // everything the model memoizes (bins, designs). fit_with_plan
+            // is exact, so fold models are unchanged.
+            if model.wants_fit_plan() {
+                let plan = vmin_models::FitPlan::build(&x_tr);
+                model.fit_with_plan(&x_tr, &y_tr, &plan)?;
+            } else {
+                model.fit(&x_tr, &y_tr)?;
+            }
+            let mut fold_residuals = Vec::with_capacity(split.test.len());
+            for &i in &split.test {
+                let p = model.predict_row(x.row(i))?;
+                fold_residuals.push((i, (y[i] - p).abs()));
+            }
+            Ok((model, fold_residuals))
+        });
+        let mut models = Vec::with_capacity(splits.len());
+        let mut residuals = vec![(0.0, 0usize); x.rows()];
+        for (fold_idx, fold) in per_fold.into_iter().enumerate() {
+            let (model, fold_residuals) = fold?;
+            for (i, r) in fold_residuals {
+                residuals[i] = (r, fold_idx);
+            }
+            models.push(model);
+        }
+        Ok(CvState { models, residuals })
+    }
+
+    /// The jackknife+ rank rule at miscoverage `alpha`: the
+    /// `⌊α(n+1)⌋`-th smallest of `{μ_fold(i)(x) − R_i}` and the
+    /// `⌈(1−α)(n+1)⌉`-th smallest of `{μ_fold(i)(x) + R_i}` over all `n`
+    /// training samples `i`.
+    fn predict_interval(&self, alpha: f64, row: &[f64]) -> Result<PredictionInterval> {
+        // One prediction per fold model, reused for all its fold's samples.
+        let fold_preds: Vec<f64> = self
+            .models
+            .iter()
+            .map(|m| m.predict_row(row))
+            .collect::<std::result::Result<_, _>>()?;
+        let n = self.residuals.len();
+        let mut lows: Vec<f64> = Vec::with_capacity(n);
+        let mut highs: Vec<f64> = Vec::with_capacity(n);
+        for &(r, fold) in &self.residuals {
+            lows.push(fold_preds[fold] - r);
+            highs.push(fold_preds[fold] + r);
+        }
+        lows.sort_by(|a, b| a.total_cmp(b));
+        highs.sort_by(|a, b| a.total_cmp(b));
+        let k_lo = ((alpha * (n as f64 + 1.0)).floor() as usize).max(1) - 1;
+        let k_hi = (((1.0 - alpha) * (n as f64 + 1.0)).ceil() as usize).min(n) - 1;
+        Ok(PredictionInterval::new(lows[k_lo], highs[k_hi]))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interval::evaluate_intervals;
-    use vmin_models::LinearRegression;
+    use vmin_models::{GradientBoost, GradientBoostParams, LinearRegression, Loss};
     use vmin_rng::ChaCha8Rng;
     use vmin_rng::Rng;
     use vmin_rng::SeedableRng;
@@ -374,6 +452,79 @@ mod tests {
         }
         let avg = total / reps as f64;
         assert!(avg >= 0.75, "jackknife+ coverage {avg}");
+    }
+
+    /// A 20-round squared-loss booster: it memoizes per-fit state and
+    /// takes fit plans, yet 60 leave-one-out fits stay fast.
+    fn gbt20() -> GradientBoost {
+        GradientBoost::with_params(
+            Loss::Squared,
+            GradientBoostParams {
+                n_rounds: 20,
+                ..GradientBoostParams::default()
+            },
+        )
+    }
+
+    /// Jackknife+ interval bits on `x_te` after fitting on `(x, y)`.
+    fn jackknife_bits(
+        x: &Matrix,
+        y: &[f64],
+        x_te: &Matrix,
+        factory: &(dyn Fn() -> Box<dyn Regressor> + Sync),
+    ) -> Vec<(u64, u64)> {
+        let mut jk = JackknifePlus::new(0.2);
+        jk.fit(x, y, factory).unwrap();
+        (0..x_te.rows())
+            .map(|i| {
+                let iv = jk.predict_interval(x_te.row(i)).unwrap();
+                (iv.lo().to_bits(), iv.hi().to_bits())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_fit_is_bit_identical_to_serial() {
+        let (x, y) = hetero(60, 11);
+        let (x_te, _) = hetero(25, 12);
+        let run_at = |threads: usize| {
+            vmin_par::with_threads(threads, || {
+                jackknife_bits(&x, &y, &x_te, &|| -> Box<dyn Regressor> {
+                    Box::new(gbt20())
+                })
+            })
+        };
+        let serial = run_at(1);
+        for threads in [2, 8] {
+            assert_eq!(run_at(threads), serial, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn per_fold_plans_yield_bit_identical_intervals() {
+        /// The same booster with plan use switched off: the trait defaults
+        /// report `wants_fit_plan() == false`, so every fold fits plainly.
+        #[derive(Debug)]
+        struct Plain(GradientBoost);
+        impl Regressor for Plain {
+            fn fit(&mut self, x: &Matrix, y: &[f64]) -> vmin_models::Result<()> {
+                self.0.fit(x, y)
+            }
+            fn predict_row(&self, row: &[f64]) -> vmin_models::Result<f64> {
+                self.0.predict_row(row)
+            }
+        }
+
+        assert!(gbt20().wants_fit_plan());
+        let (x, y) = hetero(60, 21);
+        let (x_te, _) = hetero(25, 22);
+        let planned = jackknife_bits(&x, &y, &x_te, &|| -> Box<dyn Regressor> {
+            Box::new(gbt20())
+        });
+        let plain = jackknife_bits(&x, &y, &x_te, &|| -> Box<dyn Regressor> {
+            Box::new(Plain(gbt20()))
+        });
+        assert_eq!(planned, plain);
     }
 
     #[test]

@@ -258,9 +258,8 @@ mod tests {
     #[test]
     fn every_entry_point_rejects_alpha_outside_the_open_unit_interval() {
         use crate::{
-            conformal_quantile, AdaptiveCalibrator, AdaptiveConfig, Cqr, CqrAsymmetric, CvPlus,
-            GuardConfig, GuardedCqr, JackknifePlus, MondrianConformal, NormalizedConformal,
-            SplitConformal,
+            conformal_quantile, AdaptiveCalibrator, AdaptiveConfig, Cqr, CqrAsymmetric,
+            JackknifePlus, MondrianConformal, NormalizedConformal, SplitConformal,
         };
         use vmin_models::{LinearRegression, QuantileLinear, Regressor};
         let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from(i)]).collect();
@@ -274,14 +273,13 @@ mod tests {
         for alpha in [0.0, 1.0, -0.1, f64::NAN] {
             let (lo, hi) = pair();
             let (alo, ahi) = pair();
-            let (glo, ghi) = pair();
             // `for_alpha` derives its window sizes from α, so only the α
             // field is set to the value under test.
             let adaptive = AdaptiveConfig {
                 alpha,
                 ..AdaptiveConfig::for_alpha(0.1)
             };
-            let checks: [(&str, Result<()>); 11] = [
+            let checks: [(&str, Result<()>); 9] = [
                 (
                     "conformal_quantile",
                     conformal_quantile(&y, alpha).map(drop),
@@ -299,20 +297,6 @@ mod tests {
                     CqrAsymmetric::new(alo, ahi, alpha).fit_calibrate(&x, &y, &x, &y),
                 ),
                 (
-                    "GuardedCqr::fit_calibrate_audited",
-                    GuardedCqr::fit_calibrate_audited(
-                        glo,
-                        ghi,
-                        alpha,
-                        &x,
-                        &y,
-                        &x,
-                        &y,
-                        &GuardConfig::default(),
-                    )
-                    .map(drop),
-                ),
-                (
                     "SplitConformal::fit_calibrate",
                     SplitConformal::new(linear(), alpha).fit_calibrate(&x, &y, &x, &y),
                 ),
@@ -326,7 +310,6 @@ mod tests {
                     MondrianConformal::new(linear(), alpha, 1)
                         .fit_calibrate(&x, &y, &x, &y, &[0; 40]),
                 ),
-                ("CvPlus::fit", CvPlus::new(alpha, 4, 1).fit(&x, &y, boxed)),
                 (
                     "JackknifePlus::fit",
                     JackknifePlus::new(alpha).fit(&x, &y, boxed),

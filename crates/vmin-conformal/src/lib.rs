@@ -9,8 +9,9 @@
 //!   quantile pair (§III-C, Eqs. 9–10). Adaptive intervals, same guarantee.
 //! - [`conformal_quantile`]: the `⌈(M+1)(1−α)⌉/M` empirical quantile both
 //!   are built on.
-//! - Extensions for ablations: [`NormalizedConformal`],
-//!   [`MondrianConformal`], [`JackknifePlus`].
+//! - Extensions: [`NormalizedConformal`] and [`JackknifePlus`] (ablation
+//!   A2), [`CqrAsymmetric`] (per-side CQR scores) and
+//!   [`MondrianConformal`] (group-conditional CP, which no pipeline runs).
 //! - [`AdaptiveCalibrator`]: the streaming in-field layer — rolling
 //!   calibration window, ACI feedback, drift detection and the typed
 //!   degradation ladder `Nominal → Widened → Recalibrating → Rejecting`.
@@ -44,7 +45,6 @@
 mod adaptive;
 mod cqr;
 mod cqr_asymmetric;
-mod cv_plus;
 mod extensions;
 mod guard;
 mod interval;
@@ -56,9 +56,8 @@ pub use adaptive::{
 };
 pub use cqr::Cqr;
 pub use cqr_asymmetric::CqrAsymmetric;
-pub use cv_plus::CvPlus;
 pub use extensions::{JackknifePlus, MondrianConformal, NormalizedConformal};
-pub use guard::{GuardConfig, GuardOutcome, GuardedCqr};
+pub use guard::GuardConfig;
 pub use interval::{
     evaluate_intervals, CalibrationError, ConformalError, IntervalReport, PredictionInterval,
     Result,

@@ -52,7 +52,6 @@ mod error;
 mod experiment;
 mod fleet;
 mod flow;
-mod reliability;
 mod report;
 mod scenario;
 mod screening;
@@ -71,14 +70,8 @@ pub use flow::{
     eval_point_fold, eval_region_fold, PointEval, RegionEval, SanitizedFit, VminPredictor,
     CFS_MAX_FEATURES, CFS_POOL,
 };
-pub use reliability::{forecast_fleet, ChipForecast, FleetReport};
-pub use report::{
-    format_feature_set_table, format_point_table, format_region_table, format_repair_log,
-};
-pub use scenario::{
-    assemble_dataset, assemble_dataset_with_trends, assemble_stream_snapshot, monitor_read_points,
-    FeatureSet,
-};
+pub use report::{format_feature_set_table, format_point_table, format_region_table};
+pub use scenario::{assemble_dataset, assemble_stream_snapshot, monitor_read_points, FeatureSet};
 pub use screening::{simulate_screening, ScreeningDecision, ScreeningPolicy, ScreeningReport};
 pub use streaming::{run_stream, ReadPointStats, StreamConfig, StreamReport};
 // The canonical readers for `VMIN_*` environment knobs (they live in

@@ -1,18 +1,9 @@
 //! Plain-text table formatting matching the paper's artifacts.
 
-use crate::degradation::RepairLog;
 use crate::experiment::FeatureSetSummary;
 use crate::flow::{PointEval, RegionEval};
 use crate::zoo::{PointModel, RegionMethod};
 use vmin_silicon::Campaign;
-
-/// Formats a degradation [`RepairLog`] as the per-fault-class block embedded
-/// in experiment reports: one line per fault class with its detection count
-/// and repair action, plus the fallback note when monitor loss forced the
-/// parametric-only feature set.
-pub fn format_repair_log(log: &RepairLog) -> String {
-    log.summary()
-}
 
 /// Formats a Fig. 2-style table: R² per (model, temperature) for one read
 /// point. `results[m][t]` corresponds to `models[m]`, temperature index `t`.

@@ -245,58 +245,6 @@ pub fn assemble_stream_snapshot(
     )
 }
 
-/// Like [`assemble_dataset`], but additionally appends *trend features* for
-/// in-field read points: the per-monitor delta between the latest and the
-/// earliest available read (ROD and CPD), explicitly encoding each chip's
-/// observed degradation slope.
-///
-/// §III-A notes that with fewer than 10 read points, time-series models
-/// overfit and the paper simply treats each read point as separate
-/// features; engineered deltas are the lightweight middle ground and are
-/// exercised by the ablation tests.
-///
-/// For `read_point == 0` (a single monitor read) this is identical to
-/// [`assemble_dataset`].
-///
-/// # Errors
-///
-/// Same conditions as [`assemble_dataset`].
-pub fn assemble_dataset_with_trends(
-    campaign: &Campaign,
-    read_point: usize,
-    temp_idx: usize,
-    feature_set: FeatureSet,
-) -> Result<Dataset, CoreError> {
-    let base = assemble_dataset(campaign, read_point, temp_idx, feature_set)?;
-    let points = monitor_read_points(read_point);
-    if points.len() < 2 || matches!(feature_set, FeatureSet::Parametric) {
-        return Ok(base);
-    }
-    let (Some(&first), Some(&last)) = (points.first(), points.last()) else {
-        // unreachable in practice: the points.len() < 2 early return above
-        // guarantees at least two monitor read points here.
-        return Err(CoreError::Shape(
-            "monitor read-point schedule is empty".to_string(),
-        ));
-    };
-    let n = campaign.chip_count();
-    let rods = campaign.spec.monitors.rod_count;
-    let cpds = campaign.spec.monitors.cpd_count;
-    let mut names: Vec<String> = (0..rods).map(|j| format!("rod_{j:03}_delta")).collect();
-    names.extend((0..cpds).map(|j| format!("cpd_{j:02}_delta")));
-    let mut trend = Matrix::zeros(n, rods + cpds);
-    for (i, chip) in campaign.chips.iter().enumerate() {
-        for j in 0..rods {
-            trend[(i, j)] = chip.rod[last][j] - chip.rod[first][j];
-        }
-        for j in 0..cpds {
-            trend[(i, rods + j)] = chip.cpd[last][j] - chip.cpd[first][j];
-        }
-    }
-    let trend_ds = Dataset::new(trend, base.targets().to_vec(), names)?;
-    Ok(base.hconcat(&trend_ds)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,33 +318,6 @@ mod tests {
                 assert!(matches!(ds, Err(CoreError::Index(_))), "{ds:?}");
             }
         }
-    }
-
-    #[test]
-    fn trend_features_extend_infield_datasets() {
-        let c = campaign();
-        let spec = DatasetSpec::small();
-        let per_rp = spec.monitors.rod_count + spec.monitors.cpd_count;
-        let base = assemble_dataset(&c, 3, 1, FeatureSet::OnChip).unwrap();
-        let trended = assemble_dataset_with_trends(&c, 3, 1, FeatureSet::OnChip).unwrap();
-        assert_eq!(trended.n_features(), base.n_features() + per_rp);
-        assert!(trended.names().iter().any(|n| n.ends_with("_delta")));
-        // Delta columns equal last-minus-first monitor reads.
-        let j = base.n_features(); // first delta column = rod 0
-        let chip0 = &c.chips[0];
-        let expected = chip0.rod[2][0] - chip0.rod[0][0]; // points {0,1,2}
-        assert!((trended.sample(0)[j] - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trend_features_are_identity_at_time0_and_parametric() {
-        let c = campaign();
-        let t0 = assemble_dataset_with_trends(&c, 0, 1, FeatureSet::Both).unwrap();
-        let base0 = assemble_dataset(&c, 0, 1, FeatureSet::Both).unwrap();
-        assert_eq!(t0, base0);
-        let par = assemble_dataset_with_trends(&c, 4, 1, FeatureSet::Parametric).unwrap();
-        let base_par = assemble_dataset(&c, 4, 1, FeatureSet::Parametric).unwrap();
-        assert_eq!(par, base_par);
     }
 
     #[test]

@@ -168,29 +168,6 @@ impl Dataset {
         })
     }
 
-    /// Horizontally concatenates the features of `self` and `other`
-    /// (same samples, more features).
-    ///
-    /// The targets of `self` are kept; `other`'s targets are ignored (they
-    /// describe the same chips).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::ShapeMismatch`] if the sample counts differ.
-    pub fn hconcat(&self, other: &Dataset) -> Result<Dataset, DatasetError> {
-        let features = self
-            .features
-            .hconcat(&other.features)
-            .map_err(|e| DatasetError::ShapeMismatch(e.to_string()))?;
-        let mut names = self.names.clone();
-        names.extend(other.names.iter().cloned());
-        Ok(Dataset {
-            features,
-            targets: self.targets.clone(),
-            names,
-        })
-    }
-
     /// Consumes the dataset, returning `(features, targets, names)`.
     pub fn into_parts(self) -> (Matrix, Vec<f64>, Vec<String>) {
         (self.features, self.targets, self.names)
@@ -257,22 +234,6 @@ mod tests {
         assert_eq!(s.sample(1), &[200.0, 2.0]);
         assert_eq!(s.targets(), d.targets());
         assert!(d.subset_columns(&[5]).is_err());
-    }
-
-    #[test]
-    fn hconcat_merges_features() {
-        let d = ds();
-        let h = d.hconcat(&d).unwrap();
-        assert_eq!(h.n_features(), 6);
-        assert_eq!(h.names()[3], "a");
-        assert_eq!(h.targets(), d.targets());
-    }
-
-    #[test]
-    fn hconcat_rejects_mismatched_samples() {
-        let d = ds();
-        let other = d.subset_rows(&[0, 1]).unwrap();
-        assert!(d.hconcat(&other).is_err());
     }
 
     #[test]

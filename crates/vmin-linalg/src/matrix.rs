@@ -424,26 +424,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Horizontally concatenates `self` and `rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the row counts differ.
-    pub fn hconcat(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.rows != rhs.rows {
-            return Err(LinalgError::ShapeMismatch(format!(
-                "hconcat: {} rows vs {} rows",
-                self.rows, rhs.rows
-            )));
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + rhs.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(rhs.row(i));
-        }
-        Ok(out)
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -652,16 +632,6 @@ mod tests {
         assert_eq!(r.row(0), &[4.0, 5.0, 6.0]);
         assert!(m.select_columns(&[9]).is_err());
         assert!(m.select_rows(&[9]).is_err());
-    }
-
-    #[test]
-    fn hconcat_widths_add() {
-        let m = sample();
-        let h = m.hconcat(&m).unwrap();
-        assert_eq!(h.shape(), (2, 6));
-        assert_eq!(h.row(0), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-        let tall = Matrix::zeros(3, 1);
-        assert!(m.hconcat(&tall).is_err());
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! The graph is deliberately coarse — it keys on bare identifiers, not
 //! resolved paths — which makes it *conservative* for the `dead-pub-item`
 //! ratchet: a `pub` item is reported dead only when **every** occurrence
-//! of its name across the scanned corpus is itself a definition's name
-//! token. Any call, path mention, re-export, field access or even a
-//! same-named local counts as a use and clears the item. False positives
-//! are therefore (nearly) impossible; false negatives are accepted — this
-//! is a ratchet, not a proof.
+//! of its name outside `use` declarations is itself a definition's name
+//! token. Any call, path mention, field access or even a same-named local
+//! counts as a use and clears the item. An import or re-export (`use`,
+//! `pub use`) does not: it only names the item for code that may never
+//! call it. False positives need an item reached solely through a renamed
+//! import (`use a::B as C;`) or a trait imported for its methods and never
+//! named elsewhere; waive such an item with the allow comment. False
+//! negatives are accepted — this is a ratchet, not a proof.
 //!
 //! The corpus is wider than the lint scan proper: `tests/`, `benches/`
 //! and `examples/` trees are lexed usage-only so an item exercised only
@@ -88,11 +91,18 @@ impl ItemGraph {
     }
 
     /// Folds a usage-only file (integration tests, benches, examples)
-    /// into the use counts without parsing items.
+    /// into the use counts without parsing items. Identifiers inside a
+    /// `use` declaration, from the keyword to its `;`, are not counted.
     pub fn add_usage_only(&mut self, toks: &[Token]) {
+        let mut in_use = false;
         for t in toks {
-            if t.kind == TokKind::Ident {
-                *self.uses.entry(t.text.clone()).or_insert(0) += 1;
+            match t.kind {
+                TokKind::Ident if t.text == "use" => in_use = true,
+                TokKind::Punct if t.text == ";" => in_use = false,
+                TokKind::Ident if !in_use => {
+                    *self.uses.entry(t.text.clone()).or_insert(0) += 1;
+                }
+                _ => {}
             }
         }
     }
@@ -102,8 +112,9 @@ impl ItemGraph {
         self.fn_names.contains(name)
     }
 
-    /// The dead `pub` items: candidates whose every name occurrence is a
-    /// definition token. Sorted by (crate, file, line) for determinism.
+    /// The dead `pub` items: candidates whose every name occurrence outside
+    /// `use` declarations is a definition token. Sorted by (crate, file,
+    /// line) for determinism.
     pub fn dead_pub(&self) -> Vec<&DefRecord> {
         let mut dead: Vec<&DefRecord> = self
             .candidates
@@ -150,6 +161,29 @@ mod tests {
         ]);
         let dead: Vec<&str> = g.dead_pub().iter().map(|d| d.name.as_str()).collect();
         assert_eq!(dead, vec!["unused"]);
+    }
+
+    #[test]
+    fn a_re_export_alone_is_not_a_use() {
+        let g = graph_of(&[
+            (
+                "a",
+                "crates/a/src/lib.rs",
+                "mod report;\npub use report::{format_called, format_exported};\n",
+            ),
+            (
+                "a",
+                "crates/a/src/report.rs",
+                "pub fn format_called() {}\npub fn format_exported() {}\n",
+            ),
+            (
+                "b",
+                "crates/b/src/lib.rs",
+                "use a::format_called;\nfn caller() { format_called(); }\n",
+            ),
+        ]);
+        let dead: Vec<&str> = g.dead_pub().iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(dead, vec!["format_exported"]);
     }
 
     #[test]

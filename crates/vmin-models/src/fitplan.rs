@@ -1,6 +1,6 @@
 //! The exact fit-plan memo: per-dataset artifacts that boosters and
 //! standardizing models would otherwise rebuild on every `fit`, computed
-//! once and shared across the CQR quantile pair and the CV+ folds.
+//! once per training matrix and shared, e.g. across the CQR quantile pair.
 //!
 //! A [`FitPlan`] memoizes, per training matrix:
 //!

@@ -67,11 +67,9 @@ pub struct GaussianProcess {
     state: Option<GpState>,
 }
 
-/// A training set prepared for exact GP inference — the core
-/// [`GaussianProcess`] and `ArdGp` share: standardized features (the
-/// [`standardize_design`] transform) and centred targets. Each kernel keeps
-/// its own `eval` and hyperparameter search.
-pub(crate) struct GpDesign {
+/// A training set prepared for exact GP inference: standardized features
+/// (the [`standardize_design`] transform) and centred targets.
+struct GpDesign {
     /// Standardized training features.
     xz: Matrix,
     /// Targets minus their mean.
@@ -83,7 +81,7 @@ pub(crate) struct GpDesign {
 
 impl GpDesign {
     /// Validates and prepares `(x, y)`.
-    pub(crate) fn new(x: &Matrix, y: &[f64]) -> Result<Self> {
+    fn new(x: &Matrix, y: &[f64]) -> Result<Self> {
         validate_training(x, y)?;
         let StandardizedDesign {
             feat_means,
@@ -100,37 +98,28 @@ impl GpDesign {
         })
     }
 
-    /// Factors the Gram matrix `K + max(noise, 1e-10)·I` of `kernel` over
+    /// Factors the Gram matrix `K + max(σ_n², 1e-10)·I` of `kernel` over
     /// the design and solves `K α = yc`.
-    fn factor(
-        &self,
-        kernel: impl Fn(&[f64], &[f64]) -> f64,
-        noise: f64,
-    ) -> Result<(Cholesky, Vec<f64>)> {
+    fn factor(&self, kernel: &RbfKernel) -> Result<(Cholesky, Vec<f64>)> {
         let n = self.xz.rows();
         let mut k = Matrix::zeros(n, n);
         for i in 0..n {
             for j in i..n {
-                let v = kernel(self.xz.row(i), self.xz.row(j));
+                let v = kernel.eval(self.xz.row(i), self.xz.row(j));
                 k[(i, j)] = v;
                 k[(j, i)] = v;
             }
         }
-        k.add_diagonal(noise.max(1e-10));
+        k.add_diagonal(kernel.noise_variance.max(1e-10));
         let chol = Cholesky::factor(&k)
             .map_err(|e| ModelError::Numerical(format!("kernel not PD: {e}")))?;
         let alpha = chol.solve(&self.yc)?;
         Ok((chol, alpha))
     }
 
-    /// Log marginal likelihood of the centred targets under `kernel` with
-    /// observation-noise variance `noise`.
-    pub(crate) fn log_marginal(
-        &self,
-        kernel: impl Fn(&[f64], &[f64]) -> f64,
-        noise: f64,
-    ) -> Result<f64> {
-        let (chol, alpha) = self.factor(kernel, noise)?;
+    /// Log marginal likelihood of the centred targets under `kernel`.
+    fn log_marginal(&self, kernel: &RbfKernel) -> Result<f64> {
+        let (chol, alpha) = self.factor(kernel)?;
         let fit: f64 = self.yc.iter().zip(&alpha).map(|(a, b)| a * b).sum();
         Ok(-0.5 * fit
             - 0.5 * chol.log_det()
@@ -138,12 +127,8 @@ impl GpDesign {
     }
 
     /// The final factorization under the chosen kernel.
-    pub(crate) fn into_state(
-        self,
-        kernel: impl Fn(&[f64], &[f64]) -> f64,
-        noise: f64,
-    ) -> Result<GpState> {
-        let (chol, alpha) = self.factor(kernel, noise)?;
+    fn into_state(self, kernel: &RbfKernel) -> Result<GpState> {
+        let (chol, alpha) = self.factor(kernel)?;
         Ok(GpState {
             x_train: self.xz,
             alpha,
@@ -157,14 +142,14 @@ impl GpDesign {
 
 /// A fitted exact GP.
 #[derive(Debug, Clone)]
-pub(crate) struct GpState {
+struct GpState {
     /// Standardized training features.
-    pub(crate) x_train: Matrix,
+    x_train: Matrix,
     /// `K⁻¹ (y − m)` where `m` is the target mean.
-    pub(crate) alpha: Vec<f64>,
+    alpha: Vec<f64>,
     chol: Cholesky,
     /// The training target mean `m`.
-    pub(crate) y_mean: f64,
+    y_mean: f64,
     /// Feature standardization from the training fold.
     feat_means: Vec<f64>,
     feat_scales: Vec<f64>,
@@ -176,7 +161,7 @@ impl GpState {
     /// # Errors
     ///
     /// [`ModelError::InvalidInput`] on dimension mismatch.
-    pub(crate) fn standardize_row(&self, row: &[f64]) -> Result<Vec<f64>> {
+    fn standardize_row(&self, row: &[f64]) -> Result<Vec<f64>> {
         if row.len() != self.feat_means.len() {
             return Err(ModelError::InvalidInput(format!(
                 "model has {} features, row has {}",
@@ -313,9 +298,7 @@ impl Regressor for GaussianProcess {
                             length_scale: ls * (d as f64).sqrt(),
                             noise_variance: sn * y_sd * y_sd,
                         };
-                        if let Ok(lml) =
-                            design.log_marginal(|a, b| cand.eval(a, b), cand.noise_variance)
-                        {
+                        if let Ok(lml) = design.log_marginal(&cand) {
                             if lml > best.0 {
                                 best = (lml, cand);
                             }
@@ -329,8 +312,7 @@ impl Regressor for GaussianProcess {
         }
 
         // Final factorization with the chosen kernel.
-        let kernel = self.kernel;
-        self.state = Some(design.into_state(|a, b| kernel.eval(a, b), kernel.noise_variance)?);
+        self.state = Some(design.into_state(&self.kernel)?);
         Ok(())
     }
 

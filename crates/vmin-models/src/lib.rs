@@ -38,7 +38,6 @@
 // Indexed loops are kept where they mirror the underlying matrix math.
 #![allow(clippy::needless_range_loop)]
 
-mod ard;
 mod ensemble;
 mod fitplan;
 mod gbt;
@@ -52,7 +51,6 @@ mod quantile_linear;
 mod traits;
 mod tree;
 
-pub use ard::{ArdGp, ArdKernel};
 pub use ensemble::Ensemble;
 pub use fitplan::{
     standardize_design, validate_border_count, BinnedDataset, FitPlan, StandardizedDesign,

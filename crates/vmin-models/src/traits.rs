@@ -162,7 +162,7 @@ impl Loss {
 ///
 /// `Send + Sync` are supertraits so fitted models (including boxed trait
 /// objects) can move to and be shared with `vmin-par` worker threads —
-/// e.g. fold-parallel CV+ fits. Every implementor is plain owned data, so
+/// e.g. jackknife+'s split-parallel fits. Every implementor is plain owned data, so
 /// the bounds are free.
 pub trait Regressor: fmt::Debug + Send + Sync {
     /// Fits the model on `x` (n × d) and targets `y` (length n).
