@@ -322,7 +322,9 @@ impl CvState {
     /// The jackknife+ rank rule at miscoverage `alpha`: the
     /// `⌊α(n+1)⌋`-th smallest of `{μ_fold(i)(x) − R_i}` and the
     /// `⌈(1−α)(n+1)⌉`-th smallest of `{μ_fold(i)(x) + R_i}` over all `n`
-    /// training samples `i`.
+    /// training samples `i`. A rank below 1 or above `n` makes that bound
+    /// infinite, as in `conformal_quantile`: `n` samples are too few to
+    /// certify it.
     fn predict_interval(&self, alpha: f64, row: &[f64]) -> Result<PredictionInterval> {
         // One prediction per fold model, reused for all its fold's samples.
         let fold_preds: Vec<f64> = self
@@ -339,9 +341,11 @@ impl CvState {
         }
         lows.sort_by(|a, b| a.total_cmp(b));
         highs.sort_by(|a, b| a.total_cmp(b));
-        let k_lo = ((alpha * (n as f64 + 1.0)).floor() as usize).max(1) - 1;
-        let k_hi = (((1.0 - alpha) * (n as f64 + 1.0)).ceil() as usize).min(n) - 1;
-        Ok(PredictionInterval::new(lows[k_lo], highs[k_hi]))
+        let k_lo = (alpha * (n as f64 + 1.0)).floor() as usize;
+        let k_hi = ((1.0 - alpha) * (n as f64 + 1.0)).ceil() as usize;
+        let lo = k_lo.checked_sub(1).map_or(f64::NEG_INFINITY, |k| lows[k]);
+        let hi = highs.get(k_hi - 1).copied().unwrap_or(f64::INFINITY);
+        Ok(PredictionInterval::new(lo, hi))
     }
 }
 
@@ -452,6 +456,29 @@ mod tests {
         }
         let avg = total / reps as f64;
         assert!(avg >= 0.75, "jackknife+ coverage {avg}");
+    }
+
+    #[test]
+    fn jackknife_plus_bounds_are_infinite_when_n_is_too_small_for_alpha() {
+        // At α = 0.1 the lower rank ⌊0.1(n+1)⌋ is 0 and the upper rank
+        // ⌈0.9(n+1)⌉ exceeds n for every n ≤ 8; n = 9 is the first size
+        // whose ranks both land in 1..=n.
+        for (n, infinite) in [(5, true), (8, true), (9, false)] {
+            let (x, y) = hetero(n, 41);
+            let mut jk = JackknifePlus::new(0.1);
+            jk.fit(&x, &y, || Box::new(LinearRegression::new()))
+                .unwrap();
+            let iv = jk.predict_interval(&[1.0]).unwrap();
+            if infinite {
+                assert_eq!(iv.lo(), f64::NEG_INFINITY, "n = {n}");
+                assert_eq!(iv.hi(), f64::INFINITY, "n = {n}");
+            } else {
+                assert!(
+                    iv.lo().is_finite() && iv.hi().is_finite(),
+                    "n = {n}: {iv:?}"
+                );
+            }
+        }
     }
 
     /// A 20-round squared-loss booster: it memoizes per-fit state and

@@ -25,8 +25,11 @@ use crate::quantile::conformal_quantile;
 /// Configuration of the calibration audit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardConfig {
-    /// Fraction of the calibration set held out for the audit (round-robin
-    /// assignment, so the slice is deterministic).
+    /// Target share of the calibration window held out for the audit. The
+    /// slice is every `round(1/audit_fraction)`-th score, at least every
+    /// second (round-robin, so it is deterministic), so the audited share
+    /// is `1/round(1/audit_fraction)` and at most half: 0.3 audits a
+    /// third, and every value above 0.4 audits half.
     pub audit_fraction: f64,
     /// Minimum audit-slice size for the binomial test to mean anything.
     pub min_audit: usize,
@@ -79,8 +82,10 @@ impl GuardConfig {
     }
 
     /// Round-robin stride of the audit split: every `stride`-th point is
-    /// audit. Shared by the adaptive calibrator's capacity check and its
-    /// recalibration valve so both slice the window identically.
+    /// audit, where `stride = round(1/audit_fraction)`, at least 2, so the
+    /// audited share is `1/stride`, never more than half. Shared by the
+    /// adaptive calibrator's capacity check and its recalibration valve so
+    /// both slice the window identically.
     pub(crate) fn audit_stride(&self) -> usize {
         (1.0 / self.audit_fraction).round().max(2.0) as usize
     }
@@ -235,6 +240,21 @@ mod tests {
                 assert!(required > 0.0, "required {required}");
             }
             other => panic!("expected CalibrationContaminated, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn audit_stride_rounds_the_inverse_fraction_and_audits_at_most_half() {
+        for (audit_fraction, stride) in [(0.1, 10), (0.3, 3), (0.6, 2), (0.9, 2)] {
+            let cfg = GuardConfig {
+                audit_fraction,
+                ..GuardConfig::default()
+            };
+            assert_eq!(
+                cfg.audit_stride(),
+                stride,
+                "audit_fraction {audit_fraction}"
+            );
         }
     }
 

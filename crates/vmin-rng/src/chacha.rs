@@ -105,9 +105,16 @@ impl RngCore for ChaCha8Rng {
         word
     }
 
+    /// The next two words, low word first: `lo | hi << 32`. Both come
+    /// from the buffer under one index check unless they straddle a
+    /// refill.
     fn next_u64(&mut self) -> u64 {
-        let lo = self.next_u32() as u64;
-        let hi = self.next_u32() as u64;
+        if let Some(&[lo, hi]) = self.buffer.get(self.index..self.index + 2) {
+            self.index += 2;
+            return u64::from(lo) | (u64::from(hi) << 32);
+        }
+        let lo = u64::from(self.next_u32());
+        let hi = u64::from(self.next_u32());
         lo | (hi << 32)
     }
 }
@@ -142,6 +149,31 @@ mod tests {
         let ones: u32 = (0..n).map(|_| rng.next_u32().count_ones()).sum();
         let frac = ones as f64 / (n as f64 * 32.0);
         assert!((frac - 0.5).abs() < 0.01, "bit balance {frac}");
+    }
+
+    #[test]
+    fn next_u64_is_two_next_u32_words_low_first_at_every_offset() {
+        // Offsets 0..=15 cover every buffer position the pair can start at;
+        // 15 straddles the refill (low word from this block, high word
+        // from the next) and 14 ends exactly on it.
+        for offset in 0..16 {
+            let mut pair = ChaCha8Rng::seed_from_u64(0x5EED);
+            let mut words = pair.clone();
+            for _ in 0..offset {
+                pair.next_u32();
+                words.next_u32();
+            }
+            for step in 0..3 {
+                let lo = u64::from(words.next_u32());
+                let hi = u64::from(words.next_u32());
+                assert_eq!(
+                    pair.next_u64(),
+                    lo | (hi << 32),
+                    "offset {offset}, step {step}"
+                );
+            }
+            assert_eq!(pair, words, "offset {offset}: streams diverged");
+        }
     }
 
     #[test]

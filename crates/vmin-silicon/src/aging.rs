@@ -20,7 +20,7 @@
 //! the population — the structure that motivates adaptive intervals.
 
 use crate::config::{AgingSpec, StressSpec, WorkloadSpec};
-use crate::sampling::{lognormal, normal, standard_normal};
+use crate::sampling::{lognormal, normal, skip_normal, standard_normal};
 use crate::units::{Celsius, Hours, Volt};
 use vmin_rng::Rng;
 
@@ -83,6 +83,86 @@ impl WorkloadProfile {
             self_heating_c,
             temp_swing_c,
         }
+    }
+
+    /// Advances `rng` past exactly the words [`Self::sample`] consumes,
+    /// its three normals and one uniform, without transforming them.
+    /// Returns the number of normals skipped.
+    pub(crate) fn skip<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+        for _ in 0..3 {
+            skip_normal(rng);
+        }
+        let _: f64 = rng.gen();
+        3
+    }
+}
+
+/// How a shard takes its chips' aging-only draws: each chip's workload
+/// and log-rate normal, and the aging sensitivity of every path and ROD.
+///
+/// A campaign whose read points all lie at or before 0 h never observes
+/// these draws. [`AgingModel::nbti`] and [`AgingModel::hci`] return `0.0`
+/// at `t_eff = t · duty_cycle <= 0` (the duty cycle is positive) before
+/// they read the workload's activity, the rate or the Arrhenius average,
+/// so the unit shift is `0.0 + 0.0`, and every device shift a measurement
+/// forms is `unit_shift × sensitivity`: `+0.0` both for a drawn
+/// sensitivity, which is finite and positive, and for `1.0`. On such an
+/// *inert* campaign each aging-only draw still advances the chip's stream
+/// by exactly its words, so every later draw and every output bit stays
+/// put, but none is transformed: the chip clones one nominal model and
+/// every sensitivity is `1.0`.
+#[derive(Debug)]
+pub(crate) struct AgingDraws<'a> {
+    /// The nominal model each chip of an inert campaign clones; `None`
+    /// transforms every draw.
+    inert: Option<&'a AgingModel>,
+    /// Normals skipped since the last [`Self::flush_counters`].
+    skipped_normals: u64,
+}
+
+impl<'a> AgingDraws<'a> {
+    /// Draws that transform everything (`inert = None`) or skip the
+    /// aging-only ones, handing each chip a clone of `inert`.
+    pub(crate) fn new(inert: Option<&'a AgingModel>) -> Self {
+        AgingDraws {
+            inert,
+            skipped_normals: 0,
+        }
+    }
+
+    /// The nominal model of an inert campaign, or `None` when the draws
+    /// are transformed.
+    pub(crate) fn inert(&self) -> Option<&'a AgingModel> {
+        self.inert
+    }
+
+    /// Skips a chip's [`WorkloadProfile::sample`] draws.
+    pub(crate) fn skip_workload<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        self.skipped_normals += WorkloadProfile::skip(rng);
+    }
+
+    /// Skips one normal (see [`skip_normal`]).
+    pub(crate) fn skip_normal<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        skip_normal(rng);
+        self.skipped_normals += 1;
+    }
+
+    /// A device's aging sensitivity: a log-normal draw of median 1 and log
+    /// sigma `sigma_log`, or `1.0` with the draw's words skipped.
+    pub(crate) fn sensitivity<R: Rng + ?Sized>(&mut self, rng: &mut R, sigma_log: f64) -> f64 {
+        if self.inert.is_some() {
+            self.skip_normal(rng);
+            1.0
+        } else {
+            lognormal(rng, 0.0, sigma_log)
+        }
+    }
+
+    /// Records the skipped normals and resets the count. The shard loop
+    /// flushes once per shard, with the search counters.
+    pub(crate) fn flush_counters(&mut self) {
+        vmin_trace::counter_add("silicon.aging.skipped_normals", self.skipped_normals);
+        self.skipped_normals = 0;
     }
 }
 
@@ -234,6 +314,7 @@ mod tests {
     use super::*;
     use crate::units::Celsius;
     use vmin_rng::ChaCha8Rng;
+    use vmin_rng::RngCore;
     use vmin_rng::SeedableRng;
 
     fn model(rate: f64) -> AgingModel {
@@ -407,6 +488,27 @@ mod tests {
             ..WorkloadProfile::nominal(&stress)
         });
         assert!(swingy.nbti(Hours(168.0)).0 > flat.nbti(Hours(168.0)).0);
+    }
+
+    #[test]
+    fn skips_leave_the_stream_where_the_transforming_draws_do() {
+        // Every start offset in a 16-word ChaCha block, so skips that
+        // straddle a refill are covered too.
+        let spec = WorkloadSpec::default();
+        let stress = StressSpec::default();
+        for offset in 0..16 {
+            let mut drawn = ChaCha8Rng::seed_from_u64(31);
+            for _ in 0..offset {
+                drawn.next_u32();
+            }
+            let mut skipped = drawn.clone();
+            standard_normal(&mut drawn);
+            skip_normal(&mut skipped);
+            assert_eq!(skipped, drawn, "skip_normal at offset {offset}");
+            WorkloadProfile::sample(&mut drawn, &spec, &stress);
+            assert_eq!(WorkloadProfile::skip(&mut skipped), 3);
+            assert_eq!(skipped, drawn, "WorkloadProfile::skip at offset {offset}");
+        }
     }
 
     #[test]

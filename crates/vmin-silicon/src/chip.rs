@@ -1,7 +1,7 @@
 //! Per-chip state: process corner, critical-path population, defects and
 //! the chip's aging model.
 
-use crate::aging::{AgingModel, WorkloadProfile};
+use crate::aging::{AgingDraws, AgingModel, WorkloadProfile};
 use crate::config::DatasetSpec;
 use crate::device::{dibl, mobility_at, DelayTerms, DeviceParams, LeakageTerms};
 use crate::process::{ProcessSampler, ProcessState};
@@ -228,7 +228,8 @@ impl ChipFactory {
         process: ProcessState,
     ) -> Chip {
         let mut paths = Vec::with_capacity(self.spec.paths_per_chip);
-        let (aging, defective) = self.fabricate_parts(rng, &process, &mut paths);
+        let (aging, defective) =
+            self.fabricate_parts(rng, &process, &mut paths, &mut AgingDraws::new(None));
         Chip {
             id,
             process,
@@ -240,8 +241,8 @@ impl ChipFactory {
 
     /// Re-fabricates `chip` in place for index `id`, reusing its path
     /// vector's allocation. Draw order and results are identical to
-    /// [`Self::fabricate_one`] — this is the scratch-friendly form the
-    /// streaming campaign's hot loop uses.
+    /// [`Self::fabricate_one`] — this is the scratch-friendly form whose
+    /// body the streaming campaign's hot loop runs.
     pub fn refabricate<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -249,8 +250,21 @@ impl ChipFactory {
         process: ProcessState,
         chip: &mut Chip,
     ) {
+        self.refabricate_with(rng, id, process, chip, &mut AgingDraws::new(None));
+    }
+
+    /// [`Self::refabricate`] with the aging-only draws taken as `draws`
+    /// directs.
+    pub(crate) fn refabricate_with<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        id: usize,
+        process: ProcessState,
+        chip: &mut Chip,
+        draws: &mut AgingDraws<'_>,
+    ) {
         let mut paths = std::mem::take(&mut chip.paths);
-        let (aging, defective) = self.fabricate_parts(rng, &process, &mut paths);
+        let (aging, defective) = self.fabricate_parts(rng, &process, &mut paths, draws);
         chip.id = id;
         chip.process = process;
         chip.aging = aging;
@@ -259,34 +273,24 @@ impl ChipFactory {
     }
 
     /// The shared per-chip draw sequence: workload, aging rate, defect,
-    /// then paths. Clears and refills `paths`.
+    /// then paths, with the aging-only draws taken as `draws` directs.
+    /// Clears and refills `paths`.
     fn fabricate_parts<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         process: &ProcessState,
         paths: &mut Vec<CriticalPath>,
+        draws: &mut AgingDraws<'_>,
     ) -> (AgingModel, bool) {
         let spec = &self.spec;
-        // Each chip runs its own stress workload (duty cycle, activity,
-        // thermal trajectory), making degradation heteroscedastic across
-        // the population.
-        let workload = WorkloadProfile::sample(rng, &spec.workload, &spec.stress);
-        // Total global Vth sigma, used to standardize the corner term.
-        let sigma_global = (spec.process.sigma_vth_lot.powi(2)
-            + spec.process.sigma_vth_wafer.powi(2)
-            + spec.process.sigma_vth_die.powi(2))
-        .sqrt();
-        // Fast-corner (low Vth) chips age faster: split the log-rate
-        // variance between a corner-driven part (observable from time-0
-        // data) and an idiosyncratic part (only observable from later
-        // monitor reads).
-        let rho = spec.aging.rate_corner_fraction.clamp(0.0, 1.0);
-        let corner = -process.vth_shift.0 / sigma_global.max(1e-9);
-        let log_rate = spec.aging.sigma_rate_log
-            * (rho.sqrt() * corner + (1.0 - rho).sqrt() * crate::sampling::standard_normal(rng));
-        let chip_rate = log_rate.exp();
-        let aging =
-            AgingModel::with_workload(spec.aging.clone(), &spec.stress, chip_rate, workload);
+        let aging = match draws.inert() {
+            Some(nominal) => {
+                draws.skip_workload(rng);
+                draws.skip_normal(rng);
+                nominal.clone()
+            }
+            None => self.sample_aging(rng, process),
+        };
         let defective = rng.gen::<f64>() < spec.defect.defect_rate;
         let defect_path = if defective {
             rng.gen_range(0..spec.paths_per_chip)
@@ -299,7 +303,7 @@ impl ChipFactory {
             let depth_jitter: i64 = rng.gen_range(-4..=4);
             let depth = (spec.path_depth as i64 + depth_jitter).max(8) as usize;
             let wire = rng.gen_range(30.0..90.0);
-            let sensitivity = lognormal(rng, 0.0, spec.aging.sigma_path_sensitivity_log);
+            let sensitivity = draws.sensitivity(rng, spec.aging.sigma_path_sensitivity_log);
             let defect_penalty = if pi == defect_path {
                 1.0 + spec.defect.mean_delay_penalty * lognormal(rng, 0.0, 0.4)
             } else {
@@ -319,6 +323,30 @@ impl ChipFactory {
             });
         }
         (aging, defective)
+    }
+
+    /// Draws the chip's aging model: its workload, then its rate factor.
+    fn sample_aging<R: Rng + ?Sized>(&self, rng: &mut R, process: &ProcessState) -> AgingModel {
+        let spec = &self.spec;
+        // Each chip runs its own stress workload (duty cycle, activity,
+        // thermal trajectory), making degradation heteroscedastic across
+        // the population.
+        let workload = WorkloadProfile::sample(rng, &spec.workload, &spec.stress);
+        // Total global Vth sigma, used to standardize the corner term.
+        let sigma_global = (spec.process.sigma_vth_lot.powi(2)
+            + spec.process.sigma_vth_wafer.powi(2)
+            + spec.process.sigma_vth_die.powi(2))
+        .sqrt();
+        // Fast-corner (low Vth) chips age faster: split the log-rate
+        // variance between a corner-driven part (observable from time-0
+        // data) and an idiosyncratic part (only observable from later
+        // monitor reads).
+        let rho = spec.aging.rate_corner_fraction.clamp(0.0, 1.0);
+        let corner = -process.vth_shift.0 / sigma_global.max(1e-9);
+        let log_rate = spec.aging.sigma_rate_log
+            * (rho.sqrt() * corner + (1.0 - rho).sqrt() * crate::sampling::standard_normal(rng));
+        let chip_rate = log_rate.exp();
+        AgingModel::with_workload(spec.aging.clone(), &spec.stress, chip_rate, workload)
     }
 }
 

@@ -12,10 +12,11 @@
 //!   paths (that is what "in-situ critical path" means), so it carries local
 //!   path information that no chip-average measurement can see.
 
+use crate::aging::AgingDraws;
 use crate::chip::{Chip, PathTerms};
 use crate::config::MonitorSpec;
 use crate::device::DeviceParams;
-use crate::sampling::{lognormal, normal};
+use crate::sampling::normal;
 use crate::units::{Hours, Volt};
 use vmin_rng::Rng;
 
@@ -88,12 +89,29 @@ impl MonitorBank {
     /// Redraws this bank's per-die mismatch in place for a new chip,
     /// reusing the rod/cpd allocations. Draw order and results are
     /// identical to [`Self::instantiate`] — this is the scratch-friendly
-    /// form the streaming campaign's hot loop uses.
+    /// form whose body the streaming campaign's hot loop runs.
     pub fn reinstantiate<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         paths_per_chip: usize,
         sigma_vth_local: f64,
+    ) {
+        self.reinstantiate_with(
+            rng,
+            paths_per_chip,
+            sigma_vth_local,
+            &mut AgingDraws::new(None),
+        );
+    }
+
+    /// [`Self::reinstantiate`] with each ROD's aging sensitivity taken as
+    /// `draws` directs.
+    pub(crate) fn reinstantiate_with<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        paths_per_chip: usize,
+        sigma_vth_local: f64,
+        draws: &mut AgingDraws<'_>,
     ) {
         let flavors = [-0.03, 0.0, 0.03]; // LVT, SVT, HVT offsets (V)
         let stage_options = [11, 15, 21, 31];
@@ -103,7 +121,7 @@ impl MonitorBank {
                 flavor_vth_offset: Volt(flavors[i % flavors.len()]),
                 stages: stage_options[(i / flavors.len()) % stage_options.len()],
                 local_vth_offset: Volt(normal(rng, 0.0, sigma_vth_local * 0.6)),
-                aging_sensitivity: lognormal(rng, 0.0, 0.15),
+                aging_sensitivity: draws.sensitivity(rng, 0.15),
                 wire_fraction: 0.1 + 0.2 * ((i % 5) as f64 / 4.0),
             });
         }

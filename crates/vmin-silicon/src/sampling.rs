@@ -23,6 +23,18 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// Advances `rng` past one [`standard_normal`] draw without transforming
+/// it.
+///
+/// Contract: consumes exactly the words `standard_normal` consumes, two
+/// `gen::<f64>()`, so every later draw from `rng` is the same as after
+/// the transformed draw. Campaigns that never read a quantity use this to
+/// skip its `ln`, `sqrt` and `cos` while keeping the stream in place.
+pub(crate) fn skip_normal<R: Rng + ?Sized>(rng: &mut R) {
+    let _: f64 = rng.gen();
+    let _: f64 = rng.gen();
+}
+
 /// Draws a normal variate with the given mean and standard deviation.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
     mean + sd * standard_normal(rng)

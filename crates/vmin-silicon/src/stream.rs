@@ -19,6 +19,10 @@
 //!   table, and measurements land directly in the block's flat rows
 //!   through the `*_into` readout variants — no per-chip allocation in
 //!   the hot loop.
+//! - **Inert aging at 0 h**: a campaign whose read points all lie at or
+//!   before 0 h can never observe aging, so its chips advance their
+//!   streams past the aging-only draws without transforming them, bit
+//!   for bit (see `AgingDraws`).
 //! - **Shard fan-out**: rows are generated [`SHARD_CHIPS`] chips at a
 //!   time through `vmin_par::par_chunks_mut`; the shard size is fixed (not
 //!   thread-derived), so `silicon.stream.*` counters are thread-invariant.
@@ -29,6 +33,7 @@
 //!
 //! [`Campaign::run`]: crate::Campaign::run
 
+use crate::aging::{AgingDraws, AgingModel};
 use crate::chip::{Chip, ChipFactory};
 use crate::config::DatasetSpec;
 use crate::monitor::MonitorBank;
@@ -45,10 +50,11 @@ use vmin_rng::SeedableRng;
 /// Chips generated per shard (one `par_chunks_mut` work item). Fixed —
 /// never derived from the thread count — so shard topology and the
 /// `silicon.stream.shards` counter are identical at any `VMIN_THREADS`.
-/// A shard is about 0.12–0.16 ms of screening-spec generation (7.4–10.2
-/// µs per chip) or 5–7 ms of default-spec paper chips (300–420 µs each)
-/// on one core of a 2-vCPU Xeon KVM guest; a 4096-chip chunk splits into
-/// 256 shards, fine enough to load-balance.
+/// A shard is about 0.08–0.10 ms of screening-spec generation (5.3–6.2
+/// µs per chip, whose 0 h campaign skips its aging draws) or 5–7 ms of
+/// default-spec paper chips (300–420 µs each) on one core of a 2-vCPU
+/// Xeon KVM guest; a 4096-chip chunk splits into 256 shards, fine enough
+/// to load-balance.
 pub const SHARD_CHIPS: usize = 16;
 
 /// Rows per [`ChipBlock`] of a stream opened with [`CampaignStream::new`].
@@ -293,24 +299,30 @@ pub(crate) struct StreamEngine {
     pub(crate) tester: VminTester,
     pub(crate) read_points: Vec<Hours>,
     pub(crate) temperatures: Vec<Celsius>,
+    /// The nominal aging model every chip clones when no read point lies
+    /// after 0 h, so the campaign can never observe aging (see
+    /// [`AgingDraws`]); `None` draws each chip's own.
+    inert: Option<AgingModel>,
 }
 
 /// Per-shard scratch: one reusable chip (path vector recycled), one
-/// reusable monitor bank and one Vmin search table. Lives for a whole
-/// shard, so the per-chip loop allocates nothing; the table's work
-/// counters are flushed once per shard.
-struct ChipScratch {
+/// reusable monitor bank, one Vmin search table and the shard's aging
+/// draws. Lives for a whole shard, so the per-chip loop allocates nothing;
+/// the table's and the draws' work counters are flushed once per shard.
+struct ChipScratch<'e> {
     chip: Chip,
     bank: MonitorBank,
     table: SearchTable,
+    draws: AgingDraws<'e>,
 }
 
-impl ChipScratch {
-    fn new(spec: &DatasetSpec) -> Self {
+impl<'e> ChipScratch<'e> {
+    fn new(spec: &DatasetSpec, inert: Option<&'e AgingModel>) -> Self {
         ChipScratch {
             chip: nominal_chip(spec),
             bank: MonitorBank::empty(&spec.monitors),
             table: SearchTable::default(),
+            draws: AgingDraws::new(inert),
         }
     }
 }
@@ -322,7 +334,16 @@ impl StreamEngine {
         // makes generation random-access.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let program = ParametricProgram::generate(&mut rng, &spec.parametric);
-        let tester = VminTester::calibrated(spec.vmin_test.clone(), &nominal_chip(spec));
+        let nominal = nominal_chip(spec);
+        let tester = VminTester::calibrated(spec.vmin_test.clone(), &nominal);
+        // A NaN read point fails `<=` and keeps the campaign on the drawn
+        // path.
+        let inert = spec
+            .stress
+            .read_points
+            .iter()
+            .all(|h| h.0 <= 0.0)
+            .then_some(nominal.aging);
         StreamEngine {
             spec: spec.clone(),
             seed,
@@ -333,6 +354,7 @@ impl StreamEngine {
             tester,
             read_points: spec.stress.read_points.clone(),
             temperatures: spec.vmin_test.temperatures.clone(),
+            inert,
         }
     }
 
@@ -344,18 +366,28 @@ impl StreamEngine {
         &self,
         rng: &mut R,
         i: usize,
-        scratch: &mut ChipScratch,
+        scratch: &mut ChipScratch<'_>,
         row: &mut [f64],
     ) {
         let layout = &self.layout;
         let process = process_state_at(&self.sampler, self.seed, i, rng);
-        self.factory.refabricate(rng, i, process, &mut scratch.chip);
-        scratch.bank.reinstantiate(
+        self.factory
+            .refabricate_with(rng, i, process, &mut scratch.chip, &mut scratch.draws);
+        scratch.bank.reinstantiate_with(
             rng,
             self.spec.paths_per_chip,
             self.spec.process.sigma_vth_local,
+            &mut scratch.draws,
         );
         let chip = &scratch.chip;
+        debug_assert!(
+            self.inert.is_none()
+                || self
+                    .read_points
+                    .iter()
+                    .all(|&rp| chip.aging.unit_shift(rp).to_bits() == 0),
+            "an inert campaign would read a nonzero aging shift"
+        );
         row[0] = if chip.defective { 1.0 } else { 0.0 };
         let (pa, pb) = layout.parametric_span();
         self.program
@@ -382,7 +414,7 @@ impl StreamEngine {
         let width = self.layout.row_width();
         let mut data = vec![0.0f64; rows * width];
         vmin_par::par_chunks_mut(&mut data, SHARD_CHIPS * width, 2, |ci, shard| {
-            let mut scratch = ChipScratch::new(&self.spec);
+            let mut scratch = ChipScratch::new(&self.spec, self.inert.as_ref());
             let shard_start = start + ci * SHARD_CHIPS;
             for (j, row) in shard.chunks_mut(width).enumerate() {
                 let idx = shard_start + j;
@@ -390,6 +422,7 @@ impl StreamEngine {
                 self.measure_chip_into(&mut rng, idx, &mut scratch, row);
             }
             scratch.table.flush_counters();
+            scratch.draws.flush_counters();
         });
         ChipBlock {
             start,
@@ -500,6 +533,54 @@ impl Iterator for CampaignStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StreamEngine {
+        /// An engine that transforms every aging draw whatever its read
+        /// points: the oracle the inert mode is checked against.
+        fn drawn(spec: &DatasetSpec, seed: u64) -> Self {
+            StreamEngine {
+                inert: None,
+                ..Self::new(spec, seed)
+            }
+        }
+    }
+
+    #[test]
+    fn aging_is_inert_only_when_no_read_point_lies_after_0_h() {
+        assert!(StreamEngine::new(&DatasetSpec::screening(4), 1)
+            .inert
+            .is_some());
+        assert!(StreamEngine::new(&DatasetSpec::small(), 1).inert.is_none());
+        let mut nan = DatasetSpec::screening(4);
+        nan.stress.read_points = vec![Hours(0.0), Hours(f64::NAN)];
+        assert!(StreamEngine::new(&nan, 1).inert.is_none());
+    }
+
+    #[test]
+    fn inert_aging_draws_are_bit_identical_to_drawn_ones() {
+        // 130 chips cross two wafer boundaries (60 dies each), so the lot
+        // and wafer substreams change under both modes within a run.
+        let spec = DatasetSpec::screening(130);
+        let inert = StreamEngine::new(&spec, 11);
+        let drawn = StreamEngine::drawn(&spec, 11);
+        assert!(inert.inert.is_some());
+        let bits = |engine: &StreamEngine, chunk: usize| {
+            (0..spec.chip_count)
+                .step_by(chunk)
+                .map(|start| {
+                    let block = engine.generate(start, chunk.min(spec.chip_count - start));
+                    block
+                        .data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<u64>>()
+                })
+                .collect::<Vec<_>>()
+        };
+        for chunk in [1, 7, 64] {
+            assert_eq!(bits(&inert, chunk), bits(&drawn, chunk), "chunk {chunk}");
+        }
+    }
 
     #[test]
     fn substreams_are_distinct_across_domains_and_indices() {

@@ -440,6 +440,12 @@ fn stream_matrix_is_bit_identical_across_threads_chunks_and_tracing() {
         ],
         "stream",
     );
+    assert!(
+        !ref_snap
+            .counters
+            .contains_key("silicon.aging.skipped_normals"),
+        "an aged stream skipped aging draws"
+    );
     for chunk in [1usize, 7, 64] {
         let (_, chunk_snap) = run(1, chunk, true);
         for threads in [1usize, 2, 8] {
@@ -509,6 +515,14 @@ fn fleet_screen_is_bit_identical_across_thread_counts() {
     let (reference, ref_snap) = run(1);
     assert_eq!(reference.chips, CHIPS, "the screen missed chips");
     assert_counted(&ref_snap, &["fleet.chips", "fleet.blocks"], "fleet_screen");
+    // A 0 h lot never observes aging, so each chip skips the transform of
+    // its 20 aging-only normals: 3 workload, 1 log-rate, and one
+    // sensitivity for each of its 4 paths and 12 RODs.
+    assert_eq!(
+        ref_snap.counters.get("silicon.aging.skipped_normals"),
+        Some(&(20 * CHIPS as u64)),
+        "fleet_screen: skipped aging normals"
+    );
     let (report, snap) = run(8);
     assert_eq!(report, reference, "screening report diverged at 8 threads");
     assert_eq!(
