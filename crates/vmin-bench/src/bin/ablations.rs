@@ -71,8 +71,13 @@ fn run_cqr(cal_fraction: f64, seed: u64) -> (f64, f64) {
     let ivs = cqr
         .predict_intervals(&x_te)
         .unwrap_or_else(|e| die(&format!("CQR predict: {e}")));
-    let rep = evaluate_intervals(&ivs, &y_te);
-    (rep.mean_length, rep.coverage)
+    score(&ivs, &y_te)
+}
+
+/// Mean interval length and coverage of `ivs` against `y`.
+fn score(ivs: &[PredictionInterval], y: &[f64]) -> (f64, f64) {
+    let rep = evaluate_intervals(ivs, y).unwrap_or_else(|e| die(&format!("evaluate: {e}")));
+    (rep.mean_length(), rep.coverage())
 }
 
 /// A1: calibration-fraction sweep.
@@ -120,8 +125,7 @@ fn print_a2_table() {
         let ivs = cp
             .predict_intervals(&x_te)
             .unwrap_or_else(|e| die(&format!("split CP predict: {e}")));
-        let rep = evaluate_intervals(&ivs, &y_te);
-        (rep.mean_length, rep.coverage)
+        score(&ivs, &y_te)
     });
     accumulate("normalized CP", &|seed| {
         let (x, y) = hetero(117, seed);
@@ -134,8 +138,7 @@ fn print_a2_table() {
         let ivs = ncp
             .predict_intervals(&x_te)
             .unwrap_or_else(|e| die(&format!("normalized CP predict: {e}")));
-        let rep = evaluate_intervals(&ivs, &y_te);
-        (rep.mean_length, rep.coverage)
+        score(&ivs, &y_te)
     });
     accumulate("CQR (paper)", &|seed| run_cqr(0.25, seed));
     accumulate("jackknife+", &|seed| {
@@ -152,8 +155,7 @@ fn print_a2_table() {
                     .unwrap_or_else(|e| die(&format!("jackknife+ predict: {e}")))
             })
             .collect();
-        let rep = evaluate_intervals(&ivs, &y_te);
-        (rep.mean_length, rep.coverage)
+        score(&ivs, &y_te)
     });
 
     println!("\n[A2] conformal variants on heteroscedastic data (α = 0.1):");

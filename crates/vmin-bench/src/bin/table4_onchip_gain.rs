@@ -10,8 +10,8 @@
 
 use vmin_bench::{die, Scale};
 use vmin_core::{
-    format_feature_set_table, onchip_monitor_gain, run_feature_set_study, run_region_cell,
-    FeatureSet, PointModel, RegionMethod,
+    format_feature_set_table, onchip_monitor_gain, run_feature_set_study, FeatureSet, PointModel,
+    RegionMethod,
 };
 use vmin_silicon::Campaign;
 
@@ -26,6 +26,11 @@ fn main() {
     let campaign = Campaign::run(&spec, Scale::CAMPAIGN_SEED);
     let method = RegionMethod::Cqr(PointModel::CatBoost);
 
+    // One study runs every (temperature, read point) cell per feature set;
+    // Fig. 3 and Table IV are two averages of its cells.
+    let rows = run_feature_set_study(&campaign, method, &cfg)
+        .unwrap_or_else(|e| die(&format!("feature-set study: {e}")));
+
     // Fig. 3: per-read-point interval lengths per feature set (averaged
     // over temperatures) — the series the figure plots.
     println!("Fig. 3 series — CQR CatBoost mean interval length (mV) by read point:");
@@ -33,30 +38,15 @@ fn main() {
         "{:<10} {:>14} {:>14} {:>14}",
         "stress", "Parametric", "On-chip", "Both"
     );
-    for rp in 0..campaign.read_points.len() {
-        let mut row = Vec::new();
-        for fs in [FeatureSet::Parametric, FeatureSet::OnChip, FeatureSet::Both] {
-            let mut acc = 0.0;
-            for temp_idx in 0..campaign.temperatures.len() {
-                let eval = run_region_cell(&campaign, rp, temp_idx, method, fs, &cfg)
-                    .unwrap_or_else(|e| die(&format!("cell rp={rp} t={temp_idx} {fs}: {e}")));
-                acc += eval.mean_length;
-            }
-            row.push(acc / campaign.temperatures.len() as f64);
+    for (rp, read_point) in campaign.read_points.iter().enumerate() {
+        print!("{:<10}", read_point.to_string());
+        for row in &rows {
+            print!(" {:>14.2}", row.length_per_read_point[rp]);
         }
-        println!(
-            "{:<10} {:>14.2} {:>14.2} {:>14.2}",
-            campaign.read_points[rp].to_string(),
-            row[0],
-            row[1],
-            row[2]
-        );
-        eprintln!("[table4] rp {rp}: done");
+        println!();
     }
 
     // Table IV: averages across read points with the gain row.
-    let rows = run_feature_set_study(&campaign, method, &cfg)
-        .unwrap_or_else(|e| die(&format!("feature-set study: {e}")));
     println!();
     println!("{}", format_feature_set_table(&campaign, &rows));
     let gain = onchip_monitor_gain(&rows).unwrap_or_else(|e| die(&format!("on-chip gain: {e}")));

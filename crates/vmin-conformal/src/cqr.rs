@@ -312,7 +312,7 @@ mod tests {
             let cqr = fitted_cqr(seed * 7 + 3, 0.2);
             let (x_te, y_te) = hetero(60, seed * 7 + 4000);
             let ivs = cqr.predict_intervals(&x_te).unwrap();
-            total += evaluate_intervals(&ivs, &y_te).coverage;
+            total += evaluate_intervals(&ivs, &y_te).unwrap().coverage();
         }
         let avg = total / reps as f64;
         assert!(
@@ -339,8 +339,8 @@ mod tests {
                 .map(|i| cqr.predict_raw_band(x_te.row(i)).unwrap())
                 .collect();
             let cal = cqr.predict_intervals(&x_te).unwrap();
-            raw_cov_total += evaluate_intervals(&raw, &y_te).coverage;
-            cal_cov_total += evaluate_intervals(&cal, &y_te).coverage;
+            raw_cov_total += evaluate_intervals(&raw, &y_te).unwrap().coverage();
+            cal_cov_total += evaluate_intervals(&cal, &y_te).unwrap().coverage();
         }
         let raw_avg = raw_cov_total / reps as f64;
         let cal_avg = cal_cov_total / reps as f64;

@@ -168,7 +168,9 @@ mod tests {
         for s in 0..reps {
             let c = fitted(s * 2000 + 3);
             let (x_te, y_te) = skewed(70, s * 2000 + 5);
-            total += evaluate_intervals(&c.predict_intervals(&x_te).unwrap(), &y_te).coverage;
+            total += evaluate_intervals(&c.predict_intervals(&x_te).unwrap(), &y_te)
+                .unwrap()
+                .coverage();
         }
         let avg = total / reps as f64;
         assert!(avg >= 0.8 - 0.05, "asymmetric CQR coverage {avg}");

@@ -399,7 +399,7 @@ mod tests {
                 NormalizedConformal::new(LinearRegression::new(), LinearRegression::new(), 0.2);
             ncp.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
             let ivs = ncp.predict_intervals(&x_te).unwrap();
-            total += evaluate_intervals(&ivs, &y_te).coverage;
+            total += evaluate_intervals(&ivs, &y_te).unwrap().coverage();
         }
         let avg = total / reps as f64;
         assert!(avg >= 0.76, "normalized CP coverage {avg}");
@@ -452,7 +452,7 @@ mod tests {
             let ivs: Vec<PredictionInterval> = (0..x_te.rows())
                 .map(|i| jk.predict_interval(x_te.row(i)).unwrap())
                 .collect();
-            total += evaluate_intervals(&ivs, &y_te).coverage;
+            total += evaluate_intervals(&ivs, &y_te).unwrap().coverage();
         }
         let avg = total / reps as f64;
         assert!(avg >= 0.75, "jackknife+ coverage {avg}");

@@ -205,50 +205,106 @@ impl fmt::Display for PredictionInterval {
     }
 }
 
-/// Summary statistics of a batch of intervals against true targets.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The one coverage tally: intervals scored against their true targets.
+///
+/// Batch evaluation, the fleet screen and the experiment drivers all count
+/// coverage and mean interval length here, so three rules live in one
+/// place:
+///
+/// - **containment**: an interval covers its truth when
+///   [`PredictionInterval::contains`] holds (both endpoints count; a NaN
+///   truth or endpoint never does);
+/// - **length sum**: lengths are added in the caller's order, starting
+///   from `+0.0`;
+/// - **empty**: [`coverage`](Self::coverage) and
+///   [`mean_length`](Self::mean_length) read 0 when nothing was recorded.
+///
+/// # Examples
+///
+/// ```
+/// use vmin_conformal::{IntervalReport, PredictionInterval};
+///
+/// let mut report = IntervalReport::default();
+/// report.record(PredictionInterval::new(540.0, 560.0), 550.0);
+/// report.record(PredictionInterval::new(540.0, 550.0), 551.0);
+/// assert_eq!((report.n(), report.covered()), (2, 1));
+/// assert_eq!(report.coverage(), 0.5);
+/// assert_eq!(report.mean_length(), 15.0);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IntervalReport {
-    /// Fraction of targets covered.
-    pub coverage: f64,
-    /// Mean interval length.
-    pub mean_length: f64,
-    /// Number of evaluated pairs.
-    pub n: usize,
+    n: usize,
+    covered: usize,
+    length_sum: f64,
 }
 
-/// Evaluates intervals against targets.
-///
-/// # Panics
-///
-/// Panics if lengths differ or inputs are empty.
-pub fn evaluate_intervals(intervals: &[PredictionInterval], y_true: &[f64]) -> IntervalReport {
-    assert_eq!(
-        intervals.len(),
-        y_true.len(),
-        "evaluate_intervals: length mismatch"
-    );
-    assert!(!y_true.is_empty(), "evaluate_intervals: empty input");
-    let covered = intervals
-        .iter()
-        .zip(y_true)
-        .filter(|(iv, y)| iv.contains(**y))
-        .count();
-    let mean_length = intervals
-        .iter()
-        .map(PredictionInterval::length)
-        .sum::<f64>()
-        / intervals.len() as f64;
-    let coverage = covered as f64 / y_true.len() as f64;
-    vmin_trace::counter_add("conformal.eval.batches", 1);
-    vmin_trace::counter_add("conformal.eval.points", y_true.len() as u64);
-    vmin_trace::counter_add("conformal.eval.covered", covered as u64);
-    vmin_trace::histogram_record("conformal.eval.coverage", coverage);
-    vmin_trace::histogram_record("conformal.eval.mean_length", mean_length);
-    IntervalReport {
-        coverage,
-        mean_length,
-        n: y_true.len(),
+impl IntervalReport {
+    /// Scores one interval against its true target.
+    pub fn record(&mut self, interval: PredictionInterval, truth: f64) {
+        self.n += 1;
+        if interval.contains(truth) {
+            self.covered += 1;
+        }
+        self.length_sum += interval.length();
     }
+
+    /// Number of recorded pairs.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Number of recorded pairs whose interval contains its truth.
+    pub fn covered(&self) -> usize {
+        self.covered
+    }
+
+    /// Fraction of targets covered; 0 when empty.
+    pub fn coverage(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.covered as f64 / self.n as f64
+        }
+    }
+
+    /// Mean interval length; 0 when empty.
+    pub fn mean_length(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.length_sum / self.n as f64
+        }
+    }
+}
+
+/// Evaluates a batch of intervals against its targets, pair by pair, and
+/// records the batch in the `conformal.eval.*` trace metrics.
+///
+/// # Errors
+///
+/// [`ConformalError::InvalidArgument`] when the lengths differ or the batch
+/// is empty.
+pub fn evaluate_intervals(
+    intervals: &[PredictionInterval],
+    y_true: &[f64],
+) -> Result<IntervalReport> {
+    if intervals.len() != y_true.len() || y_true.is_empty() {
+        return Err(ConformalError::InvalidArgument(format!(
+            "evaluation batch: {} intervals vs {} targets",
+            intervals.len(),
+            y_true.len()
+        )));
+    }
+    let mut report = IntervalReport::default();
+    for (&iv, &y) in intervals.iter().zip(y_true) {
+        report.record(iv, y);
+    }
+    vmin_trace::counter_add("conformal.eval.batches", 1);
+    vmin_trace::counter_add("conformal.eval.points", report.n() as u64);
+    vmin_trace::counter_add("conformal.eval.covered", report.covered() as u64);
+    vmin_trace::histogram_record("conformal.eval.coverage", report.coverage());
+    vmin_trace::histogram_record("conformal.eval.mean_length", report.mean_length());
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -356,10 +412,78 @@ mod tests {
             PredictionInterval::new(0.0, 3.0),
         ];
         let y = [0.5, 2.0, 2.0, 5.0];
-        let rep = evaluate_intervals(&ivs, &y);
-        assert_eq!(rep.n, 4);
-        assert!((rep.coverage - 0.5).abs() < 1e-12);
-        assert!((rep.mean_length - 2.0).abs() < 1e-12);
+        let rep = evaluate_intervals(&ivs, &y).unwrap();
+        assert_eq!((rep.n(), rep.covered()), (4, 2));
+        assert!((rep.coverage() - 0.5).abs() < 1e-12);
+        assert!((rep.mean_length() - 2.0).abs() < 1e-12);
+    }
+
+    fn tally(pairs: &[(PredictionInterval, f64)]) -> IntervalReport {
+        let mut report = IntervalReport::default();
+        for &(iv, y) in pairs {
+            report.record(iv, y);
+        }
+        report
+    }
+
+    #[test]
+    fn tally_counts_both_endpoints_and_never_a_nan() {
+        let iv = PredictionInterval::new(1.0, 3.0);
+        let report = tally(&[(iv, 1.0), (iv, 3.0), (iv, f64::NAN)]);
+        assert_eq!((report.n(), report.covered()), (3, 2));
+        // Scored against its finite endpoint, which alone would cover it.
+        for (nan_end, finite) in [
+            (PredictionInterval::new(f64::NAN, 3.0), 3.0),
+            (PredictionInterval::new(1.0, f64::NAN), 1.0),
+        ] {
+            assert_eq!(tally(&[(nan_end, finite)]).covered(), 0, "{nan_end:?}");
+        }
+    }
+
+    #[test]
+    fn empty_tally_reads_zero() {
+        let empty = IntervalReport::default();
+        assert_eq!((empty.n(), empty.covered()), (0, 0));
+        assert_eq!(empty.coverage().to_bits(), 0.0f64.to_bits());
+        assert_eq!(empty.mean_length().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn length_sum_keeps_the_callers_order_from_positive_zero() {
+        let wide = PredictionInterval::new(0.0, 1e16);
+        let unit = PredictionInterval::new(0.0, 1.0);
+        // 1e16 + 1 rounds back to 1e16 (ties to even), so the two unit
+        // lengths vanish after the wide one and survive before it.
+        let wide_first = tally(&[(wide, 0.0), (unit, 0.0), (unit, 0.0)]);
+        let wide_last = tally(&[(unit, 0.0), (unit, 0.0), (wide, 0.0)]);
+        assert_eq!(wide_first.mean_length(), 1e16 / 3.0);
+        assert_eq!(wide_last.mean_length(), (1e16 + 2.0) / 3.0);
+        // The sum starts from +0.0: an all-(−0.0) batch means +0.0, where a
+        // fold from −0.0 would keep the sign.
+        let negative_zero = PredictionInterval::new(0.0, -0.0);
+        assert_eq!(negative_zero.length().to_bits(), (-0.0f64).to_bits());
+        let report = tally(&[(negative_zero, 0.0), (negative_zero, 0.0)]);
+        assert_eq!(report.mean_length().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn evaluate_rejects_mismatched_and_empty_batches() {
+        let iv = PredictionInterval::new(0.0, 1.0);
+        for (ivs, ys) in [
+            (&[iv][..], &[0.5, 0.5][..]),
+            (&[iv, iv][..], &[0.5][..]),
+            (&[][..], &[][..]),
+        ] {
+            assert!(
+                matches!(
+                    evaluate_intervals(ivs, ys),
+                    Err(ConformalError::InvalidArgument(_))
+                ),
+                "{} intervals vs {} targets",
+                ivs.len(),
+                ys.len()
+            );
+        }
     }
 
     #[test]

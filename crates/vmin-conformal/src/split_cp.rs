@@ -171,7 +171,7 @@ mod tests {
             let mut cp = SplitConformal::new(LinearRegression::new(), 0.2);
             cp.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
             let ivs = cp.predict_intervals(&x_te).unwrap();
-            total_cov += evaluate_intervals(&ivs, &y_te).coverage;
+            total_cov += evaluate_intervals(&ivs, &y_te).unwrap().coverage();
         }
         let avg = total_cov / reps as f64;
         assert!(

@@ -4,7 +4,9 @@
 //! Seeded in-tree randomness replaces the old proptest strategies so the
 //! suite runs hermetically offline; `heavy-tests` multiplies case counts.
 
-use vmin_conformal::{conformal_quantile, min_calibration_size, PredictionInterval};
+use vmin_conformal::{
+    conformal_quantile, evaluate_intervals, min_calibration_size, PredictionInterval,
+};
 use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
 
 fn cases() -> usize {
@@ -87,6 +89,25 @@ fn interval_invariants() {
         assert!(iv.length() >= 0.0);
         assert_eq!(iv.contains(y), y >= iv.lo() && y <= iv.hi());
         assert!(iv.contains(iv.midpoint()));
+    }
+}
+
+/// Intervals centred on their targets all cover, and their mean length is
+/// twice the half-width.
+#[test]
+fn interval_metric_bounds() {
+    let mut rng = ChaCha8Rng::seed_from_u64(307);
+    for _ in 0..cases() {
+        let n = rng.gen_range(1..30usize);
+        let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
+        let half = rng.gen_range(0.0..5.0);
+        let ivs: Vec<PredictionInterval> = y
+            .iter()
+            .map(|v| PredictionInterval::new(v - half, v + half))
+            .collect();
+        let report = evaluate_intervals(&ivs, &y).unwrap();
+        assert_eq!(report.coverage(), 1.0);
+        assert!((report.mean_length() - 2.0 * half).abs() < 1e-9);
     }
 }
 

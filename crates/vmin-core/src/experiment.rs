@@ -195,7 +195,8 @@ pub fn run_region_cell_on(
 }
 
 /// One row of the Table IV summary: interval stats per temperature for a
-/// feature set, averaged across all stress read points.
+/// feature set, averaged across all stress read points, plus the Fig. 3
+/// series of the same cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSetSummary {
     /// The feature family evaluated.
@@ -203,12 +204,16 @@ pub struct FeatureSetSummary {
     /// Mean interval length (mV) per temperature index, averaged over read
     /// points.
     pub length_per_temp: Vec<f64>,
+    /// Mean interval length (mV) per read point, averaged over
+    /// temperatures (summed in temperature order): the Fig. 3 series.
+    pub length_per_read_point: Vec<f64>,
     /// Grand average across temperatures.
     pub average_length: f64,
 }
 
 /// Runs the Table IV / Fig. 3 study: CQR with the given base model on each
-/// feature set, averaged across every read point.
+/// feature set over every (temperature, read point) cell, averaged both
+/// ways.
 ///
 /// # Errors
 ///
@@ -232,16 +237,23 @@ pub fn run_feature_set_study(
             run_region_cell(campaign, rp, temp_idx, method, feature_set, cfg)
         });
         let mut per_temp = vec![0.0; n_temps];
-        for (&(temp_idx, _), eval) in cells.iter().zip(evals) {
-            per_temp[temp_idx] += eval?.mean_length;
+        let mut per_rp = vec![0.0; n_rps];
+        for (&(temp_idx, rp), eval) in cells.iter().zip(evals) {
+            let length = eval?.mean_length;
+            per_temp[temp_idx] += length;
+            per_rp[rp] += length;
         }
         for v in &mut per_temp {
             *v /= n_rps as f64;
+        }
+        for v in &mut per_rp {
+            *v /= n_temps as f64;
         }
         let average = per_temp.iter().sum::<f64>() / n_temps as f64;
         out.push(FeatureSetSummary {
             feature_set,
             length_per_temp: per_temp,
+            length_per_read_point: per_rp,
             average_length: average,
         });
     }
@@ -323,8 +335,24 @@ mod tests {
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert_eq!(r.length_per_temp.len(), 3);
+            assert_eq!(r.length_per_read_point.len(), c.read_points.len());
             assert!(r.average_length > 0.0);
         }
+        // The Fig. 3 series is the temperature mean of the same cells,
+        // summed in temperature order from 0.0.
+        let last_rp = c.read_points.len() - 1;
+        let mut acc = 0.0;
+        for temp_idx in 0..c.temperatures.len() {
+            let method = RegionMethod::Cqr(PointModel::Linear);
+            acc += run_region_cell(&c, last_rp, temp_idx, method, rows[0].feature_set, &cfg)
+                .unwrap()
+                .mean_length;
+        }
+        let expected = acc / c.temperatures.len() as f64;
+        assert_eq!(
+            rows[0].length_per_read_point[last_rp].to_bits(),
+            expected.to_bits()
+        );
         let gain = onchip_monitor_gain(&rows).unwrap();
         assert!(gain.is_finite());
         // A study missing the Both row cannot produce the gain statistic.

@@ -10,7 +10,7 @@
 //!
 //! [`assemble_dataset`]: crate::assemble_dataset
 
-use vmin_conformal::PredictionInterval;
+use vmin_conformal::{IntervalReport, PredictionInterval};
 use vmin_serve::{RowSource, ServeModel};
 use vmin_silicon::{BlockLayout, CampaignStream, DatasetSpec, DEFAULT_STREAM_CHUNK};
 
@@ -72,16 +72,6 @@ pub struct FleetScreenReport {
     pub min_spec_mv: f64,
     /// Miscoverage level the model was calibrated at.
     pub alpha: f64,
-}
-
-impl FleetScreenReport {
-    /// Empirical coverage rate of the run.
-    pub fn coverage(&self) -> f64 {
-        if self.chips == 0 {
-            return 0.0;
-        }
-        self.covered as f64 / self.chips as f64
-    }
 }
 
 /// Screens a synthetic fleet end to end: generates chips with
@@ -171,12 +161,10 @@ pub fn fleet_screen(
         });
     }
 
-    let mut chips = 0usize;
     let mut blocks = 0usize;
     let mut flagged = 0usize;
-    let mut covered = 0usize;
     let mut defective = 0usize;
-    let mut length_sum = 0.0f64;
+    let mut tally = IntervalReport::default();
 
     let chunk = cfg.chunk.unwrap_or(DEFAULT_STREAM_CHUNK);
     let stream = CampaignStream::with_chunk(spec, seed, chunk);
@@ -190,23 +178,19 @@ pub fn fleet_screen(
         intervals.resize(rows, PredictionInterval::new(0.0, 0.0));
         model.serve_rows(&src, cfg.serve_rows, &mut intervals)?;
 
-        for (r, iv) in intervals.iter().enumerate() {
+        for (r, &iv) in intervals.iter().enumerate() {
             // Same decision as `VminPredictor::flags_spec_risk`.
             if iv.hi() > cfg.min_spec_mv {
                 flagged += 1;
             }
-            let truth = block.vmin_mv(r, cfg.read_point, cfg.temp_idx);
-            if iv.lo() <= truth && truth <= iv.hi() {
-                covered += 1;
-            }
             if block.defective(r) {
                 defective += 1;
             }
-            length_sum += iv.length();
+            tally.record(iv, block.vmin_mv(r, cfg.read_point, cfg.temp_idx));
         }
-        chips += rows;
         blocks += 1;
     }
+    let chips = tally.n();
 
     vmin_trace::counter_add("fleet.blocks", blocks as u64);
     vmin_trace::counter_add("fleet.chips", chips as u64);
@@ -217,13 +201,9 @@ pub fn fleet_screen(
         blocks,
         n_features: d,
         flagged,
-        covered,
+        covered: tally.covered(),
         defective,
-        mean_length_mv: if chips == 0 {
-            0.0
-        } else {
-            length_sum / chips as f64
-        },
+        mean_length_mv: tally.mean_length(),
         min_spec_mv: cfg.min_spec_mv,
         alpha: model.alpha(),
     })
@@ -269,29 +249,25 @@ mod tests {
         let ds =
             assemble_dataset(&campaign, cfg.read_point, cfg.temp_idx, cfg.feature_set).unwrap();
         let intervals = model.serve_batch(ds.features(), cfg.serve_rows).unwrap();
-        let (mut flagged, mut covered, mut defective) = (0, 0, 0);
-        let mut length_sum = 0.0;
-        for (chip, iv) in campaign.chips.iter().zip(&intervals) {
+        let (mut flagged, mut defective) = (0, 0);
+        let mut tally = IntervalReport::default();
+        for (chip, &iv) in campaign.chips.iter().zip(&intervals) {
             if iv.hi() > cfg.min_spec_mv {
                 flagged += 1;
-            }
-            let truth = chip.vmin_mv[cfg.read_point][cfg.temp_idx];
-            if iv.lo() <= truth && truth <= iv.hi() {
-                covered += 1;
             }
             if chip.defective {
                 defective += 1;
             }
-            length_sum += iv.length();
+            tally.record(iv, chip.vmin_mv[cfg.read_point][cfg.temp_idx]);
         }
         FleetScreenReport {
             chips: campaign.chip_count(),
             blocks: 0, // not comparable
             n_features: ds.n_features(),
             flagged,
-            covered,
+            covered: tally.covered(),
             defective,
-            mean_length_mv: length_sum / campaign.chip_count() as f64,
+            mean_length_mv: tally.mean_length(),
             min_spec_mv: cfg.min_spec_mv,
             alpha: model.alpha(),
         }
@@ -379,6 +355,6 @@ mod tests {
         let none = fleet_screen(&spec, 6, &model, &lax).unwrap();
         assert_eq!(all.flagged, all.chips);
         assert_eq!(none.flagged, 0);
-        assert!(all.coverage() >= 0.0 && all.coverage() <= 1.0);
+        assert!(all.covered <= all.chips);
     }
 }

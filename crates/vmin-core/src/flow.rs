@@ -5,7 +5,7 @@ use crate::error::CoreError;
 use crate::scenario::FeatureSet;
 use crate::zoo::{ModelConfig, PointModel, RegionMethod};
 use std::borrow::Cow;
-use vmin_conformal::{evaluate_intervals, Cqr, PredictionInterval};
+use vmin_conformal::{evaluate_intervals, Cqr, IntervalReport, PredictionInterval};
 use vmin_data::{cfs_select, r_squared, rmse, train_test_split, Dataset, Standardizer};
 use vmin_models::{GaussianProcess, Regressor};
 use vmin_silicon::Campaign;
@@ -155,10 +155,10 @@ pub fn eval_region_fold(
     let intervals = (0..test.n_samples())
         .map(|i| predictor.interval(test.sample(i)))
         .collect::<Result<Vec<_>, _>>()?;
-    let report = evaluate_intervals(&intervals, test.targets());
+    let report = evaluate_intervals(&intervals, test.targets())?;
     Ok(RegionEval {
-        mean_length: report.mean_length,
-        coverage: report.coverage,
+        mean_length: report.mean_length(),
+        coverage: report.coverage(),
     })
 }
 
@@ -403,17 +403,17 @@ pub struct SanitizedFit {
     pub log: RepairLog,
 }
 
-/// Mean interval length of `p` over the rows of `ds`, or `None` on any
-/// prediction failure.
+/// Mean interval length of `p` over the rows of `ds`, or `None` for an
+/// empty dataset or on any prediction failure.
 fn mean_interval_length_over(p: &VminPredictor, ds: &Dataset) -> Option<f64> {
     if ds.n_samples() == 0 {
         return None;
     }
-    let mut sum = 0.0;
-    for i in 0..ds.n_samples() {
-        sum += p.interval(ds.sample(i)).ok()?.length();
+    let mut report = IntervalReport::default();
+    for (i, &truth) in ds.targets().iter().enumerate() {
+        report.record(p.interval(ds.sample(i)).ok()?, truth);
     }
-    Some(sum / ds.n_samples() as f64)
+    Some(report.mean_length())
 }
 
 /// Interval-length cost (mV) of the parametric-only fallback: re-sanitizes
@@ -637,17 +637,15 @@ mod tests {
             &ModelConfig::fast(),
         )
         .unwrap();
-        let covered = (0..ds.n_samples())
-            .filter(|&i| {
-                pred.interval(ds.sample(i))
-                    .unwrap()
-                    .contains(ds.targets()[i])
-            })
-            .count();
+        let mut report = IntervalReport::default();
+        for (i, &truth) in ds.targets().iter().enumerate() {
+            report.record(pred.interval(ds.sample(i)).unwrap(), truth);
+        }
         assert!(
-            covered as f64 / ds.n_samples() as f64 > 0.6,
-            "in-sample coverage too low: {covered}/{}",
-            ds.n_samples()
+            report.coverage() > 0.6,
+            "in-sample coverage too low: {}/{}",
+            report.covered(),
+            report.n()
         );
     }
 }

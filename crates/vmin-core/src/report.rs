@@ -179,11 +179,13 @@ mod tests {
             FeatureSetSummary {
                 feature_set: FeatureSet::Parametric,
                 length_per_temp: vec![30.0, 20.0, 10.0],
+                length_per_read_point: vec![],
                 average_length: 20.0,
             },
             FeatureSetSummary {
                 feature_set: FeatureSet::Both,
                 length_per_temp: vec![15.0, 10.0, 5.0],
+                length_per_read_point: vec![],
                 average_length: 10.0,
             },
         ];

@@ -152,27 +152,6 @@ impl HygieneReport {
         self.column_outliers.iter().sum()
     }
 
-    /// Worst per-column missingness as a fraction of rows.
-    pub fn worst_column_missingness(&self) -> f64 {
-        if self.n_rows == 0 {
-            return 0.0;
-        }
-        self.column_missing
-            .iter()
-            .map(|&m| m as f64 / self.n_rows as f64)
-            .fold(0.0, f64::max)
-    }
-
-    /// Column indices with no finite value at all (dead columns).
-    pub fn dead_columns(&self) -> Vec<usize> {
-        self.column_missing
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m == self.n_rows && self.n_rows > 0)
-            .map(|(j, _)| j)
-            .collect()
-    }
-
     /// True when the scan found nothing to repair.
     pub fn is_clean(&self) -> bool {
         self.total_missing() == 0

@@ -9,8 +9,9 @@
 //!   4-fold CV and a 75/25 train/calibration split inside CQR).
 //! - [`Standardizer`] / [`TargetScaler`]: z-scoring fit on training folds.
 //! - [`cfs_select`] / [`cfs_sweep`]: CFS with Pearson correlation (§IV-C).
-//! - [`r_squared`], [`rmse`], [`coverage`], [`mean_interval_length`],
-//!   [`pinball_loss`]: the paper's metrics.
+//! - [`r_squared`], [`rmse`]: the paper's point-prediction metrics
+//!   (coverage and interval length live in `vmin-conformal`'s
+//!   `IntervalReport`).
 //!
 //! ## Example
 //!
@@ -44,6 +45,6 @@ mod standardize;
 pub use cfs::{cfs_select, cfs_sweep, CfsSelection};
 pub use dataset::{Dataset, DatasetError};
 pub use hygiene::{HygieneError, HygieneReport};
-pub use metrics::{coverage, mae, mean_interval_length, pinball_loss, r_squared, rmse};
+pub use metrics::{r_squared, rmse};
 pub use split::{train_test_split, KFold, Split};
 pub use standardize::{Standardizer, TargetScaler};

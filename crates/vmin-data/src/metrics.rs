@@ -1,5 +1,5 @@
-//! Evaluation metrics: R², RMSE for point prediction; coverage and mean
-//! interval length for region prediction (§IV-B of the paper).
+//! Point-prediction metrics of the paper (§IV-B): R² and RMSE. Coverage and
+//! mean interval length are counted by `vmin_conformal::IntervalReport`.
 
 /// Coefficient of determination `R² = 1 − SS_res / SS_tot`.
 ///
@@ -50,71 +50,6 @@ pub fn rmse(y_true: &[f64], y_pred: &[f64]) -> f64 {
     mse.sqrt()
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mae(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len(), "mae: length mismatch");
-    assert!(!y_true.is_empty(), "mae: empty input");
-    y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(y, p)| (y - p).abs())
-        .sum::<f64>()
-        / y_true.len() as f64
-}
-
-/// Fraction of targets falling inside `[lo_i, hi_i]` (inclusive).
-///
-/// # Panics
-///
-/// Panics on length mismatch or empty input.
-pub fn coverage(y_true: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), lo.len(), "coverage: length mismatch");
-    assert_eq!(y_true.len(), hi.len(), "coverage: length mismatch");
-    assert!(!y_true.is_empty(), "coverage: empty input");
-    let hits = y_true
-        .iter()
-        .zip(lo.iter().zip(hi))
-        .filter(|(y, (l, h))| **y >= **l && **y <= **h)
-        .count();
-    hits as f64 / y_true.len() as f64
-}
-
-/// Mean interval length `mean(hi − lo)`.
-///
-/// # Panics
-///
-/// Panics on length mismatch or empty input.
-pub fn mean_interval_length(lo: &[f64], hi: &[f64]) -> f64 {
-    assert_eq!(lo.len(), hi.len(), "mean_interval_length: length mismatch");
-    assert!(!lo.is_empty(), "mean_interval_length: empty input");
-    lo.iter().zip(hi).map(|(l, h)| h - l).sum::<f64>() / lo.len() as f64
-}
-
-/// Mean pinball (quantile) loss at level `q` — the loss quantile regressors
-/// minimize (Eq. 5 of the paper).
-///
-/// # Panics
-///
-/// Panics on length mismatch, empty input, or `q ∉ [0, 1]`.
-pub fn pinball_loss(y_true: &[f64], y_pred: &[f64], q: f64) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len(), "pinball_loss: length mismatch");
-    assert!(!y_true.is_empty(), "pinball_loss: empty input");
-    assert!((0.0..=1.0).contains(&q), "pinball_loss: q out of [0,1]");
-    y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(y, p)| {
-            let d = y - p;
-            (q * d).max((q - 1.0) * d)
-        })
-        .sum::<f64>()
-        / y_true.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,49 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_mae_known_values() {
+    fn rmse_known_value() {
         let y = [0.0, 0.0];
         let p = [3.0, 4.0];
         assert!((rmse(&y, &p) - (12.5f64).sqrt()).abs() < 1e-12);
-        assert!((mae(&y, &p) - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coverage_counts_inclusive_bounds() {
-        let y = [1.0, 2.0, 3.0, 4.0];
-        let lo = [1.0, 2.5, 2.0, 0.0];
-        let hi = [1.0, 3.0, 4.0, 3.9];
-        // y0 on both bounds: in. y1 below lo: out. y2 inside: in. y3 above hi: out.
-        assert!((coverage(&y, &lo, &hi) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interval_length_mean() {
-        let lo = [0.0, 1.0];
-        let hi = [1.0, 4.0];
-        assert!((mean_interval_length(&lo, &hi) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pinball_loss_asymmetric() {
-        // q = 0.9 punishes under-prediction 9x more than over-prediction.
-        let under = pinball_loss(&[1.0], &[0.0], 0.9);
-        let over = pinball_loss(&[0.0], &[1.0], 0.9);
-        assert!((under - 0.9).abs() < 1e-12);
-        assert!((over - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pinball_loss_is_minimized_at_the_quantile() {
-        // For data 0..100 and q=0.75, constant prediction minimizing the
-        // loss is the 75th percentile.
-        let y: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        let loss_at = |c: f64| pinball_loss(&y, &vec![c; y.len()], 0.75);
-        let at_quantile = loss_at(75.0);
-        assert!(at_quantile < loss_at(50.0));
-        assert!(at_quantile < loss_at(90.0));
-        assert!(at_quantile <= loss_at(74.0));
-        assert!(at_quantile <= loss_at(76.0));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! and reproducible. `heavy-tests` multiplies the case counts.
 
 use vmin_data::{
-    cfs_select, coverage, mean_interval_length, pinball_loss, r_squared, rmse, train_test_split,
-    Dataset, KFold, Standardizer, TargetScaler,
+    cfs_select, r_squared, rmse, train_test_split, Dataset, KFold, Standardizer, TargetScaler,
 };
 use vmin_linalg::Matrix;
 use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
@@ -113,39 +112,6 @@ fn perfect_prediction_metrics() {
         let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect();
         assert!((r_squared(&y, &y) - 1.0).abs() < 1e-12);
         assert_eq!(rmse(&y, &y), 0.0);
-    }
-}
-
-/// Coverage is in [0, 1] and interval length is non-negative for ordered
-/// bounds.
-#[test]
-fn interval_metric_bounds() {
-    let mut rng = ChaCha8Rng::seed_from_u64(307);
-    for _ in 0..cases() {
-        let n = rng.gen_range(1..30usize);
-        let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
-        let half = rng.gen_range(0.0..5.0);
-        let lo: Vec<f64> = y.iter().map(|v| v - half).collect();
-        let hi: Vec<f64> = y.iter().map(|v| v + half).collect();
-        let c = coverage(&y, &lo, &hi);
-        assert_eq!(c, 1.0); // always centered
-        assert!((mean_interval_length(&lo, &hi) - 2.0 * half).abs() < 1e-9);
-    }
-}
-
-/// Pinball loss is non-negative and zero only at exact prediction.
-#[test]
-fn pinball_nonnegative() {
-    let mut rng = ChaCha8Rng::seed_from_u64(308);
-    for _ in 0..cases() {
-        let y = rng.gen_range(-10.0..10.0);
-        let p = rng.gen_range(-10.0..10.0);
-        let q = rng.gen_range(0.05..0.95);
-        let l = pinball_loss(&[y], &[p], q);
-        assert!(l >= 0.0);
-        if (y - p).abs() > 1e-12 {
-            assert!(l > 0.0);
-        }
     }
 }
 

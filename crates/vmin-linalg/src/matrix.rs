@@ -433,11 +433,6 @@ impl Matrix {
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
     }
-
-    /// Consumes the matrix, returning the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {

@@ -12,6 +12,9 @@
 //! named elsewhere; waive such an item with the allow comment. False
 //! negatives are accepted — this is a ratchet, not a proof.
 //!
+//! Inherent `impl` members are candidates like free items. Trait and
+//! trait-impl members carry no `pub` of their own, so they never are.
+//!
 //! The corpus is wider than the lint scan proper: `tests/`, `benches/`
 //! and `examples/` trees are lexed usage-only so an item exercised only
 //! by integration tests is not reported dead.
@@ -73,7 +76,6 @@ impl ItemGraph {
                 self.fn_names.insert(name.to_string());
             }
             let candidate = item.is_pub
-                && !item.in_impl
                 && !item.in_test
                 && DEAD_PUB_KINDS.contains(&item.kind)
                 && name != "main"
@@ -198,17 +200,35 @@ mod tests {
     }
 
     #[test]
-    fn impl_members_main_and_allow_attrs_are_not_candidates() {
+    fn main_and_allow_attrs_are_not_candidates() {
         let g = graph_of(&[(
             "a",
             "crates/a/src/main.rs",
-            "pub struct S;\nimpl S { pub fn method(&self) {} }\nfn main() {}\n\
-             #[allow(dead_code)]\npub fn waived() {}\n",
+            "fn main() {}\n#[allow(dead_code)]\npub fn waived() {}\n",
         )]);
+        assert!(g.dead_pub().is_empty());
+    }
+
+    #[test]
+    fn uncalled_inherent_method_is_dead_and_called_one_is_not() {
+        let g = graph_of(&[
+            (
+                "a",
+                "crates/a/src/lib.rs",
+                "pub struct S;\nimpl S {\n    pub fn called(&self) {}\n    \
+                 pub fn uncalled(&self) {}\n}\n\
+                 impl Clone for S {\n    fn clone(&self) -> S { S }\n}\n",
+            ),
+            (
+                "b",
+                "crates/b/src/lib.rs",
+                "fn caller(s: a::S) { s.called(); }\n",
+            ),
+        ]);
         let dead: Vec<&str> = g.dead_pub().iter().map(|d| d.name.as_str()).collect();
-        // `S` is used by its own impl block mention; method/main/waived
-        // are excluded by the candidate filter.
-        assert_eq!(dead, Vec::<&str>::new());
+        // `S` is named by its impl blocks and `clone` is a trait-impl member
+        // (never `pub`), so only the uncalled inherent method is reported.
+        assert_eq!(dead, vec!["uncalled"]);
     }
 
     #[test]

@@ -50,10 +50,6 @@ pub struct Item {
     pub line: u32,
     /// True when the item sits in `#[test]`/`#[cfg(test)]` code.
     pub in_test: bool,
-    /// True when the item is a member of an `impl` or `trait` block
-    /// (associated items are reached through their type, so the item
-    /// graph must not count their definitions as the only "use").
-    pub in_impl: bool,
     /// First path segment of each outer attribute (`#[allow(...)]` →
     /// `"allow"`, `#[cfg(test)]` → `"cfg"`).
     pub attrs: Vec<String>,
@@ -64,7 +60,7 @@ pub struct Item {
 /// is meaningful.
 pub fn parse_items(toks: &[Token]) -> Vec<Item> {
     let mut out = Vec::new();
-    parse_block(toks, 0, toks.len(), false, &mut out);
+    parse_block(toks, 0, toks.len(), &mut out);
     out
 }
 
@@ -133,7 +129,7 @@ pub fn call_args(toks: &[Token], open: usize, end: usize) -> Vec<(usize, usize)>
 
 /// Walks tokens in `[start, end)` collecting items; recurses into
 /// `mod`/`impl`/`trait` bodies.
-fn parse_block(toks: &[Token], start: usize, end: usize, in_impl: bool, out: &mut Vec<Item>) {
+fn parse_block(toks: &[Token], start: usize, end: usize, out: &mut Vec<Item>) {
     let mut attrs: Vec<String> = Vec::new();
     let mut is_pub = false;
     let mut i = start;
@@ -188,69 +184,29 @@ fn parse_block(toks: &[Token], start: usize, end: usize, in_impl: bool, out: &mu
             }
             "fn" => {
                 let name = ident_after(toks, i + 1);
-                record_named(
-                    out,
-                    toks,
-                    ItemKind::Fn,
-                    name,
-                    is_pub,
-                    t,
-                    &mut attrs,
-                    in_impl,
-                    i,
-                );
+                record_named(out, toks, ItemKind::Fn, name, is_pub, t, &mut attrs);
                 is_pub = false;
                 i = seek_body_or_semi(toks, i + 1, end);
             }
             "struct" => {
                 let name = ident_after(toks, i + 1);
-                record_named(
-                    out,
-                    toks,
-                    ItemKind::Struct,
-                    name,
-                    is_pub,
-                    t,
-                    &mut attrs,
-                    in_impl,
-                    i,
-                );
+                record_named(out, toks, ItemKind::Struct, name, is_pub, t, &mut attrs);
                 is_pub = false;
                 i = seek_body_or_semi(toks, i + 1, end);
             }
             "enum" => {
                 let name = ident_after(toks, i + 1);
-                record_named(
-                    out,
-                    toks,
-                    ItemKind::Enum,
-                    name,
-                    is_pub,
-                    t,
-                    &mut attrs,
-                    in_impl,
-                    i,
-                );
+                record_named(out, toks, ItemKind::Enum, name, is_pub, t, &mut attrs);
                 is_pub = false;
                 i = seek_body_or_semi(toks, i + 1, end);
             }
             "trait" => {
                 let name = ident_after(toks, i + 1);
-                record_named(
-                    out,
-                    toks,
-                    ItemKind::Trait,
-                    name,
-                    is_pub,
-                    t,
-                    &mut attrs,
-                    in_impl,
-                    i,
-                );
+                record_named(out, toks, ItemKind::Trait, name, is_pub, t, &mut attrs);
                 is_pub = false;
                 if let Some(open) = seek_open_brace(toks, i + 1, end) {
                     let close = matching_close(toks, open, end);
-                    parse_block(toks, open + 1, close, true, out);
+                    parse_block(toks, open + 1, close, out);
                     i = close + 1;
                 } else {
                     i = seek_semi(toks, i + 1, end);
@@ -273,43 +229,23 @@ fn parse_block(toks: &[Token], start: usize, end: usize, in_impl: bool, out: &mu
                     j += 1;
                 }
                 let name = ident_after(toks, j);
-                record_named(out, toks, kind, name, is_pub, t, &mut attrs, in_impl, i);
+                record_named(out, toks, kind, name, is_pub, t, &mut attrs);
                 is_pub = false;
                 i = seek_semi(toks, i + 1, end);
             }
             "type" => {
                 let name = ident_after(toks, i + 1);
-                record_named(
-                    out,
-                    toks,
-                    ItemKind::TypeAlias,
-                    name,
-                    is_pub,
-                    t,
-                    &mut attrs,
-                    in_impl,
-                    i,
-                );
+                record_named(out, toks, ItemKind::TypeAlias, name, is_pub, t, &mut attrs);
                 is_pub = false;
                 i = seek_semi(toks, i + 1, end);
             }
             "mod" => {
                 let name = ident_after(toks, i + 1);
-                record_named(
-                    out,
-                    toks,
-                    ItemKind::Mod,
-                    name,
-                    is_pub,
-                    t,
-                    &mut attrs,
-                    in_impl,
-                    i,
-                );
+                record_named(out, toks, ItemKind::Mod, name, is_pub, t, &mut attrs);
                 is_pub = false;
                 if let Some(open) = seek_open_brace_before_semi(toks, i + 1, end) {
                     let close = matching_close(toks, open, end);
-                    parse_block(toks, open + 1, close, false, out);
+                    parse_block(toks, open + 1, close, out);
                     i = close + 1;
                 } else {
                     i = seek_semi(toks, i + 1, end);
@@ -320,7 +256,7 @@ fn parse_block(toks: &[Token], start: usize, end: usize, in_impl: bool, out: &mu
                 is_pub = false;
                 if let Some(open) = seek_open_brace(toks, i + 1, end) {
                     let close = matching_close(toks, open, end);
-                    parse_block(toks, open + 1, close, true, out);
+                    parse_block(toks, open + 1, close, out);
                     i = close + 1;
                 } else {
                     i = seek_semi(toks, i + 1, end);
@@ -337,17 +273,7 @@ fn parse_block(toks: &[Token], start: usize, end: usize, in_impl: bool, out: &mu
                 } else {
                     None
                 };
-                record_named(
-                    out,
-                    toks,
-                    ItemKind::MacroDef,
-                    name,
-                    is_pub,
-                    t,
-                    &mut attrs,
-                    in_impl,
-                    i,
-                );
+                record_named(out, toks, ItemKind::MacroDef, name, is_pub, t, &mut attrs);
                 is_pub = false;
                 i = seek_body_or_semi(toks, i + 1, end);
             }
@@ -384,13 +310,11 @@ fn record(
         is_pub,
         line: kw.line,
         in_test: kw.in_test,
-        in_impl: false,
         attrs: std::mem::take(attrs),
     });
 }
 
 /// Pushes a named item, draining `attrs`.
-#[allow(clippy::too_many_arguments)]
 fn record_named(
     out: &mut Vec<Item>,
     toks: &[Token],
@@ -399,8 +323,6 @@ fn record_named(
     is_pub: bool,
     kw: &Token,
     attrs: &mut Vec<String>,
-    in_impl: bool,
-    _kw_idx: usize,
 ) {
     let (name_idx, name) = match name {
         Some((idx, n)) => (Some(idx), Some(n)),
@@ -413,7 +335,6 @@ fn record_named(
         is_pub,
         line: kw.line,
         in_test,
-        in_impl,
         attrs: std::mem::take(attrs),
     });
 }
@@ -517,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn impl_members_are_flagged_and_fn_bodies_are_skipped() {
+    fn impl_members_are_items_and_fn_bodies_are_skipped() {
         let items = items_of(
             "pub struct S;\nimpl S {\n    pub fn method(&self) { let x = 1; }\n}\n\
              pub trait T {\n    fn decl(&self) -> f64;\n}\n\
@@ -527,13 +448,14 @@ mod tests {
             .iter()
             .find(|i| i.name.as_deref() == Some("method"))
             .expect("method");
-        assert!(method.in_impl && method.is_pub);
+        assert!(method.is_pub);
         let decls: Vec<_> = items
             .iter()
             .filter(|i| i.name.as_deref() == Some("decl"))
             .collect();
         assert_eq!(decls.len(), 2);
-        assert!(decls.iter().all(|i| i.in_impl));
+        // Trait and trait-impl members carry no visibility of their own.
+        assert!(decls.iter().all(|i| !i.is_pub));
         // No phantom items from inside the skipped fn body.
         assert!(!items.iter().any(|i| i.name.as_deref() == Some("x")));
     }

@@ -283,6 +283,26 @@ mod tests {
     }
 
     #[test]
+    fn pinball_value_is_asymmetric_and_minimized_at_the_quantile() {
+        // q = 0.9 punishes under-prediction 9x more than over-prediction.
+        let l = Loss::Pinball(0.9);
+        assert!((l.value(1.0, 0.0) - 0.9).abs() < 1e-12);
+        assert!((l.value(0.0, 1.0) - 0.1).abs() < 1e-12);
+        assert_eq!(l.value(1.0, 1.0), 0.0);
+        for q in [0.05, 0.5, 0.95] {
+            for (y, p) in [(-3.0, 2.0), (2.0, -3.0), (0.5, 0.25)] {
+                assert!(Loss::Pinball(q).value(y, p) > 0.0, "q {q}: {y} vs {p}");
+            }
+        }
+        // Over 0..=100 the constant minimizing the q = 0.75 loss is 75.
+        let y: Vec<f64> = (0..=100).map(f64::from).collect();
+        let total = |c: f64| -> f64 { y.iter().map(|&v| Loss::Pinball(0.75).value(v, c)).sum() };
+        for other in [50.0, 74.0, 76.0, 90.0] {
+            assert!(total(75.0) <= total(other), "constant {other}");
+        }
+    }
+
+    #[test]
     fn equal_gradient_classes_give_bit_equal_gradients() {
         let l = Loss::Pinball(0.05);
         let y = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];

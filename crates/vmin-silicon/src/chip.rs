@@ -240,21 +240,10 @@ impl ChipFactory {
     }
 
     /// Re-fabricates `chip` in place for index `id`, reusing its path
-    /// vector's allocation. Draw order and results are identical to
-    /// [`Self::fabricate_one`] — this is the scratch-friendly form whose
-    /// body the streaming campaign's hot loop runs.
-    pub fn refabricate<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        id: usize,
-        process: ProcessState,
-        chip: &mut Chip,
-    ) {
-        self.refabricate_with(rng, id, process, chip, &mut AgingDraws::new(None));
-    }
-
-    /// [`Self::refabricate`] with the aging-only draws taken as `draws`
-    /// directs.
+    /// vector's allocation, with the aging-only draws taken as `draws`
+    /// directs: the scratch-friendly form the streaming campaign's hot loop
+    /// runs. With `AgingDraws::new(None)` the draw order and results are
+    /// identical to [`Self::fabricate_one`].
     pub(crate) fn refabricate_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,

@@ -14,7 +14,7 @@
 //!   single draw — output is **bit-identical** to the monolithic
 //!   [`Campaign::run`] at any `VMIN_THREADS` and any chunk size.
 //! - **Per-chunk scratch**: each shard worker carries one reusable
-//!   [`Chip`] (path vector recycled via [`ChipFactory::refabricate`]), one
+//!   [`Chip`] (path vector recycled via `ChipFactory::refabricate_with`), one
 //!   [`MonitorBank`] (recycled via `reinstantiate`) and one Vmin search
 //!   table, and measurements land directly in the block's flat rows
 //!   through the `*_into` readout variants — no per-chip allocation in

@@ -214,11 +214,6 @@ impl VminTester {
         }
     }
 
-    /// Creates a tester with an explicit clock period (ps).
-    pub fn with_clock_period(spec: VminTestSpec, clock_period: Picoseconds) -> Self {
-        VminTester { spec, clock_period }
-    }
-
     /// The calibrated clock period.
     pub fn clock_period(&self) -> Picoseconds {
         self.clock_period

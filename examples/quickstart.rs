@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use cqr_vmin::conformal::IntervalReport;
 use cqr_vmin::core::{
     assemble_dataset, FeatureSet, ModelConfig, PointModel, RegionMethod, VminPredictor,
 };
@@ -50,14 +51,14 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 4. Predict intervals for unseen chips and screen against min-spec.
     let min_spec_mv = 700.0;
-    let mut covered = 0;
+    let mut report = IntervalReport::default();
     let mut flagged = 0;
     println!("\n chip |        interval (mV)        | true Vmin | in? | spec risk");
     for i in 0..test.n_samples() {
         let iv = predictor.interval(test.sample(i))?;
         let y = test.targets()[i];
+        report.record(iv, y);
         let inside = iv.contains(y);
-        covered += usize::from(inside);
         let risk = predictor.flags_spec_risk(test.sample(i), min_spec_mv)?;
         flagged += usize::from(risk);
         if i < 10 {
@@ -73,9 +74,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     println!(
         "\ncoverage on held-out chips: {}/{} ({:.1}%), {} flagged vs min-spec {} mV",
-        covered,
-        test.n_samples(),
-        100.0 * covered as f64 / test.n_samples() as f64,
+        report.covered(),
+        report.n(),
+        100.0 * report.covered() as f64 / report.n() as f64,
         flagged,
         min_spec_mv
     );

@@ -80,11 +80,7 @@ fn draw(n: usize, noise: Noise, seed: u64) -> (Matrix, Vec<f64>) {
 }
 
 fn covered_count(intervals: &[PredictionInterval], y: &[f64]) -> usize {
-    intervals
-        .iter()
-        .zip(y)
-        .filter(|(iv, yi)| iv.contains(**yi))
-        .count()
+    evaluate_intervals(intervals, y).unwrap().covered()
 }
 
 /// Sums a per-run covered count over [`REPS`] independent seeds.
@@ -233,7 +229,7 @@ fn raw_qr_run(noise: Noise, seed: u64) -> f64 {
             )
         })
         .collect();
-    evaluate_intervals(&ivs, &y_te).coverage
+    evaluate_intervals(&ivs, &y_te).unwrap().coverage()
 }
 
 #[test]
@@ -264,7 +260,7 @@ fn ensemble_run(noise: Noise, seed: u64) -> f64 {
             PredictionInterval::new(lo, hi)
         })
         .collect();
-    evaluate_intervals(&ivs, &y_te).coverage
+    evaluate_intervals(&ivs, &y_te).unwrap().coverage()
 }
 
 #[test]

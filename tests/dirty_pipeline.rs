@@ -11,6 +11,7 @@
 //! - with repair disabled the same corruption yields a typed
 //!   rejection, never a silently miscalibrated fit.
 
+use cqr_vmin::conformal::IntervalReport;
 use cqr_vmin::core::{
     CoreError, DegradationPolicy, FeatureSet, ModelConfig, PointModel, RegionMethod, VminPredictor,
 };
@@ -67,16 +68,14 @@ fn repaired_dirty_campaign_meets_coverage_at_alpha_10() {
         "repair should keep most of the 156 chips"
     );
 
-    let mut covered = 0usize;
-    for i in 0..ds.n_samples() {
+    let mut report = IntervalReport::default();
+    for (i, &truth) in ds.targets().iter().enumerate() {
         let iv = fit.predictor.interval(ds.sample(i)).unwrap();
         assert!(iv.lo().is_finite() && iv.hi().is_finite(), "chip {i}: {iv}");
         assert!(iv.length() > 0.0, "chip {i}: degenerate interval {iv}");
-        if iv.contains(ds.targets()[i]) {
-            covered += 1;
-        }
+        report.record(iv, truth);
     }
-    let coverage = covered as f64 / ds.n_samples() as f64;
+    let coverage = report.coverage();
     assert!(
         coverage >= 0.85,
         "coverage {coverage:.3} under 10% mixed corruption fell below 0.85"

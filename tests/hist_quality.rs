@@ -13,7 +13,7 @@
 #[path = "support/binomial.rs"]
 mod binomial;
 
-use cqr_vmin::conformal::{Cqr, PredictionInterval};
+use cqr_vmin::conformal::{evaluate_intervals, Cqr};
 use cqr_vmin::linalg::Matrix;
 use cqr_vmin::models::{
     GradientBoost, GradientBoostParams, Loss, ObliviousBoost, ObliviousBoostParams, Regressor,
@@ -79,15 +79,8 @@ fn cqr_run(booster: &Booster, seed: u64) -> (usize, f64) {
         ALPHA,
     );
     cqr.fit_calibrate(&x_tr, &y_tr, &x_ca, &y_ca).unwrap();
-    let intervals: Vec<PredictionInterval> = cqr.predict_intervals(&x_te).unwrap();
-    let covered = intervals
-        .iter()
-        .zip(&y_te)
-        .filter(|(iv, yi)| iv.contains(**yi))
-        .count();
-    let mean_width =
-        intervals.iter().map(|iv| iv.hi() - iv.lo()).sum::<f64>() / intervals.len() as f64;
-    (covered, mean_width)
+    let report = evaluate_intervals(&cqr.predict_intervals(&x_te).unwrap(), &y_te).unwrap();
+    (report.covered(), report.mean_length())
 }
 
 fn acceptance() -> (usize, usize) {
