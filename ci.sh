@@ -75,8 +75,10 @@ for kind in counter gauge histogram; do
          <(grep "\"kind\": \"$kind\"" target/trace-t8.json) \
         || { echo "vmin-trace $kind section differs between VMIN_THREADS=1 and 8"; exit 1; }
 done
-# The fit-plan memo counters: the trace_report workload routes through
-# GBT-family CQR fits, so plan builds and memo hits must both appear.
+# The fit-plan memo counters: in the trace_report workload each XGBoost
+# fold fit and each CQR pair computes one bin table (a build), and each
+# pair's second fit is served it from the shared plan (a reuse), so both
+# must appear.
 grep -q '"models.fitplan.build"' target/trace-t1.json
 grep -q '"models.fitplan.reuse"' target/trace-t1.json
 

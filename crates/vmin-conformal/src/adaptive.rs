@@ -35,7 +35,7 @@ use std::fmt;
 
 use crate::guard::{audit_widen_or_reject, AuditDecision, GuardConfig};
 use crate::interval::{check_alpha, CalibrationError, ConformalError, PredictionInterval, Result};
-use crate::quantile::{conformal_quantile, min_calibration_size};
+use crate::quantile::{conformal_quantile, conformal_rank, min_calibration_size};
 
 // ---------------------------------------------------------------------------
 // Degradation ladder
@@ -467,7 +467,7 @@ impl AdaptiveCalibrator {
     /// maintained sorted multiset instead of re-sorting.
     fn quantile_at(&self, alpha: f64) -> f64 {
         let m = self.sorted.len();
-        let rank = ((m as f64 + 1.0) * (1.0 - alpha)).ceil() as usize;
+        let rank = conformal_rank(m, alpha);
         if rank > m {
             f64::INFINITY
         } else {

@@ -14,7 +14,7 @@ use crate::interval::{
 };
 use crate::quantile::conformal_quantile;
 use vmin_linalg::Matrix;
-use vmin_models::Regressor;
+use vmin_models::{fit_pair, Regressor};
 
 /// CQR around a lower/upper quantile-regressor pair.
 ///
@@ -113,36 +113,7 @@ impl<L: Regressor, H: Regressor> Cqr<L, H> {
         check_alpha(self.alpha)?;
         let _span = vmin_trace::span("conformal.cqr.fit_calibrate");
         vmin_trace::counter_add("conformal.cqr.fits", 1);
-        // The pair's fits are independent; run them on two threads when the
-        // pool allows. Each fit is unchanged, so the result is bit-identical
-        // to fitting serially.
-        let Cqr {
-            lo_model, hi_model, ..
-        } = self;
-        // One fit plan serves both quantile models: binned tables and
-        // standardized designs are built once instead of once per quantile.
-        // fit_with_plan is exact, so the pair is still byte-identical to
-        // two independent fits.
-        let shared_plan = if (lo_model.wants_fit_plan() || hi_model.wants_fit_plan())
-            && x_train.rows() > 0
-            && x_train.cols() > 0
-        {
-            Some(vmin_models::FitPlan::build(x_train))
-        } else {
-            None
-        };
-        let (lo_res, hi_res) = match &shared_plan {
-            Some(plan) => vmin_par::join(
-                || lo_model.fit_with_plan(x_train, y_train, plan),
-                || hi_model.fit_with_plan(x_train, y_train, plan),
-            ),
-            None => vmin_par::join(
-                || lo_model.fit(x_train, y_train),
-                || hi_model.fit(x_train, y_train),
-            ),
-        };
-        lo_res?;
-        hi_res?;
+        fit_pair(&mut self.lo_model, &mut self.hi_model, x_train, y_train)?;
         self.calibrate(x_cal, y_cal)
     }
 
@@ -382,7 +353,8 @@ mod tests {
             (cqr.qhat().unwrap().to_bits(), bits)
         };
         // fit_calibrate shares one plan across the pair; the reference
-        // fits each quantile model plainly and calibrates the same way.
+        // fits each quantile model on a plan of its own and calibrates the
+        // same way.
         let mut shared = Cqr::new(
             GradientBoost::new(Loss::Pinball(0.05)),
             GradientBoost::new(Loss::Pinball(0.95)),

@@ -14,7 +14,7 @@ use crate::interval::{
 };
 use crate::quantile::conformal_quantile;
 use vmin_linalg::Matrix;
-use vmin_models::Regressor;
+use vmin_models::{fit_pair, Regressor};
 
 /// CQR with per-side conformal corrections.
 ///
@@ -73,8 +73,7 @@ impl<L: Regressor, H: Regressor> CqrAsymmetric<L, H> {
     ) -> Result<()> {
         check_alpha(self.alpha)?;
         check_calibration_set(x_cal, y_cal)?;
-        self.lo_model.fit(x_train, y_train)?;
-        self.hi_model.fit(x_train, y_train)?;
+        fit_pair(&mut self.lo_model, &mut self.hi_model, x_train, y_train)?;
         let lo = self.lo_model.predict(x_cal)?;
         let hi = self.hi_model.predict(x_cal)?;
         let s_lo: Vec<f64> = lo.iter().zip(y_cal).map(|(l, y)| l - y).collect();

@@ -10,7 +10,7 @@
 use crate::interval::{
     check_alpha, check_calibration_set, ConformalError, PredictionInterval, Result,
 };
-use crate::quantile::conformal_quantile;
+use crate::quantile::{conformal_quantile, conformal_rank};
 use vmin_data::Split;
 use vmin_linalg::Matrix;
 use vmin_models::Regressor;
@@ -291,15 +291,7 @@ impl CvState {
             let x_tr = x.select_rows(&split.train)?;
             let y_tr: Vec<f64> = split.train.iter().map(|&i| y[i]).collect();
             let mut model = factory();
-            // One plan per fold: the fold-complement design is shared by
-            // everything the model memoizes (bins, designs). fit_with_plan
-            // is exact, so fold models are unchanged.
-            if model.wants_fit_plan() {
-                let plan = vmin_models::FitPlan::build(&x_tr);
-                model.fit_with_plan(&x_tr, &y_tr, &plan)?;
-            } else {
-                model.fit(&x_tr, &y_tr)?;
-            }
+            model.fit(&x_tr, &y_tr)?;
             let mut fold_residuals = Vec::with_capacity(split.test.len());
             for &i in &split.test {
                 let p = model.predict_row(x.row(i))?;
@@ -342,7 +334,7 @@ impl CvState {
         lows.sort_by(|a, b| a.total_cmp(b));
         highs.sort_by(|a, b| a.total_cmp(b));
         let k_lo = (alpha * (n as f64 + 1.0)).floor() as usize;
-        let k_hi = ((1.0 - alpha) * (n as f64 + 1.0)).ceil() as usize;
+        let k_hi = conformal_rank(n, alpha);
         let lo = k_lo.checked_sub(1).map_or(f64::NEG_INFINITY, |k| lows[k]);
         let hi = highs.get(k_hi - 1).copied().unwrap_or(f64::INFINITY);
         Ok(PredictionInterval::new(lo, hi))
@@ -481,8 +473,8 @@ mod tests {
         }
     }
 
-    /// A 20-round squared-loss booster: it memoizes per-fit state and
-    /// takes fit plans, yet 60 leave-one-out fits stay fast.
+    /// A 20-round squared-loss booster: it memoizes per-fit state, yet 60
+    /// leave-one-out fits stay fast.
     fn gbt20() -> GradientBoost {
         GradientBoost::with_params(
             Loss::Squared,
@@ -525,33 +517,6 @@ mod tests {
         for threads in [2, 8] {
             assert_eq!(run_at(threads), serial, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn per_fold_plans_yield_bit_identical_intervals() {
-        /// The same booster with plan use switched off: the trait defaults
-        /// report `wants_fit_plan() == false`, so every fold fits plainly.
-        #[derive(Debug)]
-        struct Plain(GradientBoost);
-        impl Regressor for Plain {
-            fn fit(&mut self, x: &Matrix, y: &[f64]) -> vmin_models::Result<()> {
-                self.0.fit(x, y)
-            }
-            fn predict_row(&self, row: &[f64]) -> vmin_models::Result<f64> {
-                self.0.predict_row(row)
-            }
-        }
-
-        assert!(gbt20().wants_fit_plan());
-        let (x, y) = hetero(60, 21);
-        let (x_te, _) = hetero(25, 22);
-        let planned = jackknife_bits(&x, &y, &x_te, &|| -> Box<dyn Regressor> {
-            Box::new(gbt20())
-        });
-        let plain = jackknife_bits(&x, &y, &x_te, &|| -> Box<dyn Regressor> {
-            Box::new(Plain(gbt20()))
-        });
-        assert_eq!(planned, plain);
     }
 
     #[test]

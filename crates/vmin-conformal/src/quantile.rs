@@ -3,6 +3,13 @@
 
 use crate::interval::{check_alpha, CalibrationError, ConformalError, Result};
 
+/// The conformal rank `⌈(M+1)(1−α)⌉` among `m` sorted scores, 1-based:
+/// the one rank rule of split CP, CQR, the adaptive window and jackknife+'s
+/// upper bound. A rank above `m` means `m` scores cannot certify the level.
+pub(crate) fn conformal_rank(m: usize, alpha: f64) -> usize {
+    ((m as f64 + 1.0) * (1.0 - alpha)).ceil() as usize
+}
+
 /// Computes the `⌈(M+1)(1−α)⌉ / M`-th empirical quantile of the calibration
 /// scores (the level used in Eq. 8/10 of the paper).
 ///
@@ -49,7 +56,7 @@ pub fn conformal_quantile(scores: &[f64], alpha: f64) -> Result<f64> {
         ));
     }
     let m = scores.len();
-    let rank = ((m as f64 + 1.0) * (1.0 - alpha)).ceil() as usize;
+    let rank = conformal_rank(m, alpha);
     if rank > m {
         return Ok(f64::INFINITY);
     }
@@ -86,10 +93,11 @@ pub fn min_calibration_size(alpha: f64) -> usize {
     if !(alpha > 0.0 && alpha < 1.0) {
         return usize::MAX;
     }
+    let finite = |m: usize| conformal_rank(m, alpha) <= m;
+    // `c` is the `1 − α` the rank rule multiplies by, and `1 − c` is exact
+    // for `c ≥ 0.5` (every α that needs more than one point), so the closed
+    // form uses the very factor the test does.
     let c = 1.0 - alpha;
-    let finite = |m: usize| ((m as f64 + 1.0) * c).ceil() as usize <= m;
-    // `1 − c` is exact for `c ≥ 0.5` (every α that needs more than one
-    // point), so the closed form uses the very `c` the test multiplies by.
     let mut m = ((c / (1.0 - c)).ceil() as usize).max(1);
     for _ in 0..SETTLE_STEPS {
         if m > 1 && finite(m - 1) {

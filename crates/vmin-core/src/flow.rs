@@ -7,7 +7,7 @@ use crate::zoo::{ModelConfig, PointModel, RegionMethod};
 use std::borrow::Cow;
 use vmin_conformal::{evaluate_intervals, Cqr, IntervalReport, PredictionInterval};
 use vmin_data::{cfs_select, r_squared, rmse, train_test_split, Dataset, Standardizer};
-use vmin_models::{GaussianProcess, Regressor};
+use vmin_models::{fit_pair, GaussianProcess, Regressor};
 use vmin_silicon::Campaign;
 
 /// Point-prediction quality on one test fold.
@@ -47,6 +47,16 @@ pub(crate) fn check_open_unit(name: &str, value: f64) -> Result<(), CoreError> {
     }
 }
 
+/// Checks that an evaluation fold has a test row to score.
+fn check_test_fold(test: &Dataset) -> Result<(), CoreError> {
+    if test.n_samples() == 0 {
+        return Err(CoreError::InvalidConfig(
+            "an evaluation fold needs at least one test row".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// One bound of a quantile band, as the zoo builds it.
 type Quantile = Box<dyn Regressor>;
 
@@ -82,14 +92,15 @@ pub(crate) fn cfs_view(train: &Dataset) -> Result<(Standardizer, Dataset, Vec<us
 ///
 /// # Errors
 ///
-/// Model and dataset failures, typed ([`CoreError::Model`],
-/// [`CoreError::Dataset`]).
+/// [`CoreError::InvalidConfig`] for an empty `test`; model and dataset
+/// failures, typed ([`CoreError::Model`], [`CoreError::Dataset`]).
 pub fn eval_point_fold(
     model: PointModel,
     cfg: &ModelConfig,
     train: &Dataset,
     test: &Dataset,
 ) -> Result<PointEval, CoreError> {
+    check_test_fold(test)?;
     if model.uses_cfs() {
         let (scaler, train_z, selected) = cfs_view(train)?;
         let test_z = scaler.transform_dataset(test)?;
@@ -102,8 +113,8 @@ pub fn eval_point_fold(
             m.fit(tr.features(), tr.targets())?;
             let pred = m.predict(te.features())?;
             let eval = PointEval {
-                r2: r_squared(te.targets(), &pred),
-                rmse: rmse(te.targets(), &pred),
+                r2: r_squared(te.targets(), &pred)?,
+                rmse: rmse(te.targets(), &pred)?,
                 n_features: k,
             };
             if best.is_none_or(|b| eval.r2 > b.r2) {
@@ -116,8 +127,8 @@ pub fn eval_point_fold(
         m.fit(train.features(), train.targets())?;
         let pred = m.predict(test.features())?;
         Ok(PointEval {
-            r2: r_squared(test.targets(), &pred),
-            rmse: rmse(test.targets(), &pred),
+            r2: r_squared(test.targets(), &pred)?,
+            rmse: rmse(test.targets(), &pred)?,
             n_features: 0,
         })
     }
@@ -146,11 +157,7 @@ pub fn eval_region_fold(
     cal_fraction: f64,
     seed: u64,
 ) -> Result<RegionEval, CoreError> {
-    if test.n_samples() == 0 {
-        return Err(CoreError::InvalidConfig(
-            "a region fold needs at least one test row".into(),
-        ));
-    }
+    check_test_fold(test)?;
     let predictor = VminPredictor::fit(train, method, alpha, cal_fraction, seed, cfg)?;
     let intervals = (0..test.n_samples())
         .map(|i| predictor.interval(test.sample(i)))
@@ -258,12 +265,7 @@ impl VminPredictor {
             }
             RegionMethod::Qr(base) => {
                 let (mut lo, mut hi) = quantile_pair(base, alpha, cfg)?;
-                let (lo_res, hi_res) = vmin_par::join(
-                    || lo.fit(work.features(), work.targets()),
-                    || hi.fit(work.features(), work.targets()),
-                );
-                lo_res?;
-                hi_res?;
+                fit_pair(&mut lo, &mut hi, work.features(), work.targets())?;
                 FittedRegion::Qr { lo, hi }
             }
             RegionMethod::Cqr(base) => {
@@ -603,6 +605,19 @@ mod tests {
             1,
         );
         assert!(matches!(eval, Err(CoreError::InvalidConfig(_))), "{eval:?}");
+    }
+
+    #[test]
+    fn point_fold_with_an_empty_test_set_is_a_typed_error() {
+        let ds = small_dataset();
+        let empty = ds.subset_rows(&[]).unwrap();
+        for model in [PointModel::Xgboost, PointModel::Linear] {
+            let eval = eval_point_fold(model, &ModelConfig::fast(), &ds, &empty);
+            assert!(
+                matches!(eval, Err(CoreError::InvalidConfig(_))),
+                "{model:?}: {eval:?}"
+            );
+        }
     }
 
     #[test]

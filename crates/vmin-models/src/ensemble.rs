@@ -7,8 +7,9 @@
 //! heteroscedasticity-adaptive but *without* a test-data coverage guarantee —
 //! the property this crate's tests demonstrate against CP/CQR.
 
+use crate::fitplan::FitPlan;
 use crate::traits::{validate_training, ModelError, Regressor, Result};
-use vmin_linalg::{normal_inverse_cdf, Matrix};
+use vmin_linalg::normal_inverse_cdf;
 use vmin_rng::ChaCha8Rng;
 use vmin_rng::Rng;
 use vmin_rng::SeedableRng;
@@ -115,7 +116,8 @@ impl Ensemble {
 }
 
 impl Regressor for Ensemble {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()> {
+        let x = plan.x();
         validate_training(x, y)?;
         let n = x.rows();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
@@ -156,6 +158,7 @@ impl Regressor for Ensemble {
 mod tests {
     use super::*;
     use crate::linear::LinearRegression;
+    use vmin_linalg::Matrix;
     use vmin_rng::Rng;
 
     fn noisy_line(n: usize, seed: u64) -> (Matrix, Vec<f64>) {

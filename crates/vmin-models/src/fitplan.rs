@@ -1,32 +1,36 @@
-//! The exact fit-plan memo: per-dataset artifacts that boosters and
-//! standardizing models would otherwise rebuild on every `fit`, computed
-//! once per training matrix and shared, e.g. across the CQR quantile pair.
+//! The fit plan: the per-matrix artifacts that boosters and standardizing
+//! models build before they train, computed once per training matrix and
+//! shared by every fit handed the same plan.
 //!
-//! A [`FitPlan`] memoizes, per training matrix:
+//! A [`FitPlan`] borrows the matrix it plans for and memoizes, on first
+//! request:
 //!
-//! - **binned datasets** (CatBoost-style, via [`FitPlan::binned`]): the
-//!   quantile borders and `bin_of` table that `ObliviousBoost` and the
-//!   histogram GBT path build before their boosting rounds, keyed by
-//!   border count;
-//! - **standardized designs** (via [`FitPlan::standardized`]): the
-//!   per-column mean/scale statistics and standardized rows shared by
-//!   `QuantileLinear` and `NeuralNet`.
+//! - **binned datasets** (CatBoost-style): the quantile borders and
+//!   `bin_of` table that `ObliviousBoost` and `GradientBoost` build before
+//!   their boosting rounds, keyed by border count;
+//! - **the standardized design**: the per-column mean/scale statistics and
+//!   standardized rows shared by `QuantileLinear` and `NeuralNet`.
 //!
-//! Every memo is **exact**: a memoized artifact is produced by the very
-//! same code the plan-free paths run ([`BinnedDataset::compute`],
-//! [`standardize_design`]), so fitted models, predictions, and downstream
-//! intervals are byte-identical with or without a plan. The equivalence
-//! tests in `tests/fitplan_equivalence.rs` enforce this.
+//! Every model fits through a plan ([`crate::Regressor::fit_with_plan`];
+//! [`crate::Regressor::fit`] makes a plan of its own), and a memo hit hands
+//! out the very artifact a fresh plan would compute, so a fit is the same
+//! bits whether its plan was fresh or already filled by another fit —
+//! `tests/fitplan_equivalence.rs` checks this. Because the plan borrows its
+//! matrix, it cannot serve a fit on any other matrix.
 //!
-//! Instrumentation: `models.fitplan.build` counts plan constructions (the
-//! `models.fitplan.plan` span times them) and `models.fitplan.reuse`
-//! counts memo hits (shared plans and cached binned/standardized
-//! artifacts). Both are deterministic at any thread count.
+//! [`fit_pair`] fits a quantile pair through one plan: the place where a
+//! plan is shared.
+//!
+//! Instrumentation: `models.fitplan.build` counts artifacts a plan computes
+//! (memo misses; the `models.fitplan.plan` span times each computation) and
+//! `models.fitplan.reuse` counts artifacts it serves from its memo (hits).
+//! Both are decided under the memo's lock, so they are deterministic at any
+//! thread count.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::traits::{ModelError, Result};
+use crate::traits::{ModelError, Regressor, Result};
 use vmin_linalg::Matrix;
 
 /// Minimum features before binning spawns feature workers — the same
@@ -39,11 +43,7 @@ const PAR_MIN_FEATURES: usize = 8;
 
 /// The largest representable border count: `bin_of` stores bin indices as
 /// `u8`, and a feature with `B` borders produces bins `0..=B`.
-pub const MAX_BORDER_COUNT: usize = u8::MAX as usize;
-
-// ---------------------------------------------------------------------------
-// Exact shared helpers (single source of truth for memoized & direct paths)
-// ---------------------------------------------------------------------------
+pub(crate) const MAX_BORDER_COUNT: usize = u8::MAX as usize;
 
 /// Validates an `ObliviousBoost` border count against the `u8` bin table.
 ///
@@ -51,7 +51,7 @@ pub const MAX_BORDER_COUNT: usize = u8::MAX as usize;
 ///
 /// [`ModelError::InvalidInput`] for `0` (no candidate thresholds) or
 /// anything above [`MAX_BORDER_COUNT`], where `bin_of` would silently wrap.
-pub fn validate_border_count(border_count: usize) -> Result<()> {
+pub(crate) fn validate_border_count(border_count: usize) -> Result<()> {
     if border_count == 0 || border_count > MAX_BORDER_COUNT {
         return Err(ModelError::InvalidInput(format!(
             "border_count must be in 1..={MAX_BORDER_COUNT}, got {border_count}"
@@ -61,8 +61,7 @@ pub fn validate_border_count(border_count: usize) -> Result<()> {
 }
 
 /// Quantile borders for one feature from its `total_cmp`-sorted value
-/// column — the exact computation `ObliviousBoost` has always used,
-/// factored out so every binning path shares one body.
+/// column.
 pub(crate) fn borders_from_sorted_column(mut col: Vec<f64>, border_count: usize) -> Vec<f64> {
     col.dedup();
     if col.len() <= 1 {
@@ -110,20 +109,19 @@ pub(crate) fn bins_for_feature(x: &Matrix, feature: usize, borders: &[f64]) -> V
 /// Per-column standardization statistics plus the standardized feature
 /// rows — the shared input transform of `QuantileLinear` and `NeuralNet`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StandardizedDesign {
+pub(crate) struct StandardizedDesign {
     /// Per-column means.
-    pub feat_means: Vec<f64>,
+    pub(crate) feat_means: Vec<f64>,
     /// Per-column scales (standard deviation, floored to 1.0 for
     /// near-constant columns).
-    pub feat_scales: Vec<f64>,
+    pub(crate) feat_scales: Vec<f64>,
     /// Standardized feature rows, `rows[i][j] = (x[i,j] − μ_j) / s_j`.
-    pub rows: Vec<Vec<f64>>,
+    pub(crate) rows: Vec<Vec<f64>>,
 }
 
-/// Computes the standardized design for `x` — the exact column-statistics
-/// and row-transform code previously duplicated inside `QuantileLinear` and
-/// `NeuralNet::fit`.
-pub fn standardize_design(x: &Matrix) -> StandardizedDesign {
+/// Computes the standardized design for `x`: the column statistics and the
+/// standardized rows.
+pub(crate) fn standardize_design(x: &Matrix) -> StandardizedDesign {
     let n = x.rows();
     let d = x.cols();
     let feat_means: Vec<f64> = (0..d)
@@ -163,19 +161,18 @@ pub fn standardize_design(x: &Matrix) -> StandardizedDesign {
 /// Quantile borders and the per-sample bin table for one border count —
 /// everything `ObliviousBoost` needs before its boosting rounds.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BinnedDataset {
+pub(crate) struct BinnedDataset {
     /// Per-feature candidate thresholds, ascending.
-    pub borders: Vec<Vec<f64>>,
+    pub(crate) borders: Vec<Vec<f64>>,
     /// Per-feature bin index of every sample (`bin_of[feature][i]`).
-    pub bin_of: Vec<Vec<u8>>,
+    pub(crate) bin_of: Vec<Vec<u8>>,
 }
 
 impl BinnedDataset {
-    /// Computes borders and bins directly from a matrix — the one binning
-    /// body, memoized per border count by [`FitPlan::binned`]. One feature
-    /// per parallel work item, matching the historical `ObliviousBoost`
-    /// passes.
-    pub fn compute(x: &Matrix, border_count: usize) -> Result<BinnedDataset> {
+    /// Computes borders and bins from a matrix — the one binning body,
+    /// memoized per border count by [`FitPlan::binned`]. One feature per
+    /// parallel work item.
+    pub(crate) fn compute(x: &Matrix, border_count: usize) -> Result<BinnedDataset> {
         validate_border_count(border_count)?;
         let features: Vec<usize> = (0..x.cols()).collect();
         let borders = vmin_par::par_map(&features, PAR_MIN_FEATURES, |_, &j| {
@@ -194,88 +191,63 @@ impl BinnedDataset {
 // FitPlan
 // ---------------------------------------------------------------------------
 
-/// The per-dataset fit plan: lazily memoized binned datasets and
-/// standardized designs (see the module docs).
+/// The fit plan of one training matrix: the binned datasets and the
+/// standardized design of that matrix, each computed on its first request
+/// and served from a memo after (see the module docs).
 ///
-/// Build one per training matrix with [`FitPlan::build`] and hand it to
-/// [`crate::Regressor::fit_with_plan`]; consumers verify the plan actually
-/// describes the matrix they were given (via a dimensions + content
-/// fingerprint check) and fall back to their plan-free path otherwise, so
-/// a stale plan can never corrupt a fit.
+/// Making a plan costs nothing. Hand one plan to every fit on the same
+/// matrix that should share its artifacts, as [`fit_pair`] does.
 #[derive(Debug)]
-pub struct FitPlan {
-    n_rows: usize,
-    n_cols: usize,
-    fingerprint: u64,
+pub struct FitPlan<'x> {
+    x: &'x Matrix,
     /// Binned datasets keyed by border count, built on first use.
     binned: Mutex<BTreeMap<usize, Arc<BinnedDataset>>>,
     /// Standardized design, built on first use.
     standardized: Mutex<Option<Arc<StandardizedDesign>>>,
 }
 
-/// FNV-1a over the matrix shape and raw element bits, one xor-multiply per
-/// 8-byte word: cheap (one pass) and sufficient to detect a plan/matrix
-/// mismatch. Each step `h ↦ (h ^ w)·P` is a bijection of `h` for a fixed
-/// word and of `w` for a fixed `h` (the FNV prime `P` is odd, so
-/// multiplying by it is invertible mod 2⁶⁴), hence changing any one
-/// element always changes the fingerprint.
-fn fingerprint_of(x: &Matrix) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-    mix(x.rows() as u64);
-    mix(x.cols() as u64);
-    for &v in x.as_slice() {
-        mix(v.to_bits());
-    }
-    h
-}
-
-impl FitPlan {
-    /// Builds the plan for `x`: records its shape and content fingerprint;
-    /// every artifact is computed on first request.
-    pub fn build(x: &Matrix) -> FitPlan {
-        let _span = vmin_trace::span("models.fitplan.plan");
-        vmin_trace::counter_add("models.fitplan.build", 1);
+impl<'x> FitPlan<'x> {
+    /// An empty plan for `x`; every artifact is computed on first request.
+    pub fn new(x: &'x Matrix) -> FitPlan<'x> {
         FitPlan {
-            n_rows: x.rows(),
-            n_cols: x.cols(),
-            fingerprint: fingerprint_of(x),
+            x,
             binned: Mutex::new(BTreeMap::new()),
             standardized: Mutex::new(None),
         }
     }
 
-    /// Whether this plan describes `x` (dimensions plus a full content
-    /// fingerprint). Consumers call this before trusting cached artifacts;
-    /// the O(nd) hash pass is negligible next to any model fit.
-    pub fn matches(&self, x: &Matrix) -> bool {
-        self.n_rows == x.rows() && self.n_cols == x.cols() && self.fingerprint == fingerprint_of(x)
+    /// The training matrix this plan describes.
+    pub fn x(&self) -> &'x Matrix {
+        self.x
     }
 
-    /// The binned dataset for `border_count`, built on first request by
-    /// [`BinnedDataset::compute`] and cached for reuse across the quantile
-    /// pair and folds. `x` must be the matrix the plan was built from.
+    /// The binned dataset for `border_count`, computed by
+    /// [`BinnedDataset::compute`] on first request and served from the
+    /// memo after.
     ///
     /// # Errors
     ///
     /// [`ModelError::InvalidInput`] on an invalid border count.
-    pub fn binned(&self, x: &Matrix, border_count: usize) -> Result<Arc<BinnedDataset>> {
-        // Build-vs-hit is decided under the lock, so the counters are
+    pub(crate) fn binned(&self, border_count: usize) -> Result<Arc<BinnedDataset>> {
+        // Miss-vs-hit is decided under the lock, so the counters are
         // deterministic even when the CQR pair races to the same entry.
         let mut cache = self.binned.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(hit) = cache.get(&border_count) {
             vmin_trace::counter_add("models.fitplan.reuse", 1);
             return Ok(Arc::clone(hit));
         }
-        let built = Arc::new(BinnedDataset::compute(x, border_count)?);
+        let built = {
+            let _span = vmin_trace::span("models.fitplan.plan");
+            Arc::new(BinnedDataset::compute(self.x, border_count)?)
+        };
+        vmin_trace::counter_add("models.fitplan.build", 1);
         cache.insert(border_count, Arc::clone(&built));
         Ok(built)
     }
 
-    /// The standardized design, built on first request and cached for
-    /// reuse across the quantile pair. `x` must be the matrix the plan was
-    /// built from.
-    pub fn standardized(&self, x: &Matrix) -> Arc<StandardizedDesign> {
+    /// The standardized design, computed on first request and served from
+    /// the memo after.
+    pub(crate) fn standardized(&self) -> Arc<StandardizedDesign> {
         let mut cache = self
             .standardized
             .lock()
@@ -284,10 +256,35 @@ impl FitPlan {
             vmin_trace::counter_add("models.fitplan.reuse", 1);
             return Arc::clone(hit);
         }
-        let built = Arc::new(standardize_design(x));
+        let built = {
+            let _span = vmin_trace::span("models.fitplan.plan");
+            Arc::new(standardize_design(self.x))
+        };
+        vmin_trace::counter_add("models.fitplan.build", 1);
         *cache = Some(Arc::clone(&built));
         built
     }
+}
+
+/// Fits the quantile pair `lo`, `hi` on `x` and `y` through one shared
+/// [`FitPlan`], so a bin table or standardized design the pair has in
+/// common is computed once. The two fits run on two threads when the pool
+/// allows; each fit is the same bits as a fit of its own.
+///
+/// # Errors
+///
+/// `lo`'s fit error if it failed, else `hi`'s.
+pub fn fit_pair<L: Regressor, H: Regressor>(
+    lo: &mut L,
+    hi: &mut H,
+    x: &Matrix,
+    y: &[f64],
+) -> Result<()> {
+    let plan = FitPlan::new(x);
+    let (lo_res, hi_res) =
+        vmin_par::join(|| lo.fit_with_plan(&plan, y), || hi.fit_with_plan(&plan, y));
+    lo_res?;
+    hi_res
 }
 
 #[cfg(test)]
@@ -305,39 +302,27 @@ mod tests {
     }
 
     #[test]
-    fn matches_detects_content_changes() {
-        let x = toy_matrix();
-        let plan = FitPlan::build(&x);
-        assert!(plan.matches(&x));
-        let mut other = toy_matrix();
-        other[(0, 0)] = 3.5;
-        assert!(!plan.matches(&other));
-        assert!(!plan.matches(&Matrix::zeros(4, 3)));
-        assert!(!plan.matches(&Matrix::zeros(5, 2)));
-    }
-
-    #[test]
     fn binned_matches_direct_computation_and_caches() {
         let x = toy_matrix();
-        let plan = FitPlan::build(&x);
+        let plan = FitPlan::new(&x);
         let direct = BinnedDataset::compute(&x, 32).unwrap();
-        let cached = plan.binned(&x, 32).unwrap();
+        let cached = plan.binned(32).unwrap();
         assert_eq!(*cached, direct);
         // Second request returns the same Arc.
-        let again = plan.binned(&x, 32).unwrap();
+        let again = plan.binned(32).unwrap();
         assert!(Arc::ptr_eq(&cached, &again));
         // A different border count is a separate entry.
-        let coarse = plan.binned(&x, 1).unwrap();
+        let coarse = plan.binned(1).unwrap();
         assert_ne!(*coarse, *cached);
     }
 
     #[test]
     fn border_count_validation() {
         let x = toy_matrix();
-        let plan = FitPlan::build(&x);
-        assert!(plan.binned(&x, 0).is_err());
-        assert!(plan.binned(&x, 256).is_err());
-        assert!(plan.binned(&x, 255).is_ok());
+        let plan = FitPlan::new(&x);
+        assert!(plan.binned(0).is_err());
+        assert!(plan.binned(256).is_err());
+        assert!(plan.binned(255).is_ok());
         assert!(validate_border_count(MAX_BORDER_COUNT).is_ok());
         assert!(validate_border_count(MAX_BORDER_COUNT + 1).is_err());
     }
@@ -345,33 +330,50 @@ mod tests {
     #[test]
     fn standardized_matches_direct_computation_and_caches() {
         let x = toy_matrix();
-        let plan = FitPlan::build(&x);
+        let plan = FitPlan::new(&x);
         let direct = standardize_design(&x);
-        let cached = plan.standardized(&x);
+        let cached = plan.standardized();
         assert_eq!(*cached, direct);
-        assert!(Arc::ptr_eq(&cached, &plan.standardized(&x)));
+        assert!(Arc::ptr_eq(&cached, &plan.standardized()));
     }
 
     #[test]
-    fn fingerprint_changes_with_any_single_bit_of_any_element() {
-        let x = toy_matrix();
-        let base = fingerprint_of(&x);
-        let (rows, cols) = (x.rows(), x.cols());
-        for k in 0..rows * cols {
-            for bit in 0..64 {
-                let mut data = x.as_slice().to_vec();
-                data[k] = f64::from_bits(data[k].to_bits() ^ (1 << bit));
-                let flipped = Matrix::from_vec(rows, cols, data).unwrap();
-                assert_ne!(fingerprint_of(&flipped), base, "element {k}, bit {bit}");
+    fn a_pair_computes_its_shared_artifact_once_at_any_thread_count() {
+        // Both quantiles of a pair ask for the same bin table (GBT) or the
+        // same design (QuantileLinear): whichever fit reaches the memo
+        // first computes it, the other is served from it.
+        use crate::{GradientBoost, GradientBoostParams, Loss, QuantileLinear};
+        let x = Matrix::from_vec(40, 2, (0..80).map(|v| f64::from(v % 13)).collect()).unwrap();
+        let y: Vec<f64> = (0..40).map(|i| f64::from(i % 7)).collect();
+        let params = GradientBoostParams {
+            n_rounds: 5,
+            ..GradientBoostParams::default()
+        };
+        let gbt = |q| GradientBoost::with_params(Loss::Pinball(q), params);
+        let ql = |q| QuantileLinear::new(q).with_training(5, 0.02);
+        let prev = vmin_trace::set_enabled(true);
+        for threads in [1, 8] {
+            let ((), gbt_snap) = vmin_trace::with_collector(|| {
+                vmin_par::with_threads(threads, || {
+                    fit_pair(&mut gbt(0.05), &mut gbt(0.95), &x, &y).unwrap();
+                })
+            });
+            let ((), ql_snap) = vmin_trace::with_collector(|| {
+                vmin_par::with_threads(threads, || {
+                    fit_pair(&mut ql(0.05), &mut ql(0.95), &x, &y).unwrap();
+                })
+            });
+            for (family, snap) in [("gbt", gbt_snap), ("quantile-linear", ql_snap)] {
+                for name in ["models.fitplan.build", "models.fitplan.reuse"] {
+                    assert_eq!(
+                        snap.counters.get(name),
+                        Some(&1),
+                        "{family} pair at {threads} threads: {name}"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_nan_payload_and_zero_sign() {
-        let a = Matrix::from_rows(&[vec![0.0], vec![1.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![-0.0], vec![1.0]]).unwrap();
-        assert_ne!(fingerprint_of(&a), fingerprint_of(&b));
+        vmin_trace::set_enabled(prev);
     }
 
     #[test]

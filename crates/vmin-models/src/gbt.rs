@@ -5,11 +5,10 @@
 //! pinball loss, so the same booster serves "XGBoost" point prediction and
 //! "QR XGBoost" quantile regression.
 
-use crate::fitplan::{BinnedDataset, FitPlan};
+use crate::fitplan::FitPlan;
 use crate::hist::{HistBinned, HistScratch, RoundMemo};
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
 use crate::tree::{GradientTree, TreeParams};
-use vmin_linalg::Matrix;
 
 /// Hyperparameters of the booster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,13 +107,61 @@ impl GradientBoost {
     pub fn trees(&self) -> &[GradientTree] {
         &self.trees
     }
+}
 
-    /// The shared boosting loop; `plan`, when given, memoizes the bin table
-    /// (byte-identical to computing it directly). Every round grows a
+/// Test oracle: the exact boosting loop the histogram path replaced, every
+/// round growing an exact greedy tree ([`GradientTree::fit`]) over all rows
+/// with explicit Hessians and no round memo. Binned fits are compared
+/// against it in `hist.rs`.
+#[cfg(test)]
+impl GradientBoost {
+    pub(crate) fn fit_exact(&mut self, x: &vmin_linalg::Matrix, y: &[f64]) -> Result<()> {
+        validate_training(x, y)?;
+        self.loss.validate()?;
+        let n = x.rows();
+        self.n_features = x.cols();
+        self.base_score = self.loss.optimal_constant(y)?;
+        self.trees.clear();
+
+        let mut preds = vec![self.base_score; n];
+        let mut grad = vec![0.0; n];
+        let mut hess = vec![0.0; n];
+        let all_rows: Vec<usize> = (0..n).collect();
+        let loss = self.loss;
+        let lr = self.params.learning_rate;
+        for _ in 0..self.params.n_rounds {
+            vmin_par::par_chunks_mut(&mut grad, ROUND_ROW_BLOCK, 2, |bi, chunk| {
+                let i0 = bi * ROUND_ROW_BLOCK;
+                for (di, g) in chunk.iter_mut().enumerate() {
+                    *g = loss.gradient(y[i0 + di], preds[i0 + di]);
+                }
+            });
+            vmin_par::par_chunks_mut(&mut hess, ROUND_ROW_BLOCK, 2, |bi, chunk| {
+                let i0 = bi * ROUND_ROW_BLOCK;
+                for (di, h) in chunk.iter_mut().enumerate() {
+                    *h = loss.hessian(y[i0 + di], preds[i0 + di]);
+                }
+            });
+            let tree = GradientTree::fit(x, &grad, &hess, &all_rows, &self.params.tree);
+            vmin_par::par_chunks_mut(&mut preds, ROUND_ROW_BLOCK, 2, |bi, chunk| {
+                let i0 = bi * ROUND_ROW_BLOCK;
+                for (di, p) in chunk.iter_mut().enumerate() {
+                    *p += lr * tree.predict_row(x.row(i0 + di));
+                }
+            });
+            self.trees.push(tree);
+        }
+        Ok(())
+    }
+}
+
+impl Regressor for GradientBoost {
+    /// The boosting loop over the plan's bin table. Every round grows a
     /// histogram tree over all rows, except that pinball rounds whose
     /// gradient class repeats an earlier round's reuse that round's tree
     /// (the round memo, DESIGN.md §12).
-    fn fit_inner(&mut self, x: &Matrix, y: &[f64], plan: Option<&FitPlan>) -> Result<()> {
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()> {
+        let x = plan.x();
         validate_training(x, y)?;
         self.loss.validate()?;
         let n = x.rows();
@@ -129,11 +176,9 @@ impl GradientBoost {
         let mut preds = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
 
-        // One bin table serves every round's tree. Without a plan the bins
-        // are computed directly by the same `BinnedDataset::compute` the
-        // plan memoizes, so the plan is behavior-invisible. Boundaries are
-        // capped by the row count (`gbt_border_cap`): with fewer rows than
-        // bins the per-bin sweeps cost more than they save.
+        // One bin table serves every round's tree. Boundaries are capped by
+        // the row count (`gbt_border_cap`): with fewer rows than bins the
+        // per-bin sweeps cost more than they save.
         //
         // Histogram trees carry no Hessian histogram: every loss here has
         // unit Hessians, so a node's Hessian sum is its row count. A loss
@@ -142,11 +187,7 @@ impl GradientBoost {
             Loss::Squared | Loss::Pinball(_) => {}
         }
         let cap = crate::hist::gbt_border_cap(n);
-        let binned = match plan {
-            Some(p) => p.binned(x, cap)?,
-            None => std::sync::Arc::new(BinnedDataset::compute(x, cap)?),
-        };
-        let hb = HistBinned::build(x, binned);
+        let hb = HistBinned::build(x, plan.binned(cap)?);
         // Node histograms recycle across nodes and rounds through this
         // scratch, which also counts the bins the boundary scans visit.
         let mut hist_scratch = HistScratch::default();
@@ -195,71 +236,6 @@ impl GradientBoost {
         vmin_trace::counter_add("models.hist.bins_scanned", hist_scratch.bins_scanned);
         Ok(())
     }
-}
-
-/// Test oracle: the exact boosting loop the histogram path replaced, every
-/// round growing an exact greedy tree ([`GradientTree::fit`]) over all rows
-/// with explicit Hessians and no round memo. Binned fits are compared
-/// against it in `hist.rs`.
-#[cfg(test)]
-impl GradientBoost {
-    pub(crate) fn fit_exact(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        validate_training(x, y)?;
-        self.loss.validate()?;
-        let n = x.rows();
-        self.n_features = x.cols();
-        self.base_score = self.loss.optimal_constant(y)?;
-        self.trees.clear();
-
-        let mut preds = vec![self.base_score; n];
-        let mut grad = vec![0.0; n];
-        let mut hess = vec![0.0; n];
-        let all_rows: Vec<usize> = (0..n).collect();
-        let loss = self.loss;
-        let lr = self.params.learning_rate;
-        for _ in 0..self.params.n_rounds {
-            vmin_par::par_chunks_mut(&mut grad, ROUND_ROW_BLOCK, 2, |bi, chunk| {
-                let i0 = bi * ROUND_ROW_BLOCK;
-                for (di, g) in chunk.iter_mut().enumerate() {
-                    *g = loss.gradient(y[i0 + di], preds[i0 + di]);
-                }
-            });
-            vmin_par::par_chunks_mut(&mut hess, ROUND_ROW_BLOCK, 2, |bi, chunk| {
-                let i0 = bi * ROUND_ROW_BLOCK;
-                for (di, h) in chunk.iter_mut().enumerate() {
-                    *h = loss.hessian(y[i0 + di], preds[i0 + di]);
-                }
-            });
-            let tree = GradientTree::fit(x, &grad, &hess, &all_rows, &self.params.tree);
-            vmin_par::par_chunks_mut(&mut preds, ROUND_ROW_BLOCK, 2, |bi, chunk| {
-                let i0 = bi * ROUND_ROW_BLOCK;
-                for (di, p) in chunk.iter_mut().enumerate() {
-                    *p += lr * tree.predict_row(x.row(i0 + di));
-                }
-            });
-            self.trees.push(tree);
-        }
-        Ok(())
-    }
-}
-
-impl Regressor for GradientBoost {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        self.fit_inner(x, y, None)
-    }
-
-    fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if plan.matches(x) {
-            vmin_trace::counter_add("models.fitplan.reuse", 1);
-            self.fit_inner(x, y, Some(plan))
-        } else {
-            self.fit(x, y)
-        }
-    }
-
-    fn wants_fit_plan(&self) -> bool {
-        true
-    }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64> {
         if self.trees.is_empty() {
@@ -283,6 +259,8 @@ impl Regressor for GradientBoost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fitplan::BinnedDataset;
+    use vmin_linalg::Matrix;
     use vmin_rng::{ChaCha8Rng, Rng, SeedableRng};
 
     fn friedman_like(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
@@ -371,35 +349,6 @@ mod tests {
         for threads in [2, 8] {
             assert_eq!(fit_at(threads), serial, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn planned_fit_is_bit_identical_to_plain_fit() {
-        let (x, y) = friedman_like(150, 10);
-        for loss in [Loss::Squared, Loss::Pinball(0.9)] {
-            let mut planned = GradientBoost::new(loss);
-            planned.fit_with_plan(&x, &y, &FitPlan::build(&x)).unwrap();
-            let mut plain = GradientBoost::new(loss);
-            plain.fit(&x, &y).unwrap();
-            assert_eq!(planned.trees, plain.trees, "loss {loss:?}");
-            assert_eq!(planned.predict(&x).unwrap(), plain.predict(&x).unwrap());
-        }
-    }
-
-    #[test]
-    fn stale_plan_falls_back_to_plain_fit() {
-        let (x, y) = friedman_like(120, 11);
-        let (x2, _) = friedman_like(120, 12);
-        let plan = FitPlan::build(&x);
-        // The first fit fills the plan's bin memo for `x`; a plan for
-        // different data must then not leak those bins into a fit.
-        let mut fresh = GradientBoost::new(Loss::Squared);
-        fresh.fit_with_plan(&x, &y, &plan).unwrap();
-        let mut stale = GradientBoost::new(Loss::Squared);
-        stale.fit_with_plan(&x2, &y, &plan).unwrap();
-        let mut direct = GradientBoost::new(Loss::Squared);
-        direct.fit(&x2, &y).unwrap();
-        assert_eq!(stale.trees, direct.trees);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! of Eq. 4 is built:
 //! `C(x) = [μ(x) + K_lo·σ(x), μ(x) + K_hi·σ(x)]`.
 
-use crate::fitplan::{standardize_design, StandardizedDesign};
+use crate::fitplan::{standardize_design, FitPlan, StandardizedDesign};
 use crate::traits::{validate_training, ModelError, Regressor, Result};
 use vmin_linalg::{normal_inverse_cdf, Cholesky, Matrix};
 
@@ -271,7 +271,8 @@ impl GaussianProcess {
 }
 
 impl Regressor for GaussianProcess {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()> {
+        let x = plan.x();
         let design = GpDesign::new(x, y)?;
         let d = x.cols();
         let y_sd = vmin_linalg::std_dev(y).max(1e-12);

@@ -52,10 +52,7 @@ mod traits;
 mod tree;
 
 pub use ensemble::Ensemble;
-pub use fitplan::{
-    standardize_design, validate_border_count, BinnedDataset, FitPlan, StandardizedDesign,
-    MAX_BORDER_COUNT,
-};
+pub use fitplan::{fit_pair, FitPlan};
 pub use gbt::{GradientBoost, GradientBoostParams};
 pub use gp::{GaussianProcess, RbfKernel};
 pub use linear::LinearRegression;

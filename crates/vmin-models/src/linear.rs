@@ -5,8 +5,9 @@
 //! point prediction and attractive for on-chip hardware implementation
 //! (§IV-D); it is the baseline every other model is compared against.
 
+use crate::fitplan::FitPlan;
 use crate::traits::{validate_training, ModelError, Regressor, Result};
-use vmin_linalg::{lstsq, ridge, Matrix};
+use vmin_linalg::{lstsq, ridge};
 
 /// Ordinary least squares `y ≈ β₀ + βᵀx`.
 ///
@@ -66,7 +67,8 @@ impl LinearRegression {
 }
 
 impl Regressor for LinearRegression {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()> {
+        let x = plan.x();
         validate_training(x, y)?;
         // Center targets and features so the intercept is handled exactly and
         // the ridge penalty never shrinks it.
@@ -118,6 +120,7 @@ impl Regressor for LinearRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmin_linalg::Matrix;
 
     fn design() -> (Matrix, Vec<f64>) {
         // y = 2 + 3 x₀ − x₁

@@ -6,10 +6,9 @@
 //! Supports both MSE and pinball loss, so it serves as both the "NN" point
 //! predictor of Fig. 2 and the "QR Neural Network" of Table III.
 
-use crate::fitplan::{standardize_design, FitPlan, StandardizedDesign};
+use crate::fitplan::FitPlan;
 use crate::optimizer::Adam;
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
-use vmin_linalg::Matrix;
 use vmin_rng::ChaCha8Rng;
 use vmin_rng::Rng;
 use vmin_rng::SeedableRng;
@@ -125,10 +124,13 @@ impl NeuralNet {
         }
         (act, out)
     }
+}
 
-    /// The shared fit body over a pre-standardized design (cached from a
-    /// plan or freshly computed — identical code either way).
-    fn fit_inner(&mut self, y: &[f64], design: &StandardizedDesign) -> Result<()> {
+impl Regressor for NeuralNet {
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()> {
+        validate_training(plan.x(), y)?;
+        self.loss.validate()?;
+        let design = plan.standardized();
         let n = design.rows.len();
         let d = design.feat_means.len();
         self.n_features = d;
@@ -198,29 +200,6 @@ impl NeuralNet {
         self.weights = Some(w);
         Ok(())
     }
-}
-
-impl Regressor for NeuralNet {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        validate_training(x, y)?;
-        self.loss.validate()?;
-        self.fit_inner(y, &standardize_design(x))
-    }
-
-    fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if plan.matches(x) {
-            validate_training(x, y)?;
-            self.loss.validate()?;
-            let design = plan.standardized(x);
-            self.fit_inner(y, &design)
-        } else {
-            self.fit(x, y)
-        }
-    }
-
-    fn wants_fit_plan(&self) -> bool {
-        true
-    }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64> {
         let w = self.weights.as_ref().ok_or(ModelError::NotFitted)?;
@@ -244,6 +223,7 @@ impl Regressor for NeuralNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmin_linalg::Matrix;
 
     fn fast_params(seed: u64) -> NeuralNetParams {
         NeuralNetParams {
@@ -343,19 +323,6 @@ mod tests {
         ));
         let mut bad = NeuralNet::with_params(Loss::Pinball(-0.5), fast_params(0));
         assert!(bad.fit(&x, &y).is_err());
-    }
-
-    #[test]
-    fn planned_fit_is_bit_identical_to_direct() {
-        let (x, y) = quadratic_data(60);
-        let plan = FitPlan::build(&x);
-        let mut planned = NeuralNet::with_params(Loss::Pinball(0.9), fast_params(3));
-        planned.fit_with_plan(&x, &y, &plan).unwrap();
-        let mut direct = NeuralNet::with_params(Loss::Pinball(0.9), fast_params(3));
-        direct.fit(&x, &y).unwrap();
-        assert_eq!(planned.weights, direct.weights);
-        assert_eq!(planned.feat_means, direct.feat_means);
-        assert_eq!(planned.feat_scales, direct.feat_scales);
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl ObliviousBoost {
             .collect()
     }
 
-    /// Shape/hyperparameter checks shared by both fit entry points.
+    /// Shape/hyperparameter checks, run before the plan is asked for bins.
     fn validate(&self, x: &Matrix, y: &[f64]) -> Result<()> {
         validate_training(x, y)?;
         self.loss.validate()?;
@@ -179,10 +179,7 @@ impl ObliviousBoost {
         validate_border_count(self.params.border_count)
     }
 
-    /// The shared boosting loop over a pre-binned dataset. Both entry
-    /// points end up here with a [`BinnedDataset`] produced by the same
-    /// code (`fitplan` helpers), so cached and uncached fits are
-    /// byte-identical.
+    /// The boosting loop over the plan's binned dataset.
     ///
     /// Histogram-binned: rows live in a leaf-major permutation
     /// ([`crate::hist::ObliviousHistState`]) so each level scan touches
@@ -491,25 +488,11 @@ impl ObliviousBoost {
 }
 
 impl Regressor for ObliviousBoost {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()> {
+        let x = plan.x();
         self.validate(x, y)?;
-        let binned = BinnedDataset::compute(x, self.params.border_count)?;
+        let binned = plan.binned(self.params.border_count)?;
         self.fit_inner(x, y, &binned)
-    }
-
-    fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if plan.matches(x) {
-            self.validate(x, y)?;
-            vmin_trace::counter_add("models.fitplan.reuse", 1);
-            let binned = plan.binned(x, self.params.border_count)?;
-            self.fit_inner(x, y, &binned)
-        } else {
-            self.fit(x, y)
-        }
-    }
-
-    fn wants_fit_plan(&self) -> bool {
-        true
     }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64> {
@@ -671,36 +654,6 @@ mod tests {
             },
         );
         assert!(ok.fit(&x, &y).is_ok());
-    }
-
-    #[test]
-    fn planned_fit_is_bit_identical_to_plain_fit() {
-        let (x, y) = data(180, 11);
-        for loss in [Loss::Squared, Loss::Pinball(0.95)] {
-            let plan = crate::fitplan::FitPlan::build(&x);
-            let mut planned = ObliviousBoost::new(loss);
-            planned.fit_with_plan(&x, &y, &plan).unwrap();
-            let mut plain = ObliviousBoost::new(loss);
-            plain.fit(&x, &y).unwrap();
-            assert_eq!(planned.trees, plain.trees, "loss {loss:?}");
-            assert_eq!(planned.base_score, plain.base_score);
-        }
-    }
-
-    #[test]
-    fn stale_plan_falls_back_to_direct_fit() {
-        let (x, y) = data(80, 12);
-        let (x_other, _) = data(80, 13);
-        let plan = crate::fitplan::FitPlan::build(&x_other);
-        // Fill the plan's bin memo for `x_other` first, so a fit that
-        // trusted the stale plan would train on the wrong bins.
-        let mut other = ObliviousBoost::new(Loss::Squared);
-        other.fit_with_plan(&x_other, &y, &plan).unwrap();
-        let mut via_plan = ObliviousBoost::new(Loss::Squared);
-        via_plan.fit_with_plan(&x, &y, &plan).unwrap();
-        let mut direct = ObliviousBoost::new(Loss::Squared);
-        direct.fit(&x, &y).unwrap();
-        assert_eq!(via_plan.trees, direct.trees);
     }
 
     #[test]

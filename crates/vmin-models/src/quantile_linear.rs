@@ -4,11 +4,9 @@
 //! class as OLS, trained on the pinball loss (Eq. 5) so that it estimates a
 //! conditional quantile instead of the conditional mean.
 
-use crate::fitplan::{standardize_design, FitPlan, StandardizedDesign};
+use crate::fitplan::FitPlan;
 use crate::optimizer::Adam;
 use crate::traits::{validate_training, Loss, ModelError, Regressor, Result};
-use std::sync::Arc;
-use vmin_linalg::Matrix;
 
 /// Linear model `ŷ = β₀ + βᵀx` trained to minimize the pinball loss at a
 /// fixed quantile.
@@ -69,10 +67,13 @@ impl QuantileLinear {
     pub fn quantile(&self) -> f64 {
         self.quantile
     }
+}
 
-    /// The shared fit body; `design` carries the standardized features
-    /// (cached from a plan or freshly computed — same code either way).
-    fn fit_inner(&mut self, y: &[f64], design: &StandardizedDesign) -> Result<()> {
+impl Regressor for QuantileLinear {
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()> {
+        validate_training(plan.x(), y)?;
+        Loss::Pinball(self.quantile).validate()?;
+        let design = plan.standardized();
         let n = design.rows.len();
         let d = design.feat_means.len();
 
@@ -113,29 +114,6 @@ impl QuantileLinear {
         self.params = Some(params);
         Ok(())
     }
-}
-
-impl Regressor for QuantileLinear {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        validate_training(x, y)?;
-        Loss::Pinball(self.quantile).validate()?;
-        self.fit_inner(y, &standardize_design(x))
-    }
-
-    fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        if plan.matches(x) {
-            validate_training(x, y)?;
-            Loss::Pinball(self.quantile).validate()?;
-            let design: Arc<StandardizedDesign> = plan.standardized(x);
-            self.fit_inner(y, &design)
-        } else {
-            self.fit(x, y)
-        }
-    }
-
-    fn wants_fit_plan(&self) -> bool {
-        true
-    }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64> {
         let params = self.params.as_ref().ok_or(ModelError::NotFitted)?;
@@ -157,6 +135,7 @@ impl Regressor for QuantileLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmin_linalg::Matrix;
     use vmin_rng::ChaCha8Rng;
     use vmin_rng::Rng;
     use vmin_rng::SeedableRng;
@@ -256,16 +235,5 @@ mod tests {
             a.predict_row(&[1.0]).unwrap(),
             b.predict_row(&[1.0]).unwrap()
         );
-    }
-
-    #[test]
-    fn planned_fit_is_bit_identical_to_direct() {
-        let (x, y) = hetero_data(120, 7);
-        let plan = FitPlan::build(&x);
-        let mut planned = QuantileLinear::new(0.9);
-        planned.fit_with_plan(&x, &y, &plan).unwrap();
-        let mut direct = QuantileLinear::new(0.9);
-        direct.fit(&x, &y).unwrap();
-        assert_eq!(planned, direct);
     }
 }

@@ -158,40 +158,39 @@ impl Loss {
 ///
 /// Implementors: [`crate::LinearRegression`], [`crate::QuantileLinear`],
 /// [`crate::GaussianProcess`], [`crate::GradientBoost`],
-/// [`crate::ObliviousBoost`], [`crate::NeuralNet`].
+/// [`crate::ObliviousBoost`], [`crate::NeuralNet`], [`crate::Ensemble`].
+///
+/// Every model has one fit body, [`Regressor::fit_with_plan`], which reads
+/// its training matrix from a [`FitPlan`] and takes the plan's artifacts
+/// (bin tables, standardized designs) where it uses them;
+/// [`Regressor::fit`] runs it on a fresh plan of its own.
 ///
 /// `Send + Sync` are supertraits so fitted models (including boxed trait
 /// objects) can move to and be shared with `vmin-par` worker threads —
 /// e.g. jackknife+'s split-parallel fits. Every implementor is plain owned data, so
 /// the bounds are free.
 pub trait Regressor: fmt::Debug + Send + Sync {
-    /// Fits the model on `x` (n × d) and targets `y` (length n).
+    /// Fits the model on the plan's matrix `plan.x()` (n × d) and targets
+    /// `y` (length n). A plan serves the very artifacts a fresh plan would
+    /// compute, so the fitted model does not depend on what the plan served
+    /// before: one plan can serve every fit on its matrix (see
+    /// [`crate::fit_pair`]).
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidInput`] on shape problems and
-    /// [`ModelError::Numerical`] when the underlying solver fails.
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()>;
+    /// [`ModelError::Numerical`] when the underlying solver fails. Inputs
+    /// are checked before the plan is asked for an artifact.
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()>;
 
-    /// Fits the model on `x` and `y`, reusing the shared [`FitPlan`] built
-    /// for `x` where the model can (binned datasets for the boosters,
-    /// standardized designs for standardizing models). The contract is **exactness**: the fitted
-    /// model must be byte-identical to [`Regressor::fit`] on the same data.
-    /// Models that cannot use a plan — and every model handed a plan that
-    /// does not describe `x` — fall back to `fit`.
+    /// Fits the model on `x` (n × d) and targets `y` (length n), through a
+    /// plan of its own.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Regressor::fit`].
-    fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], _plan: &FitPlan) -> Result<()> {
-        self.fit(x, y)
-    }
-
-    /// Whether [`Regressor::fit_with_plan`] actually consumes a plan.
-    /// Callers use this to skip plan construction for pure closed-form
-    /// models (OLS, GP) where nothing would be reused.
-    fn wants_fit_plan(&self) -> bool {
-        false
+    /// Same conditions as [`Regressor::fit_with_plan`].
+    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+        self.fit_with_plan(&FitPlan::new(x), y)
     }
 
     /// Predicts one sample.
@@ -219,16 +218,8 @@ pub trait Regressor: fmt::Debug + Send + Sync {
 }
 
 impl Regressor for Box<dyn Regressor> {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        (**self).fit(x, y)
-    }
-
-    fn fit_with_plan(&mut self, x: &Matrix, y: &[f64], plan: &FitPlan) -> Result<()> {
-        (**self).fit_with_plan(x, y, plan)
-    }
-
-    fn wants_fit_plan(&self) -> bool {
-        (**self).wants_fit_plan()
+    fn fit_with_plan(&mut self, plan: &FitPlan<'_>, y: &[f64]) -> Result<()> {
+        (**self).fit_with_plan(plan, y)
     }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64> {

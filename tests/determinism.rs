@@ -117,7 +117,8 @@ fn hist_split_and_thread_count_matrix_is_bit_identical() {
     // traced cells' merged deterministic metrics must equal the one-thread
     // reference's. The reference must count the booster's histogram and
     // round-memo work, so the rows cannot pass on a fit that never reached
-    // the histogram kernels or the memo.
+    // the histogram kernels or the memo. Its one CQR pair must compute its
+    // bin table once and serve it once from the shared fit plan.
     let run = |threads: usize, trace_on: bool, model: PointModel| {
         cell(threads, trace_on, || cqr_cell_bits(model))
     };
@@ -137,6 +138,13 @@ fn hist_split_and_thread_count_matrix_is_bit_identical() {
     ] {
         let (binned, ref_snap) = run(1, true, model);
         assert_counted(&ref_snap, counters, &format!("{model:?}"));
+        for name in ["models.fitplan.build", "models.fitplan.reuse"] {
+            assert_eq!(
+                ref_snap.counters.get(name),
+                Some(&1),
+                "{model:?}: one CQR pair must count exactly one `{name}`"
+            );
+        }
         for (threads, trace_on) in [(2usize, true), (8, true), (8, false)] {
             let (bits, snap) = run(threads, trace_on, model);
             assert_eq!(
